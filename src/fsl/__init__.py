@@ -4,9 +4,8 @@ and account for truncation error exactly."""
 
 from .circuit import (Circuit, Gate, GateCounts, GateKind, compose, depth, export_qasm,
                       from_json, gate_counts, invert, peephole_cancel_cnots, to_json)
-from .compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant, compile_1d,
-                       compile_nd, compile_nonperiodic, compile_spec, prepare_spec,
-                       target_state)
+from .compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant,
+                       compile_nonperiodic, compile_spec, prepare_spec, target_state)
 from .errors import FSLError
 from .fourier import (FourierSpec, GridFunction, SpectralTail, decay_slope,
                       dft_coefficients, exact_infidelity, infidelity_bound,

@@ -164,9 +164,6 @@ class Circuit:
     def has_opaque(self) -> bool:
         return any(g.kind is GateKind.OPAQUE_UNITARY for g in self.gates)
 
-    def then(self, other: Circuit) -> Circuit:
-        return compose(self, other)
-
 
 @dataclass(frozen=True)
 class GateCounts:

@@ -2,6 +2,8 @@
 
 Subcommands: ``compile``, ``simulate``, ``sweep``, ``image``, ``bench``.
 Configuration precedence is flags > --config JSON file > built-in defaults.
+Qubit capacity: --max-qubits > config ``max_qubits`` > env FSL_MAX_QUBITS >
+``simulator.DEFAULT_MAX_QUBITS`` (24); it must be at least 1.
 Exit codes: 0 success, 2 configuration error, 3 compile/math error,
 4 capacity exceeded.  Errors print one machine-readable JSON object on
 stderr.  All floating-point output uses 17 significant digits so values
@@ -15,7 +17,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +25,7 @@ import numpy as np
 from . import circuit as cir
 from . import compiler, fourier, frqi, funcs, simulator
 from .compiler import FSLPlan, Loader, NonperiodicVariant
-from .errors import (CapacityExceeded, DimensionMismatch, ExpressionError, FSLError,
-                     UnknownFunction)
+from .errors import CapacityExceeded, ExpressionError, FSLError, UnknownFunction
 from .synth import build_schmidt_circuit, build_ucr_circuit, decompose_opaque
 
 _FLOAT_TAG = "\x00f:"
@@ -106,13 +107,17 @@ class ConfigError(FSLError):
 
 
 def _capacity(cfg: JobConfig) -> int:
-    env = os.environ.get("FSL_MAX_QUBITS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"FSL_MAX_QUBITS={env!r} is not an integer")
-    return cfg.values.get("max_qubits") or compiler.DEFAULT_CAPACITY
+    name, value = "max_qubits", cfg.values.get("max_qubits")
+    if value is None:
+        name = "FSL_MAX_QUBITS"
+        value = os.environ.get(name, simulator.DEFAULT_MAX_QUBITS)
+    try:
+        cap = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}={value!r} is not an integer")
+    if cap < 1:
+        raise ConfigError(f"{name}={value!r} must be at least 1")
+    return cap
 
 
 def _parse_params(items) -> dict:
@@ -165,45 +170,26 @@ def _require(cfg: JobConfig, *names):
             raise ConfigError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
+def _compile(cfg: JobConfig, grid: fourier.GridFunction, m: int,
+             variant: NonperiodicVariant | None):
+    """Plan and compile one load of ``grid``; the spec is None on the mirror path."""
+    plan = FSLPlan(n=grid.n, m=m, dims=grid.dims, loader=Loader(cfg.loader),
+                   fanout=cfg.fanout, max_qubits=_capacity(cfg))
+    if variant is not None:
+        if grid.dims != 1:
+            raise ConfigError("non-periodic loading supports one dimension only")
+        return (None,) + compiler.compile_nonperiodic(grid, m, variant, plan, filter_a=cfg.filter_a)
+    spec = compiler.prepare_spec(grid, m, cfg.filter_a)
+    return (spec,) + compiler.compile_spec(spec, plan, source=grid)
+
+
 def _build(cfg: JobConfig):
     """Sample, analyze, and compile per the merged configuration."""
     _require(cfg, "n", "m")
     fdef = _function_def(cfg)
-    n, m = int(cfg.n), int(cfg.m)
     variant = _nonperiodic_variant(cfg, fdef)
-    loader = Loader(cfg.loader)
-    grid = funcs.sample(fdef, n)
-    plan = FSLPlan(n=n, m=m, dims=fdef.dims, loader=loader,
-                   filter_a=cfg.filter_a, nonperiodic=variant,
-                   fanout=cfg.fanout, max_qubits=_capacity(cfg))
-    if variant is not None:
-        if fdef.dims != 1:
-            raise ConfigError("non-periodic loading supports one dimension only")
-        circ, report = compiler.compile_nonperiodic(grid, m, variant, plan)
-        spec = compiler.prepare_spec(fourier.mirror_extend(grid), m, cfg.filter_a)
-    else:
-        spec = compiler.prepare_spec(grid, m, cfg.filter_a)
-        circ, report = compiler.compile_spec(spec, plan, source=grid)
-    return fdef, grid, spec, plan, circ, report
-
-
-def _emit_targets(cfg: JobConfig) -> set:
-    targets = {t.strip() for t in str(cfg.emit).split(",") if t.strip()}
-    unknown = targets - {"json", "qasm", "csv", "none"}
-    if unknown:
-        raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
-    return targets
-
-
-def _materialize(circ: cir.Circuit, report: compiler.CompileReport):
-    """Gate-level form for export: decompose opaque loaders, refresh metrics."""
-    if not circ.has_opaque():
-        return circ, report
-    flat = cir.peephole_cancel_cnots(decompose_opaque(circ))
-    from dataclasses import replace
-    report = replace(report, depth=cir.depth(flat), gate_counts=cir.gate_counts(flat),
-                     contains_opaque=False)
-    return flat, report
+    grid = funcs.sample(fdef, int(cfg.n))
+    return (grid, variant) + _compile(cfg, grid, int(cfg.m), variant)
 
 
 def _write(path: Path, text: str):
@@ -211,38 +197,50 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def cmd_compile(cfg: JobConfig) -> int:
-    _, _, _, _, circ, report = _build(cfg)
-    targets = _emit_targets(cfg)
+def _emit(cfg: JobConfig, circ: cir.Circuit, report: compiler.CompileReport, **extra) -> int:
+    """Export the gate-level form (opaque loaders decomposed, metrics refreshed)
+    and print its report with ``extra`` fields added."""
+    targets = {t.strip() for t in str(cfg.emit).split(",") if t.strip()}
+    unknown = targets - {"json", "qasm", "csv", "none"}
+    if unknown:
+        raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
     out = Path(cfg.out_dir)
     prefix = cfg.prefix
-    circ_out, report_out = _materialize(circ, report)
-    report_dict = report_out.to_dict(include_timing=bool(cfg.timing))
+    if circ.has_opaque():
+        circ = cir.peephole_cancel_cnots(decompose_opaque(circ))
+        report = replace(report, depth=cir.depth(circ), gate_counts=cir.gate_counts(circ),
+                         contains_opaque=False)
+    report_dict = {**report.to_dict(include_timing=bool(cfg.timing)), **extra}
     if "json" in targets:
-        _write(out / f"{prefix}circuit.json", dumps(cir.to_json_dict(circ_out), indent=2) + "\n")
+        _write(out / f"{prefix}circuit.json", dumps(cir.to_json_dict(circ), indent=2) + "\n")
         _write(out / f"{prefix}report.json", dumps(report_dict, indent=2, sort_keys=True) + "\n")
     if "qasm" in targets:
-        _write(out / f"{prefix}circuit.qasm", cir.export_qasm(circ_out))
+        _write(out / f"{prefix}circuit.qasm", cir.export_qasm(circ))
     print(dumps(report_dict, indent=2, sort_keys=True))
     return 0
 
 
+def cmd_compile(cfg: JobConfig) -> int:
+    circ, report = _build(cfg)[-2:]  # drop the sampled grid before exporting
+    return _emit(cfg, circ, report)
+
+
 def cmd_simulate(cfg: JobConfig) -> int:
-    fdef, grid, spec, plan, circ, report = _build(cfg)
+    grid, variant, spec, circ, report = _build(cfg)
     cap = _capacity(cfg)
     state = simulator.run(circ, max_qubits=cap)
 
     result = {"report": report.to_dict(include_timing=bool(cfg.timing))}
-    if plan.nonperiodic is not None:
+    if variant is not None:
         block0 = state.amplitudes.reshape(2, -1)[0]
         cond = block0 / np.linalg.norm(block0)
         result["ancilla_zero_population"] = simulator.reduced_population(state, 0, 0)
         result["data_register_fidelity_vs_exact"] = float(
             abs(np.vdot(grid.samples, cond)) ** 2)
     else:
-        target = compiler.target_state(spec, plan.n)
+        target = compiler.target_state(spec, grid.n)
         result["fidelity_vs_truncated"] = simulator.fidelity(state, target)
-        exact = simulator.Statevector(plan.dims * plan.n, grid.samples.reshape(-1))
+        exact = simulator.Statevector(grid.dims * grid.n, grid.samples.reshape(-1))
         result["fidelity_vs_exact"] = simulator.fidelity(state, exact)
 
     compare = cfg.values.get("compare_state")
@@ -257,7 +255,7 @@ def cmd_simulate(cfg: JobConfig) -> int:
     if cfg.shots:
         hist = simulator.sample(state, int(cfg.shots), int(cfg.seed))
         target_probs = np.abs(grid.samples.reshape(-1)) ** 2
-        if plan.nonperiodic is not None:
+        if variant is not None:
             measured = hist.probabilities(2 ** state.num_qubits)
             measured = measured.reshape(2, -1).sum(axis=0)  # marginal over the ancilla
             empirical = measured
@@ -279,19 +277,11 @@ def cmd_sweep(cfg: JobConfig) -> int:
     _require(cfg, "n", "m_range")
     lo, hi = _parse_range(cfg.m_range)
     fdef = _function_def(cfg)
-    n = int(cfg.n)
     variant = _nonperiodic_variant(cfg, fdef)
-    grid = funcs.sample(fdef, n)
+    grid = funcs.sample(fdef, int(cfg.n))
     rows = [SWEEP_COLUMNS]
     for m in range(lo, hi + 1):
-        base = FSLPlan(n=n, m=m, dims=fdef.dims, loader=Loader(cfg.loader),
-                       filter_a=cfg.filter_a, nonperiodic=variant,
-                       fanout=cfg.fanout, max_qubits=_capacity(cfg))
-        if variant is not None:
-            _, report = compiler.compile_nonperiodic(grid, m, variant, base)
-        else:
-            spec = compiler.prepare_spec(grid, m, cfg.filter_a)
-            _, report = compiler.compile_spec(spec, base, source=grid)
+        *_, report = _compile(cfg, grid, m, variant)
         bound = "" if report.analytic_bound is None else _fmt(report.analytic_bound)
         rows.append(",".join([
             str(m), _fmt(report.exact_infidelity), bound, str(report.depth),
@@ -308,25 +298,13 @@ def cmd_image(cfg: JobConfig) -> int:
     m = int(cfg.m)
     circ, report = frqi.compile_frqi(img, m, loader=Loader(cfg.loader),
                                      fanout=cfg.fanout, max_qubits=_capacity(cfg))
-    targets = _emit_targets(cfg)
-    out = Path(cfg.out_dir)
-    prefix = cfg.prefix
-    circ_out, report_out = _materialize(circ, report)
-    report_dict = report_out.to_dict(include_timing=bool(cfg.timing))
-    report_dict["image_side"] = img.side
+    extra = {"image_side": img.side}
     if cfg.values.get("simulate"):
         state = simulator.run(circ, max_qubits=_capacity(cfg))
-        report_dict["fidelity_vs_truncated_frqi"] = simulator.fidelity(
+        extra["fidelity_vs_truncated_frqi"] = simulator.fidelity(
             state, frqi.frqi_truncated_target(img, m))
-        report_dict["fidelity_vs_exact_frqi"] = simulator.fidelity(
-            state, frqi.frqi_target(img))
-    if "json" in targets:
-        _write(out / f"{prefix}circuit.json", dumps(cir.to_json_dict(circ_out), indent=2) + "\n")
-        _write(out / f"{prefix}report.json", dumps(report_dict, indent=2, sort_keys=True) + "\n")
-    if "qasm" in targets:
-        _write(out / f"{prefix}circuit.qasm", cir.export_qasm(circ_out))
-    print(dumps(report_dict, indent=2, sort_keys=True))
-    return 0
+        extra["fidelity_vs_exact_frqi"] = simulator.fidelity(state, frqi.frqi_target(img))
+    return _emit(cfg, circ, report, **extra)
 
 
 def cmd_bench(cfg: JobConfig) -> int:
@@ -463,7 +441,7 @@ def main(argv=None) -> int:
     except FSLError as exc:
         _report_error(exc)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         _report_error(exc)
         return 3
 

@@ -1,32 +1,37 @@
 """End-to-end compilation: windowed Fourier coefficients in, circuit out.
 
-The circuit family (per dimension d of D, each on n wires):
+Every load is built by ``assemble``, on ``lead`` leading wires followed by D
+registers of n wires each:
 
-  1. a loader U_c prepares the wrapped coefficient state on the low m+1
-     wires of every dimension's register (one joint loader across all
-     dimensions' coefficient wires);
-  2. a CNOT fan-out from each dimension's sign wire (position n-m-1 within
-     the register) pads the negative frequencies up to the full register;
-  3. an inverse QFT per register converts frequencies to samples.
+  1. a loader U_c (UCR or Schmidt) preparing the loader vector on the lead
+     wires plus the top m+1 wires of every register (one joint loader);
+  2. a CNOT fan-out from each register's sign wire (position n-m-1 within
+     the register) that pads the negative frequencies up to the full register;
+  3. an inverse QFT per register, converting frequencies to samples;
+  4. the caller's tail gates, then one peephole pass over the whole circuit.
+
+``compile_spec`` (periodic) uses no lead wires and no tail.  The mirror load
+``compile_nonperiodic`` uses one (n+1)-wire register and a CNOT/H tail that
+disentangles the ancilla.  The image load ``frqi.compile_frqi`` uses one lead
+colour wire and an H+S tail on it.
 
 ``target_state`` evaluates the same truncated series directly and is the
 oracle every compiled circuit is checked against.
 """
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import fourier
 from .circuit import (Circuit, Gate, GateCounts, cnot, compose, depth, gate_counts, h,
-                      peephole_cancel_cnots, phase)
+                      peephole_cancel_cnots)
 from .errors import CapacityExceeded, DimensionMismatch
 from .fourier import FourierSpec, GridFunction
-from .simulator import Statevector
+from .simulator import DEFAULT_MAX_QUBITS, Statevector
 from .synth import build_inverse_qft, build_schmidt_circuit, build_ucr_circuit
 
 
@@ -40,20 +45,14 @@ class NonperiodicVariant(str, Enum):
     MEASURE = "measure"
 
 
-DEFAULT_CAPACITY = 24
-
-
 @dataclass(frozen=True)
 class FSLPlan:
     n: int
     m: int
     dims: int = 1
     loader: Loader = Loader.UCR
-    filter_a: float | None = None
-    nonperiodic: NonperiodicVariant | None = None
     fanout: str = "tree"  # "tree" (balanced, log depth) or "sequential" (figure-faithful)
-    elide_swaps: bool = True
-    max_qubits: int = DEFAULT_CAPACITY
+    max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
         if self.dims < 1:
@@ -63,15 +62,13 @@ class FSLPlan:
         if self.fanout not in ("tree", "sequential"):
             raise ValueError(f"unknown fanout mode {self.fanout!r}")
 
-    @property
-    def total_qubits(self) -> int:
-        return self.dims * self.n + (1 if self.nonperiodic else 0)
 
-    def check_capacity(self):
-        if self.total_qubits > self.max_qubits:
-            raise CapacityExceeded(
-                f"{self.total_qubits} qubits exceeds capacity {self.max_qubits} "
-                f"(raise max_qubits or FSL_MAX_QUBITS)")
+def check_capacity(plan: FSLPlan, lead: int = 0) -> None:
+    """Reject a load wider than ``plan.max_qubits``; callers run it before any DFT."""
+    total = lead + plan.dims * plan.n
+    if total > plan.max_qubits:
+        raise CapacityExceeded(f"{total} qubits exceeds capacity {plan.max_qubits} "
+                               f"(raise max_qubits or FSL_MAX_QUBITS)")
 
 
 @dataclass(frozen=True)
@@ -138,75 +135,59 @@ def _fanout_gates(source: int, targets: list[int], mode: str) -> list[Gate]:
     return gates
 
 
-def _loader_circuit(spec: FourierSpec, plan: FSLPlan, loader_qubits: list[int], total: int) -> Circuit:
-    vec = spec.wrapped_vector()
-    if plan.loader is Loader.SCHMIDT:
-        if len(loader_qubits) < 2:
-            raise ValueError("the Schmidt loader needs at least 2 coefficient qubits")
-        return build_schmidt_circuit(vec, qubits=loader_qubits, num_qubits=total)
-    return build_ucr_circuit(vec, qubits=loader_qubits, num_qubits=total)
+def assemble(vec: np.ndarray, plan: FSLPlan, lead: int = 0,
+             tail: tuple[Gate, ...] = ()) -> Circuit:
+    """The FSL circuit for loader vector ``vec`` (steps 1-4 of the module docstring).
 
-
-def _compile(spec: FourierSpec, plan: FSLPlan, source: GridFunction | None,
-             extra_qubits: int = 0, offset: int = 0) -> tuple[Circuit, CompileReport]:
-    """Shared FSL assembly.  ``offset``/``extra_qubits`` make room for the
-    non-periodic ancilla wire above the function registers."""
-    if spec.dims != plan.dims:
-        raise DimensionMismatch(f"spec has D={spec.dims}, plan has D={plan.dims}")
-    if spec.m != plan.m:
-        raise ValueError(f"spec was truncated at m={spec.m}, plan says m={plan.m}")
-    plan.check_capacity()
-    n, m, D = plan.n, plan.m, plan.dims
-    total = D * n + extra_qubits
-
-    t0 = time.perf_counter()
-    regs = [list(range(offset + d * n, offset + (d + 1) * n)) for d in range(D)]
-    loader_qubits = [q for reg in regs for q in reg[n - m - 1:]]
-    circ = _loader_circuit(spec, plan, loader_qubits, total)
+    The leading qubits of ``vec`` go on wires 0..lead-1, the rest on each
+    register's m+1 coefficient wires.  ``tail`` gates address logical qubits
+    (after the iQFTs' elided swaps).  Callers check capacity first."""
+    n, m = plan.n, plan.m
+    total = lead + plan.dims * n
+    regs = [list(range(lead + d * n, lead + (d + 1) * n)) for d in range(plan.dims)]
+    loader_qubits = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
+    build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
+    circ = build(vec, qubits=loader_qubits, num_qubits=total)
 
     gates = list(circ.gates)
     for reg in regs:
         gates.extend(_fanout_gates(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout))
     circ = Circuit(total, tuple(gates))
     for reg in regs:
-        circ = compose(circ, build_inverse_qft(n, elide_swaps=plan.elide_swaps,
-                                               num_qubits=total, qubits=reg))
-    circ = peephole_cancel_cnots(circ)
-    wall = time.perf_counter() - t0
+        circ = compose(circ, build_inverse_qft(n, num_qubits=total, qubits=reg))
+    circ = compose(circ, Circuit(total, tuple(tail)))
+    return peephole_cancel_cnots(circ)
 
-    bound = None
-    if source is not None and source.dims == 1 and 2**m != 2 ** (source.n - 1):
-        bound = fourier.infidelity_bound(source, m)
-    report = CompileReport(
+
+def build_report(circ: Circuit, t0: float, captured: float, bound: float | None = None,
+                 post_processing: dict | None = None) -> CompileReport:
+    """Report for ``circ``, assembled since ``t0``; the window kept ``captured``."""
+    wall = time.perf_counter() - t0
+    return CompileReport(
         depth=depth(circ),
         gate_counts=gate_counts(circ),
-        exact_infidelity=max(0.0, 1.0 - spec.norm_constant),
+        exact_infidelity=max(0.0, 1.0 - captured),
         analytic_bound=bound,
         compile_wall_time=wall,
         contains_opaque=circ.has_opaque(),
+        post_processing=post_processing,
     )
-    return circ, report
-
-
-def compile_1d(spec: FourierSpec, plan: FSLPlan,
-               source: GridFunction | None = None) -> tuple[Circuit, CompileReport]:
-    """Compile a one-dimensional coefficient window (Fig-1a layout)."""
-    if spec.dims != 1:
-        raise DimensionMismatch("compile_1d expects a 1D spec")
-    return _compile(spec, plan, source)
-
-
-def compile_nd(spec: FourierSpec, plan: FSLPlan,
-               source: GridFunction | None = None) -> tuple[Circuit, CompileReport]:
-    """Compile a D-dimensional coefficient window (per-dimension registers)."""
-    if spec.dims < 2:
-        raise DimensionMismatch("compile_nd expects D >= 2")
-    return _compile(spec, plan, source)
 
 
 def compile_spec(spec: FourierSpec, plan: FSLPlan,
                  source: GridFunction | None = None) -> tuple[Circuit, CompileReport]:
-    return _compile(spec, plan, source)
+    """Periodic load of a windowed spectrum; a 1D ``source`` adds the analytic bound."""
+    if spec.dims != plan.dims:
+        raise DimensionMismatch(f"spec has D={spec.dims}, plan has D={plan.dims}")
+    if spec.m != plan.m:
+        raise ValueError(f"spec was truncated at m={spec.m}, plan says m={plan.m}")
+    check_capacity(plan)
+    bound = None
+    if source is not None and source.dims == 1 and 2**plan.m != 2 ** (source.n - 1):
+        bound = fourier.infidelity_bound(source, plan.m)
+    t0 = time.perf_counter()
+    circ = assemble(spec.wrapped_vector(), plan)
+    return circ, build_report(circ, t0, spec.norm_constant, bound)
 
 
 def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> FourierSpec:
@@ -218,7 +199,8 @@ def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> Four
 
 
 def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
-                        plan: FSLPlan | None = None) -> tuple[Circuit, CompileReport]:
+                        plan: FSLPlan | None = None,
+                        filter_a: float | None = None) -> tuple[Circuit, CompileReport]:
     """Load a non-periodic 1D function through its mirror extension.
 
     The extension lives on n+1 qubits; wire 0 is the ancilla and wires 1..n
@@ -226,32 +208,29 @@ def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
     data wire plus an H on the ancilla, leaving the ancilla in |0> exactly.
     MEASURE instead attaches a classical post-processing rule to the report:
     on ancilla outcome 1, complement the data register (apply X everywhere).
+    ``filter_a`` applies the Lanczos filter to the extension's window.
     """
     if g.dims != 1:
         raise DimensionMismatch("non-periodic loading is one-dimensional")
     variant = NonperiodicVariant(variant)
-    if plan is None:
-        plan = FSLPlan(n=g.n, m=m, nonperiodic=variant)
-    else:
-        plan = replace(plan, n=g.n, m=m, dims=1, nonperiodic=variant)
-    plan.check_capacity()
+    n = g.n
+    # m is bounded by the data register; the circuit spans the extension.
+    plan = replace(plan or FSLPlan(n=n, m=m), n=n, m=m, dims=1)
+    plan = replace(plan, n=n + 1)
+    check_capacity(plan)
 
     extended = fourier.mirror_extend(g)
-    spec = prepare_spec(extended, m, plan.filter_a)
-    ext_plan = replace(plan, n=g.n + 1, nonperiodic=None,
-                       max_qubits=max(plan.max_qubits, g.n + 1))
-    circ, report = _compile(spec, ext_plan, extended)
-
-    n = g.n
+    spec = prepare_spec(extended, m, filter_a)
+    bound = fourier.infidelity_bound(extended, m)
+    tail, rule = (), None
     if variant is NonperiodicVariant.DISENTANGLE:
-        tail = Circuit(n + 1, tuple([cnot(0, t) for t in range(1, n + 1)] + [h(0)]))
-        circ = compose(circ, tail)
-        report = replace(report, depth=depth(circ), gate_counts=gate_counts(circ))
+        tail = tuple(cnot(0, t) for t in range(1, n + 1)) + (h(0),)
     else:
         rule = {
             "measure_qubit": 0,
             "data_qubits": list(range(1, n + 1)),
             "on_outcome_1": "apply X to every data qubit (complement the register)",
         }
-        report = replace(report, post_processing=rule)
-    return circ, report
+    t0 = time.perf_counter()
+    circ = assemble(spec.wrapped_vector(), plan, tail=tail)
+    return circ, build_report(circ, t0, spec.norm_constant, bound, rule)

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .circuit import Circuit, compose, depth, gate_counts, h, peephole_cancel_cnots, phase
-from .compiler import DEFAULT_CAPACITY, CompileReport, Loader, _fanout_gates
-from .errors import CapacityExceeded, InvalidImage
-from .simulator import Statevector
-from .synth import build_inverse_qft, build_schmidt_circuit, build_ucr_circuit
+from .circuit import Circuit, h, phase
+from .compiler import CompileReport, FSLPlan, Loader, assemble, build_report, check_capacity
+from .errors import InvalidImage
+from .simulator import DEFAULT_MAX_QUBITS, Statevector
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,8 @@ def frqi_truncated_target(img: GrayImage, m: int) -> Statevector:
     return Statevector(2 * n + 1, amps / np.linalg.norm(amps))
 
 
-def compile_frqi(img: GrayImage, m: int, loader: Loader = Loader.UCR,
-                 fanout: str = "tree", elide_swaps: bool = True,
-                 max_qubits: int | None = None) -> tuple[Circuit, CompileReport]:
+def compile_frqi(img: GrayImage, m: int, loader: Loader = Loader.UCR, fanout: str = "tree",
+                 max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[Circuit, CompileReport]:
     """FSL circuit preparing the m-truncated FRQI state on 2n+1 qubits.
 
     Wire 0 is the color qubit; wires 1..n and n+1..2n are the row and column
@@ -122,47 +120,19 @@ def compile_frqi(img: GrayImage, m: int, loader: Loader = Loader.UCR,
     coefficient registers; after the per-register fan-outs and inverse QFTs a
     final H+S on the color wire rotates |0>,|1> into |+i>,|-i>.
     """
-    n = img.n
-    total = 2 * n + 1
-    cap = DEFAULT_CAPACITY if max_qubits is None else max_qubits
-    if total > cap:
-        raise CapacityExceeded(f"{total} qubits exceeds capacity {cap}")
-    if m >= n:
-        raise ValueError(f"need m < n, got m={m}, n={n}")
-
+    plan = FSLPlan(n=img.n, m=m, dims=2, loader=loader, fanout=fanout, max_qubits=max_qubits)
+    check_capacity(plan, lead=1)
     t0 = time.perf_counter()
-    vec = phase_spectra(img, m)
-    regs = [list(range(1 + d * n, 1 + (d + 1) * n)) for d in range(2)]
-    loader_qubits = [0] + [q for reg in regs for q in reg[n - m - 1:]]
-    if loader is Loader.SCHMIDT:
-        circ = build_schmidt_circuit(vec, qubits=loader_qubits, num_qubits=total)
-    else:
-        circ = build_ucr_circuit(vec, qubits=loader_qubits, num_qubits=total)
-
-    gates = list(circ.gates)
-    for reg in regs:
-        gates.extend(_fanout_gates(reg[n - m - 1], reg[: n - m - 1][::-1], fanout))
-    circ = Circuit(total, tuple(gates))
-    for reg in regs:
-        circ = compose(circ, build_inverse_qft(n, elide_swaps=elide_swaps,
-                                               num_qubits=total, qubits=reg))
-    circ = compose(circ, Circuit(total, (h(0), phase(math.pi / 2, 0))))
-    circ = peephole_cancel_cnots(circ)
-    wall = time.perf_counter() - t0
-
-    report = CompileReport(
-        depth=depth(circ),
-        gate_counts=gate_counts(circ),
-        exact_infidelity=max(0.0, 1.0 - window_capture(img, m)),
-        analytic_bound=None,
-        compile_wall_time=wall,
-        contains_opaque=circ.has_opaque(),
-    )
-    return circ, report
+    circ = assemble(phase_spectra(img, m), plan, lead=1, tail=(h(0), phase(math.pi / 2, 0)))
+    return circ, build_report(circ, t0, window_capture(img, m))
 
 
 # ---------------------------------------------------------------------------
 # PGM (P5) input
+
+# Whitespace, a comment through its newline, or a token; the first byte picks one.
+_PGM_HEADER_ITEM = re.compile(rb"\s+|#[^\n]*\n|(?P<token>[^\s#]+)")
+
 
 def read_pgm(path) -> GrayImage:
     """Binary 8-bit PGM; square power-of-two images only, brightness = pixel/255."""
@@ -171,11 +141,12 @@ def read_pgm(path) -> GrayImage:
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        match = re.match(rb"(\s*(?:#[^\n]*\n)?)*([^\s#]+)", data[pos:])
+        match = _PGM_HEADER_ITEM.match(data, pos)
         if not match:
             raise InvalidImage("truncated PGM header")
-        tokens.append(match.group(2))
-        pos += match.end()
+        if match.lastgroup == "token":
+            tokens.append(match.group())
+        pos = match.end()
     if tokens[0] != b"P5":
         raise InvalidImage(f"not a binary PGM (magic {tokens[0]!r})")
     width, height, maxval = (int(t) for t in tokens[1:])

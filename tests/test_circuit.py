@@ -203,10 +203,10 @@ class TestQasmExport:
     def test_compiled_fsl_circuit_round_trips(self, rng):
         # a real compiled artifact (non-identity permutation included) survives
         # the emit/reparse cycle with identical semantics
-        from fsl.compiler import FSLPlan, compile_1d
+        from fsl.compiler import FSLPlan, compile_spec
         from fsl.fourier import GridFunction, dft_coefficients, truncate
         g = GridFunction.from_samples(rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        circ, _ = compile_1d(truncate(dft_coefficients(g), 2), FSLPlan(n=5, m=2))
+        circ, _ = compile_spec(truncate(dft_coefficients(g), 2), FSLPlan(n=5, m=2))
         nq, parsed = parse_qasm_reference(export_qasm(circ))
         rebuilt = Circuit(nq, tuple(
             Gate({v: k for k, v in QASM_NAME.items()}[name], qubits, angle)

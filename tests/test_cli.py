@@ -234,6 +234,48 @@ class TestConfigAndErrors:
                              "--n", "8", "--m", "2")
         assert code == 0
 
+    def test_capacity_flag_and_config_beat_env_var(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FSL_MAX_QUBITS", "6")
+        code, _, _ = run_cli(capsys, "compile", "--function", "constant", "--n", "8",
+                             "--m", "2", "--max-qubits", "30", "--out-dir", str(tmp_path))
+        assert code == 0
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"max_qubits": 30}))
+        code, _, _ = run_cli(capsys, "compile", "--function", "constant", "--n", "8",
+                             "--m", "2", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert code == 0
+
+    def test_capacity_flag_below_one_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "compile", "--function", "constant",
+                               "--n", "5", "--m", "2", "--max-qubits", "0")
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+
+    def test_negative_capacity_env_var_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("FSL_MAX_QUBITS", "-5")
+        code, _, err = run_cli(capsys, "compile", "--function", "constant",
+                               "--n", "5", "--m", "2")
+        assert code == 2
+        assert json.loads(err)["error"] == "ConfigError"
+
+    def test_arithmetic_overflow_exits_3(self, capsys):
+        code, _, err = run_cli(capsys, "compile", "--expr", "x + 10**400",
+                               "--n", "5", "--m", "2", "--emit", "none")
+        assert code == 3
+        assert json.loads(err)["error"] == "OverflowError"
+
+    def test_bad_fanout_in_config_exits_3_for_compile_and_image(self, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"fanout": "bogus"}))
+        pgm = tmp_path / "img.pgm"
+        frqi.write_pgm(frqi.GrayImage(8, np.zeros((8, 8))), pgm)
+        code, _, _ = run_cli(capsys, "compile", "--function", "constant", "--n", "5",
+                             "--m", "2", "--config", str(cfg), "--emit", "none")
+        assert code == 3
+        code, _, _ = run_cli(capsys, "image", "--pgm", str(pgm), "--m", "1",
+                             "--config", str(cfg), "--emit", "none")
+        assert code == 3
+
     def test_config_file_provides_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"function": "lorentzian", "n": 5, "m": 2,

@@ -7,8 +7,8 @@ import pytest
 from conftest import rand_state
 from fsl import funcs
 from fsl.circuit import GateKind, depth, gate_counts
-from fsl.compiler import (FSLPlan, Loader, NonperiodicVariant, compile_1d, compile_nd,
-                          compile_nonperiodic, compile_spec, prepare_spec, target_state)
+from fsl.compiler import (FSLPlan, Loader, NonperiodicVariant, compile_nonperiodic,
+                          compile_spec, prepare_spec, target_state)
 from fsl.errors import CapacityExceeded, DimensionMismatch
 from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
                          lanczos_filter, mirror_extend, truncate)
@@ -61,13 +61,13 @@ class TestTargetState:
 class TestCompile1d:
     def test_dc_spec_gives_plus_states(self):
         spec = spec_with_single_mode(6, 2, 0)
-        circ, _ = compile_1d(spec, FSLPlan(n=6, m=2))
+        circ, _ = compile_spec(spec, FSLPlan(n=6, m=2))
         out = run(circ)
         assert np.allclose(out.amplitudes, np.full(64, 1 / 8))
 
     def test_single_mode_kernel_amplitudes(self):
         spec = spec_with_single_mode(3, 1, 1)
-        circ, _ = compile_1d(spec, FSLPlan(n=3, m=1))
+        circ, _ = compile_spec(spec, FSLPlan(n=3, m=1))
         out = run(circ).amplitudes
         k = np.arange(8)
         assert np.max(np.abs(out - np.exp(-2j * np.pi * k / 8) / math.sqrt(8))) < 1e-12
@@ -78,7 +78,7 @@ class TestCompile1d:
             m = int(rng.integers(1, 5))
             n = int(rng.integers(m + 1, 10))
             spec = truncate(dft_coefficients(random_grid(rng, n)), m)
-            circ, report = compile_1d(spec, FSLPlan(n=n, m=m, loader=loader))
+            circ, report = compile_spec(spec, FSLPlan(n=n, m=m, loader=loader))
             assert fidelity(run(circ), target_state(spec, n)) >= 1 - 1e-9
             assert report.contains_opaque == (loader is Loader.SCHMIDT)
 
@@ -86,7 +86,7 @@ class TestCompile1d:
         g = random_grid(rng, 8)
         full = dft_coefficients(g)
         spec = truncate(full, 3)
-        _, report = compile_1d(spec, FSLPlan(n=8, m=3), source=g)
+        _, report = compile_spec(spec, FSLPlan(n=8, m=3), source=g)
         assert report.exact_infidelity == pytest.approx(exact_infidelity(full, 3), abs=1e-12)
         assert report.analytic_bound is not None
         assert report.exact_infidelity <= report.analytic_bound
@@ -94,7 +94,7 @@ class TestCompile1d:
     def test_fanout_cnot_count_and_tree_depth(self, rng):
         n, m = 9, 2
         spec = truncate(dft_coefficients(random_grid(rng, n)), m)
-        circ, _ = compile_1d(spec, FSLPlan(n=n, m=m))
+        circ, _ = compile_spec(spec, FSLPlan(n=n, m=m))
         fanout = [g for g in circ.gates
                   if g.kind is GateKind.CNOT and g.qubits[1] <= n - m - 2]
         assert len(fanout) == n - m - 1
@@ -104,7 +104,7 @@ class TestCompile1d:
     def test_sequential_fanout_mode(self, rng):
         n, m = 8, 2
         spec = truncate(dft_coefficients(random_grid(rng, n)), m)
-        circ, _ = compile_1d(spec, FSLPlan(n=n, m=m, fanout="sequential"))
+        circ, _ = compile_spec(spec, FSLPlan(n=n, m=m, fanout="sequential"))
         src = n - m - 1
         fanout = [g for g in circ.gates
                   if g.kind is GateKind.CNOT and g.qubits[1] < src]
@@ -114,7 +114,7 @@ class TestCompile1d:
     def test_filtered_spec_compiles_to_filtered_target(self, rng):
         g = funcs.sample(funcs.builtin("piecewise"), 7)
         spec = lanczos_filter(truncate(dft_coefficients(g), 3), 1.0)
-        circ, _ = compile_1d(spec, FSLPlan(n=7, m=3))
+        circ, _ = compile_spec(spec, FSLPlan(n=7, m=3))
         assert fidelity(run(circ), target_state(spec, 7)) >= 1 - 1e-9
 
     def test_prepare_spec_pipeline(self, rng):
@@ -125,32 +125,32 @@ class TestCompile1d:
     def test_m_equals_n_minus_one_edge(self, rng):
         # loader spans the whole register; no fan-out wires remain
         spec = truncate(dft_coefficients(random_grid(rng, 4)), 3)
-        circ, _ = compile_1d(spec, FSLPlan(n=4, m=3))
+        circ, _ = compile_spec(spec, FSLPlan(n=4, m=3))
         assert fidelity(run(circ), target_state(spec, 4)) >= 1 - 1e-9
 
     def test_capacity_guard(self, rng):
         spec = truncate(dft_coefficients(random_grid(rng, 6)), 2)
         with pytest.raises(CapacityExceeded):
-            compile_1d(spec, FSLPlan(n=6, m=2, max_qubits=5))
+            compile_spec(spec, FSLPlan(n=6, m=2, max_qubits=5))
 
     def test_dimension_checks(self, rng):
         spec = truncate(dft_coefficients(random_grid(rng, 4, dims=2)), 2)
         with pytest.raises(DimensionMismatch):
-            compile_1d(spec, FSLPlan(n=4, m=2))
+            compile_spec(spec, FSLPlan(n=4, m=2))
         with pytest.raises(DimensionMismatch):
-            compile_nd(truncate(dft_coefficients(random_grid(rng, 4)), 2),
-                       FSLPlan(n=4, m=2))
+            compile_spec(truncate(dft_coefficients(random_grid(rng, 4)), 2),
+                         FSLPlan(n=4, m=2, dims=2))
 
 
 class TestCompileNd:
     def test_dc_only_uniform_superposition(self):
         spec = spec_with_single_mode(3, 1, 0, 0)
-        circ, _ = compile_nd(spec, FSLPlan(n=3, m=1, dims=2))
+        circ, _ = compile_spec(spec, FSLPlan(n=3, m=1, dims=2))
         assert np.allclose(run(circ).amplitudes, np.full(64, 1 / 8))
 
     def test_separable_modes_give_product_kernels(self):
         spec = spec_with_single_mode(3, 1, 1, 1)
-        circ, _ = compile_nd(spec, FSLPlan(n=3, m=1, dims=2))
+        circ, _ = compile_spec(spec, FSLPlan(n=3, m=1, dims=2))
         k = np.arange(8)
         kern = np.exp(-2j * np.pi * k / 8) / math.sqrt(8)
         assert np.max(np.abs(run(circ).amplitudes - np.kron(kern, kern))) < 1e-12
@@ -161,7 +161,7 @@ class TestCompileNd:
             m = int(rng.integers(1, 3))
             n = int(rng.integers(m + 1, 6))
             spec = truncate(dft_coefficients(random_grid(rng, n, dims=2)), m)
-            circ, report = compile_nd(spec, FSLPlan(n=n, m=m, dims=2, loader=loader))
+            circ, report = compile_spec(spec, FSLPlan(n=n, m=m, dims=2, loader=loader))
             assert fidelity(run(circ), target_state(spec, n)) >= 1 - 1e-9
             assert report.analytic_bound is None
 
@@ -173,13 +173,13 @@ class TestCompileNd:
     def test_2d_single_qubit_count_bound(self, rng):
         n, m, dims = 5, 2, 2
         spec = truncate(dft_coefficients(random_grid(rng, n, dims=dims)), m)
-        _, report = compile_nd(spec, FSLPlan(n=n, m=m, dims=dims))
+        _, report = compile_spec(spec, FSLPlan(n=n, m=m, dims=dims))
         assert report.gate_counts.single_qubit <= dims * n + 2 ** (dims * (m + 1) + 1) - 1
 
     def test_fanout_cnots_per_dimension(self, rng):
         n, m, dims = 5, 2, 2
         spec = truncate(dft_coefficients(random_grid(rng, n, dims=dims)), m)
-        circ, _ = compile_nd(spec, FSLPlan(n=n, m=m, dims=dims))
+        circ, _ = compile_spec(spec, FSLPlan(n=n, m=m, dims=dims))
         for d in range(dims):
             lo, hi = d * n, d * n + (n - m - 1)
             fanout = [g for g in circ.gates if g.kind is GateKind.CNOT
@@ -197,7 +197,7 @@ class TestCompileNonperiodic:
         g = GridFunction.from_samples(2.0 + np.cos(2 * np.pi * x))
         circ, _ = compile_nonperiodic(g, m, NonperiodicVariant.DISENTANGLE)
         out = run(circ)
-        direct, _ = compile_1d(prepare_spec(g, m), FSLPlan(n=n, m=m))
+        direct, _ = compile_spec(prepare_spec(g, m), FSLPlan(n=n, m=m))
         block0 = out.amplitudes.reshape(2, -1)[0]
         got = block0 / np.linalg.norm(block0)
         want = run(direct).amplitudes
@@ -249,6 +249,12 @@ class TestCompileNonperiodic:
         b1 = out[1][::-1] / np.linalg.norm(out[1])  # X^n relabeling reverses indices
         assert abs(np.vdot(b0, b1)) ** 2 >= 1 - 1e-12
 
+    def test_filter_a_filters_the_extension_window(self):
+        g = funcs.sample(funcs.builtin("tanh"), 5)
+        circ, _ = compile_nonperiodic(g, 2, "measure", filter_a=0.5)
+        want = target_state(prepare_spec(mirror_extend(g), 2, filter_a=0.5), 6)
+        assert fidelity(run(circ), want) >= 1 - 1e-9
+
     def test_report_infidelity_equals_mirror_truncation(self):
         g = funcs.sample(funcs.builtin("tanh"), 7)
         _, report = compile_nonperiodic(g, 4, "disentangle")
@@ -265,7 +271,7 @@ class TestResourceShape:
     def test_loader_occupies_low_wires_only_before_fanout(self, rng):
         n, m = 7, 2
         spec = truncate(dft_coefficients(random_grid(rng, n)), m)
-        circ, _ = compile_1d(spec, FSLPlan(n=n, m=m))
+        circ, _ = compile_spec(spec, FSLPlan(n=n, m=m))
         first_fanout = next(i for i, g in enumerate(circ.gates)
                             if g.kind is GateKind.CNOT and g.qubits[1] <= n - m - 2)
         for g in circ.gates[:first_fanout]:
@@ -273,11 +279,11 @@ class TestResourceShape:
 
     def test_zero_angle_rotations_are_elided(self):
         spec = spec_with_single_mode(5, 2, 0)  # real nonnegative loader target
-        circ, report = compile_1d(spec, FSLPlan(n=5, m=2))
+        circ, report = compile_spec(spec, FSLPlan(n=5, m=2))
         assert report.gate_counts.by_kind.get("RZ", 0) == 0
 
     def test_depth_reported_matches_metric(self, rng):
         spec = truncate(dft_coefficients(random_grid(rng, 6)), 2)
-        circ, report = compile_1d(spec, FSLPlan(n=6, m=2))
+        circ, report = compile_spec(spec, FSLPlan(n=6, m=2))
         assert report.depth == depth(circ)
         assert report.gate_counts.total == len(circ.gates)

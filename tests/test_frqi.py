@@ -1,5 +1,6 @@
 """FRQI image loading: target construction, phase spectra, compiles, and PGM IO."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +178,14 @@ class TestPgm:
         path.write_bytes(b"P5\n3 3\n255\n" + bytes(9))
         with pytest.raises(InvalidImage):
             read_pgm(path)
+
+    def test_long_header_whitespace_fails_fast(self, tmp_path):
+        path = tmp_path / "w.pgm"
+        path.write_bytes(b"P5" + b" " * 10_000 + b"#")
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidImage):
+            read_pgm(path)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_rejects_truncated_pixels(self, tmp_path):
         path = tmp_path / "t.pgm"
