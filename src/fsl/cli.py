@@ -170,11 +170,15 @@ def _require(cfg: JobConfig, *names):
             raise ConfigError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
+def _plan(cfg: JobConfig, n: int, m: int, dims: int) -> FSLPlan:
+    return FSLPlan(n=n, m=m, dims=dims, loader=Loader(cfg.loader), fanout=cfg.fanout,
+                   max_qubits=_capacity(cfg))
+
+
 def _compile(cfg: JobConfig, grid: fourier.GridFunction, m: int,
              variant: NonperiodicVariant | None):
     """Plan and compile one load of ``grid``; the spec is None on the mirror path."""
-    plan = FSLPlan(n=grid.n, m=m, dims=grid.dims, loader=Loader(cfg.loader),
-                   fanout=cfg.fanout, max_qubits=_capacity(cfg))
+    plan = _plan(cfg, grid.n, m, grid.dims)
     if variant is not None:
         if grid.dims != 1:
             raise ConfigError("non-periodic loading supports one dimension only")
@@ -296,11 +300,11 @@ def cmd_image(cfg: JobConfig) -> int:
     _require(cfg, "pgm", "m")
     img = frqi.read_pgm(cfg.pgm)
     m = int(cfg.m)
-    circ, report = frqi.compile_frqi(img, m, loader=Loader(cfg.loader),
-                                     fanout=cfg.fanout, max_qubits=_capacity(cfg))
+    plan = _plan(cfg, img.n, m, 2)
+    circ, report = frqi.compile_frqi(img, m, plan)
     extra = {"image_side": img.side}
     if cfg.values.get("simulate"):
-        state = simulator.run(circ, max_qubits=_capacity(cfg))
+        state = simulator.run(circ, max_qubits=plan.max_qubits)
         extra["fidelity_vs_truncated_frqi"] = simulator.fidelity(
             state, frqi.frqi_truncated_target(img, m))
         extra["fidelity_vs_exact_frqi"] = simulator.fidelity(state, frqi.frqi_target(img))

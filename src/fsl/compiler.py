@@ -109,14 +109,8 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
     """
     if spec.m >= n:
         raise ValueError(f"need m < n, got m={spec.m}, n={n}")
-    M = spec.max_frequency
-    size = 2**n
-    full = np.zeros((size,) * spec.dims, dtype=complex)
-    pos = np.arange(-M, M + 1) % size
-    full[np.ix_(*([pos] * spec.dims))] = spec.coeffs
-    samples = fourier.reconstruct(full)
-    flat = samples.reshape(-1)
-    return Statevector(spec.dims * n, flat / np.linalg.norm(flat))
+    samples = fourier.reconstruct(spec.embed(2**n)).reshape(-1)
+    return Statevector(spec.dims * n, samples / np.linalg.norm(samples))
 
 
 def _fanout_gates(source: int, targets: list[int], mode: str) -> list[Gate]:

@@ -10,11 +10,13 @@ Spectral conventions (D dimensions, 2^n points per axis):
   covering k in (-2^(n-1), 2^(n-1)] per axis;
 * a truncation window keeps k in [-(2^m - 1), 2^m - 1] per axis and
   renormalizes, recording the captured mass N.
+
+``FourierSpec.embed`` is the one place that knows where a window sits in fft layout.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -69,7 +71,6 @@ class FourierSpec:
     m: int
     coeffs: np.ndarray
     norm_constant: float
-    source_n: int
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -91,19 +92,17 @@ class FourierSpec:
         M = self.max_frequency
         return self.coeffs[tuple(ki + M for ki in k)]
 
+    def embed(self, side: int) -> np.ndarray:
+        """The window on a (side,)^D grid in fft layout: frequency k at index k mod side."""
+        pos = np.arange(-self.max_frequency, self.max_frequency + 1) % side
+        out = np.zeros((side,) * self.dims, dtype=complex)
+        out[np.ix_(*([pos] * self.dims))] = self.coeffs
+        return out
+
     def wrapped_vector(self) -> np.ndarray:
         """Loader layout: per axis, k >= 0 at index k, k < 0 at 2^(m+1) + k,
         index 2^m unused; flattened row-major across axes."""
-        M = self.max_frequency
-        side = 2 ** (self.m + 1)
-        out = np.zeros((side,) * self.dims, dtype=complex)
-        idx = np.concatenate([np.arange(M, 2 * M + 1), np.arange(0, M)])  # centered -> [0..M, -M..-1]
-        src = self.coeffs
-        for axis in range(self.dims):
-            src = np.take(src, idx, axis=axis)
-        pos = np.concatenate([np.arange(0, M + 1), np.arange(M + 2, side)])
-        out[np.ix_(*([pos] * self.dims))] = src
-        return out.reshape(-1)
+        return self.embed(2 ** (self.m + 1)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -127,39 +126,30 @@ def reconstruct(coeffs_full: np.ndarray) -> np.ndarray:
     return np.fft.fftn(coeffs_full) / scale
 
 
-def _window_mask(num_points: int, m: int) -> np.ndarray:
-    M = 2**m - 1
-    mask = np.zeros(num_points, dtype=bool)
-    mask[: M + 1] = True
-    if M >= 1:
-        mask[-M:] = True
-    return mask
-
-
-def window_mass(coeffs_full: np.ndarray, m: int) -> float:
-    """Spectral mass inside the symmetric window |k| <= 2^m - 1 (every axis)."""
-    power = np.abs(coeffs_full) ** 2
-    for axis, size in enumerate(coeffs_full.shape):
-        mask = _window_mask(size, m)
-        power = np.compress(mask, power, axis=axis)
-    return float(power.sum())
-
-
-def truncate(coeffs_full: np.ndarray, m: int) -> FourierSpec:
-    """Window the full spectrum to |k| <= 2^m - 1 per axis and renormalize."""
-    dims = coeffs_full.ndim
+def _centred_window(coeffs_full: np.ndarray, m: int) -> np.ndarray:
+    """The |k| <= 2^m - 1 block of a full fft-layout spectrum, in centred order."""
     n = int(round(math.log2(coeffs_full.shape[0])))
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
     M = 2**m - 1
-    sel = np.concatenate([np.arange(-M, 0), np.arange(0, M + 1)])  # centered order
     win = coeffs_full
-    for axis in range(dims):
-        win = np.take(win, sel, axis=axis)
+    for axis in range(coeffs_full.ndim):
+        win = np.take(win, np.arange(-M, M + 1), axis=axis)
+    return win
+
+
+def window_mass(coeffs_full: np.ndarray, m: int) -> float:
+    """Spectral mass inside the symmetric window |k| <= 2^m - 1 (every axis)."""
+    return float(np.sum(np.abs(_centred_window(coeffs_full, m)) ** 2))
+
+
+def truncate(coeffs_full: np.ndarray, m: int) -> FourierSpec:
+    """Window the full spectrum to |k| <= 2^m - 1 per axis and renormalize."""
+    win = _centred_window(coeffs_full, m)
     norm_const = float(np.sum(np.abs(win) ** 2))
     if norm_const < 1e-300:
-        raise EmptyWindow(f"window |k|<={M} captures no spectral mass")
-    return FourierSpec(dims, m, win / math.sqrt(norm_const), norm_const, n)
+        raise EmptyWindow(f"window |k|<={2**m - 1} captures no spectral mass")
+    return FourierSpec(coeffs_full.ndim, m, win / math.sqrt(norm_const), norm_const)
 
 
 def lanczos_filter(spec: FourierSpec, a: float) -> FourierSpec:
@@ -187,7 +177,7 @@ def lanczos_filter(spec: FourierSpec, a: float) -> FourierSpec:
     norm = np.linalg.norm(coeffs)
     if norm < 1e-300:
         raise EmptyWindow("filter removed all spectral mass")
-    return FourierSpec(spec.dims, spec.m, coeffs / norm, spec.norm_constant, spec.source_n)
+    return replace(spec, coeffs=coeffs / norm)
 
 
 def mirror_extend(g: GridFunction) -> GridFunction:
@@ -201,9 +191,6 @@ def mirror_extend(g: GridFunction) -> GridFunction:
 
 def exact_infidelity(coeffs_full: np.ndarray, m: int) -> float:
     """Truncation infidelity: spectral mass outside the window, 1 - N."""
-    n = int(round(math.log2(coeffs_full.shape[0])))
-    if m >= n:
-        raise ValueError(f"need m < n, got m={m}, n={n}")
     return max(0.0, 1.0 - window_mass(coeffs_full, m))
 
 

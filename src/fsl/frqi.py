@@ -3,25 +3,26 @@ coefficient compile.
 
 A 2^n x 2^n grayscale image becomes a (2n+1)-qubit state: one color qubit
 entangled with two n-qubit position registers.  Writing the FRQI state in the
-|+i>, |-i> color basis turns the problem into loading the two conjugate phase
-functions g+/- = 2^-n exp(-/+ i pi I / 2), whose spectra are related by
-conjugation, so a single 2D DFT feeds one joint coefficient loader on
-2(m+1)+1 qubits.
+|+i>, |-i> color basis turns the problem into loading the two phase functions
+g+/- = 2^-n exp(-/+ i pi I / 2).  As g- = conj(g+), one windowed spectrum of g+
+serves both: c-_k = conj(c+_{-k}), and the truncated g- is the conjugate of the
+truncated g+.  A single 2D DFT feeds one joint loader on 2(m+1)+1 qubits.
 """
 from __future__ import annotations
 
 import math
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fourier
 from .circuit import Circuit, h, phase
-from .compiler import CompileReport, FSLPlan, Loader, assemble, build_report, check_capacity
+from .compiler import (CompileReport, FSLPlan, assemble, build_report, check_capacity,
+                       prepare_spec, target_state)
 from .errors import InvalidImage
-from .simulator import DEFAULT_MAX_QUBITS, Statevector
+from .fourier import FourierSpec, GridFunction
+from .simulator import Statevector
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class GrayImage:
         b = np.asarray(self.brightness, dtype=float)
         if b.shape != (self.side, self.side):
             raise InvalidImage(f"expected {self.side}x{self.side}, got {b.shape}")
-        n = int(round(math.log2(self.side)))
-        if 2**n != self.side:
+        if self.side < 1 or self.side & (self.side - 1):
             raise InvalidImage(f"side {self.side} is not a power of two")
         b = np.clip(b, 0.0, 1.0)
         b.setflags(write=False)
@@ -58,73 +58,54 @@ def frqi_target(img: GrayImage) -> Statevector:
     return Statevector(2 * img.n + 1, amps)
 
 
-def _g_plus(img: GrayImage) -> np.ndarray:
-    return np.exp(-0.5j * np.pi * img.brightness) / img.side
+def _phase_spec(img: GrayImage, m: int) -> FourierSpec:
+    """The windowed spectrum of g+ = 2^-n exp(-i pi I / 2)."""
+    g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
+    return prepare_spec(GridFunction(2, img.n, g_plus), m)
 
 
-def _negate_frequencies(arr: np.ndarray) -> np.ndarray:
-    out = arr[::-1, ::-1]
-    return np.roll(out, (1, 1), axis=(0, 1))
+def _joint_vector(spec: FourierSpec) -> np.ndarray:
+    # c-_k = conj(c+_{-k}); in the centred layout k -> -k reverses both axes.
+    minus = replace(spec, coeffs=np.conj(spec.coeffs[::-1, ::-1]))
+    return np.concatenate([spec.wrapped_vector(), minus.wrapped_vector()]) / math.sqrt(2)
 
 
 def phase_spectra(img: GrayImage, m: int):
-    """Normalized joint coefficient state |0>|c+> + |1>|c-> on 2(m+1)+1 qubits.
-
-    Only the g+ spectrum is transformed; c-_k = conj(c+_{-k}).  Returns the
-    loader target vector; the captured window mass is `window_capture`.
-    """
-    if m >= img.n:
-        raise ValueError(f"need m < n, got m={m}, n={img.n}")
-    c_plus = fourier.dft_coefficients(fourier.GridFunction(2, img.n, _g_plus(img)))
-    c_minus = np.conj(_negate_frequencies(c_plus))
-    spec_p = fourier.truncate(c_plus, m)
-    spec_m = fourier.truncate(c_minus, m)
-    vec = np.concatenate([spec_p.wrapped_vector(), spec_m.wrapped_vector()]) / math.sqrt(2)
-    return vec
+    """Normalized joint coefficient state |0>|c+> + |1>|c-> on 2(m+1)+1 qubits:
+    the loader vector.  The captured window mass is `window_capture`."""
+    return _joint_vector(_phase_spec(img, m))
 
 
 def window_capture(img: GrayImage, m: int) -> float:
     """Spectral mass of g+ inside the window; 1 - this is the FRQI infidelity."""
-    c_plus = fourier.dft_coefficients(fourier.GridFunction(2, img.n, _g_plus(img)))
-    return fourier.window_mass(c_plus, m)
+    return _phase_spec(img, m).norm_constant
 
 
 def frqi_truncated_target(img: GrayImage, m: int) -> Statevector:
-    """The m-truncated FRQI state the compiled circuit should match exactly."""
-    n = img.n
-    size = 2**n
-    c_plus = fourier.dft_coefficients(fourier.GridFunction(2, n, _g_plus(img)))
-    c_minus = np.conj(_negate_frequencies(c_plus))
-    M = 2**m - 1
-    sel = np.arange(-M, M + 1)
-    keep = np.zeros((size, size), dtype=complex)
-
-    def padded(full):
-        win = full[np.ix_(sel % size, sel % size)]
-        out = keep.copy()
-        out[np.ix_(sel % size, sel % size)] = win
-        return fourier.reconstruct(out).reshape(-1)
-
-    gp = padded(c_plus)
-    gm = padded(c_minus)
-    amps = np.concatenate([(gp + gm) / 2.0, 0.5j * (gp - gm)])
-    return Statevector(2 * n + 1, amps / np.linalg.norm(amps))
+    """The m-truncated FRQI state the compiled circuit should match exactly.
+    With t the truncated g+, the truncated g- is conj(t): color blocks Re t, -Im t."""
+    t = target_state(_phase_spec(img, m), img.n).amplitudes
+    amps = np.concatenate([t.real, -t.imag])
+    return Statevector(2 * img.n + 1, amps / np.linalg.norm(amps))
 
 
-def compile_frqi(img: GrayImage, m: int, loader: Loader = Loader.UCR, fanout: str = "tree",
-                 max_qubits: int = DEFAULT_MAX_QUBITS) -> tuple[Circuit, CompileReport]:
+def compile_frqi(img: GrayImage, m: int,
+                 plan: FSLPlan | None = None) -> tuple[Circuit, CompileReport]:
     """FSL circuit preparing the m-truncated FRQI state on 2n+1 qubits.
 
     Wire 0 is the color qubit; wires 1..n and n+1..2n are the row and column
     position registers.  The joint loader acts on the color wire plus both
     coefficient registers; after the per-register fan-outs and inverse QFTs a
-    final H+S on the color wire rotates |0>,|1> into |+i>,|-i>.
+    final H+S on the color wire rotates |0>,|1> into |+i>,|-i>.  ``plan`` gives
+    the loader, fan-out and capacity.  As in ``compile_spec``, the report's
+    ``compile_wall_time`` covers assembly only; the DFT runs before the clock.
     """
-    plan = FSLPlan(n=img.n, m=m, dims=2, loader=loader, fanout=fanout, max_qubits=max_qubits)
+    plan = replace(plan or FSLPlan(n=img.n, m=m), n=img.n, m=m, dims=2)
     check_capacity(plan, lead=1)
+    spec = _phase_spec(img, m)
     t0 = time.perf_counter()
-    circ = assemble(phase_spectra(img, m), plan, lead=1, tail=(h(0), phase(math.pi / 2, 0)))
-    return circ, build_report(circ, t0, window_capture(img, m))
+    circ = assemble(_joint_vector(spec), plan, lead=1, tail=(h(0), phase(math.pi / 2, 0)))
+    return circ, build_report(circ, t0, spec.norm_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +130,12 @@ def read_pgm(path) -> GrayImage:
         pos = match.end()
     if tokens[0] != b"P5":
         raise InvalidImage(f"not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError:
+        raise InvalidImage(f"PGM size and maxval must be integers, got {tokens[1:]}") from None
+    if min(width, height, maxval) < 1:
+        raise InvalidImage(f"PGM size and maxval must be positive, got {tokens[1:]}")
     if maxval != 255:
         raise InvalidImage(f"expected 8-bit PGM (maxval 255), got {maxval}")
     if width != height:

@@ -234,6 +234,13 @@ def _validate(node: ast.AST, variables: set) -> None:
         raise ExpressionError(f"syntax {type(node).__name__} not allowed")
 
 
+class _FloatConstants(ast.NodeTransformer):
+    """Numeric literals as floats: 10**10**9 overflows at once, not in big-int arithmetic."""
+
+    def visit_Constant(self, node: ast.Constant) -> ast.Constant:
+        return ast.copy_location(ast.Constant(float(node.value)), node)
+
+
 def expression(expr: str, dims: int = 1, sqrt_mode: bool = False) -> FunctionDef:
     """FunctionDef from a small arithmetic grammar over x (and y when D=2).
 
@@ -248,7 +255,7 @@ def expression(expr: str, dims: int = 1, sqrt_mode: bool = False) -> FunctionDef
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {expr!r}: {exc}") from exc
     _validate(tree, variables)
-    code = compile(tree, "<expression>", "eval")
+    code = compile(_FloatConstants().visit(tree), "<expression>", "eval")
     env = dict(_ALLOWED_CALLS) | _ALLOWED_NAMES
 
     def evaluator(*coords):

@@ -1,5 +1,9 @@
 """Command-line behavior: outputs, determinism, precedence, and exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from fsl import circuit as cir
 from fsl import frqi, funcs, simulator
 from fsl.cli import SWEEP_COLUMNS, dumps, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +269,14 @@ class TestConfigAndErrors:
                                "--n", "5", "--m", "2", "--emit", "none")
         assert code == 3
         assert json.loads(err)["error"] == "OverflowError"
+
+    def test_tower_of_powers_fails_fast_with_exit_3(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--expr",
+                               "x + 10**10**9", "--n", "5", "--m", "2", "--emit", "none"],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"] == "OverflowError"
 
     def test_bad_fanout_in_config_exits_3_for_compile_and_image(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"

@@ -118,6 +118,17 @@ class TestTruncate:
         assert vec[1, 3] == spec.coefficient(1, -1)
         assert np.all(vec[2, :] == 0) and np.all(vec[:, 2] == 0)
 
+    @pytest.mark.parametrize("n,m", [(3, 1), (4, 2), (5, 2)])
+    def test_embed_2d_places_k_at_k_mod_side(self, rng, n, m):
+        spec = truncate(dft_coefficients(grid_from(rng, n, dims=2)), m)
+        full = spec.embed(2**n)
+        M, size = spec.max_frequency, 2**n
+        assert full.shape == (size, size)
+        for p in range(-M, M + 1):
+            for q in range(-M, M + 1):
+                assert full[p % size, q % size] == spec.coefficient(p, q)
+        assert np.sum(np.abs(full) ** 2) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestLanczosFilter:
     def test_dc_coefficient_unchanged_before_renormalization(self, rng):
@@ -301,8 +312,8 @@ class TestDecaySlope:
 class TestFourierSpecValidation:
     def test_unit_norm_enforced(self):
         with pytest.raises(NonUnitNorm):
-            FourierSpec(1, 1, np.array([1.0, 1.0, 1.0]), 1.0, 4)
+            FourierSpec(1, 1, np.array([1.0, 1.0, 1.0]), 1.0)
 
     def test_window_shape_enforced(self):
         with pytest.raises(DimensionMismatch):
-            FourierSpec(1, 2, np.array([1.0]), 1.0, 4)
+            FourierSpec(1, 2, np.array([1.0]), 1.0)

@@ -4,10 +4,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsl import fourier
-from fsl.compiler import Loader
-from fsl.errors import InvalidImage
+from fsl.compiler import FSLPlan, Loader
+from fsl.errors import CapacityExceeded, InvalidImage
 from fsl.frqi import (GrayImage, compile_frqi, frqi_target, frqi_truncated_target,
                       phase_spectra, read_pgm, window_capture, write_pgm)
 from fsl.simulator import fidelity, reduced_density_matrix, run
@@ -67,13 +69,13 @@ class TestPhaseSpectra:
         assert mass == pytest.approx(1.0)
 
     def test_conjugation_symmetry_against_direct_dft(self, rng):
-        img = random_image(rng, 3)
-        g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
-        g_minus = np.conj(g_plus)
-        c_minus_direct = fourier.dft_coefficients(fourier.GridFunction(2, 3, g_minus))
-        c_plus = fourier.dft_coefficients(fourier.GridFunction(2, 3, g_plus))
-        from fsl.frqi import _negate_frequencies
-        assert np.max(np.abs(np.conj(_negate_frequencies(c_plus)) - c_minus_direct)) < 1e-14
+        for n, m in [(2, 1), (3, 1), (3, 2), (4, 2)]:
+            img = random_image(rng, n)
+            g_minus = np.exp(0.5j * np.pi * img.brightness) / img.side
+            c_minus_direct = fourier.dft_coefficients(fourier.GridFunction(2, n, g_minus))
+            want = fourier.truncate(c_minus_direct, m).wrapped_vector() / math.sqrt(2)
+            got = phase_spectra(img, m).reshape(2, -1)[1]
+            assert np.max(np.abs(got - want)) < 1e-14, (n, m)
 
     def test_plus_branch_matches_brute_force_2d_dft(self, rng):
         img = random_image(rng, 3)  # 8x8
@@ -96,17 +98,51 @@ class TestPhaseSpectra:
             got = vec[0, p % 8, q % 8] if abs(p) != 4 and abs(q) != 4 else None
             assert got == pytest.approx(want / scale, abs=1e-12), (p, q)
 
+    def test_window_capture_is_direct_window_mass(self, rng):
+        img = random_image(rng, 4)
+        g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
+        full = fourier.dft_coefficients(fourier.GridFunction(2, 4, g_plus))
+        for m in range(1, 4):
+            assert window_capture(img, m) == pytest.approx(fourier.window_mass(full, m), abs=1e-14)
+
     def test_window_capture_monotone(self, rng):
         img = random_image(rng, 4)
         masses = [window_capture(img, m) for m in range(1, 4)]
         assert all(b >= a - 1e-15 for a, b in zip(masses, masses[1:]))
 
 
+def two_spectrum_target(img, m):
+    """The truncated FRQI state built the long way: separate DFTs of g+ and g-,
+    each window embedded in the full spectrum and reconstructed, then combined
+    in the |+i>, |-i> colour basis."""
+    n, size = img.n, img.side
+    sel = np.arange(-(2**m - 1), 2**m) % size
+    halves = []
+    for sign in (-1, 1):
+        g = np.exp(sign * 0.5j * np.pi * img.brightness) / size
+        full = fourier.dft_coefficients(fourier.GridFunction(2, n, g))
+        kept = np.zeros_like(full)
+        kept[np.ix_(sel, sel)] = full[np.ix_(sel, sel)]
+        halves.append(fourier.reconstruct(kept).reshape(-1))
+    gp, gm = halves
+    amps = np.concatenate([(gp + gm) / 2.0, 0.5j * (gp - gm)])
+    return amps / np.linalg.norm(amps)
+
+
+class TestTruncatedTarget:
+    @pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2)])
+    def test_matches_two_spectrum_construction(self, rng, n, m):
+        for _ in range(3):
+            img = random_image(rng, n)
+            got = frqi_truncated_target(img, m).amplitudes
+            assert np.max(np.abs(got - two_spectrum_target(img, m))) < 1e-14
+
+
 class TestCompileFrqi:
     @pytest.mark.parametrize("loader", [Loader.UCR, Loader.SCHMIDT])
     def test_matches_truncated_target_exactly(self, loader, rng):
         img = random_image(rng, 2)
-        circ, report = compile_frqi(img, 1, loader=loader)
+        circ, report = compile_frqi(img, 1, FSLPlan(n=2, m=1, loader=loader))
         out = run(circ)
         assert fidelity(out, frqi_truncated_target(img, 1)) >= 1 - 1e-9
         full_fid = fidelity(out, frqi_target(img))
@@ -140,8 +176,8 @@ class TestCompileFrqi:
 
     def test_capacity_guard(self, rng):
         img = random_image(rng, 3)
-        with pytest.raises(Exception):
-            compile_frqi(img, 1, max_qubits=5)
+        with pytest.raises(CapacityExceeded):
+            compile_frqi(img, 1, FSLPlan(n=3, m=1, max_qubits=5))
 
 
 class TestPgm:
@@ -192,3 +228,43 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
         with pytest.raises(InvalidImage):
             read_pgm(path)
+
+    def test_rejects_non_integer_or_zero_sizes(self, tmp_path):
+        path = tmp_path / "s.pgm"
+        for header in (b"P5\nabc 4\n255\n", b"P5\n0 0\n255\n", b"P5\n4 4\n-255\n"):
+            path.write_bytes(header + bytes(16))
+            with pytest.raises(InvalidImage):
+                read_pgm(path)
+
+    def test_zero_side_image_rejected(self):
+        with pytest.raises(InvalidImage):
+            GrayImage(0, np.zeros((0, 0)))
+
+
+_PGM_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"# note\n", b"", b"#"])
+_PGM_TOKENS = st.one_of(st.sampled_from([b"P5", b"P2", b"0", b"1", b"2", b"4", b"255", b"-4",
+                                         b"+4", b"4.0", b"1_6", b"abc", b"\xff"]),
+                        st.integers(-3, 300).map(lambda v: str(v).encode()),
+                        st.binary(min_size=1, max_size=4))
+
+
+@st.composite
+def _pgm_headers(draw):
+    """A magic token and up to four more (sizes and maxval, often malformed)."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P2", b"P"]))
+    tokens = [magic] + [draw(_PGM_TOKENS) for _ in range(draw(st.integers(0, 4)))]
+    return b"".join(t + draw(_PGM_SEPARATORS) for t in tokens)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.binary(max_size=64), _pgm_headers()), st.binary(max_size=80))
+def test_pgm_fuzz_returns_image_or_invalid_image(tmp_path_factory, header, payload):
+    """Arbitrary header-like bytes give a GrayImage or raise InvalidImage, quickly."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(header + payload)
+    t0 = time.perf_counter()
+    try:
+        assert isinstance(read_pgm(path), GrayImage)
+    except InvalidImage:
+        pass
+    assert time.perf_counter() - t0 < 0.5
