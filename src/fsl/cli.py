@@ -5,9 +5,10 @@ Configuration precedence is flags > --config JSON file > built-in defaults.
 Qubit capacity: --max-qubits > config ``max_qubits`` > env FSL_MAX_QUBITS >
 ``simulator.DEFAULT_MAX_QUBITS`` (24); it must be at least 1.
 Exit codes: 0 success, 2 configuration error, 3 compile/math error,
-4 capacity exceeded.  Errors print one machine-readable JSON object on
-stderr.  All floating-point output uses 17 significant digits so values
-round-trip exactly.
+4 capacity exceeded (checked before the 2^n grid is sampled) or out of
+memory.  Errors print one machine-readable JSON object on stderr.  All
+floating-point output uses 17 significant digits so values round-trip
+exactly.
 """
 from __future__ import annotations
 
@@ -159,9 +160,12 @@ def _nonperiodic_variant(cfg: JobConfig, fdef: funcs.FunctionDef) -> Nonperiodic
             return NonperiodicVariant.DISENTANGLE
         return None
     try:
-        return NonperiodicVariant(mode)
+        variant = NonperiodicVariant(mode)
     except ValueError:
         raise ConfigError(f"unknown nonperiodic mode {mode!r}")
+    if fdef.dims != 1:
+        raise ConfigError("non-periodic loading supports one dimension only")
+    return variant
 
 
 def _require(cfg: JobConfig, *names):
@@ -175,13 +179,19 @@ def _plan(cfg: JobConfig, n: int, m: int, dims: int) -> FSLPlan:
                    max_qubits=_capacity(cfg))
 
 
+def _sample(cfg: JobConfig, fdef: funcs.FunctionDef, m: int,
+            variant: NonperiodicVariant | None) -> fourier.GridFunction:
+    """Sample the 2^n grid once its D*n wires (n+1 on the mirror path) fit."""
+    n = int(cfg.n)
+    compiler.check_capacity(_plan(cfg, n, m, fdef.dims), lead=int(variant is not None))
+    return funcs.sample(fdef, n)
+
+
 def _compile(cfg: JobConfig, grid: fourier.GridFunction, m: int,
              variant: NonperiodicVariant | None):
     """Plan and compile one load of ``grid``; the spec is None on the mirror path."""
     plan = _plan(cfg, grid.n, m, grid.dims)
     if variant is not None:
-        if grid.dims != 1:
-            raise ConfigError("non-periodic loading supports one dimension only")
         return (None,) + compiler.compile_nonperiodic(grid, m, variant, plan, filter_a=cfg.filter_a)
     spec = compiler.prepare_spec(grid, m, cfg.filter_a)
     return (spec,) + compiler.compile_spec(spec, plan, source=grid)
@@ -192,7 +202,7 @@ def _build(cfg: JobConfig):
     _require(cfg, "n", "m")
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
-    grid = funcs.sample(fdef, int(cfg.n))
+    grid = _sample(cfg, fdef, int(cfg.m), variant)
     return (grid, variant) + _compile(cfg, grid, int(cfg.m), variant)
 
 
@@ -282,7 +292,7 @@ def cmd_sweep(cfg: JobConfig) -> int:
     lo, hi = _parse_range(cfg.m_range)
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
-    grid = funcs.sample(fdef, int(cfg.n))
+    grid = _sample(cfg, fdef, lo, variant)
     rows = [SWEEP_COLUMNS]
     for m in range(lo, hi + 1):
         *_, report = _compile(cfg, grid, m, variant)
@@ -439,7 +449,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnknownFunction, ExpressionError) as exc:
         _report_error(exc)
         return 2
-    except CapacityExceeded as exc:
+    except (CapacityExceeded, MemoryError) as exc:
         _report_error(exc)
         return 4
     except FSLError as exc:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (DegenerateWindow, DimensionMismatch, EmptyWindow,
                      InsufficientPoints, NonUnitNorm)
@@ -205,8 +204,9 @@ def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
     """Analytic upper bound on the truncation infidelity from the 1-norm of the
     (p+1)-th periodic forward difference.
 
-    p = 0: |Delta f|_1^2 cot(pi 2^m / 2^n) / (2 pi).  p > 0 replaces the
-    cotangent with the incomplete-beta-type integral of 1/sin^(2p+2).
+    |Delta^(p+1) f|_1^2 I_p / (2^(2p+1) pi), with u0 = pi 2^m / 2^n and
+    I_p = int_{u0}^{pi/2} sin(u)^-(2p+2) du = sum_j C(p,j) cot(u0)^(2j+1) / (2j+1)
+    (substitute t = cot u); p = 0 gives |Delta f|_1^2 cot(u0) / (2 pi).
     """
     if g.dims != 1:
         raise DimensionMismatch("the analytic bound is derived for one dimension")
@@ -218,10 +218,8 @@ def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
         raise DegenerateWindow("window reaches the Nyquist frequency; bound degenerates")
     diff = _forward_difference(g.samples, p + 1)
     l1 = float(np.sum(np.abs(diff)))
-    u0 = math.pi * 2**m / 2**g.n
-    if p == 0:
-        return l1**2 / (2.0 * math.pi * math.tan(u0))
-    integral, _ = quad(lambda u: math.sin(u) ** (-(2 * p + 2)), u0, math.pi / 2)
+    cot = 1.0 / math.tan(math.pi * 2**m / 2**g.n)
+    integral = sum(math.comb(p, j) * cot ** (2 * j + 1) / (2 * j + 1) for j in range(p + 1))
     return l1**2 * integral / (2 ** (2 * p + 1) * math.pi)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,39 +207,40 @@ _ALLOWED_CALLS = {
     "sinc": lambda v: np.sinc(np.asarray(v) / np.pi),  # sinc(v) = sin(v)/v
 }
 _ALLOWED_NAMES = {"pi": math.pi, "e": math.e}
-_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow}
-_UNARY = {ast.USub, ast.UAdd}
+_OPERATORS = {ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd}
 
 
-def _validate(node: ast.AST, variables: set) -> None:
-    if isinstance(node, ast.Expression):
-        _validate(node.body, variables)
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        _validate(node.left, variables)
-        _validate(node.right, variables)
-    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        _validate(node.operand, variables)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
-            raise ExpressionError(f"call to {ast.dump(node.func)} not allowed")
-        if node.keywords or len(node.args) != 1:
-            raise ExpressionError("functions take exactly one positional argument")
-        _validate(node.args[0], variables)
-    elif isinstance(node, ast.Name):
-        if node.id not in variables and node.id not in _ALLOWED_NAMES:
-            raise ExpressionError(f"unknown name {node.id!r}")
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ExpressionError(f"constant {node.value!r} not allowed")
-    else:
-        raise ExpressionError(f"syntax {type(node).__name__} not allowed")
+def _validate(tree: ast.Expression, variables: set) -> None:
+    """Check every node against the grammar and turn numeric literals into
+    floats, so 10**10**9 overflows at once instead of in big-int arithmetic.
 
-
-class _FloatConstants(ast.NodeTransformer):
-    """Numeric literals as floats: 10**10**9 overflows at once, not in big-int arithmetic."""
-
-    def visit_Constant(self, node: ast.Constant) -> ast.Constant:
-        return ast.copy_location(ast.Constant(float(node.value)), node)
+    ``ast.walk`` visits breadth-first without recursion, so nesting depth is
+    no limit, and a call is seen before the name it calls."""
+    names = variables | set(_ALLOWED_NAMES)
+    callees = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
+                raise ExpressionError(f"call to {reprlib.repr(ast.dump(node.func))} not allowed")
+            if node.keywords or len(node.args) != 1:
+                raise ExpressionError("functions take exactly one positional argument")
+            callees.add(node.func)
+        elif isinstance(node, ast.Name):
+            if node.id not in (_ALLOWED_CALLS if node in callees else names):
+                raise ExpressionError(f"unknown name {reprlib.repr(node.id)}")
+        elif isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)):
+                raise ExpressionError(f"constant {reprlib.repr(node.value)} not allowed")
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ExpressionError(
+                    f"literal {reprlib.repr(node.value)} is too large for a float") from None
+        elif isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            if type(node.op) not in _OPERATORS:
+                raise ExpressionError(f"operator {type(node.op).__name__} not allowed")
+        elif not isinstance(node, (ast.Expression, ast.Load, ast.operator, ast.unaryop)):
+            raise ExpressionError(f"syntax {type(node).__name__} not allowed")
 
 
 def expression(expr: str, dims: int = 1, sqrt_mode: bool = False) -> FunctionDef:
@@ -252,10 +254,11 @@ def expression(expr: str, dims: int = 1, sqrt_mode: bool = False) -> FunctionDef
     variables = {"x"} if dims == 1 else {"x", "y"}
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"cannot parse {expr!r}: {exc}") from exc
-    _validate(tree, variables)
-    code = compile(_FloatConstants().visit(tree), "<expression>", "eval")
+        _validate(tree, variables)
+        code = compile(tree, "<expression>", "eval")
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        raise ExpressionError(
+            f"cannot parse {reprlib.repr(expr)}: {type(exc).__name__}: {exc}") from None
     env = dict(_ALLOWED_CALLS) | _ALLOWED_NAMES
 
     def evaluator(*coords):

@@ -1,9 +1,12 @@
 """Dense statevector simulation, fidelity metrics, and measurement sampling.
 
 Amplitude vectors are big-endian: qubit 0 is the most significant index bit,
-matching the circuit convention.  Gate application works on reshaped views of
-the amplitude array so single-qubit and diagonal gates stay cheap even at
-20+ qubits.
+matching the circuit convention.  ``_at`` is the one map from wires to array
+axes: a strided view (no copy) of the amplitudes whose listed wires read the
+given bits.  Each built-in gate acts in place on such views: it swaps two
+slices (X, CNOT, SWAP), scales one or two (RZ, PHASE, CPHASE) or mixes two
+with a 2x2 matrix (H, RY).  Opaque unitaries apply their dense block to the
+wires moved to the front.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ DEFAULT_MAX_QUBITS = 24
 MAX_OPAQUE_QUBITS = 12
 
 _NORM_TOL = 1e-10
+_H_MAT = np.array([[1, 1], [1, -1]], dtype=float) / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,9 @@ class Statevector:
         if amps.shape != (2**self.num_qubits,):
             raise DimensionMismatch(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}")
-        if abs(np.sum(np.abs(amps) ** 2) - 1.0) > _NORM_TOL:
-            raise ValueError("statevector is not normalized")
+        norm = np.sum(np.abs(amps) ** 2)
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise ValueError(f"statevector is not normalized (squared norm {norm!r})")
         amps = np.ascontiguousarray(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -69,79 +74,62 @@ class ShotHistogram:
         return p
 
 
-def _apply_1q_dense(psi: np.ndarray, mat: np.ndarray, q: int, n: int) -> None:
-    view = psi.reshape(2**q, 2, -1)
-    a, b = view[:, 0, :], view[:, 1, :]
-    new0 = mat[0, 0] * a + mat[0, 1] * b
-    new1 = mat[1, 0] * a + mat[1, 1] * b
-    view[:, 0, :] = new0
-    view[:, 1, :] = new1
+def _at(psi: np.ndarray, qubits, bits) -> np.ndarray:
+    """Strided view of the amplitudes whose one or two ``qubits`` read ``bits``."""
+    if len(qubits) == 1:
+        return psi.reshape(2 ** qubits[0], 2, -1)[:, bits[0], :]
+    (qa, ba), (qb, bb) = sorted(zip(qubits, bits))
+    return psi.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)[:, ba, :, bb, :]
 
 
-def _apply_1q_diag(psi: np.ndarray, d0: complex, d1: complex, q: int, n: int) -> None:
-    view = psi.reshape(2**q, 2, -1)
-    if d0 != 1.0:
-        view[:, 0, :] *= d0
-    if d1 != 1.0:
-        view[:, 1, :] *= d1
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    tmp = a.copy()
+    a[...] = b
+    b[...] = tmp
 
 
-def _pair_view(psi: np.ndarray, q1: int, q2: int, n: int):
-    """View of shape (A,2,B,2,C) with q1 on axis 1 and q2 on axis 3 (q1 < q2)."""
-    return psi.reshape(2**q1, 2, 2 ** (q2 - q1 - 1), 2, -1)
+def _scale(a: np.ndarray, z: complex) -> None:
+    if z != 1.0:
+        a *= z
+
+
+def _mix(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    new0 = u[0, 0] * a + u[0, 1] * b
+    new1 = u[1, 0] * a + u[1, 1] * b
+    a[...] = new0
+    b[...] = new1
 
 
 def _apply_gate(psi: np.ndarray, g: Gate, n: int) -> None:
-    kind = g.kind
-    if kind is GateKind.H:
-        _apply_1q_dense(psi, _H_MAT, g.qubits[0], n)
-    elif kind is GateKind.X:
-        view = psi.reshape(2 ** g.qubits[0], 2, -1)
-        tmp = view[:, 0, :].copy()
-        view[:, 0, :] = view[:, 1, :]
-        view[:, 1, :] = tmp
-    elif kind is GateKind.RY:
-        c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
-        _apply_1q_dense(psi, np.array([[c, -s], [s, c]]), g.qubits[0], n)
-    elif kind is GateKind.RZ:
-        ph = cmath.exp(0.5j * g.angle)
-        _apply_1q_diag(psi, ph.conjugate(), ph, g.qubits[0], n)
-    elif kind is GateKind.PHASE:
-        _apply_1q_diag(psi, 1.0, cmath.exp(1j * g.angle), g.qubits[0], n)
-    elif kind is GateKind.CNOT:
-        ctrl, tgt = g.qubits
-        qa, qb = min(ctrl, tgt), max(ctrl, tgt)
-        view = _pair_view(psi, qa, qb, n)
-        if ctrl < tgt:
-            on, off = view[:, 1, :, 1, :], view[:, 1, :, 0, :]
-        else:
-            on, off = view[:, 1, :, 1, :], view[:, 0, :, 1, :]
-        tmp = off.copy()
-        off[...] = on
-        on[...] = tmp
-    elif kind is GateKind.CPHASE:
-        qa, qb = sorted(g.qubits)
-        view = _pair_view(psi, qa, qb, n)
-        view[:, 1, :, 1, :] *= cmath.exp(1j * g.angle)
-    elif kind is GateKind.SWAP:
-        qa, qb = sorted(g.qubits)
-        view = _pair_view(psi, qa, qb, n)
-        tmp = view[:, 0, :, 1, :].copy()
-        view[:, 0, :, 1, :] = view[:, 1, :, 0, :]
-        view[:, 1, :, 0, :] = tmp
-    elif kind is GateKind.OPAQUE_UNITARY:
-        k = len(g.qubits)
+    """Apply ``g`` in place: built-in kinds swap, scale or mix slices of ``psi``."""
+    kind, qs = g.kind, g.qubits
+    if kind is GateKind.OPAQUE_UNITARY:
+        k = len(qs)
         if k > MAX_OPAQUE_QUBITS:
             raise CapacityExceeded(f"opaque gate on {k} qubits exceeds cap {MAX_OPAQUE_QUBITS}")
-        tensor = psi.reshape([2] * n)
-        moved = np.moveaxis(tensor, g.qubits, range(k))
-        block = g.matrix @ moved.reshape(2**k, -1)
-        moved[...] = block.reshape(moved.shape)
+        moved = np.moveaxis(psi.reshape([2] * n), qs, range(k))
+        moved[...] = (g.matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
+    elif kind is GateKind.H:
+        _mix(_H_MAT, _at(psi, qs, (0,)), _at(psi, qs, (1,)))
+    elif kind is GateKind.RY:
+        c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
+        _mix(np.array([[c, -s], [s, c]]), _at(psi, qs, (0,)), _at(psi, qs, (1,)))
+    elif kind is GateKind.X:
+        _swap(_at(psi, qs, (0,)), _at(psi, qs, (1,)))
+    elif kind is GateKind.CNOT:
+        _swap(_at(psi, qs, (1, 0)), _at(psi, qs, (1, 1)))
+    elif kind is GateKind.SWAP:
+        _swap(_at(psi, qs, (0, 1)), _at(psi, qs, (1, 0)))
+    elif kind is GateKind.RZ:
+        ph = cmath.exp(0.5j * g.angle)
+        _scale(_at(psi, qs, (0,)), ph.conjugate())
+        _scale(_at(psi, qs, (1,)), ph)
+    elif kind is GateKind.PHASE:
+        _scale(_at(psi, qs, (1,)), cmath.exp(1j * g.angle))
+    elif kind is GateKind.CPHASE:
+        _scale(_at(psi, qs, (1, 1)), cmath.exp(1j * g.angle))
     else:  # pragma: no cover
         raise ValueError(f"unknown gate kind {kind}")
-
-
-_H_MAT = np.array([[1, 1], [1, -1]], dtype=float) / math.sqrt(2)
 
 
 def apply_output_permutation(amps: np.ndarray, perm) -> np.ndarray:
@@ -163,14 +151,9 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         raise DimensionMismatch(
             f"initial state has {initial.num_qubits} qubits, circuit {c.num_qubits}")
     psi = initial.amplitudes.copy()
-    n = c.num_qubits
     for g in c.gates:
-        _apply_gate(psi, g, n)
-    psi = apply_output_permutation(psi, c.output_permutation)
-    norm = np.sum(np.abs(psi) ** 2)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise RuntimeError(f"norm drifted to {norm}")
-    return Statevector(n, np.ascontiguousarray(psi))
+        _apply_gate(psi, g, c.num_qubits)
+    return Statevector(c.num_qubits, apply_output_permutation(psi, c.output_permutation))
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

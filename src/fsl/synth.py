@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cossin, schur
 
-from .circuit import Circuit, Gate, GateKind, cnot, cphase, h, phase, ry, rz, swap, unitary
+from .circuit import Circuit, Gate, GateKind, cnot, cphase, h, phase, ry, rz, unitary
 from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 
 NORM_TOL = 1e-9
@@ -166,15 +166,13 @@ def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bo
     return gates
 
 
-def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None,
-                      interleaved: bool = True) -> Circuit:
+def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Circuit:
     """State-preparation circuit for ``target`` on the given qubit list.
 
     Emits RZ(-phi) then, per level, the uniformly controlled R_y followed by
     the uniformly controlled R_z for that level (the level pairs commute with
     deeper levels, so this matches the y-cascade-then-z-cascade form while
-    letting boundary CNOTs cancel).  ``interleaved=False`` emits the plain
-    two-cascade order instead.
+    letting boundary CNOTs cancel).
     """
     psi = _check_unit(target)
     q = int(round(math.log2(len(psi))))
@@ -192,25 +190,11 @@ def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None,
     if abs(ang.global_phase) > ANGLE_EPS:
         gates.append(rz(-ang.global_phase, qubits[0]))
 
-    def level_blocks(t):
-        controls = qubits[:t]
-        tgt = qubits[t]
-        yb = _ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], controls, tgt)
-        zb = _ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], controls, tgt,
-                        start_with_cnot=interleaved and t > 0)
-        return yb, zb
-
-    if interleaved:
-        for t in range(q):
-            yb, zb = level_blocks(t)
-            gates.extend(yb)
-            gates.extend(zb)
-    else:
-        pairs = [level_blocks(t) for t in range(q)]
-        for yb, _ in pairs:
-            gates.extend(yb)
-        for _, zb in pairs:
-            gates.extend(zb)
+    for t in range(q):
+        controls, tgt = qubits[:t], qubits[t]
+        gates.extend(_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], controls, tgt))
+        gates.extend(_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], controls, tgt,
+                                start_with_cnot=t > 0))
     return Circuit(total, tuple(gates))
 
 
@@ -370,13 +354,12 @@ def decompose_opaque(c: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 # Inverse QFT
 
-def build_inverse_qft(q: int, elide_swaps: bool = True, num_qubits: int | None = None,
-                      qubits=None) -> Circuit:
+def build_inverse_qft(q: int, num_qubits: int | None = None, qubits=None) -> Circuit:
     """Inverse QFT: |p> -> 2^(-q/2) sum_k exp(-i 2 pi p k / 2^q) |k>.
 
-    Per wire one H followed by CPHASE(-pi/2^d) with each lower wire.  With
-    ``elide_swaps`` the terminal bit-reversal becomes the output permutation
-    instead of SWAP gates.
+    Per wire one H followed by CPHASE(-pi/2^d) with each lower wire.  The
+    terminal bit-reversal is elided into the output permutation instead of
+    SWAP gates.
     """
     if q < 1:
         raise ValueError("need at least one qubit")
@@ -392,10 +375,6 @@ def build_inverse_qft(q: int, elide_swaps: bool = True, num_qubits: int | None =
             gates.append(cphase(-math.pi / 2**d, qubits[s + d], qubits[s]))
 
     perm = list(range(total))
-    if elide_swaps:
-        for s in range(q):
-            perm[qubits[s]] = qubits[q - 1 - s]
-    else:
-        for s in range(q // 2):
-            gates.append(swap(qubits[s], qubits[q - 1 - s]))
+    for s in range(q):
+        perm[qubits[s]] = qubits[q - 1 - s]
     return Circuit(total, tuple(gates), tuple(perm))

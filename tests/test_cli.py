@@ -270,6 +270,13 @@ class TestConfigAndErrors:
         assert code == 3
         assert json.loads(err)["error"] == "OverflowError"
 
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", "import sys, fsl.cli; "
+                               "print('scipy.integrate' in sys.modules)"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "False"
+
     def test_tower_of_powers_fails_fast_with_exit_3(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--expr",
@@ -277,6 +284,28 @@ class TestConfigAndErrors:
                               env=env, capture_output=True, text=True, timeout=30)
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"] == "OverflowError"
+
+    @pytest.mark.parametrize("expr", ["x+" + "1" * 400, "x" + "+x" * 2000, "-" * 20000 + "x"],
+                             ids=["huge-literal", "long-sum", "deep-minus"])
+    def test_pathological_expression_exits_2(self, expr, capsys):
+        code, out, err = run_cli(capsys, "compile", f"--expr={expr}", "--n", "5", "--m", "2",
+                                 "--emit", "none")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
+    # n=40 only: its 2^40-point grid cannot be allocated, so the failure is immediate.
+    @pytest.mark.parametrize("command", [["compile", "--m", "3"], ["sweep", "--m-range", "3:4"]])
+    def test_capacity_checked_before_sampling(self, command, capsys):
+        code, _, err = run_cli(capsys, *command, "--function", "sinc", "--n", "40")
+        assert code == 4
+        assert json.loads(err)["error"] == "CapacityExceeded"
+
+    def test_grid_too_large_for_memory_exits_4(self, capsys):
+        code, _, err = run_cli(capsys, "compile", "--function", "sinc", "--n", "40", "--m", "3",
+                               "--max-qubits", "50")
+        assert code == 4
+        assert "MemoryError" in json.loads(err)["error"]
 
     def test_bad_fanout_in_config_exits_3_for_compile_and_image(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fsl import funcs
 from fsl.compiler import prepare_spec, target_state
 from fsl.errors import (DegenerateWindow, DimensionMismatch, EmptyWindow,
                         InsufficientPoints, NonUnitNorm)
-from fsl.fourier import (FourierSpec, GridFunction, decay_slope, dft_coefficients,
-                         exact_infidelity, infidelity_bound, lanczos_filter,
-                         mirror_extend, reconstruct, spectral_tail, truncate,
-                         window_mass)
+from fsl.fourier import (FourierSpec, GridFunction, _forward_difference, decay_slope,
+                         dft_coefficients, exact_infidelity, infidelity_bound,
+                         lanczos_filter, mirror_extend, reconstruct, spectral_tail,
+                         truncate, window_mass)
 from fsl.simulator import Statevector, fidelity
 
 
@@ -260,6 +261,20 @@ class TestInfidelityBound:
         for p in (1, 2):
             for m in (4, 6, 8):
                 assert exact_infidelity(full, m) <= infidelity_bound(g, m, p=p)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("p", range(5))
+    def test_closed_form_matches_quadrature(self, p):
+        # reference: the tail integral of 1/sin^(2p+2) by numerical quadrature
+        for name in ("lorentzian", "sinc", "bimodal_gaussian", "tanh", "piecewise"):
+            for n in (8, 12):
+                g = funcs.sample(funcs.builtin(name), n)
+                l1 = float(np.sum(np.abs(_forward_difference(g.samples, p + 1))))
+                for m in (1, 3, n - 2):
+                    u0 = math.pi * 2**m / 2**n
+                    integral, _ = quad(lambda u: math.sin(u) ** (-(2 * p + 2)), u0, math.pi / 2)
+                    want = l1**2 * integral / (2 ** (2 * p + 1) * math.pi)
+                    assert infidelity_bound(g, m, p=p) == pytest.approx(want, rel=1e-7, abs=0)
 
     def test_degenerate_window_raises(self):
         g = GridFunction.from_samples(np.ones(16))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsl import funcs
 from fsl.errors import ExpressionError, NegativeUnderSqrt, UnknownFunction
@@ -144,8 +146,37 @@ class TestExpressionMode:
         with pytest.raises(ExpressionError):
             funcs.expression("x +")
 
+    def test_rejects_bare_function_names_and_bad_operators(self):
+        for bad in ("sin + x", "sin(x) + cos", "x @ x", "~x", "x < 1"):
+            with pytest.raises(ExpressionError):
+                funcs.expression(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "x+" + "1" * 400,  # integer literal too large for a float
+        "x" + "+x" * 2000,  # too deep for the compiler
+        "-" * 1000 + "x",  # too deep for the parser
+        "-" * 20000 + "x",  # parser runs out of memory
+    ], ids=["huge-literal", "long-sum", "deep-minus", "deeper-minus"])
+    def test_pathological_strings_raise_expression_error(self, bad):
+        with pytest.raises(ExpressionError):
+            funcs.expression(bad)
+
     def test_two_variable_expression(self):
         fd = funcs.expression("sin(2*pi*x) * cos(2*pi*y)", dims=2)
         assert fd.dims == 2
         out = fd.evaluate(np.array([[0.25]]), np.array([[0.5]]))
         assert out[0, 0] == pytest.approx(-1.0)
+
+
+_EXPR_ALPHABET = "xy0123456789.e+-*/^() ,sincotaexplgbhrj[]_:'"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=60), st.text(alphabet=_EXPR_ALPHABET, max_size=60)),
+       st.sampled_from([1, 2]))
+def test_expression_fuzz_returns_function_or_expression_error(text, dims):
+    try:
+        fd = funcs.expression(text, dims=dims)
+    except ExpressionError:
+        return
+    assert isinstance(fd, funcs.FunctionDef)

@@ -1,11 +1,13 @@
 """Statevector engine against an independent dense-matrix oracle."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_matrix, rand_state, random_circuit
-from fsl.circuit import Circuit, cnot, compose, h, invert, ry, swap, unitary
+from conftest import dense_circuit_matrix, dense_gate_matrix, rand_state, random_circuit
+from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, h, invert, ry, swap,
+                         unitary)
 from fsl.errors import CapacityExceeded, DimensionMismatch, NotADistribution
 from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            dump_statevector, fidelity, histogram_to_csv,
@@ -36,6 +38,30 @@ class TestRun:
         want = dense_circuit_matrix(c) @ start
         got = run(c, Statevector(4, start)).amplitudes
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("kind", [GateKind.H, GateKind.X, GateKind.RY, GateKind.RZ,
+                                      GateKind.PHASE])
+    def test_one_qubit_kind_on_every_wire(self, kind, rng):
+        start = rand_state(rng, 4)
+        for q in range(4):
+            angle = None if kind in (GateKind.H, GateKind.X) else float(rng.uniform(-7, 7))
+            g = Gate(kind, (q,), angle)
+            got = run(Circuit(4, (g,)), Statevector(4, start)).amplitudes
+            assert np.max(np.abs(got - dense_gate_matrix(g, 4) @ start)) < 1e-14
+
+    @pytest.mark.parametrize("kind", [GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP])
+    def test_two_qubit_kind_on_every_ordered_pair(self, kind, rng):
+        start = rand_state(rng, 4)
+        for pair in itertools.permutations(range(4), 2):
+            angle = float(rng.uniform(-7, 7)) if kind is GateKind.CPHASE else None
+            g = Gate(kind, pair, angle)
+            got = run(Circuit(4, (g,)), Statevector(4, start)).amplitudes
+            assert np.max(np.abs(got - dense_gate_matrix(g, 4) @ start)) < 1e-14
+
+    def test_norm_drift_raises_value_error(self, rng):
+        grow = unitary((1 + 4e-11) * np.eye(2), (1,))
+        with pytest.raises(ValueError, match="not normalized"):
+            run(Circuit(3, (grow,) * 10), Statevector(3, rand_state(rng, 3)))
 
     def test_norm_preserved(self, rng):
         c = random_circuit(rng, 5, 200)

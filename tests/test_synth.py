@@ -140,12 +140,6 @@ class TestBuildUcr:
         counts = gate_counts(build_ucr_circuit(v))
         assert counts.by_kind.get("RZ", 0) == 0
 
-    def test_cascade_order_matches_interleaved(self, rng):
-        target = rand_state(rng, 4)
-        a = dense_circuit_matrix(build_ucr_circuit(target, interleaved=True))
-        b = dense_circuit_matrix(build_ucr_circuit(target, interleaved=False))
-        assert np.allclose(a @ np.eye(16)[:, 0], b @ np.eye(16)[:, 0], atol=1e-12)
-
     def test_custom_qubit_mapping(self, rng):
         target = rand_state(rng, 2)
         c = build_ucr_circuit(target, qubits=[2, 0], num_qubits=3)
@@ -258,12 +252,6 @@ class TestInverseQft:
         k = np.arange(32)
         want = np.exp(-2j * np.pi * p * k / 32) / math.sqrt(32)
         assert np.max(np.abs(out - want)) < 1e-12
-
-    def test_elided_and_explicit_swaps_agree(self, rng):
-        start = Statevector(4, rand_state(rng, 4))
-        a = run(build_inverse_qft(4, elide_swaps=True), start)
-        b = run(build_inverse_qft(4, elide_swaps=False), start)
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
     def test_composed_with_inverse_is_identity(self, rng):
         c = build_inverse_qft(5)
