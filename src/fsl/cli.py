@@ -2,6 +2,7 @@
 
 Subcommands: ``compile``, ``simulate``, ``sweep``, ``image``, ``bench``.
 Configuration precedence is flags > --config JSON file > built-in defaults.
+A config file value must have the JSON type its flag takes.
 Qubit capacity: --max-qubits > config ``max_qubits`` > env FSL_MAX_QUBITS >
 ``simulator.DEFAULT_MAX_QUBITS`` (24); it must be at least 1.
 Exit codes: 0 success, 2 configuration error, 3 compile/math error,
@@ -83,6 +84,31 @@ class JobConfig:
             raise AttributeError(item) from None
 
 
+_JSON_TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
+
+
+def _takes(kind: type, value) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _check_config_types(file_cfg: dict, flags: dict) -> None:
+    """Each value must have the JSON type its flag takes: int flags integers,
+    float flags numbers, switches booleans, the rest strings, and repeatable
+    flags a list of those."""
+    for key, value in file_cfg.items():
+        action = flags.get(key)
+        if action is None:
+            continue
+        kind = bool if action.nargs == 0 else action.type or str
+        many = isinstance(action, argparse._AppendAction)
+        values = value if many else [value]
+        if not isinstance(values, list) or not all(_takes(kind, v) for v in values):
+            raise ConfigError(f"config key {key!r} takes a JSON {_JSON_TYPE_NAMES[kind]}"
+                              f"{' list' if many else ''}, got {json.dumps(value)}")
+
+
 def _merge_config(args: argparse.Namespace) -> JobConfig:
     merged = dict(_DEFAULTS)
     cfg_path = getattr(args, "config", None)
@@ -94,9 +120,10 @@ def _merge_config(args: argparse.Namespace) -> JobConfig:
             raise ConfigError(f"cannot read config file {cfg_path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        _check_config_types(file_cfg, args.flags)
         merged.update(file_cfg)
     for key, value in vars(args).items():
-        if key in ("config", "command", "func"):
+        if key in ("config", "command", "func", "flags"):
             continue
         if value is not None:
             merged[key] = value
@@ -437,6 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_bench)
+    for p in sub.choices.values():  # a config file's values are checked against these
+        p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
 
 

@@ -1,12 +1,15 @@
 """Dense statevector simulation, fidelity metrics, and measurement sampling.
 
 Amplitude vectors are big-endian: qubit 0 is the most significant index bit,
-matching the circuit convention.  ``_at`` is the one map from wires to array
-axes: a strided view (no copy) of the amplitudes whose listed wires read the
-given bits.  Each built-in gate acts in place on such views: it swaps two
-slices (X, CNOT, SWAP), scales one or two (RZ, PHASE, CPHASE) or mixes two
-with a 2x2 matrix (H, RY).  Opaque unitaries apply their dense block to the
-wires moved to the front.
+matching the circuit convention.  ``run`` allocates one 2^n buffer and lets
+wires join lazily: the first gate on a wire makes it the new most significant
+axis of the active prefix, whose new upper half is still zero, so nothing is
+copied and an FSL loader sweeps 2^(m+1) amplitudes instead of 2^n.  One last
+transpose maps the activation order and output permutation to wire order.
+Gates see axes: ``_at`` is the strided view (no copy) of the amplitudes whose
+listed axes read the given bits, which built-in gates swap (X, CNOT, SWAP),
+scale (RZ, PHASE, CPHASE) or mix with a 2x2 matrix (H, RY); opaque unitaries
+apply their dense block to the axes moved to the front.
 """
 from __future__ import annotations
 
@@ -100,15 +103,16 @@ def _mix(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     b[...] = new1
 
 
-def _apply_gate(psi: np.ndarray, g: Gate, n: int) -> None:
-    """Apply ``g`` in place: built-in kinds swap, scale or mix slices of ``psi``."""
-    kind, qs = g.kind, g.qubits
+def _apply_gate(psi: np.ndarray, g: Gate, qs: tuple[int, ...], k: int) -> None:
+    """Apply ``g`` in place to the ``k``-axis ``psi``, its wires sitting at axes
+    ``qs``: built-in kinds swap, scale or mix slices of ``psi``."""
+    kind = g.kind
     if kind is GateKind.OPAQUE_UNITARY:
-        k = len(qs)
-        if k > MAX_OPAQUE_QUBITS:
-            raise CapacityExceeded(f"opaque gate on {k} qubits exceeds cap {MAX_OPAQUE_QUBITS}")
-        moved = np.moveaxis(psi.reshape([2] * n), qs, range(k))
-        moved[...] = (g.matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
+        w = len(qs)
+        if w > MAX_OPAQUE_QUBITS:
+            raise CapacityExceeded(f"opaque gate on {w} qubits exceeds cap {MAX_OPAQUE_QUBITS}")
+        moved = np.moveaxis(psi.reshape([2] * k), qs, range(w))
+        moved[...] = (g.matrix @ moved.reshape(2**w, -1)).reshape(moved.shape)
     elif kind is GateKind.H:
         _mix(_H_MAT, _at(psi, qs, (0,)), _at(psi, qs, (1,)))
     elif kind is GateKind.RY:
@@ -132,28 +136,34 @@ def _apply_gate(psi: np.ndarray, g: Gate, n: int) -> None:
         raise ValueError(f"unknown gate kind {kind}")
 
 
-def apply_output_permutation(amps: np.ndarray, perm) -> np.ndarray:
-    """Relabel wires so logical qubit ``i`` reads from wire ``perm[i]``."""
-    n = len(perm)
-    if tuple(perm) == tuple(range(n)):
-        return amps
-    return np.transpose(amps.reshape([2] * n), perm).reshape(-1)
-
-
 def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None = None) -> Statevector:
     """Apply every gate of ``c`` in order, then its output permutation."""
+    n = c.num_qubits
     cap = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
-    if c.num_qubits > cap:
-        raise CapacityExceeded(f"{c.num_qubits} qubits exceeds simulator capacity {cap}")
+    if n > cap:
+        raise CapacityExceeded(f"{n} qubits exceeds simulator capacity {cap}")
     if initial is None:
-        initial = Statevector.zero(c.num_qubits)
-    if initial.num_qubits != c.num_qubits:
-        raise DimensionMismatch(
-            f"initial state has {initial.num_qubits} qubits, circuit {c.num_qubits}")
-    psi = initial.amplitudes.copy()
+        psi = np.zeros(2**n, dtype=complex)
+        psi[0] = 1.0
+        order = {}  # wire w -> activation index: axis k - 1 - order[w] of psi[:2**k]
+    elif initial.num_qubits != n:
+        raise DimensionMismatch(f"initial state has {initial.num_qubits} qubits, circuit {n}")
+    else:
+        psi = initial.amplitudes.copy()
+        order = {w: n - 1 - w for w in range(n)}
     for g in c.gates:
-        _apply_gate(psi, g, c.num_qubits)
-    return Statevector(c.num_qubits, apply_output_permutation(psi, c.output_permutation))
+        for q in g.qubits:
+            order.setdefault(q, len(order))
+        # A gate on a wires sees at least 2^(a+2) amplitudes (the extra axes read 0):
+        # numpy and BLAS round 1-element and 1-3-column operands unlike a full-width run.
+        k = min(n, max(len(order), len(g.qubits) + 2))
+        _apply_gate(psi[:2**k], g, tuple(k - 1 - order[q] for q in g.qubits), k)
+    for w in reversed(range(n)):  # untouched wires fill the leading axes
+        order.setdefault(w, len(order))
+    axes = [n - 1 - order[w] for w in c.output_permutation]
+    if axes != list(range(n)):
+        psi = np.transpose(psi.reshape([2] * n), axes).reshape(-1)
+    return Statevector(n, psi)
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsl import circuit as cir
 from fsl import frqi, funcs, simulator
@@ -126,6 +128,12 @@ class TestFullScaleThroughCli:
                                "--out-dir", str(tmp_path))
         assert code == 0
         assert json.loads(out)["exact_infidelity"] < 1e-6
+
+    def test_sinc_simulates_at_22_qubits(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--function", "sinc", "--n", "22",
+                               "--m", "6")
+        assert code == 0
+        assert json.loads(out)["fidelity_vs_truncated"] >= 1 - 1e-9
 
     def test_piecewise_sweep_slope_from_csv(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--function", "piecewise",
@@ -333,6 +341,34 @@ class TestConfigAndErrors:
         kinds = {g.kind.value for g in circ.gates}
         assert "RY" in kinds  # ucr loader gates, not an opaque pair
 
+    @pytest.mark.parametrize("values", [
+        {"expr": 5, "n": 5, "m": 2},
+        {"function": "constant", "n": "abc", "m": 2},
+        {"function": "constant", "n": 5.5, "m": 2},
+        {"function": "constant", "n": True, "m": 2},
+        {"function": "constant", "n": 5, "m": 2, "filter_a": "2"},
+        {"function": "constant", "n": 5, "m": 2, "sqrt_mode": 1},
+        {"function": "constant", "n": 5, "m": 2, "param": "width=2"},
+        {"function": "constant", "n": 5, "m": 2, "out_dir": None},
+    ], ids=["int-expr", "string-n", "float-n", "bool-n", "string-float", "int-switch",
+            "bare-repeatable", "null-string"])
+    def test_config_value_of_wrong_type_exits_2(self, values, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run_cli(capsys, "compile", "--config", str(cfg), "--emit", "none")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ConfigError"
+
+    def test_config_takes_integer_for_float_flag_and_list_for_repeatable(self, tmp_path,
+                                                                          capsys):
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({"function": "lorentzian", "n": 5, "m": 2, "filter_a": 2,
+                                   "sqrt_mode": False, "param": ["sigma=0.2"]}))
+        code, out, _ = run_cli(capsys, "compile", "--config", str(cfg), "--emit", "none")
+        assert code == 0
+        assert json.loads(out)["contains_opaque"] is False
+
     def test_both_function_and_expr_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--function", "constant",
                                "--expr", "x", "--n", "4", "--m", "1")
@@ -343,3 +379,40 @@ class TestConfigAndErrors:
         cfg.write_text(json.dumps({"function": "constant", "m": 2}))
         code, _, err = run_cli(capsys, "compile", "--config", str(cfg))
         assert code == 2
+
+
+
+# Integers skip 9..39, so no example samples a large grid: n >= 40 fails at the
+# capacity check or at the grid's allocation.
+_FUZZ_INTS = st.one_of(st.integers(max_value=8), st.integers(min_value=40, max_value=2**20))
+_FUZZ_SOURCES = st.one_of(
+    st.fixed_dictionaries({"function": st.sampled_from(
+        ["sinc", "constant", "lorentzian", "sinc2d", "tanh", "bogus"])}),
+    st.fixed_dictionaries({"expr": st.one_of(
+        st.sampled_from(["x", "sin(2*pi*x)", "x*y", "exp(x"]), st.text(max_size=8))}))
+_FUZZ_WELL_TYPED = {
+    "param": st.lists(st.sampled_from(["sigma=0.2", "sigma=-1", "sigma=x", "nope"]), max_size=2),
+    "dims": _FUZZ_INTS, "max_qubits": _FUZZ_INTS, "seed": _FUZZ_INTS,
+    "filter_a": st.floats(), "sqrt_mode": st.booleans(), "timing": st.booleans(),
+    "loader": st.sampled_from(["ucr", "schmidt", "qsd"]),
+    "nonperiodic": st.sampled_from(["auto", "none", "disentangle", "measure", "mirror"]),
+    "fanout": st.sampled_from(["tree", "sequential", "star"]),
+    "emit": st.text(max_size=8), "out_dir": st.text(max_size=8), "prefix": st.text(max_size=8),
+}
+_FUZZ_KEYS = sorted(["function", "expr", "n", "m", *_FUZZ_WELL_TYPED])
+_FUZZ_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _FUZZ_INTS, st.floats(), st.text(max_size=12)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_FUZZ_SOURCES,
+       st.fixed_dictionaries({"n": _FUZZ_INTS, "m": _FUZZ_INTS}, optional=_FUZZ_WELL_TYPED),
+       st.dictionaries(st.sampled_from(_FUZZ_KEYS), _FUZZ_JSON, max_size=2))
+def test_config_fuzz_exits_with_a_documented_code(tmp_path_factory, source, typed, arbitrary):
+    """Well-typed values reach the compiler; arbitrary JSON values join them."""
+    cfg = tmp_path_factory.getbasetemp() / "fuzz-job.json"
+    cfg.write_text(json.dumps({**source, **typed, **arbitrary}))
+    assert main(["compile", "--config", str(cfg), "--emit", "none"]) in (0, 2, 3, 4)

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_circuit_matrix, dense_gate_matrix, rand_state, random_circuit
+from fsl import funcs, simulator
 from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, h, invert, ry, swap,
                          unitary)
+from fsl.compiler import FSLPlan, compile_spec, prepare_spec
 from fsl.errors import CapacityExceeded, DimensionMismatch, NotADistribution
+from fsl.frqi import GrayImage, compile_frqi
 from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            dump_statevector, fidelity, histogram_to_csv,
                            load_statevector, reduced_density_matrix,
@@ -90,6 +93,81 @@ class TestRun:
         explicit = Circuit(4, base.gates + (swap(0, 3), swap(1, 2)))
         s = Statevector(4, rand_state(rng, 4))
         assert np.allclose(run(elided, s).amplitudes, run(explicit, s).amplitudes)
+
+
+def _sparse_circuit(rng, n, num_gates):
+    """A random circuit, opaque gates included, on a random subset of at least two
+    of the ``n`` wires, with a random output permutation other than the identity."""
+    wires = tuple(int(w) for w in rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    sub = random_circuit(rng, len(wires), num_gates, include_opaque=True)
+    perm = tuple(int(v) for v in rng.permutation(n))
+    if perm == tuple(range(n)):
+        perm = perm[::-1]
+    return Circuit(n, tuple(g.remap(wires) for g in sub.gates), perm)
+
+
+def _loader_call_sizes(monkeypatch, c, loader_wires):
+    """Amplitude counts that ``_apply_gate`` receives for the loader gates of ``c``:
+    the leading gates that act on ``loader_wires`` only."""
+    sizes = []
+    apply_gate = simulator._apply_gate
+
+    def spy(psi, g, qs, k):
+        sizes.append(psi.size)
+        apply_gate(psi, g, qs, k)
+
+    monkeypatch.setattr(simulator, "_apply_gate", spy)
+    run(c)
+    count = next(i for i, g in enumerate(c.gates) if not set(g.qubits) <= set(loader_wires))
+    assert count > 0 and len(sizes) == len(c.gates)
+    assert sizes[-1] == 2**c.num_qubits
+    return sizes[:count]
+
+
+class TestLazyWires:
+    """``run`` activates a wire at its first gate; that must not change any amplitude."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sparse_wires_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        c = _sparse_circuit(rng, 3 + seed % 4, 12)
+        want = dense_circuit_matrix(c)[:, 0]
+        assert np.max(np.abs(run(c).amplitudes - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sparse_wires_from_initial_state_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 3 + seed % 4
+        c = _sparse_circuit(rng, n, 12)
+        start = rand_state(rng, n)
+        want = dense_circuit_matrix(c) @ start
+        assert np.max(np.abs(run(c, Statevector(n, start)).amplitudes - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lazy_run_is_byte_identical_to_explicit_zero_start(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = 2 + seed % 7
+        if seed % 2:
+            c = _sparse_circuit(rng, n, int(rng.integers(1, 30)))
+        else:
+            c = random_circuit(rng, n, int(rng.integers(1, 30)), include_opaque=True,
+                               random_perm=seed % 4 == 0)
+        assert np.array_equal(run(c).amplitudes, run(c, Statevector.zero(n)).amplitudes)
+
+    def test_fsl_loader_runs_on_m_plus_1_wires(self, monkeypatch):
+        n, m = 16, 4
+        spec = prepare_spec(funcs.sample(funcs.builtin("sinc"), n), m)
+        c, _ = compile_spec(spec, FSLPlan(n=n, m=m))
+        sizes = _loader_call_sizes(monkeypatch, c, range(n - m - 1, n))
+        assert max(sizes) <= 2 ** (m + 1)
+
+    def test_frqi_loader_runs_on_its_2m_plus_3_wires(self, monkeypatch):
+        n, m = 6, 2
+        img = GrayImage(2**n, np.random.default_rng(3).random((2**n, 2**n)))
+        c, _ = compile_frqi(img, m)
+        loader = [0, *range(n - m, n + 1), *range(2 * n - m, 2 * n + 1)]
+        sizes = _loader_call_sizes(monkeypatch, c, loader)
+        assert max(sizes) <= 2 ** (2 * (m + 1) + 1)
 
 
 class TestFidelity:
