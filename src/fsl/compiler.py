@@ -63,12 +63,20 @@ class FSLPlan:
             raise ValueError(f"unknown fanout mode {self.fanout!r}")
 
 
+# The widest load whose 2^total complex128 amplitudes numpy can address: 58 on 64-bit.
+MAX_WIRES = (np.iinfo(np.intp).max // 16).bit_length() - 1
+
+
 def check_capacity(plan: FSLPlan, lead: int = 0) -> None:
-    """Reject a load wider than ``plan.max_qubits``; callers run it before any DFT."""
+    """Reject a load wider than ``plan.max_qubits`` or, whatever that says, than
+    ``MAX_WIRES``; callers run it before sampling and before any DFT."""
     total = lead + plan.dims * plan.n
     if total > plan.max_qubits:
         raise CapacityExceeded(f"{total} qubits exceeds capacity {plan.max_qubits} "
                                f"(raise max_qubits or FSL_MAX_QUBITS)")
+    if total > MAX_WIRES:
+        raise CapacityExceeded(f"{total} qubits exceeds the {MAX_WIRES}-qubit ceiling "
+                               f"of an addressable complex128 state")
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
 """Dense statevector simulation, fidelity metrics, and measurement sampling.
 
-Amplitude vectors are big-endian: qubit 0 is the most significant index bit,
-matching the circuit convention.  ``run`` allocates one 2^n buffer and lets
-wires join lazily: the first gate on a wire makes it the new most significant
-axis of the active prefix, whose new upper half is still zero, so nothing is
-copied and an FSL loader sweeps 2^(m+1) amplitudes instead of 2^n.  One last
-transpose maps the activation order and output permutation to wire order.
-Gates see axes: ``_at`` is the strided view (no copy) of the amplitudes whose
-listed axes read the given bits, which built-in gates swap (X, CNOT, SWAP),
-scale (RZ, PHASE, CPHASE) or mix with a 2x2 matrix (H, RY); opaque unitaries
-apply their dense block to the axes moved to the front.
+Amplitude vectors are big-endian: qubit 0 is the most significant index bit, matching the
+circuit convention.  ``run`` allocates one 2^n buffer and lets wires join lazily: the first
+gate on a wire makes it the new most significant axis of the active prefix, whose new upper
+half is still zero, so nothing is copied and an FSL loader sweeps 2^(m+1) amplitudes instead
+of 2^n.  One last transpose maps the activation order and output permutation to wire order.
+Gates see axes: ``_at`` is the strided view (no copy) of the amplitudes whose listed axes
+read the given bits, which built-in gates swap (X, CNOT, SWAP), scale (RZ, PHASE, CPHASE) or
+mix with a 2x2 matrix (RY); opaque unitaries apply their dense block to the axes moved to
+the front.  An H and the CPHASE gates right after it that touch its wire (an inverse-QFT
+stage) fuse into an in-place butterfly and one broadcast multiply of the half where that
+wire reads 1 by the partners' [1, e^{i theta}] vectors and the H's 1/sqrt(2).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ DEFAULT_MAX_QUBITS = 24
 MAX_OPAQUE_QUBITS = 12
 
 _NORM_TOL = 1e-10
-_H_MAT = np.array([[1, 1], [1, -1]], dtype=float) / math.sqrt(2)
+_SQRT_HALF = 1 / math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,25 @@ def _mix(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     b[...] = new1
 
 
+def _h_phase(psi: np.ndarray, qs: tuple[int, ...], angles, k: int) -> None:
+    """H on axis ``qs[0]`` of the ``k``-axis ``psi``, then CPHASE(``angles[i]``) with axis
+    ``qs[i + 1]``, in place.  Built in gate order, the phase factor rounds alike in any layout."""
+    t = psi.reshape([2] * k)
+    a, b = (t[(slice(None),) * qs[0] + (slice(bit, bit + 1),)] for bit in (0, 1))
+    factor = _SQRT_HALF
+    for axis, angle in zip(qs[1:], angles):
+        phase = np.array([1, cmath.exp(1j * angle)])
+        factor = factor * phase.reshape([2 if x == axis else 1 for x in range(k)])
+    a += b
+    b *= -2
+    b += a  # a - b
+    a *= _SQRT_HALF
+    b *= factor
+
+
 def _apply_gate(psi: np.ndarray, g: Gate, qs: tuple[int, ...], k: int) -> None:
-    """Apply ``g`` in place to the ``k``-axis ``psi``, its wires sitting at axes
-    ``qs``: built-in kinds swap, scale or mix slices of ``psi``."""
+    """Apply ``g`` (any kind but H) in place to the ``k``-axis ``psi``, its wires
+    sitting at axes ``qs``: built-in kinds swap, scale or mix slices of ``psi``."""
     kind = g.kind
     if kind is GateKind.OPAQUE_UNITARY:
         w = len(qs)
@@ -113,8 +130,6 @@ def _apply_gate(psi: np.ndarray, g: Gate, qs: tuple[int, ...], k: int) -> None:
             raise CapacityExceeded(f"opaque gate on {w} qubits exceeds cap {MAX_OPAQUE_QUBITS}")
         moved = np.moveaxis(psi.reshape([2] * k), qs, range(w))
         moved[...] = (g.matrix @ moved.reshape(2**w, -1)).reshape(moved.shape)
-    elif kind is GateKind.H:
-        _mix(_H_MAT, _at(psi, qs, (0,)), _at(psi, qs, (1,)))
     elif kind is GateKind.RY:
         c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
         _mix(np.array([[c, -s], [s, c]]), _at(psi, qs, (0,)), _at(psi, qs, (1,)))
@@ -151,13 +166,23 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
     else:
         psi = initial.amplitudes.copy()
         order = {w: n - 1 - w for w in range(n)}
-    for g in c.gates:
-        for q in g.qubits:
+    gates, j = c.gates, 0
+    while j < len(gates):  # gates[i:j] run as one step: a gate, or an H and its CPHASE run
+        g, i, j, wires = gates[j], j, j + 1, gates[j].qubits
+        while (g.kind is GateKind.H and j < len(gates) and gates[j].kind is GateKind.CPHASE
+               and wires[0] in gates[j].qubits):  # a CPHASE right after the H, on its wire
+            wires += tuple(q for q in gates[j].qubits if q != wires[0])
+            j += 1
+        for q in wires:
             order.setdefault(q, len(order))
         # A gate on a wires sees at least 2^(a+2) amplitudes (the extra axes read 0):
         # numpy and BLAS round 1-element and 1-3-column operands unlike a full-width run.
-        k = min(n, max(len(order), len(g.qubits) + 2))
-        _apply_gate(psi[:2**k], g, tuple(k - 1 - order[q] for q in g.qubits), k)
+        k = min(n, max(len(order), len(set(wires)) + 2))
+        qs = tuple(k - 1 - order[q] for q in wires)
+        if g.kind is GateKind.H:
+            _h_phase(psi[:2**k], qs, [x.angle for x in gates[i + 1:j]], k)
+        else:
+            _apply_gate(psi[:2**k], g, qs, k)
     for w in reversed(range(n)):  # untouched wires fill the leading axes
         order.setdefault(w, len(order))
     axes = [n - 1 - order[w] for w in c.output_permutation]

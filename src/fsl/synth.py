@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cossin, schur
 
 from .circuit import Circuit, Gate, GateKind, cnot, cphase, h, phase, ry, rz, unitary
 from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
@@ -298,6 +297,8 @@ def _emit_1q(u: np.ndarray, qubit: int) -> list[Gate]:
 
 def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int]) -> list[Gate]:
     """Gates for |0><0| (x) a + |1><1| (x) b with ``select`` as the select qubit."""
+    from scipy.linalg import schur  # deferred: importing fsl must not load scipy.linalg
+
     evals, l_mat = schur(a @ b.conj().T, output="complex")
     lam = np.diag(evals)
     d = np.exp(0.5j * np.angle(lam))
@@ -311,6 +312,8 @@ def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int]) -> 
 def _synth_rec(u: np.ndarray, qubits: list[int]) -> list[Gate]:
     if len(qubits) == 1:
         return _emit_1q(u, qubits[0])
+    from scipy.linalg import cossin  # deferred: importing fsl must not load scipy.linalg
+
     half = len(u) // 2
     (u1, u2), theta, (v1h, v2h) = cossin(u, p=half, q=half, separate=True)
     select, rest = qubits[0], qubits[1:]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,13 @@ class TestConfigAndErrors:
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_leaves_out_scipy_linalg(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", "import sys, fsl.cli; "
+                               "print('scipy.linalg' in sys.modules)"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "False"
+
     def test_tower_of_powers_fails_fast_with_exit_3(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--expr",
@@ -314,6 +322,14 @@ class TestConfigAndErrors:
                                "--max-qubits", "50")
         assert code == 4
         assert "MemoryError" in json.loads(err)["error"]
+
+    def test_huge_n_fails_fast_whatever_max_qubits_says(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "compile", "--function", "sinc", "--n", "1000000000",
+                               "--m", "2", "--max-qubits", "1000000000")
+        assert time.perf_counter() - start < 2
+        assert code == 4
+        assert json.loads(err)["error"] == "CapacityExceeded"
 
     def test_bad_fanout_in_config_exits_3_for_compile_and_image(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
@@ -383,8 +399,8 @@ class TestConfigAndErrors:
 
 
 # Integers skip 9..39, so no example samples a large grid: n >= 40 fails at the
-# capacity check or at the grid's allocation.
-_FUZZ_INTS = st.one_of(st.integers(max_value=8), st.integers(min_value=40, max_value=2**20))
+# capacity check, at its MAX_WIRES ceiling or at the grid's allocation.
+_FUZZ_INTS = st.one_of(st.integers(max_value=8), st.integers(min_value=40, max_value=2**62))
 _FUZZ_SOURCES = st.one_of(
     st.fixed_dictionaries({"function": st.sampled_from(
         ["sinc", "constant", "lorentzian", "sinc2d", "tanh", "bogus"])}),

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import dense_circuit_matrix, dense_gate_matrix, rand_state, random_circuit
 from fsl import funcs, simulator
-from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, h, invert, ry, swap,
-                         unitary)
+from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, cphase, h, invert, ry,
+                         swap, unitary)
 from fsl.compiler import FSLPlan, compile_spec, prepare_spec
 from fsl.errors import CapacityExceeded, DimensionMismatch, NotADistribution
 from fsl.frqi import GrayImage, compile_frqi
@@ -16,6 +16,7 @@ from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            dump_statevector, fidelity, histogram_to_csv,
                            load_statevector, reduced_density_matrix,
                            reduced_population, run, sample)
+from fsl.synth import build_inverse_qft
 
 
 class TestRun:
@@ -107,16 +108,22 @@ def _sparse_circuit(rng, n, num_gates):
 
 
 def _loader_call_sizes(monkeypatch, c, loader_wires):
-    """Amplitude counts that ``_apply_gate`` receives for the loader gates of ``c``:
-    the leading gates that act on ``loader_wires`` only."""
+    """Amplitude counts that ``_apply_gate`` or the fused ``_h_phase`` receive for
+    the loader gates of ``c`` (the leading gates that act on ``loader_wires``
+    only), one count for every gate a call covers."""
     sizes = []
-    apply_gate = simulator._apply_gate
+    apply_gate, h_phase = simulator._apply_gate, simulator._h_phase
 
     def spy(psi, g, qs, k):
         sizes.append(psi.size)
         apply_gate(psi, g, qs, k)
 
+    def fused_spy(psi, qs, angles, k):
+        sizes.extend([psi.size] * len(qs))  # the H and each of its CPHASE gates
+        h_phase(psi, qs, angles, k)
+
     monkeypatch.setattr(simulator, "_apply_gate", spy)
+    monkeypatch.setattr(simulator, "_h_phase", fused_spy)
     run(c)
     count = next(i for i, g in enumerate(c.gates) if not set(g.qubits) <= set(loader_wires))
     assert count > 0 and len(sizes) == len(c.gates)
@@ -168,6 +175,84 @@ class TestLazyWires:
         loader = [0, *range(n - m, n + 1), *range(2 * n - m, 2 * n + 1)]
         sizes = _loader_call_sizes(monkeypatch, c, loader)
         assert max(sizes) <= 2 ** (2 * (m + 1) + 1)
+
+
+def _planted_run_circuit(rng, n, num_runs):
+    """Random gates, opaque ones included, with ``num_runs`` planted "H(w) then
+    CPHASE gates that touch w" runs: partners on either side of w, either gate
+    order, sometimes repeated, and the circuit's wires activating in random order
+    so that some partners are not yet active when their run starts."""
+    gates = []
+    for _ in range(num_runs):
+        gates += random_circuit(rng, n, int(rng.integers(0, 4)), include_opaque=True).gates
+        w = int(rng.integers(n))
+        gates.append(h(w))
+        for _ in range(int(rng.integers(0, 2 * n))):
+            p = int(rng.choice([q for q in range(n) if q != w]))
+            pair = (p, w) if rng.integers(2) else (w, p)
+            gates.append(cphase(float(rng.uniform(-2 * math.pi, 2 * math.pi)), *pair))
+    wires = tuple(int(v) for v in rng.permutation(n))
+    perm = tuple(int(v) for v in rng.permutation(n)) if rng.integers(2) else None
+    return Circuit(n, tuple(g.remap(wires) for g in gates), perm)
+
+
+def _fft_on_register(amps, n, qubits):
+    """``amps`` with the unitary DFT applied to the register on ``qubits``
+    (``qubits[0]`` its most significant bit), the other wires untouched."""
+    q = len(qubits)
+    moved = np.moveaxis(amps.reshape([2] * n), qubits, range(q))
+    out = np.fft.fft(moved.reshape(2**q, -1), axis=0, norm="ortho").reshape(moved.shape)
+    return np.moveaxis(out, range(q), qubits).reshape(-1)
+
+
+class TestFusedHPhase:
+    """``run`` applies an H and the CPHASE gates after it that touch its wire as one step."""
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_inverse_qft_on_embedded_register_matches_fft(self, q):
+        rng = np.random.default_rng(300 + q)
+        n = q + 3
+        qubits = [int(v) for v in rng.permutation(n)[:q]]  # non-contiguous, any order
+        start = rand_state(rng, n)
+        got = run(build_inverse_qft(q, num_qubits=n, qubits=qubits), Statevector(n, start))
+        assert np.max(np.abs(got.amplitudes - _fft_on_register(start, n, qubits))) < 1e-12
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_inverse_qft_after_lazy_prefix_matches_fft(self, q):
+        rng = np.random.default_rng(400 + q)
+        n = q + 3
+        qubits = [int(v) for v in rng.permutation(n)[:q]]
+        touched = tuple(int(v) for v in rng.permutation(n)[:3])  # the rest start inactive
+        sub = random_circuit(rng, 3, 20, include_opaque=True)
+        prefix = Circuit(n, tuple(g.remap(touched) for g in sub.gates))
+        iqft = build_inverse_qft(q, num_qubits=n, qubits=qubits)
+        want = _fft_on_register(run(prefix).amplitudes, n, qubits)
+        got = run(compose(prefix, iqft)).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_planted_runs_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n = 2 + seed % 5
+        c = _planted_run_circuit(rng, n, 4)
+        want = dense_circuit_matrix(c)[:, 0]
+        assert np.max(np.abs(run(c).amplitudes - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_planted_runs_from_initial_state_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        n = 2 + seed % 5
+        c = _planted_run_circuit(rng, n, 4)
+        start = rand_state(rng, n)
+        want = dense_circuit_matrix(c) @ start
+        assert np.max(np.abs(run(c, Statevector(n, start)).amplitudes - want)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_planted_runs_lazy_is_byte_identical_to_explicit_zero_start(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = 2 + seed % 8
+        c = _planted_run_circuit(rng, n, int(rng.integers(1, 6)))
+        assert np.array_equal(run(c).amplitudes, run(c, Statevector.zero(n)).amplitudes)
 
 
 class TestFidelity:
