@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -271,8 +272,27 @@ _QASM_NAMES = {
 }
 
 
-def _fmt(angle: float) -> str:
-    return format(angle, ".17g")
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+_FLOAT_TAG = "\x00f:"
+
+
+def _tag_floats(obj):
+    if isinstance(obj, float):
+        return _FLOAT_TAG + _fmt(obj)
+    if isinstance(obj, dict):
+        return {k: _tag_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tag_floats(v) for v in obj]
+    return obj
+
+
+def dumps(obj, **kwargs) -> str:
+    """json.dumps with floats rendered to 17 significant digits."""
+    text = json.dumps(_tag_floats(obj), **kwargs)
+    return re.sub(r'"\\u0000f:([^"]*)"', r"\1", text)
 
 
 def permutation_to_swaps(perm) -> list[tuple[int, int]]:
@@ -342,7 +362,8 @@ def from_json_dict(d: dict) -> Circuit:
 
 
 def to_json(c: Circuit) -> str:
-    return json.dumps(to_json_dict(c), indent=2, sort_keys=True)
+    """The ``to_json_dict`` schema, floats to 17 significant digits (exact round trip)."""
+    return dumps(to_json_dict(c), indent=2)
 
 
 def from_json(text: str) -> Circuit:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``compile``, ``simulate``, ``sweep``, ``image``, ``bench``.
+Subcommands: ``compile``, ``simulate``, ``sweep``, ``image``.
 Configuration precedence is flags > --config JSON file > built-in defaults.
 A config file value must have the JSON type its flag takes.
 Qubit capacity: --max-qubits > config ``max_qubits`` > env FSL_MAX_QUBITS >
@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,31 +25,10 @@ import numpy as np
 
 from . import circuit as cir
 from . import compiler, fourier, frqi, funcs, simulator
+from .circuit import _fmt, dumps
 from .compiler import FSLPlan, Loader, NonperiodicVariant
 from .errors import CapacityExceeded, ExpressionError, FSLError, UnknownFunction
-from .synth import build_schmidt_circuit, build_ucr_circuit, decompose_opaque
-
-_FLOAT_TAG = "\x00f:"
-
-
-def _tag_floats(obj):
-    if isinstance(obj, float):
-        return f"{_FLOAT_TAG}{format(obj, '.17g')}"
-    if isinstance(obj, dict):
-        return {k: _tag_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tag_floats(v) for v in obj]
-    return obj
-
-
-def dumps(obj, **kwargs) -> str:
-    """json.dumps with floats rendered to 17 significant digits."""
-    text = json.dumps(_tag_floats(obj), **kwargs)
-    return re.sub(r'"\\u0000f:([^"]*)"', r"\1", text)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from .synth import decompose_opaque
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +220,7 @@ def _emit(cfg: JobConfig, circ: cir.Circuit, report: compiler.CompileReport, **e
     """Export the gate-level form (opaque loaders decomposed, metrics refreshed)
     and print its report with ``extra`` fields added."""
     targets = {t.strip() for t in str(cfg.emit).split(",") if t.strip()}
-    unknown = targets - {"json", "qasm", "csv", "none"}
+    unknown = targets - {"json", "qasm", "none"}
     if unknown:
         raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
     out = Path(cfg.out_dir)
@@ -253,7 +231,7 @@ def _emit(cfg: JobConfig, circ: cir.Circuit, report: compiler.CompileReport, **e
                          contains_opaque=False)
     report_dict = {**report.to_dict(include_timing=bool(cfg.timing)), **extra}
     if "json" in targets:
-        _write(out / f"{prefix}circuit.json", dumps(cir.to_json_dict(circ), indent=2) + "\n")
+        _write(out / f"{prefix}circuit.json", cir.to_json(circ) + "\n")
         _write(out / f"{prefix}report.json", dumps(report_dict, indent=2, sort_keys=True) + "\n")
     if "qasm" in targets:
         _write(out / f"{prefix}circuit.qasm", cir.export_qasm(circ))
@@ -348,27 +326,6 @@ def cmd_image(cfg: JobConfig) -> int:
     return _emit(cfg, circ, report, **extra)
 
 
-def cmd_bench(cfg: JobConfig) -> int:
-    """Classical pre-processing timing harness: loader construction time for
-    random coefficient sets of size 2^(m+1)."""
-    _require(cfg, "m_range")
-    lo, hi = _parse_range(cfg.m_range)
-    rng = np.random.default_rng(int(cfg.seed))
-    rows = ["m,coefficients,ucr_seconds,schmidt_seconds"]
-    for m in range(lo, hi + 1):
-        vec = rng.standard_normal(2 ** (m + 1)) + 1j * rng.standard_normal(2 ** (m + 1))
-        vec /= np.linalg.norm(vec)
-        t0 = time.perf_counter()
-        build_ucr_circuit(vec)
-        t_ucr = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        decompose_opaque(build_schmidt_circuit(vec))
-        t_schmidt = time.perf_counter() - t0
-        rows.append(f"{m},{2**(m+1)},{_fmt(t_ucr)},{_fmt(t_schmidt)}")
-    _deliver_csv(cfg, rows)
-    return 0
-
-
 def _deliver_csv(cfg: JobConfig, rows):
     text = "\n".join(rows) + "\n"
     out = cfg.values.get("out")
@@ -398,14 +355,18 @@ def _add_function_flags(p: argparse.ArgumentParser):
     p.add_argument("--sqrt-mode", dest="sqrt_mode", action="store_const", const=True,
                    help="load an amplitude whose square matches f")
     p.add_argument("--n", type=int, help="qubits per dimension")
-    p.add_argument("--loader", choices=["ucr", "schmidt"])
+    _add_load_flags(p)
     p.add_argument("--filter-a", dest="filter_a", type=float,
                    help="Lanczos sigma-filter exponent")
     p.add_argument("--nonperiodic", choices=["auto", "none", "disentangle", "measure"])
+    p.add_argument("--seed", type=int)
+
+
+def _add_load_flags(p: argparse.ArgumentParser):
+    p.add_argument("--loader", choices=["ucr", "schmidt"])
     p.add_argument("--fanout", choices=["tree", "sequential"])
     p.add_argument("--max-qubits", dest="max_qubits", type=int)
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--seed", type=int)
 
 
 def _add_emit_flags(p: argparse.ArgumentParser):
@@ -449,21 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("image", help="compile an FRQI image load from a PGM file")
     p.add_argument("--pgm")
     p.add_argument("--m", type=int)
-    p.add_argument("--loader", choices=["ucr", "schmidt"])
-    p.add_argument("--fanout", choices=["tree", "sequential"])
-    p.add_argument("--max-qubits", dest="max_qubits", type=int)
+    _add_load_flags(p)
     p.add_argument("--simulate", action="store_const", const=True,
                    help="also simulate and report FRQI fidelities")
-    p.add_argument("--config", help="JSON config file")
     _add_emit_flags(p)
     p.set_defaults(func=cmd_image)
-
-    p = sub.add_parser("bench", help="time loader construction for random spectra")
-    p.add_argument("--m-range", dest="m_range", help="LO:HI inclusive")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="CSV output path (default stdout)")
-    p.add_argument("--config", help="JSON config file")
-    p.set_defaults(func=cmd_bench)
     for p in sub.choices.values():  # a config file's values are checked against these
         p.set_defaults(flags={a.dest: a for a in p._actions})
     return parser
@@ -481,10 +432,7 @@ def main(argv=None) -> int:
     except (CapacityExceeded, MemoryError) as exc:
         _report_error(exc)
         return 4
-    except FSLError as exc:
-        _report_error(exc)
-        return 3
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (FSLError, ValueError, ArithmeticError, OSError) as exc:
         _report_error(exc)
         return 3
 

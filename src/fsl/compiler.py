@@ -8,7 +8,8 @@ registers of n wires each:
   2. a CNOT fan-out from each register's sign wire (position n-m-1 within
      the register) that pads the negative frequencies up to the full register;
   3. an inverse QFT per register, converting frequencies to samples;
-  4. the caller's tail gates, then one peephole pass over the whole circuit.
+  4. the caller's tail gates, then one peephole pass over the whole circuit;
+     ``assemble`` returns the circuit with its ``CompileReport``.
 
 ``compile_spec`` (periodic) uses no lead wires and no tail.  The mirror load
 ``compile_nonperiodic`` uses one (n+1)-wire register and a CNOT/H tail that
@@ -137,13 +138,18 @@ def _fanout_gates(source: int, targets: list[int], mode: str) -> list[Gate]:
     return gates
 
 
-def assemble(vec: np.ndarray, plan: FSLPlan, lead: int = 0,
-             tail: tuple[Gate, ...] = ()) -> Circuit:
-    """The FSL circuit for loader vector ``vec`` (steps 1-4 of the module docstring).
+def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
+             tail: tuple[Gate, ...] = (), bound: float | None = None,
+             post_processing: dict | None = None) -> tuple[Circuit, CompileReport]:
+    """The FSL circuit for loader vector ``vec`` (steps 1-4 of the module
+    docstring) and its report; the window kept ``captured`` of the spectrum.
 
     The leading qubits of ``vec`` go on wires 0..lead-1, the rest on each
     register's m+1 coefficient wires.  ``tail`` gates address logical qubits
-    (after the iQFTs' elided swaps).  Callers check capacity first."""
+    (after the iQFTs' elided swaps).  Callers check capacity first.  The
+    report's ``compile_wall_time`` covers assembly only: the spectrum is
+    computed before the clock starts, and depth and counts after it stops."""
+    t0 = time.perf_counter()
     n, m = plan.n, plan.m
     total = lead + plan.dims * n
     regs = [list(range(lead + d * n, lead + (d + 1) * n)) for d in range(plan.dims)]
@@ -157,15 +163,9 @@ def assemble(vec: np.ndarray, plan: FSLPlan, lead: int = 0,
     circ = Circuit(total, tuple(gates))
     for reg in regs:
         circ = compose(circ, build_inverse_qft(n, num_qubits=total, qubits=reg))
-    circ = compose(circ, Circuit(total, tuple(tail)))
-    return peephole_cancel_cnots(circ)
-
-
-def build_report(circ: Circuit, t0: float, captured: float, bound: float | None = None,
-                 post_processing: dict | None = None) -> CompileReport:
-    """Report for ``circ``, assembled since ``t0``; the window kept ``captured``."""
+    circ = peephole_cancel_cnots(compose(circ, Circuit(total, tuple(tail))))
     wall = time.perf_counter() - t0
-    return CompileReport(
+    return circ, CompileReport(
         depth=depth(circ),
         gate_counts=gate_counts(circ),
         exact_infidelity=max(0.0, 1.0 - captured),
@@ -187,9 +187,7 @@ def compile_spec(spec: FourierSpec, plan: FSLPlan,
     bound = None
     if source is not None and source.dims == 1 and 2**plan.m != 2 ** (source.n - 1):
         bound = fourier.infidelity_bound(source, plan.m)
-    t0 = time.perf_counter()
-    circ = assemble(spec.wrapped_vector(), plan)
-    return circ, build_report(circ, t0, spec.norm_constant, bound)
+    return assemble(spec.wrapped_vector(), plan, spec.norm_constant, bound=bound)
 
 
 def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> FourierSpec:
@@ -233,6 +231,5 @@ def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
             "data_qubits": list(range(1, n + 1)),
             "on_outcome_1": "apply X to every data qubit (complement the register)",
         }
-    t0 = time.perf_counter()
-    circ = assemble(spec.wrapped_vector(), plan, tail=tail)
-    return circ, build_report(circ, t0, spec.norm_constant, bound, rule)
+    return assemble(spec.wrapped_vector(), plan, spec.norm_constant, tail=tail, bound=bound,
+                    post_processing=rule)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuit import Circuit, h, phase
-from .compiler import (CompileReport, FSLPlan, assemble, build_report, check_capacity,
-                       prepare_spec, target_state)
+from .compiler import (CompileReport, FSLPlan, assemble, check_capacity, prepare_spec,
+                       target_state)
 from .errors import InvalidImage
 from .fourier import FourierSpec, GridFunction
 from .simulator import Statevector
@@ -97,15 +96,13 @@ def compile_frqi(img: GrayImage, m: int,
     position registers.  The joint loader acts on the color wire plus both
     coefficient registers; after the per-register fan-outs and inverse QFTs a
     final H+S on the color wire rotates |0>,|1> into |+i>,|-i>.  ``plan`` gives
-    the loader, fan-out and capacity.  As in ``compile_spec``, the report's
-    ``compile_wall_time`` covers assembly only; the DFT runs before the clock.
+    the loader, fan-out and capacity; ``assemble`` times and reports the load.
     """
     plan = replace(plan or FSLPlan(n=img.n, m=m), n=img.n, m=m, dims=2)
     check_capacity(plan, lead=1)
     spec = _phase_spec(img, m)
-    t0 = time.perf_counter()
-    circ = assemble(_joint_vector(spec), plan, lead=1, tail=(h(0), phase(math.pi / 2, 0)))
-    return circ, build_report(circ, t0, spec.norm_constant)
+    return assemble(_joint_vector(spec), plan, spec.norm_constant, lead=1,
+                    tail=(h(0), phase(math.pi / 2, 0)))
 
 
 # ---------------------------------------------------------------------------

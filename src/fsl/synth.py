@@ -55,6 +55,15 @@ def _check_unit(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _wires(q: int, qubits, num_qubits: int | None) -> tuple[list[int], int]:
+    """A builder's ``q`` wires (0..q-1 by default) and the circuit width
+    (one past the highest wire by default)."""
+    wires = list(range(q)) if qubits is None else list(qubits)
+    if len(wires) != q:
+        raise ValueError(f"need {q} qubits, got {len(wires)}")
+    return wires, max(wires) + 1 if num_qubits is None else num_qubits
+
+
 def mottonen_angles(target) -> UCRAngles:
     """Angles that make the UCR cascade map |0...0> to ``target`` exactly.
 
@@ -173,18 +182,9 @@ def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Cir
     deeper levels, so this matches the y-cascade-then-z-cascade form while
     letting boundary CNOTs cancel).
     """
-    psi = _check_unit(target)
-    q = int(round(math.log2(len(psi))))
-    if 2**q != len(psi):
-        raise NonPowerOfTwoLength(f"length {len(psi)} is not a power of two")
-    if qubits is None:
-        qubits = list(range(q))
-    qubits = list(qubits)
-    if len(qubits) != q:
-        raise ValueError(f"need {q} qubits, got {len(qubits)}")
-    total = max(qubits) + 1 if num_qubits is None else num_qubits
-
-    ang = mottonen_angles(psi)
+    ang = mottonen_angles(target)
+    q = ang.num_qubits
+    qubits, total = _wires(q, qubits, num_qubits)
     gates: list[Gate] = []
     if abs(ang.global_phase) > ANGLE_EPS:
         gates.append(rz(-ang.global_phase, qubits[0]))
@@ -228,16 +228,8 @@ def schmidt_decompose(target) -> SchmidtForm:
 
 def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) -> Circuit:
     """Schmidt-decomposition loader: coefficient load, CNOT ladder, local bases."""
-    psi = _check_unit(target)
-    q = int(round(math.log2(len(psi))))
-    if q < 2:
-        raise ValueError("build_schmidt_circuit needs at least 2 qubits")
-    if qubits is None:
-        qubits = list(range(q))
-    qubits = list(qubits)
-    total = max(qubits) + 1 if num_qubits is None else num_qubits
-
-    form = schmidt_decompose(psi)
+    form = schmidt_decompose(target)
+    qubits, total = _wires(form.left_qubits + form.right_qubits, qubits, num_qubits)
     left = qubits[:form.left_qubits]
     right = qubits[form.left_qubits:]
 
@@ -336,10 +328,7 @@ def synth_unitary(u: np.ndarray, qubits=None, num_qubits: int | None = None) -> 
         raise ValueError(f"matrix shape {u.shape} is not 2^q x 2^q")
     if np.max(np.abs(u.conj().T @ u - np.eye(dim))) >= 1e-10:
         raise NotUnitary("synth_unitary input is not unitary")
-    if qubits is None:
-        qubits = list(range(q))
-    qubits = list(qubits)
-    total = max(qubits) + 1 if num_qubits is None else num_qubits
+    qubits, total = _wires(q, qubits, num_qubits)
     return Circuit(total, tuple(_synth_rec(u, qubits)))
 
 
@@ -366,10 +355,7 @@ def build_inverse_qft(q: int, num_qubits: int | None = None, qubits=None) -> Cir
     """
     if q < 1:
         raise ValueError("need at least one qubit")
-    if qubits is None:
-        qubits = list(range(q))
-    qubits = list(qubits)
-    total = max(qubits) + 1 if num_qubits is None else num_qubits
+    qubits, total = _wires(q, qubits, num_qubits)
 
     gates: list[Gate] = []
     for s in range(q):

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, precedence, and exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fsl import circuit as cir
-from fsl import frqi, funcs, simulator
+from fsl import cli, frqi, funcs, simulator
 from fsl.cli import SWEEP_COLUMNS, dumps, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,6 +37,28 @@ class TestFloatFormatting:
     def test_nested_structures(self):
         text = dumps({"a": [0.5, {"b": (1.5,)}], "c": None, "d": "s"})
         assert json.loads(text) == {"a": [0.5, {"b": [1.5]}], "c": None, "d": "s"}
+
+    def test_circuit_json_uses_17_significant_digits(self):
+        assert "0.33333333333333331" in cir.to_json(cir.Circuit(1, (cir.ry(1 / 3, 0),)))
+
+
+class TestSubcommandSurface:
+    SUBCOMMANDS = ["compile", "simulate", "sweep", "image"]
+
+    def test_docstring_names_every_subcommand(self):
+        line = next(ln for ln in cli.__doc__.splitlines() if ln.startswith("Subcommands:"))
+        assert re.findall(r"``(\w+)``", line) == self.SUBCOMMANDS
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_subcommand_help_exits_0(self, sub):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+
+    def test_bench_is_not_a_subcommand(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
 
 
 class TestCompileCommand:
@@ -66,6 +89,14 @@ class TestCompileCommand:
         assert report["contains_opaque"] is False
         text = (tmp_path / "fsl_circuit.qasm").read_text()
         assert text.startswith("OPENQASM 2.0;")
+
+    def test_circuit_json_is_written_by_circuit_to_json(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "compile", "--function", "bimodal_gaussian",
+                             "--n", "5", "--m", "2", "--loader", "schmidt",
+                             "--out-dir", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "fsl_circuit.json").read_text()
+        assert cir.to_json(cir.from_json(text)) + "\n" == text
 
     def test_expression_mode(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "compile", "--expr", "1 + 0.2*cos(2*pi*x)",
@@ -209,16 +240,6 @@ class TestImageCommand:
         assert code == 3
 
 
-class TestBenchCommand:
-    def test_csv_schema(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--m-range", "2:4", "--seed", "1")
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "m,coefficients,ucr_seconds,schmidt_seconds"
-        assert [int(r.split(",")[0]) for r in lines[1:]] == [2, 3, 4]
-        assert [int(r.split(",")[1]) for r in lines[1:]] == [8, 16, 32]
-
-
 class TestConfigAndErrors:
     def test_unknown_function_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--function", "nope",
@@ -272,6 +293,14 @@ class TestConfigAndErrors:
                                "--n", "5", "--m", "2")
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
+
+    def test_csv_is_not_an_emit_target(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "compile", "--function", "sinc", "--n", "5",
+                                 "--m", "2", "--emit", "csv", "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": "unknown emit target(s) ['csv']"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_arithmetic_overflow_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--expr", "x + 10**400",

@@ -263,3 +263,20 @@ class TestInverseQft:
         counts = gate_counts(build_inverse_qft(6))
         assert counts.by_kind["H"] == 6
         assert counts.by_kind["CPHASE"] == 15
+
+
+_U4 = rand_unitary(np.random.default_rng(0), 4)
+_WIRE_BUILDERS = {  # name -> (wires the input needs, build on a qubit list)
+    "ucr": (3, lambda w: build_ucr_circuit(np.eye(8)[5], qubits=w)),
+    "schmidt": (3, lambda w: build_schmidt_circuit(np.full(8, 8 ** -0.5), qubits=w)),
+    "synth_unitary": (2, lambda w: synth_unitary(_U4, qubits=w)),
+    "inverse_qft": (3, lambda w: build_inverse_qft(3, qubits=w)),
+}
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-long"])
+@pytest.mark.parametrize("name", sorted(_WIRE_BUILDERS))
+def test_builder_rejects_wrong_wire_count(name, extra):
+    q, build = _WIRE_BUILDERS[name]
+    with pytest.raises(ValueError, match=f"need {q} qubits, got {q + extra}"):
+        build(list(range(q + extra)))
