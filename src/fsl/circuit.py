@@ -154,9 +154,10 @@ class Circuit:
         if sorted(perm) != list(range(self.num_qubits)):
             raise ValueError(f"invalid output permutation {perm}")
         object.__setattr__(self, "output_permutation", perm)
-        for g in self.gates:
-            if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g.kind} on {g.qubits} outside {self.num_qubits} qubits")
+        wires = [q for g in self.gates for q in g.qubits]
+        if wires and (min(wires) < 0 or max(wires) >= self.num_qubits):
+            g = next(g for g in self.gates if not all(0 <= q < self.num_qubits for q in g.qubits))
+            raise ValueError(f"gate {g.kind} on {g.qubits} outside {self.num_qubits} qubits")
 
     @property
     def is_identity_permutation(self) -> bool:
@@ -192,11 +193,11 @@ def depth(c: Circuit) -> int:
 
 
 def gate_counts(c: Circuit) -> GateCounts:
-    by_kind = Counter(g.kind.value for g in c.gates)
-    single = sum(1 for g in c.gates if g.kind is not GateKind.OPAQUE_UNITARY and len(g.qubits) == 1)
-    two = sum(1 for g in c.gates if g.kind is not GateKind.OPAQUE_UNITARY and len(g.qubits) == 2)
-    opaque = by_kind.get(GateKind.OPAQUE_UNITARY.value, 0)
-    return GateCounts(single, two, opaque, dict(by_kind))
+    kinds = Counter(g.kind for g in c.gates)
+    single = sum(k for kind, k in kinds.items() if _ARITY.get(kind) == 1)
+    two = sum(k for kind, k in kinds.items() if _ARITY.get(kind) == 2)
+    by_kind = {kind.value: k for kind, k in kinds.items()}
+    return GateCounts(single, two, kinds[GateKind.OPAQUE_UNITARY], by_kind)
 
 
 def _inverse_permutation(perm) -> tuple[int, ...]:
@@ -336,12 +337,16 @@ def export_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _not_serializable(g: Gate) -> OpaqueGatePresent:
+    return OpaqueGatePresent(f"cannot serialize opaque gate '{g.label}'; decompose first")
+
+
 def to_json_dict(c: Circuit) -> dict:
     """Circuit as the documented JSON schema (opaque gates are not representable)."""
     gates = []
     for g in c.gates:
         if g.kind is GateKind.OPAQUE_UNITARY:
-            raise OpaqueGatePresent(f"cannot serialize opaque gate '{g.label}'; decompose first")
+            raise _not_serializable(g)
         entry = {"kind": g.kind.value, "qubits": list(g.qubits)}
         if g.angle is not None:
             entry["angle"] = g.angle
@@ -361,9 +366,27 @@ def from_json_dict(d: dict) -> Circuit:
     return Circuit(int(d["num_qubits"]), gates, tuple(d["output_permutation"]))
 
 
+# What ``dumps(to_json_dict(c), indent=2)`` writes before each gate's first qubit.
+_JSON_GATE_HEAD = {kind: f'    {{\n      "kind": "{kind.value}",\n      "qubits": [\n        '
+                   for kind in _ARITY}
+
+
 def to_json(c: Circuit) -> str:
-    """The ``to_json_dict`` schema, floats to 17 significant digits (exact round trip)."""
-    return dumps(to_json_dict(c), indent=2)
+    """The ``to_json_dict`` schema, floats to 17 significant digits (exact round
+    trip), byte for byte as ``dumps(to_json_dict(c), indent=2)`` lays it out."""
+    entries = []
+    for g in c.gates:
+        head = _JSON_GATE_HEAD.get(g.kind)
+        if head is None:
+            raise _not_serializable(g)
+        qubits = ",\n        ".join(map(str, g.qubits))
+        angle = "" if g.angle is None else f',\n      "angle": {_fmt(g.angle)}'
+        entries.append(f"{head}{qubits}\n      ]{angle}\n    }}")
+    gates = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    perm = ",\n    ".join(map(str, c.output_permutation))
+    perm = f"[\n    {perm}\n  ]" if perm else "[]"
+    return (f'{{\n  "num_qubits": {c.num_qubits},\n  "gates": {gates},\n'
+            f'  "output_permutation": {perm}\n}}')
 
 
 def from_json(text: str) -> Circuit:

@@ -193,12 +193,15 @@ def _sample(cfg: JobConfig, fdef: funcs.FunctionDef, m: int,
 
 
 def _compile(cfg: JobConfig, grid: fourier.GridFunction, m: int,
-             variant: NonperiodicVariant | None):
-    """Plan and compile one load of ``grid``; the spec is None on the mirror path."""
+             variant: NonperiodicVariant | None, spectrum: np.ndarray | None = None):
+    """Plan and compile one load of ``grid``; the spec is None on the mirror path.
+    ``spectrum`` is the grid's DFT when the caller has already taken it."""
     plan = _plan(cfg, grid.n, m, grid.dims)
     if variant is not None:
         return (None,) + compiler.compile_nonperiodic(grid, m, variant, plan, filter_a=cfg.filter_a)
-    spec = compiler.prepare_spec(grid, m, cfg.filter_a)
+    if spectrum is None:
+        spectrum = fourier.dft_coefficients(grid)
+    spec = compiler.window_spectrum(spectrum, m, cfg.filter_a)
     return (spec,) + compiler.compile_spec(spec, plan, source=grid)
 
 
@@ -297,10 +300,11 @@ def cmd_sweep(cfg: JobConfig) -> int:
     lo, hi = _parse_range(cfg.m_range)
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
-    grid = _sample(cfg, fdef, lo, variant)
+    grid = _sample(cfg, fdef, hi, variant)  # a bad top of the range fails before sampling
+    spectrum = None if variant is not None else fourier.dft_coefficients(grid)
     rows = [SWEEP_COLUMNS]
     for m in range(lo, hi + 1):
-        *_, report = _compile(cfg, grid, m, variant)
+        *_, report = _compile(cfg, grid, m, variant, spectrum)
         bound = "" if report.analytic_bound is None else _fmt(report.analytic_bound)
         rows.append(",".join([
             str(m), _fmt(report.exact_infidelity), bound, str(report.depth),

@@ -192,7 +192,13 @@ def compile_spec(spec: FourierSpec, plan: FSLPlan,
 
 def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> FourierSpec:
     """Analysis pipeline: full DFT, truncation window, optional Lanczos filter."""
-    spec = fourier.truncate(fourier.dft_coefficients(g), m)
+    return window_spectrum(fourier.dft_coefficients(g), m, filter_a)
+
+
+def window_spectrum(coeffs_full: np.ndarray, m: int,
+                    filter_a: float | None = None) -> FourierSpec:
+    """``prepare_spec`` after the DFT, so one spectrum can serve many windows."""
+    spec = fourier.truncate(coeffs_full, m)
     if filter_a is not None:
         spec = fourier.lanczos_filter(spec, filter_a)
     return spec

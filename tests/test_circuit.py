@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_circuit_matrix, rand_state, random_circuit
@@ -39,9 +39,15 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="shape"):
             unitary(np.eye(2), (0, 1))
 
-    def test_gate_indices_inside_register(self):
-        with pytest.raises(ValueError, match="outside"):
-            Circuit(1, (cnot(0, 1),))
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("wire", [-1, 3])
+    def test_gate_indices_inside_register(self, wire, position):
+        gates = [h(0), cnot(0, 1), ry(0.5, 2), swap(1, 2), h(2)]
+        gates[position] = cnot(1, wire)
+        gates.append(h(wire))  # a later offender must not be the one named
+        with pytest.raises(ValueError) as err:
+            Circuit(3, tuple(gates))
+        assert str(err.value) == f"gate GateKind.CNOT on (1, {wire}) outside 3 qubits"
 
     def test_invalid_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
@@ -77,10 +83,19 @@ class TestGateCounts:
         assert (counts.single_qubit, counts.two_qubit) == (1, 1)
         assert counts.by_kind == {"H": 1, "CNOT": 1}
 
-    def test_partition_sums_to_total(self, rng):
-        c = random_circuit(rng, 4, 60, include_opaque=True)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_partition_sums_to_total(self, seed):
+        c = random_circuit(np.random.default_rng(seed), 4, 60, include_opaque=True)
         counts = gate_counts(c)
         assert counts.total == len(c.gates)
+        plain = [g for g in c.gates if g.kind is not GateKind.OPAQUE_UNITARY]
+        by_kind = {}
+        for g in c.gates:
+            by_kind[g.kind.value] = by_kind.get(g.kind.value, 0) + 1
+        assert counts.opaque == len(c.gates) - len(plain) > 0
+        assert counts.single_qubit == sum(len(g.qubits) == 1 for g in plain)
+        assert counts.two_qubit == sum(len(g.qubits) == 2 for g in plain)
+        assert list(counts.by_kind.items()) == list(by_kind.items())  # first-seen order
 
 
 class TestInvert:
@@ -240,7 +255,54 @@ class TestPermutationToSwaps:
                            dense_circuit_matrix(materialized), atol=1e-12)
 
 
+def reference_to_json(c: Circuit) -> str:
+    """The generic writer ``to_json`` replaced: ``json.dumps`` over
+    ``to_json_dict`` with every float swapped for its 17-digit text."""
+    text = json.dumps(cir._tag_floats(cir.to_json_dict(c)), indent=2)
+    return re.sub(r'"\\u0000f:([^"]*)"', r"\1", text)
+
+
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False))
+TWO_QUBIT = {GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP}
+ANGLED = {GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CPHASE}
+
+
+@st.composite
+def json_circuits(draw):
+    """Circuits of 0-4 qubits with any non-opaque gates, edge-case angles and
+    any output permutation."""
+    n = draw(st.integers(0, 4))
+    kinds = [k for k in GateKind if k is not GateKind.OPAQUE_UNITARY
+             and (n >= 2 or k not in TWO_QUBIT)]
+    gates = []
+    for _ in range(draw(st.integers(0, 8)) if n else 0):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(n)))[: 2 if kind in TWO_QUBIT else 1]
+        gates.append(Gate(kind, tuple(qubits), draw(ANGLES) if kind in ANGLED else None))
+    return Circuit(n, tuple(gates), tuple(draw(st.permutations(range(n)))))
+
+
 class TestJson:
+    @given(json_circuits())
+    @example(Circuit(0))
+    @example(Circuit(3, (), (2, 0, 1)))
+    @example(Circuit(2, (phase(-0.0, 0), ry(5e-324, 1), rz(1e300, 0), cphase(0.0, 1, 0)), (1, 0)))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_reference_writer(self, c):
+        text = to_json(c)
+        assert text == reference_to_json(c)
+        assert json.loads(text) == cir.to_json_dict(c)
+
+    def test_compiled_circuit_equals_reference_writer(self, rng):
+        from fsl.compiler import FSLPlan, compile_spec, prepare_spec
+        from fsl.fourier import GridFunction
+        g = GridFunction.from_samples(rand_state(rng, 7))
+        c, _ = compile_spec(prepare_spec(g, 4), FSLPlan(n=7, m=4))
+        assert not c.is_identity_permutation
+        assert to_json(c) == reference_to_json(c)
+
     def test_round_trip(self, rng):
         c = random_circuit(rng, 4, 30, random_perm=True)
         back = from_json(to_json(c))

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fsl import circuit as cir
-from fsl import cli, frqi, funcs, simulator
+from fsl import cli, compiler, fourier, frqi, funcs, simulator
 from fsl.cli import SWEEP_COLUMNS, dumps, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,6 +219,43 @@ class TestSweepCommand:
                                "--n", "6", "--m-range", "5-2")
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
+
+    def test_top_of_range_is_checked_before_sampling(self, capsys, monkeypatch):
+        calls = []
+        sample = funcs.sample
+        monkeypatch.setattr(funcs, "sample", lambda *a, **k: calls.append(a) or sample(*a, **k))
+        code, out, err = run_cli(capsys, "sweep", "--function", "piecewise",
+                                 "--n", "16", "--m-range", "3:16")
+        assert code == 3
+        assert out == ""
+        assert "need 0 <= m < n" in json.loads(err)["message"]
+        assert calls == []
+
+    @pytest.mark.parametrize("function, n, filter_a", [
+        ("piecewise", 8, None), ("piecewise", 8, 0.5), ("gaussian2d", 4, None)])
+    def test_rows_equal_one_compile_per_m(self, capsys, monkeypatch, function, n, filter_a):
+        dfts = []
+        dft = fourier.dft_coefficients
+        monkeypatch.setattr(fourier, "dft_coefficients", lambda g: dfts.append(g) or dft(g))
+        flags = [] if filter_a is None else ["--filter-a", str(filter_a)]
+        code, out, _ = run_cli(capsys, "sweep", "--function", function, "--n", str(n),
+                               "--m-range", "1:3", *flags)
+        assert code == 0
+        assert len(dfts) == 1  # one DFT serves every window
+        monkeypatch.undo()
+        grid = funcs.sample(funcs.builtin(function), n)
+        want = []
+        for m in range(1, 4):
+            spec = compiler.prepare_spec(grid, m, filter_a)
+            _, report = compiler.compile_spec(spec, compiler.FSLPlan(n=n, m=m, dims=grid.dims),
+                                              source=grid)
+            bound = "" if report.analytic_bound is None else cli._fmt(report.analytic_bound)
+            want.append([str(m), cli._fmt(report.exact_infidelity), bound, str(report.depth),
+                         str(report.gate_counts.single_qubit),
+                         str(report.gate_counts.two_qubit)])
+        rows = out.strip().split("\n")
+        assert rows[0] == SWEEP_COLUMNS
+        assert [row.split(",")[:-1] for row in rows[1:]] == want  # all but compile_seconds
 
 
 class TestImageCommand:
