@@ -63,7 +63,7 @@ class Gate:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in gate {self.kind}: {self.qubits}")
         if self.kind is GateKind.OPAQUE_UNITARY:
@@ -182,14 +182,20 @@ class GateCounts:
 def depth(c: Circuit) -> int:
     """ASAP-layered depth: each gate enters the earliest layer after every
     earlier gate sharing one of its qubits.  Opaque gates count as depth 1."""
-    busy_until = [0] * c.num_qubits
-    d = 0
+    busy_until = [0] * c.num_qubits  # never decreases, so its max is the depth
     for g in c.gates:
-        layer = 1 + max(busy_until[q] for q in g.qubits)
-        for q in g.qubits:
-            busy_until[q] = layer
-        d = max(d, layer)
-    return d
+        qubits = g.qubits
+        if len(qubits) == 1:
+            busy_until[qubits[0]] += 1
+        elif len(qubits) == 2:
+            a, b = qubits
+            la, lb = busy_until[a], busy_until[b]
+            busy_until[a] = busy_until[b] = (la if la > lb else lb) + 1
+        else:
+            layer = 1 + max(busy_until[q] for q in qubits)
+            for q in qubits:
+                busy_until[q] = layer
+    return max(busy_until, default=0)
 
 
 def gate_counts(c: Circuit) -> GateCounts:
@@ -231,30 +237,48 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.num_qubits, gates, perm)
 
 
+def _cancel_sweep(gates, num_qubits: int) -> tuple[list[Gate], bool]:
+    """One left-to-right sweep that drops each CNOT equal to the kept gate just
+    before it on both wires; also says whether a later sweep could drop more.
+
+    Each wire keeps a stack of kept-gate indices.  A cancelled pair pops both
+    stacks, uncovering the gates beneath, which may not pair again within the
+    same sweep; an uncovered CNOT that meets an equal one flags a later sweep."""
+    stacks = [[] for _ in range(num_qubits)]
+    pushed = [True] * num_qubits  # the wire's top was pushed, not uncovered
+    dropped = set()
+    uncovered_pair = False
+    for i, g in enumerate(gates):
+        qubits = g.qubits
+        if g.kind is GateKind.CNOT:
+            a, b = qubits
+            sa, sb = stacks[a], stacks[b]
+            if sa and sb and sa[-1] == sb[-1]:
+                top = gates[sa[-1]]
+                if top.kind is GateKind.CNOT and top.qubits == qubits:
+                    if pushed[a] and pushed[b]:
+                        dropped.add(sa.pop())
+                        sb.pop()
+                        dropped.add(i)
+                        pushed[a] = pushed[b] = False
+                        continue
+                    uncovered_pair = True
+        for q in qubits:
+            stacks[q].append(i)
+            pushed[q] = True
+    return [g for i, g in enumerate(gates) if i not in dropped], uncovered_pair
+
+
 def peephole_cancel_cnots(c: Circuit) -> Circuit:
     """Drop adjacent identical CNOT pairs (same control and target, nothing in
-    between on either qubit).  Iterates to a fixed point."""
-    gates = list(c.gates)
-    changed = True
-    while changed:
-        changed = False
-        kept: list[Gate] = []
-        last_on: dict[int, int] = {}  # qubit -> index into kept
-        for g in gates:
-            if g.kind is GateKind.CNOT:
-                i = last_on.get(g.qubits[0], -1)
-                j = last_on.get(g.qubits[1], -1)
-                if i >= 0 and i == j and kept[i] is not None \
-                        and kept[i].kind is GateKind.CNOT and kept[i].qubits == g.qubits:
-                    kept[i] = None
-                    for q in g.qubits:
-                        del last_on[q]
-                    changed = True
-                    continue
-            kept.append(g)
-            for q in g.qubits:
-                last_on[q] = len(kept) - 1
-        gates = [g for g in kept if g is not None]
+    between on either qubit), then the pairs that dropping makes adjacent.
+
+    Each sweep drops the pairs adjacent in its input, pairing runs of equal
+    CNOTs from the left.  A sweep that uncovers no equal pair is the last; a
+    further sweep runs only when a dropped pair sat between two equal CNOTs."""
+    gates, again = _cancel_sweep(c.gates, c.num_qubits)
+    while again:
+        gates, again = _cancel_sweep(gates, c.num_qubits)
     return Circuit(c.num_qubits, tuple(gates), c.output_permutation)
 
 
@@ -313,6 +337,35 @@ def permutation_to_swaps(perm) -> list[tuple[int, int]]:
     return swaps
 
 
+def _gate_texts(c: Circuit, parts) -> list[str]:
+    """One text per gate.  ``parts(g)`` gives the text before and after the
+    angle, which depends only on the gate's kind and qubits, so it runs once
+    per distinct pair (and raises for an opaque gate); only angles are
+    formatted per gate."""
+    texts = []
+    fixed: dict = {}
+    for g in c.gates:
+        key = (g.kind, g.qubits)
+        around = fixed.get(key)
+        if around is None:
+            around = fixed[key] = parts(g)
+        if g.angle is None:
+            texts.append(around[0])
+        else:
+            texts.append(around[0] + format(g.angle, ".17g") + around[1])  # angles are floats
+    return texts
+
+
+def _qasm_parts(g: Gate) -> tuple[str, str]:
+    if g.kind is GateKind.OPAQUE_UNITARY:
+        raise OpaqueGatePresent(f"cannot export opaque gate '{g.label}'; decompose first")
+    name = _QASM_NAMES[g.kind]
+    args = ",".join(f"q[{q}]" for q in g.qubits)
+    if g.kind in _ANGLED:
+        return f"{name}(", f") {args};"
+    return f"{name} {args};", ""
+
+
 def export_qasm(c: Circuit) -> str:
     """Deterministic OpenQASM 2.0 text.
 
@@ -322,15 +375,7 @@ def export_qasm(c: Circuit) -> str:
     naming; ``u1`` is the plain phase gate.
     """
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    for g in c.gates:
-        if g.kind is GateKind.OPAQUE_UNITARY:
-            raise OpaqueGatePresent(f"cannot export opaque gate '{g.label}'; decompose first")
-        name = _QASM_NAMES[g.kind]
-        args = ",".join(f"q[{q}]" for q in g.qubits)
-        if g.kind in _ANGLED:
-            lines.append(f"{name}({_fmt(g.angle)}) {args};")
-        else:
-            lines.append(f"{name} {args};")
+    lines += _gate_texts(c, _qasm_parts)
     if not c.is_identity_permutation:
         for a, b in permutation_to_swaps(c.output_permutation):
             lines.append(f"swap q[{a}],q[{b}];")
@@ -371,17 +416,20 @@ _JSON_GATE_HEAD = {kind: f'    {{\n      "kind": "{kind.value}",\n      "qubits"
                    for kind in _ARITY}
 
 
+def _json_parts(g: Gate) -> tuple[str, str]:
+    head = _JSON_GATE_HEAD.get(g.kind)
+    if head is None:
+        raise _not_serializable(g)
+    text = head + ",\n        ".join(map(str, g.qubits)) + "\n      ]"
+    if g.kind in _ANGLED:
+        return text + ',\n      "angle": ', "\n    }"
+    return text + "\n    }", ""
+
+
 def to_json(c: Circuit) -> str:
     """The ``to_json_dict`` schema, floats to 17 significant digits (exact round
     trip), byte for byte as ``dumps(to_json_dict(c), indent=2)`` lays it out."""
-    entries = []
-    for g in c.gates:
-        head = _JSON_GATE_HEAD.get(g.kind)
-        if head is None:
-            raise _not_serializable(g)
-        qubits = ",\n        ".join(map(str, g.qubits))
-        angle = "" if g.angle is None else f',\n      "angle": {_fmt(g.angle)}'
-        entries.append(f"{head}{qubits}\n      ]{angle}\n    }}")
+    entries = _gate_texts(c, _json_parts)
     gates = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     perm = ",\n    ".join(map(str, c.output_permutation))
     perm = f"[\n    {perm}\n  ]" if perm else "[]"

@@ -228,7 +228,7 @@ def _emit(cfg: JobConfig, circ: cir.Circuit, report: compiler.CompileReport, **e
         raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
     out = Path(cfg.out_dir)
     prefix = cfg.prefix
-    if circ.has_opaque():
+    if report.contains_opaque:
         circ = cir.peephole_cancel_cnots(decompose_opaque(circ))
         report = replace(report, depth=cir.depth(circ), gate_counts=cir.gate_counts(circ),
                          contains_opaque=False)

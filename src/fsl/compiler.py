@@ -7,9 +7,12 @@ registers of n wires each:
      wires plus the top m+1 wires of every register (one joint loader);
   2. a CNOT fan-out from each register's sign wire (position n-m-1 within
      the register) that pads the negative frequencies up to the full register;
-  3. an inverse QFT per register, converting frequencies to samples;
-  4. the caller's tail gates, then one peephole pass over the whole circuit;
-     ``assemble`` returns the circuit with its ``CompileReport``.
+  3. an inverse QFT per register, converting frequencies to samples, whose
+     terminal swaps are elided into the circuit's output permutation;
+  4. the caller's tail gates, moved onto the wires that permutation names.
+
+The four steps append to one gate list, which becomes one ``Circuit`` for the
+peephole pass; ``assemble`` returns the result with its ``CompileReport``.
 
 ``compile_spec`` (periodic) uses no lead wires and no tail.  The mirror load
 ``compile_nonperiodic`` uses one (n+1)-wire register and a CNOT/H tail that
@@ -28,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import fourier
-from .circuit import (Circuit, Gate, GateCounts, cnot, compose, depth, gate_counts, h,
+from .circuit import (Circuit, Gate, GateCounts, cnot, depth, gate_counts, h,
                       peephole_cancel_cnots)
 from .errors import CapacityExceeded, DimensionMismatch
 from .fourier import FourierSpec, GridFunction
@@ -146,7 +149,8 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
 
     The leading qubits of ``vec`` go on wires 0..lead-1, the rest on each
     register's m+1 coefficient wires.  ``tail`` gates address logical qubits
-    (after the iQFTs' elided swaps).  Callers check capacity first.  The
+    (after the iQFTs' elided swaps) and are remapped onto wires; every gate
+    goes into one list and one ``Circuit``.  Callers check capacity first.  The
     report's ``compile_wall_time`` covers assembly only: the spectrum is
     computed before the clock starts, and depth and counts after it stops."""
     t0 = time.perf_counter()
@@ -155,23 +159,25 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
     regs = [list(range(lead + d * n, lead + (d + 1) * n)) for d in range(plan.dims)]
     loader_qubits = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
     build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
-    circ = build(vec, qubits=loader_qubits, num_qubits=total)
-
-    gates = list(circ.gates)
+    gates = list(build(vec, qubits=loader_qubits, num_qubits=total).gates)
     for reg in regs:
         gates.extend(_fanout_gates(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout))
-    circ = Circuit(total, tuple(gates))
-    for reg in regs:
-        circ = compose(circ, build_inverse_qft(n, num_qubits=total, qubits=reg))
-    circ = peephole_cancel_cnots(compose(circ, Circuit(total, tuple(tail))))
+    perm = list(range(total))  # logical qubit -> wire after the iQFTs' elided swaps
+    for reg in regs:  # registers are disjoint, so no iQFT gate needs remapping
+        iqft = build_inverse_qft(n, num_qubits=total, qubits=reg)
+        gates.extend(iqft.gates)
+        perm = [perm[p] for p in iqft.output_permutation]
+    gates.extend(g.remap(perm) for g in tail)
+    circ = peephole_cancel_cnots(Circuit(total, tuple(gates), tuple(perm)))
     wall = time.perf_counter() - t0
+    counts = gate_counts(circ)
     return circ, CompileReport(
         depth=depth(circ),
-        gate_counts=gate_counts(circ),
+        gate_counts=counts,
         exact_infidelity=max(0.0, 1.0 - captured),
         analytic_bound=bound,
         compile_wall_time=wall,
-        contains_opaque=circ.has_opaque(),
+        contains_opaque=counts.opaque > 0,
         post_processing=post_processing,
     )
 

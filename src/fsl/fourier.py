@@ -200,6 +200,15 @@ def _forward_difference(samples: np.ndarray, order: int) -> np.ndarray:
     return d
 
 
+def _difference_norm(g: GridFunction, order: int) -> float:
+    """1-norm of the order-th periodic forward difference of ``g``'s samples,
+    kept on ``g`` (its samples are read-only): a sweep asks for it at every m."""
+    norms = g.__dict__.setdefault("_difference_norms", {})
+    if order not in norms:
+        norms[order] = float(np.sum(np.abs(_forward_difference(g.samples, order))))
+    return norms[order]
+
+
 def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
     """Analytic upper bound on the truncation infidelity from the 1-norm of the
     (p+1)-th periodic forward difference.
@@ -216,8 +225,7 @@ def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
         raise ValueError("smoothness order must be nonnegative")
     if 2**m == 2 ** (g.n - 1):
         raise DegenerateWindow("window reaches the Nyquist frequency; bound degenerates")
-    diff = _forward_difference(g.samples, p + 1)
-    l1 = float(np.sum(np.abs(diff)))
+    l1 = _difference_norm(g, p + 1)
     cot = 1.0 / math.tan(math.pi * 2**m / 2**g.n)
     integral = sum(math.comb(p, j) * cot ** (2 * j + 1) / (2 * j + 1) for j in range(p + 1))
     return l1**2 * integral / (2 ** (2 * p + 1) * math.pi)
@@ -225,11 +233,10 @@ def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
 
 def spectral_tail(g: GridFunction, m: int, p: int = 0) -> SpectralTail:
     coeffs = dft_coefficients(g)
-    diff = _forward_difference(g.samples, p + 1)
     return SpectralTail(
         exact_infidelity=exact_infidelity(coeffs, m),
         analytic_bound=infidelity_bound(g, m, p),
-        one_norm_delta=float(np.sum(np.abs(diff))),
+        one_norm_delta=_difference_norm(g, p + 1),
     )
 
 

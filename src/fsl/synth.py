@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,8 +120,8 @@ def gray_transform(alpha) -> np.ndarray:
     if 2**j != size:
         raise NonPowerOfTwoLength(f"length {size} is not a power of two")
     ht = _walsh_hadamard(alpha) / size
-    g = np.fromiter((gray_code(k) for k in range(size)), dtype=np.int64, count=size)
-    return ht[g]
+    k = np.arange(size)
+    return ht[k ^ (k >> 1)]
 
 
 def gray_transform_matrix(j: int) -> np.ndarray:
@@ -134,13 +135,13 @@ def gray_transform_matrix(j: int) -> np.ndarray:
     return ((-1.0) ** (dots % 2)) / size
 
 
-def _gray_cnot_control(k: int, num_controls: int, controls) -> int:
-    """Control qubit of the k-th CNOT (1-based; the 2^j-th closes the cycle)."""
-    if k == 2**num_controls:
-        return controls[0]
-    flip = gray_code(k) ^ gray_code(k - 1)
-    low_bit = flip.bit_length() - 1
-    return controls[num_controls - 1 - low_bit]
+@lru_cache(maxsize=None)
+def _gray_control_positions(j: int) -> tuple[int, ...]:
+    """Which of the j controls the k-th CNOT of a block uses, k = 1..2^j: the
+    one whose Gray-code bit flips between k-1 and k (control 0 for the most
+    significant bit), and control 0 for the 2^j-th, which closes the cycle."""
+    flips = ((gray_code(k) ^ gray_code(k - 1)).bit_length() for k in range(1, 2**j))
+    return tuple(j - bits for bits in flips) + (0,)
 
 
 def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bool = False) -> list[Gate]:
@@ -149,28 +150,30 @@ def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bo
     With ``start_with_cnot`` the block is emitted in the inverted-walk order
     (CNOT first, rotation last); both orders realize the same operator, and
     abutting a normal block with an inverted one lets the shared boundary
-    CNOT pair cancel in the peephole pass.
+    CNOT pair cancel in the peephole pass.  The block has only j distinct
+    CNOTs, so each is built once and the walk reuses it.
     """
     theta = gray_transform(alpha)
     if np.max(np.abs(theta)) < ANGLE_EPS:
         return []  # all-zero level: the bare CNOT cycle is the identity
     j = int(round(math.log2(len(theta))))
-    rot = ry if axis is GateKind.RY else rz
-
-    def rotation(k):
-        return [] if abs(theta[k]) < ANGLE_EPS else [rot(float(theta[k]), target)]
+    theta = theta.tolist()
+    if j == 0:
+        return [] if abs(theta[0]) < ANGLE_EPS else [Gate(axis, (target,), theta[0])]
+    cnots = [cnot(c, target) for c in controls]
+    walk = [cnots[p] for p in _gray_control_positions(j)]  # the CNOT after rotation k
 
     gates: list[Gate] = []
-    if j == 0:
-        return rotation(0)
     if start_with_cnot:
-        for k in range(2**j, 0, -1):
-            gates.append(cnot(_gray_cnot_control(k, j, controls), target))
-            gates.extend(rotation(k - 1))
+        for angle, gate in zip(reversed(theta), reversed(walk)):
+            gates.append(gate)
+            if abs(angle) >= ANGLE_EPS:
+                gates.append(Gate(axis, (target,), angle))
     else:
-        for k in range(2**j):
-            gates.extend(rotation(k))
-            gates.append(cnot(_gray_cnot_control(k + 1, j, controls), target))
+        for angle, gate in zip(theta, walk):
+            if abs(angle) >= ANGLE_EPS:
+                gates.append(Gate(axis, (target,), angle))
+            gates.append(gate)
     return gates
 
 

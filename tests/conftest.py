@@ -49,6 +49,39 @@ def random_circuit(rng, n, num_gates, include_opaque=False, random_perm=False):
     return Circuit(n, tuple(gates), perm)
 
 
+def gate_key(g: Gate):
+    """Everything that makes two gates the same gate; opaque matrices by their bytes."""
+    return g.kind, g.qubits, g.angle, g.label, None if g.matrix is None else g.matrix.tobytes()
+
+
+def reference_peephole(c: Circuit) -> Circuit:
+    """The fixed-point CNOT cancellation ``peephole_cancel_cnots`` replaced:
+    whole passes over the gate list, each dropping the identical CNOT pairs
+    adjacent in its input, until one pass drops nothing."""
+    gates = list(c.gates)
+    changed = True
+    while changed:
+        changed = False
+        kept = []
+        last_on = {}  # qubit -> index into kept
+        for g in gates:
+            if g.kind is GateKind.CNOT:
+                i = last_on.get(g.qubits[0], -1)
+                j = last_on.get(g.qubits[1], -1)
+                if i >= 0 and i == j and kept[i] is not None \
+                        and kept[i].kind is GateKind.CNOT and kept[i].qubits == g.qubits:
+                    kept[i] = None
+                    for q in g.qubits:
+                        del last_on[q]
+                    changed = True
+                    continue
+            kept.append(g)
+            for q in g.qubits:
+                last_on[q] = len(kept) - 1
+        gates = [g for g in kept if g is not None]
+    return Circuit(c.num_qubits, tuple(gates), c.output_permutation)
+
+
 def _bit(index, qubit, n):
     return (index >> (n - 1 - qubit)) & 1
 

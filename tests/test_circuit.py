@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_circuit_matrix, rand_state, random_circuit
+from conftest import (dense_circuit_matrix, gate_key, rand_state, random_circuit,
+                      reference_peephole)
 from fsl import circuit as cir
 from fsl import simulator
 from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, cphase, depth,
@@ -73,6 +74,25 @@ class TestDepth:
         assert depth(compose(a, b)) <= depth(a) + depth(b)
 
 
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_generic_reference(self, seed, n, num_gates):
+        # opaque gates here act on one to three wires, so every branch is taken
+        c = random_circuit(np.random.default_rng(seed), n, num_gates, include_opaque=True)
+        busy_until = [0] * n
+        want = 0
+        for g in c.gates:
+            layer = 1 + max(busy_until[q] for q in g.qubits)
+            for q in g.qubits:
+                busy_until[q] = layer
+            want = max(want, layer)
+        assert depth(c) == want
+
+    def test_three_wire_opaque_gate_is_one_layer(self):
+        c = Circuit(4, (h(0), cnot(1, 2), unitary(np.eye(8), (0, 2, 3)), h(3), cnot(1, 3)))
+        assert depth(c) == 4
+
+
 class TestGateCounts:
     def test_empty(self):
         counts = gate_counts(Circuit(1))
@@ -133,6 +153,33 @@ class TestCompose:
         assert np.allclose(dense_circuit_matrix(compose(a, b)), want, atol=1e-12)
 
 
+@st.composite
+def cnot_dense_circuits(draw):
+    """Circuits of 2-5 wires made mostly of CNOTs drawn from a pool of at most
+    four (control, target) pairs, often in runs of 2-4 identical ones, with
+    single-qubit gates, CPHASEs and an occasional opaque gate on shared or
+    other wires in between, and any output permutation."""
+    n = draw(st.integers(2, 5))
+    wire = st.integers(0, n - 1)
+    pairs = st.tuples(wire, wire).filter(lambda p: p[0] != p[1])
+    pool = draw(st.lists(pairs, min_size=1, max_size=4))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        pick = draw(st.integers(0, 11))
+        if pick < 8:
+            gates += [cnot(*draw(st.sampled_from(pool)))] * draw(st.sampled_from([1, 1, 2, 3, 4]))
+        elif pick == 8:
+            gates.append(h(draw(wire)))
+        elif pick == 9:
+            gates.append(rz(0.25, draw(wire)))
+        elif pick == 10:
+            gates.append(cphase(0.5, *draw(pairs)))
+        else:
+            qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
+            gates.append(unitary(np.eye(2 ** len(qubits)), qubits))
+    return Circuit(n, tuple(gates), tuple(draw(st.permutations(range(n)))))
+
+
 class TestPeephole:
     def test_adjacent_identical_cnots_cancel(self):
         c = Circuit(2, (cnot(0, 1), cnot(0, 1)))
@@ -149,6 +196,25 @@ class TestPeephole:
     def test_spectator_gate_does_not_block(self):
         c = Circuit(3, (cnot(0, 1), h(2), cnot(0, 1)))
         assert len(peephole_cancel_cnots(c).gates) == 1
+
+    def test_uncovered_pair_waits_for_the_next_sweep(self):
+        # the second CNOT(0,1) is next to the third from the start, and next to
+        # the first only once the CNOT(1,2) pair is gone; adjacent pairs go
+        # first, so the first copy is the one kept, ahead of h(3)
+        x, y = cnot(0, 1), cnot(1, 2)
+        c = Circuit(4, (x, y, y, x, h(3), x))
+        assert [gate_key(g) for g in peephole_cancel_cnots(c).gates] == \
+            [gate_key(g) for g in (x, h(3))]
+
+    @given(cnot_dense_circuits())
+    @example(Circuit(3, (cnot(0, 1), cnot(1, 2), cnot(0, 1), cnot(0, 1), cnot(1, 2), cnot(0, 1))))
+    @example(Circuit(2, (cnot(0, 1),) * 5 + (cnot(1, 0),) * 3 + (cnot(0, 1),) * 2))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_fixed_point_reference(self, c):
+        got = peephole_cancel_cnots(c)
+        want = reference_peephole(c)
+        assert [gate_key(g) for g in got.gates] == [gate_key(g) for g in want.gates]
+        assert (got.num_qubits, got.output_permutation) == (want.num_qubits, want.output_permutation)
 
     def test_preserves_semantics(self, rng):
         gates = []
@@ -187,6 +253,47 @@ QASM_NAME = {GateKind.H: "h", GateKind.X: "x", GateKind.RY: "ry", GateKind.RZ: "
              GateKind.SWAP: "swap"}
 
 
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False))
+TWO_QUBIT = {GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP}
+ANGLED = {GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CPHASE}
+
+
+@st.composite
+def json_circuits(draw):
+    """Circuits of 0-4 qubits with any non-opaque gates, edge-case angles and
+    any output permutation."""
+    n = draw(st.integers(0, 4))
+    kinds = [k for k in GateKind if k is not GateKind.OPAQUE_UNITARY
+             and (n >= 2 or k not in TWO_QUBIT)]
+    gates = []
+    for _ in range(draw(st.integers(0, 8)) if n else 0):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(range(n)))[: 2 if kind in TWO_QUBIT else 1]
+        gates.append(Gate(kind, tuple(qubits), draw(ANGLES) if kind in ANGLED else None))
+    return Circuit(n, tuple(gates), tuple(draw(st.permutations(range(n)))))
+
+
+def reference_export_qasm(c: Circuit) -> str:
+    """The generic writer ``export_qasm`` replaced: every gate's name, wires and
+    angle formatted afresh."""
+    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
+    for g in c.gates:
+        if g.kind is GateKind.OPAQUE_UNITARY:
+            raise OpaqueGatePresent(f"cannot export opaque gate '{g.label}'; decompose first")
+        name = QASM_NAME[g.kind]
+        args = ",".join(f"q[{q}]" for q in g.qubits)
+        if g.kind in ANGLED:
+            lines.append(f"{name}({cir._fmt(g.angle)}) {args};")
+        else:
+            lines.append(f"{name} {args};")
+    if not c.is_identity_permutation:
+        for a, b in permutation_to_swaps(c.output_permutation):
+            lines.append(f"swap q[{a}],q[{b}];")
+    return "\n".join(lines) + "\n"
+
+
 class TestQasmExport:
     def test_empty_circuit_is_header_only(self):
         assert export_qasm(Circuit(1)) == 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
@@ -199,6 +306,28 @@ class TestQasmExport:
         c = Circuit(1, (unitary(np.eye(2), (0,)),))
         with pytest.raises(OpaqueGatePresent):
             export_qasm(c)
+
+    @given(json_circuits())
+    @example(Circuit(0))
+    @example(Circuit(3, (cnot(0, 1), cnot(0, 1), cphase(0.5, 0, 1), cphase(-0.0, 0, 1),
+                         cnot(1, 0), swap(0, 2), ry(1e300, 2), ry(5e-324, 2)), (2, 0, 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_reference_writer(self, c):
+        assert export_qasm(c) == reference_export_qasm(c)
+
+    def test_compiled_circuit_equals_reference_writer(self, rng):
+        from fsl.compiler import FSLPlan, compile_spec, prepare_spec
+        from fsl.fourier import GridFunction
+        g = GridFunction.from_samples(rand_state(rng, 7))
+        c, _ = compile_spec(prepare_spec(g, 4), FSLPlan(n=7, m=4))
+        assert export_qasm(c) == reference_export_qasm(c)
+
+    @pytest.mark.parametrize("writer", [export_qasm, to_json])
+    def test_opaque_gate_rejected_after_plain_gates_on_its_wires(self, writer):
+        # the per-(kind, qubits) text cache must not let an opaque gate through
+        c = Circuit(2, (cnot(0, 1), h(0), unitary(np.eye(4), (0, 1), label="W"), cnot(0, 1)))
+        with pytest.raises(OpaqueGatePresent, match="'W'"):
+            writer(c)
 
     def test_byte_identical_across_runs(self, rng):
         c = random_circuit(rng, 4, 40)
@@ -260,28 +389,6 @@ def reference_to_json(c: Circuit) -> str:
     ``to_json_dict`` with every float swapped for its 17-digit text."""
     text = json.dumps(cir._tag_floats(cir.to_json_dict(c)), indent=2)
     return re.sub(r'"\\u0000f:([^"]*)"', r"\1", text)
-
-
-ANGLES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1 / 3]),
-    st.floats(allow_nan=False, allow_infinity=False))
-TWO_QUBIT = {GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP}
-ANGLED = {GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CPHASE}
-
-
-@st.composite
-def json_circuits(draw):
-    """Circuits of 0-4 qubits with any non-opaque gates, edge-case angles and
-    any output permutation."""
-    n = draw(st.integers(0, 4))
-    kinds = [k for k in GateKind if k is not GateKind.OPAQUE_UNITARY
-             and (n >= 2 or k not in TWO_QUBIT)]
-    gates = []
-    for _ in range(draw(st.integers(0, 8)) if n else 0):
-        kind = draw(st.sampled_from(kinds))
-        qubits = draw(st.permutations(range(n)))[: 2 if kind in TWO_QUBIT else 1]
-        gates.append(Gate(kind, tuple(qubits), draw(ANGLES) if kind in ANGLED else None))
-    return Circuit(n, tuple(gates), tuple(draw(st.permutations(range(n)))))
 
 
 class TestJson:

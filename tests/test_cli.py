@@ -90,6 +90,23 @@ class TestCompileCommand:
         text = (tmp_path / "fsl_circuit.qasm").read_text()
         assert text.startswith("OPENQASM 2.0;")
 
+    @pytest.mark.parametrize("loader", ["ucr", "schmidt"])
+    def test_export_reads_the_opaque_flag_from_the_report(self, tmp_path, capsys,
+                                                         monkeypatch, loader):
+        # the gate counts already say whether the loader is opaque; no rescan
+        def rescan(self):
+            raise AssertionError("Circuit.has_opaque called")
+        monkeypatch.setattr(cir.Circuit, "has_opaque", rescan)
+        code, _, _ = run_cli(capsys, "compile", "--function", "bimodal_gaussian",
+                             "--n", "5", "--m", "2", "--loader", loader,
+                             "--emit", "json,qasm", "--out-dir", str(tmp_path))
+        assert code == 0
+        circ = cir.from_json((tmp_path / "fsl_circuit.json").read_text())
+        report = json.loads((tmp_path / "fsl_report.json").read_text())
+        assert report["contains_opaque"] is False
+        assert report["gate_counts"]["opaque"] == 0
+        assert report["depth"] == cir.depth(circ)
+
     def test_circuit_json_is_written_by_circuit_to_json(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "compile", "--function", "bimodal_gaussian",
                              "--n", "5", "--m", "2", "--loader", "schmidt",
@@ -256,6 +273,17 @@ class TestSweepCommand:
         rows = out.strip().split("\n")
         assert rows[0] == SWEEP_COLUMNS
         assert [row.split(",")[:-1] for row in rows[1:]] == want  # all but compile_seconds
+
+
+    def test_bound_difference_taken_once_per_sweep(self, capsys, monkeypatch):
+        calls = []
+        diff = fourier._forward_difference
+        monkeypatch.setattr(fourier, "_forward_difference",
+                            lambda s, order: calls.append(order) or diff(s, order))
+        code, _, _ = run_cli(capsys, "sweep", "--function", "piecewise", "--n", "9",
+                             "--m-range", "1:6")
+        assert code == 0
+        assert calls == [1]  # only the cot(pi 2^m / 2^n) factor is per row
 
 
 class TestImageCommand:

@@ -1,18 +1,21 @@
 """End-to-end compilation against the direct-evaluation target oracle."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import rand_state
+from conftest import gate_key, rand_state, reference_peephole
 from fsl import funcs
-from fsl.circuit import GateKind, depth, gate_counts
-from fsl.compiler import (FSLPlan, Loader, NonperiodicVariant, compile_nonperiodic,
-                          compile_spec, prepare_spec, target_state)
+from fsl.circuit import Circuit, GateKind, cnot, compose, depth, gate_counts, h, phase
+from fsl.compiler import (FSLPlan, Loader, NonperiodicVariant, _fanout_gates,
+                          compile_nonperiodic, compile_spec, prepare_spec, target_state)
 from fsl.errors import CapacityExceeded, DimensionMismatch
 from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
                          lanczos_filter, mirror_extend, truncate)
+from fsl.frqi import GrayImage, compile_frqi, phase_spectra
 from fsl.simulator import Statevector, fidelity, reduced_population, run
+from fsl.synth import build_inverse_qft, build_schmidt_circuit, build_ucr_circuit
 
 
 def random_grid(rng, n, dims=1):
@@ -287,3 +290,71 @@ class TestResourceShape:
         circ, report = compile_spec(spec, FSLPlan(n=6, m=2))
         assert report.depth == depth(circ)
         assert report.gate_counts.total == len(circ.gates)
+
+
+def reference_assembly(vec, plan: FSLPlan, lead: int = 0, tail=()) -> Circuit:
+    """The load ``assemble`` builds, put together the way it used to be: the
+    loader, fan-out and each iQFT joined by ``compose``, the tail composed last,
+    then the fixed-point peephole pass."""
+    n, m = plan.n, plan.m
+    total = lead + plan.dims * n
+    regs = [list(range(lead + d * n, lead + (d + 1) * n)) for d in range(plan.dims)]
+    wires = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
+    build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
+    circ = build(vec, qubits=wires, num_qubits=total)
+    fanout = [g for reg in regs
+              for g in _fanout_gates(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout)]
+    circ = Circuit(total, circ.gates + tuple(fanout))
+    for reg in regs:
+        circ = compose(circ, build_inverse_qft(n, num_qubits=total, qubits=reg))
+    return reference_peephole(compose(circ, Circuit(total, tuple(tail))))
+
+
+class TestAssembleEqualsReference:
+    """Every load path gives the reference assembly gate for gate, and its
+    report describes that circuit."""
+
+    @staticmethod
+    def check(circ, report, want):
+        assert [gate_key(g) for g in circ.gates] == [gate_key(g) for g in want.gates]
+        assert (circ.num_qubits, circ.output_permutation) == \
+            (want.num_qubits, want.output_permutation)
+        assert report.depth == depth(want)
+        assert report.gate_counts == gate_counts(want)
+        assert report.contains_opaque == want.has_opaque()
+
+    @pytest.mark.parametrize("fanout", ["tree", "sequential"])
+    @pytest.mark.parametrize("n, m, loader", [(3, 0, Loader.UCR), (5, 2, Loader.UCR),
+                                              (7, 4, Loader.UCR), (5, 2, Loader.SCHMIDT),
+                                              (7, 4, Loader.SCHMIDT)])  # Schmidt needs m >= 1
+    def test_periodic(self, n, m, loader, fanout, rng):
+        plan = FSLPlan(n=n, m=m, loader=loader, fanout=fanout)
+        spec = prepare_spec(random_grid(rng, n), m)
+        self.check(*compile_spec(spec, plan), reference_assembly(spec.wrapped_vector(), plan))
+
+    @pytest.mark.parametrize("loader", list(Loader))
+    @pytest.mark.parametrize("name, n, m", [("tanh", 6, 3), ("piecewise", 7, 2),
+                                            ("xpowx", 5, 1)])
+    def test_mirror(self, name, n, m, loader):
+        g = funcs.sample(funcs.builtin(name), n)
+        plan = FSLPlan(n=n, m=m, loader=loader)
+        got = compile_nonperiodic(g, m, NonperiodicVariant.DISENTANGLE, plan)
+        vec = prepare_spec(mirror_extend(g), m).wrapped_vector()
+        tail = tuple(cnot(0, t) for t in range(1, n + 1)) + (h(0),)
+        self.check(*got, reference_assembly(vec, replace(plan, n=n + 1), tail=tail))
+
+    @pytest.mark.parametrize("loader", list(Loader))
+    @pytest.mark.parametrize("dims, n, m", [(2, 4, 1), (2, 5, 2), (3, 3, 1)])
+    def test_multidimensional(self, dims, n, m, loader, rng):
+        plan = FSLPlan(n=n, m=m, dims=dims, loader=loader)
+        spec = prepare_spec(random_grid(rng, n, dims=dims), m)
+        self.check(*compile_spec(spec, plan), reference_assembly(spec.wrapped_vector(), plan))
+
+    @pytest.mark.parametrize("loader", list(Loader))
+    @pytest.mark.parametrize("side, m", [(4, 1), (8, 2), (16, 2)])
+    def test_frqi(self, side, m, loader, rng):
+        img = GrayImage(side, rng.random((side, side)))
+        plan = FSLPlan(n=img.n, m=m, dims=2, loader=loader)
+        want = reference_assembly(phase_spectra(img, m), plan, lead=1,
+                                  tail=(h(0), phase(math.pi / 2, 0)))
+        self.check(*compile_frqi(img, m, plan), want)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fsl import funcs
+from fsl import fourier, funcs
 from fsl.compiler import prepare_spec, target_state
 from fsl.errors import (DegenerateWindow, DimensionMismatch, EmptyWindow,
                         InsufficientPoints, NonUnitNorm)
@@ -275,6 +275,26 @@ class TestInfidelityBound:
                     integral, _ = quad(lambda u: math.sin(u) ** (-(2 * p + 2)), u0, math.pi / 2)
                     want = l1**2 * integral / (2 ** (2 * p + 1) * math.pi)
                     assert infidelity_bound(g, m, p=p) == pytest.approx(want, rel=1e-7, abs=0)
+
+    @pytest.mark.parametrize("p", range(3))
+    def test_difference_norm_taken_once_per_grid_and_order(self, p, monkeypatch):
+        # a sweep asks for the bound at every m; the values keep every bit of
+        # the formula that takes the forward difference anew each time
+        g = funcs.sample(funcs.builtin("piecewise"), 12)
+        want = []
+        for m in range(1, 11):
+            l1 = float(np.sum(np.abs(_forward_difference(g.samples, p + 1))))
+            cot = 1.0 / math.tan(math.pi * 2**m / 2**g.n)
+            integral = sum(math.comb(p, j) * cot ** (2 * j + 1) / (2 * j + 1)
+                           for j in range(p + 1))
+            want.append(l1**2 * integral / (2 ** (2 * p + 1) * math.pi))
+        calls = []
+        monkeypatch.setattr(fourier, "_forward_difference",
+                            lambda s, order: calls.append(order) or _forward_difference(s, order))
+        assert [infidelity_bound(g, m, p) for m in range(1, 11)] == want
+        assert spectral_tail(g, 4, p).one_norm_delta == float(
+            np.sum(np.abs(_forward_difference(g.samples, p + 1))))
+        assert calls == [p + 1]
 
     def test_degenerate_window_raises(self):
         g = GridFunction.from_samples(np.ones(16))
