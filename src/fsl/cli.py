@@ -2,7 +2,8 @@
 
 Subcommands: ``compile``, ``simulate``, ``sweep``, ``image``.
 Configuration precedence is flags > --config JSON file > built-in defaults.
-A config file value must have the JSON type its flag takes.
+A config file value must have the JSON type its flag takes; a key that names
+no flag of the subcommand is ignored.
 Qubit capacity: --max-qubits > config ``max_qubits`` > env FSL_MAX_QUBITS >
 ``simulator.DEFAULT_MAX_QUBITS`` (24); it must be at least 1.
 Exit codes: 0 success, 2 configuration error, 3 compile/math error,
@@ -18,7 +19,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,29 +38,15 @@ from .synth import decompose_opaque
 _DEFAULTS = {
     "dims": 1,
     "loader": "ucr",
-    "filter_a": None,
     "nonperiodic": "auto",
     "fanout": "tree",
     "sqrt_mode": False,
     "seed": 7,
-    "shots": None,
     "emit": "json",
     "out_dir": ".",
     "prefix": "fsl_",
     "timing": False,
 }
-
-
-@dataclass
-class JobConfig:
-    command: str
-    values: dict
-
-    def __getattr__(self, item):
-        try:
-            return self.values[item]
-        except KeyError:
-            raise AttributeError(item) from None
 
 
 _JSON_TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
@@ -87,33 +74,32 @@ def _check_config_types(file_cfg: dict, flags: dict) -> None:
                               f"{' list' if many else ''}, got {json.dumps(value)}")
 
 
-def _merge_config(args: argparse.Namespace) -> JobConfig:
-    merged = dict(_DEFAULTS)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
+def _merge_config(args: argparse.Namespace) -> dict:
+    """The job: one key per flag of the subcommand, valued from the flag, else
+    the config file, else ``_DEFAULTS``, else None."""
+    file_cfg = {}
+    if args.config:
         try:
-            with open(cfg_path) as fh:
+            with open(args.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {cfg_path}: {exc}")
+            raise ConfigError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         _check_config_types(file_cfg, args.flags)
-        merged.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func", "flags"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return JobConfig(args.command, merged)
+    cfg = {}
+    for key in args.flags:
+        flag = getattr(args, key, None)  # --help stores no value
+        cfg[key] = flag if flag is not None else file_cfg.get(key, _DEFAULTS.get(key))
+    return cfg
 
 
 class ConfigError(FSLError):
     pass
 
 
-def _capacity(cfg: JobConfig) -> int:
-    name, value = "max_qubits", cfg.values.get("max_qubits")
+def _capacity(cfg: dict) -> int:
+    name, value = "max_qubits", cfg["max_qubits"]
     if value is None:
         name = "FSL_MAX_QUBITS"
         value = os.environ.get(name, simulator.DEFAULT_MAX_QUBITS)
@@ -139,25 +125,25 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _function_def(cfg: JobConfig) -> funcs.FunctionDef:
-    name = cfg.values.get("function")
-    expr = cfg.values.get("expr")
+def _function_def(cfg: dict) -> funcs.FunctionDef:
+    name = cfg["function"]
+    expr = cfg["expr"]
     if bool(name) == bool(expr):
         raise ConfigError("exactly one of --function or --expr is required")
     if name:
         try:
-            return funcs.builtin(name, _parse_params(cfg.values.get("param")),
-                                 sqrt_mode=bool(cfg.sqrt_mode))
+            return funcs.builtin(name, _parse_params(cfg["param"]),
+                                 sqrt_mode=bool(cfg["sqrt_mode"]))
         except UnknownFunction as exc:
             raise ConfigError(str(exc))
     try:
-        return funcs.expression(expr, dims=int(cfg.dims), sqrt_mode=bool(cfg.sqrt_mode))
+        return funcs.expression(expr, dims=int(cfg["dims"]), sqrt_mode=bool(cfg["sqrt_mode"]))
     except ExpressionError as exc:
         raise ConfigError(str(exc))
 
 
-def _nonperiodic_variant(cfg: JobConfig, fdef: funcs.FunctionDef) -> NonperiodicVariant | None:
-    mode = cfg.nonperiodic
+def _nonperiodic_variant(cfg: dict, fdef: funcs.FunctionDef) -> NonperiodicVariant | None:
+    mode = cfg["nonperiodic"]
     if mode in (None, "none", "periodic"):
         return None
     if mode == "auto":
@@ -173,45 +159,46 @@ def _nonperiodic_variant(cfg: JobConfig, fdef: funcs.FunctionDef) -> Nonperiodic
     return variant
 
 
-def _require(cfg: JobConfig, *names):
+def _require(cfg: dict, *names):
     for name in names:
-        if cfg.values.get(name) is None:
+        if cfg[name] is None:
             raise ConfigError(f"--{name.replace('_', '-')} is required (flag or config file)")
 
 
-def _plan(cfg: JobConfig, n: int, m: int, dims: int) -> FSLPlan:
-    return FSLPlan(n=n, m=m, dims=dims, loader=Loader(cfg.loader), fanout=cfg.fanout,
+def _plan(cfg: dict, n: int, m: int, dims: int) -> FSLPlan:
+    return FSLPlan(n=n, m=m, dims=dims, loader=Loader(cfg["loader"]), fanout=cfg["fanout"],
                    max_qubits=_capacity(cfg))
 
 
-def _sample(cfg: JobConfig, fdef: funcs.FunctionDef, m: int,
+def _sample(cfg: dict, fdef: funcs.FunctionDef, m: int,
             variant: NonperiodicVariant | None) -> fourier.GridFunction:
     """Sample the 2^n grid once its D*n wires (n+1 on the mirror path) fit."""
-    n = int(cfg.n)
+    n = int(cfg["n"])
     compiler.check_capacity(_plan(cfg, n, m, fdef.dims), lead=int(variant is not None))
     return funcs.sample(fdef, n)
 
 
-def _compile(cfg: JobConfig, grid: fourier.GridFunction, m: int,
+def _compile(cfg: dict, grid: fourier.GridFunction, m: int,
              variant: NonperiodicVariant | None, spectrum: np.ndarray | None = None):
     """Plan and compile one load of ``grid``; the spec is None on the mirror path.
     ``spectrum`` is the grid's DFT when the caller has already taken it."""
     plan = _plan(cfg, grid.n, m, grid.dims)
     if variant is not None:
-        return (None,) + compiler.compile_nonperiodic(grid, m, variant, plan, filter_a=cfg.filter_a)
+        return (None,) + compiler.compile_nonperiodic(grid, m, variant, plan,
+                                                      filter_a=cfg["filter_a"])
     if spectrum is None:
         spectrum = fourier.dft_coefficients(grid)
-    spec = compiler.window_spectrum(spectrum, m, cfg.filter_a)
+    spec = compiler.window_spectrum(spectrum, m, cfg["filter_a"])
     return (spec,) + compiler.compile_spec(spec, plan, source=grid)
 
 
-def _build(cfg: JobConfig):
+def _build(cfg: dict):
     """Sample, analyze, and compile per the merged configuration."""
     _require(cfg, "n", "m")
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
-    grid = _sample(cfg, fdef, int(cfg.m), variant)
-    return (grid, variant) + _compile(cfg, grid, int(cfg.m), variant)
+    grid = _sample(cfg, fdef, int(cfg["m"]), variant)
+    return (grid, variant) + _compile(cfg, grid, int(cfg["m"]), variant)
 
 
 def _write(path: Path, text: str):
@@ -219,20 +206,19 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _emit(cfg: JobConfig, circ: cir.Circuit, report: compiler.CompileReport, **extra) -> int:
+def _emit(cfg: dict, circ: cir.Circuit, report: compiler.CompileReport, **extra) -> int:
     """Export the gate-level form (opaque loaders decomposed, metrics refreshed)
     and print its report with ``extra`` fields added."""
-    targets = {t.strip() for t in str(cfg.emit).split(",") if t.strip()}
+    targets = {t.strip() for t in str(cfg["emit"]).split(",") if t.strip()}
     unknown = targets - {"json", "qasm", "none"}
     if unknown:
         raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
-    out = Path(cfg.out_dir)
-    prefix = cfg.prefix
+    out = Path(cfg["out_dir"])
+    prefix = cfg["prefix"]
     if report.contains_opaque:
         circ = cir.peephole_cancel_cnots(decompose_opaque(circ))
-        report = replace(report, depth=cir.depth(circ), gate_counts=cir.gate_counts(circ),
-                         contains_opaque=False)
-    report_dict = {**report.to_dict(include_timing=bool(cfg.timing)), **extra}
+        report = replace(report, depth=cir.depth(circ), gate_counts=cir.gate_counts(circ))
+    report_dict = {**report.to_dict(include_timing=bool(cfg["timing"])), **extra}
     if "json" in targets:
         _write(out / f"{prefix}circuit.json", cir.to_json(circ) + "\n")
         _write(out / f"{prefix}report.json", dumps(report_dict, indent=2, sort_keys=True) + "\n")
@@ -242,17 +228,17 @@ def _emit(cfg: JobConfig, circ: cir.Circuit, report: compiler.CompileReport, **e
     return 0
 
 
-def cmd_compile(cfg: JobConfig) -> int:
+def cmd_compile(cfg: dict) -> int:
     circ, report = _build(cfg)[-2:]  # drop the sampled grid before exporting
     return _emit(cfg, circ, report)
 
 
-def cmd_simulate(cfg: JobConfig) -> int:
+def cmd_simulate(cfg: dict) -> int:
     grid, variant, spec, circ, report = _build(cfg)
     cap = _capacity(cfg)
     state = simulator.run(circ, max_qubits=cap)
 
-    result = {"report": report.to_dict(include_timing=bool(cfg.timing))}
+    result = {"report": report.to_dict(include_timing=bool(cfg["timing"]))}
     if variant is not None:
         block0 = state.amplitudes.reshape(2, -1)[0]
         cond = block0 / np.linalg.norm(block0)
@@ -265,27 +251,23 @@ def cmd_simulate(cfg: JobConfig) -> int:
         exact = simulator.Statevector(grid.dims * grid.n, grid.samples.reshape(-1))
         result["fidelity_vs_exact"] = simulator.fidelity(state, exact)
 
-    compare = cfg.values.get("compare_state")
+    compare = cfg["compare_state"]
     if compare:
         other = simulator.load_statevector(compare)
         result["fidelity_vs_file"] = simulator.fidelity(state, other)
 
-    state_out = cfg.values.get("state_out")
+    state_out = cfg["state_out"]
     if state_out:
         simulator.dump_statevector(state, state_out)
 
-    if cfg.shots:
-        hist = simulator.sample(state, int(cfg.shots), int(cfg.seed))
+    if cfg["shots"]:
+        hist = simulator.sample(state, int(cfg["shots"]), int(cfg["seed"]))
         target_probs = np.abs(grid.samples.reshape(-1)) ** 2
-        if variant is not None:
-            measured = hist.probabilities(2 ** state.num_qubits)
-            measured = measured.reshape(2, -1).sum(axis=0)  # marginal over the ancilla
-            empirical = measured
-        else:
-            empirical = hist.probabilities(len(target_probs))
+        measured = hist.probabilities(2**state.num_qubits)  # marginal over a mirror ancilla
+        empirical = measured.reshape(-1, len(target_probs)).sum(axis=0)
         result["classical_fidelity_vs_function"] = simulator.classical_fidelity(
             empirical, target_probs)
-        hist_out = cfg.values.get("hist_out")
+        hist_out = cfg["hist_out"]
         if hist_out:
             _write(Path(hist_out), simulator.histogram_to_csv(hist))
     print(dumps(result, indent=2, sort_keys=True))
@@ -295,9 +277,9 @@ def cmd_simulate(cfg: JobConfig) -> int:
 SWEEP_COLUMNS = "m,exact_infidelity,bound,depth,single_qubit,two_qubit,compile_seconds"
 
 
-def cmd_sweep(cfg: JobConfig) -> int:
+def cmd_sweep(cfg: dict) -> int:
     _require(cfg, "n", "m_range")
-    lo, hi = _parse_range(cfg.m_range)
+    lo, hi = _parse_range(cfg["m_range"])
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
     grid = _sample(cfg, fdef, hi, variant)  # a bad top of the range fails before sampling
@@ -315,14 +297,14 @@ def cmd_sweep(cfg: JobConfig) -> int:
     return 0
 
 
-def cmd_image(cfg: JobConfig) -> int:
+def cmd_image(cfg: dict) -> int:
     _require(cfg, "pgm", "m")
-    img = frqi.read_pgm(cfg.pgm)
-    m = int(cfg.m)
+    img = frqi.read_pgm(cfg["pgm"])
+    m = int(cfg["m"])
     plan = _plan(cfg, img.n, m, 2)
     circ, report = frqi.compile_frqi(img, m, plan)
     extra = {"image_side": img.side}
-    if cfg.values.get("simulate"):
+    if cfg["simulate"]:
         state = simulator.run(circ, max_qubits=plan.max_qubits)
         extra["fidelity_vs_truncated_frqi"] = simulator.fidelity(
             state, frqi.frqi_truncated_target(img, m))
@@ -330,9 +312,9 @@ def cmd_image(cfg: JobConfig) -> int:
     return _emit(cfg, circ, report, **extra)
 
 
-def _deliver_csv(cfg: JobConfig, rows):
+def _deliver_csv(cfg: dict, rows):
     text = "\n".join(rows) + "\n"
-    out = cfg.values.get("out")
+    out = cfg["out"]
     if out:
         _write(Path(out), text)
     else:

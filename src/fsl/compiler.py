@@ -25,7 +25,7 @@ oracle every compiled circuit is checked against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -90,27 +90,23 @@ class CompileReport:
     exact_infidelity: float
     analytic_bound: float | None
     compile_wall_time: float
-    contains_opaque: bool
     post_processing: dict | None = None
 
+    @property
+    def contains_opaque(self) -> bool:
+        return self.gate_counts.opaque > 0
+
     def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "depth": self.depth,
-            "gate_counts": {
-                "single_qubit": self.gate_counts.single_qubit,
-                "two_qubit": self.gate_counts.two_qubit,
-                "opaque": self.gate_counts.opaque,
-                "by_kind": dict(sorted(self.gate_counts.by_kind.items())),
-            },
-            "exact_infidelity": self.exact_infidelity,
-            "analytic_bound": self.analytic_bound,
-            "contains_opaque": self.contains_opaque,
-        }
-        if self.post_processing is not None:
-            d["post_processing"] = self.post_processing
+        """The fields as JSON values, plus ``contains_opaque``; the wall time is
+        ``compile_wall_time_s`` when timing is asked for, and a None
+        ``post_processing`` is left out."""
+        d = asdict(self)
+        wall = d.pop("compile_wall_time")
         if include_timing:
-            d["compile_wall_time_s"] = self.compile_wall_time
-        return d
+            d["compile_wall_time_s"] = wall
+        if self.post_processing is None:
+            del d["post_processing"]
+        return {**d, "contains_opaque": self.contains_opaque}
 
 
 def target_state(spec: FourierSpec, n: int) -> Statevector:
@@ -170,14 +166,12 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
     gates.extend(g.remap(perm) for g in tail)
     circ = peephole_cancel_cnots(Circuit(total, tuple(gates), tuple(perm)))
     wall = time.perf_counter() - t0
-    counts = gate_counts(circ)
     return circ, CompileReport(
         depth=depth(circ),
-        gate_counts=counts,
+        gate_counts=gate_counts(circ),
         exact_infidelity=max(0.0, 1.0 - captured),
         analytic_bound=bound,
         compile_wall_time=wall,
-        contains_opaque=counts.opaque > 0,
         post_processing=post_processing,
     )
 

@@ -38,7 +38,7 @@ class GridFunction:
         s = np.asarray(self.samples, dtype=complex)
         if s.shape != (2**self.n,) * self.dims:
             raise DimensionMismatch(f"expected shape {(2**self.n,) * self.dims}, got {s.shape}")
-        if abs(np.sum(np.abs(s) ** 2) - 1.0) > 1e-12:
+        if not abs(np.sum(np.abs(s) ** 2) - 1.0) <= 1e-12:
             raise NonUnitNorm("grid samples are not unit-norm")
         s = np.ascontiguousarray(s)
         s.setflags(write=False)
@@ -50,9 +50,12 @@ class GridFunction:
         if dims is not None and s.ndim != dims:
             raise DimensionMismatch(f"expected {dims}-dimensional samples")
         n = int(round(math.log2(s.shape[0])))
-        norm = np.linalg.norm(s)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.linalg.norm(s)
         if norm == 0:
             raise NonUnitNorm("cannot normalize all-zero samples")
+        if norm == math.inf:
+            raise NonUnitNorm("the samples' norm overflows a float")
         return cls(s.ndim, n, s / norm)
 
 
@@ -76,7 +79,7 @@ class FourierSpec:
         w = 2 ** (self.m + 1) - 1
         if c.shape != (w,) * self.dims:
             raise DimensionMismatch(f"expected window shape {(w,) * self.dims}, got {c.shape}")
-        if abs(np.sum(np.abs(c) ** 2) - 1.0) > 1e-12:
+        if not abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12:
             raise NonUnitNorm("windowed coefficients are not unit-norm")
         c = np.ascontiguousarray(c)
         c.setflags(write=False)
@@ -113,7 +116,7 @@ class SpectralTail:
 
 def dft_coefficients(g: GridFunction) -> np.ndarray:
     """Full coefficient tensor of ``g`` in fft layout (unitary, positive kernel)."""
-    if abs(np.sum(np.abs(g.samples) ** 2) - 1.0) > GRID_NORM_TOL:
+    if not abs(np.sum(np.abs(g.samples) ** 2) - 1.0) <= GRID_NORM_TOL:
         raise NonUnitNorm("grid function is not unit-norm")
     scale = 2.0 ** (g.dims * g.n / 2)
     return np.fft.ifftn(g.samples) * scale
@@ -158,7 +161,7 @@ def lanczos_filter(spec: FourierSpec, a: float) -> FourierSpec:
     identity filter.  norm_constant keeps documenting the unfiltered window
     capture.
     """
-    if a < 0:
+    if not a >= 0:
         raise ValueError("filter exponent must be nonnegative")
     M = spec.max_frequency
     if M == 0:

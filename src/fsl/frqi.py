@@ -58,9 +58,13 @@ def frqi_target(img: GrayImage) -> Statevector:
 
 
 def _phase_spec(img: GrayImage, m: int) -> FourierSpec:
-    """The windowed spectrum of g+ = 2^-n exp(-i pi I / 2)."""
-    g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
-    return prepare_spec(GridFunction(2, img.n, g_plus), m)
+    """The windowed spectrum of g+ = 2^-n exp(-i pi I / 2), kept on ``img`` (its
+    brightness is read-only): compile, target and capture each ask for it."""
+    specs = img.__dict__.setdefault("_phase_specs", {})
+    if m not in specs:
+        g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
+        specs[m] = prepare_spec(GridFunction(2, img.n, g_plus), m)
+    return specs[m]
 
 
 def _joint_vector(spec: FourierSpec) -> np.ndarray:

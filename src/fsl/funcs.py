@@ -179,8 +179,10 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
         raise ValueError("need n >= 1")
     axis = np.arange(2**n) / 2**n
     coords = np.meshgrid(*([axis] * fdef.dims), indexing="ij") if fdef.dims > 1 else [axis]
-    if fdef.sqrt_mode:
-        if fdef.sqrt_evaluator is not None:
+    with np.errstate(all="ignore"):  # a non-finite value fails the isfinite check below
+        if not fdef.sqrt_mode:
+            values = fdef.evaluate(*coords)
+        elif fdef.sqrt_evaluator is not None:
             values = fdef.sqrt_evaluator(*coords)
         else:
             values = np.asarray(fdef.evaluate(*coords))
@@ -190,8 +192,6 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
                 raise NegativeUnderSqrt(
                     f"f reaches {np.min(values):.3g} < -1e-12; cannot take a square root")
             values = np.sqrt(np.clip(values, 0.0, None))
-    else:
-        values = fdef.evaluate(*coords)
     values = np.broadcast_to(np.asarray(values, dtype=complex), (2**n,) * fdef.dims)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{fdef.name} is not finite on the grid")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .errors import CapacityExceeded, DimensionMismatch, NotADistribution
+from .errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
 
 DEFAULT_MAX_QUBITS = 24
 MAX_OPAQUE_QUBITS = 12
@@ -41,7 +41,7 @@ class Statevector:
             raise DimensionMismatch(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}")
         norm = np.sum(np.abs(amps) ** 2)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"statevector is not normalized (squared norm {norm!r})")
         amps = np.ascontiguousarray(amps)
         amps.setflags(write=False)
@@ -59,7 +59,10 @@ class Statevector:
         n = int(round(math.log2(len(amps))))
         if 2**n != len(amps):
             raise DimensionMismatch(f"amplitude count {len(amps)} is not a power of two")
-        return cls(n, amps / np.linalg.norm(amps))
+        norm = np.linalg.norm(amps)
+        if not 0 < norm < math.inf:
+            raise NonUnitNorm(f"cannot normalize amplitudes of norm {float(norm)}")
+        return cls(n, amps / norm)
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def classical_fidelity(p, q) -> float:
     for name, v in (("p", p), ("q", q)):
         if np.any(v < 0):
             raise NotADistribution(f"{name} has negative entries")
-        if abs(v.sum() - 1.0) > 1e-9:
+        if not abs(v.sum() - 1.0) <= 1e-9:
             raise NotADistribution(f"{name} sums to {v.sum()}, not 1")
     return float(np.sum(np.sqrt(p) * np.sqrt(q)) ** 2)
 

@@ -51,7 +51,7 @@ class UCRAngles:
 
 def _check_unit(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if abs(np.sum(np.abs(vec) ** 2) - 1.0) > NORM_TOL:
+    if not abs(np.sum(np.abs(vec) ** 2) - 1.0) <= NORM_TOL:
         raise NonUnitNorm(f"vector norm^2 = {np.sum(np.abs(vec)**2):.12g}")
     return vec
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_warnings_as_errors(capsys, *argv):
+    """``run_cli`` with every warning raised, so one that would reach stderr fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, *argv)
+
+
+def assert_one_json_error(result, want_code: int):
+    """Exit ``want_code``, no stdout, and one stderr line: the documented error object."""
+    code, out, err = result
+    assert (code, out) == (want_code, "")
+    assert len(err.splitlines()) == 1
+    assert set(json.loads(err)) == {"error", "message"}
 
 
 class TestFloatFormatting:
@@ -159,6 +175,37 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, *base, "--compare-state", state_file)
         assert code == 0
         assert json.loads(out)["fidelity_vs_file"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["all-zero", "all-nan"])
+    def test_unnormalizable_compare_state_exits_3(self, fill, tmp_path, capsys):
+        state_file = tmp_path / "state.c16"
+        np.full(2**5, fill, dtype="<c16").tofile(state_file)
+        result = run_cli_warnings_as_errors(capsys, "simulate", "--function", "lorentzian",
+                                            "--n", "5", "--m", "2",
+                                            "--compare-state", str(state_file))
+        assert_one_json_error(result, 3)
+        assert json.loads(result[2])["error"] == "NonUnitNorm"
+
+    @pytest.mark.parametrize("function, n, m, nonperiodic", [("piecewise", 6, 3, "auto"),
+                                                             ("sinc2d", 3, 1, "auto"),
+                                                             ("tanh", 6, 3, "disentangle"),
+                                                             ("tanh", 6, 3, "measure")])
+    def test_shots_score_matches_the_per_load_marginal(self, function, n, m, nonperiodic,
+                                                       tmp_path, capsys):
+        hist_file = tmp_path / "hist.csv"
+        code, out, _ = run_cli(capsys, "simulate", "--function", function, "--n", str(n),
+                               "--m", str(m), "--nonperiodic", nonperiodic, "--shots", "3000",
+                               "--hist-out", str(hist_file))
+        assert code == 0
+        rows = [line.split(",") for line in hist_file.read_text().split()[1:]]
+        hist = simulator.ShotHistogram({int(k): int(c) for k, c in rows}, 3000)
+        target = np.abs(funcs.sample(funcs.builtin(function), n).samples.reshape(-1)) ** 2
+        if nonperiodic != "auto":  # the two branches that one marginal expression replaced
+            empirical = hist.probabilities(2 * len(target)).reshape(2, -1).sum(axis=0)
+        else:
+            empirical = hist.probabilities(len(target))
+        assert json.loads(out)["classical_fidelity_vs_function"] == \
+            simulator.classical_fidelity(empirical, target)
 
     def test_compare_state_dimension_mismatch_exits_3(self, tmp_path, capsys):
         state_file = str(tmp_path / "state.c16")
@@ -299,6 +346,17 @@ class TestImageCommand:
         assert result["image_side"] == 8
         assert result["fidelity_vs_truncated_frqi"] >= 1 - 1e-9
         assert (tmp_path / "fsl_circuit.json").exists()
+
+    def test_simulate_takes_one_phase_dft(self, tmp_path, capsys, monkeypatch):
+        frqi.write_pgm(frqi.GrayImage(8, np.random.default_rng(1).random((8, 8))),
+                       tmp_path / "img.pgm")
+        dfts = []
+        dft = fourier.dft_coefficients
+        monkeypatch.setattr(fourier, "dft_coefficients", lambda g: dfts.append(g) or dft(g))
+        code, _, _ = run_cli(capsys, "image", "--pgm", str(tmp_path / "img.pgm"), "--m", "1",
+                             "--simulate", "--emit", "none")
+        assert code == 0
+        assert len(dfts) == 1  # compile and truncated target share one spectrum of g+
 
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "image", "--pgm", "/nonexistent.pgm", "--m", "1")
@@ -478,6 +536,51 @@ class TestConfigAndErrors:
         code, out, _ = run_cli(capsys, "compile", "--config", str(cfg), "--emit", "none")
         assert code == 0
         assert json.loads(out)["contains_opaque"] is False
+
+    @pytest.mark.parametrize("values", [{"expr": "log(x)"}, {"expr": "1/x"},
+                                        {"expr": "exp(1000*x)"}, {"expr": "exp(700*x)"},
+                                        {"function": "sinc", "filter_a": float("nan")}],
+                             ids=["log", "reciprocal", "exp-overflow", "norm-overflow",
+                                  "nan-filter"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_values_exit_3_with_one_json_line(self, values, source, tmp_path,
+                                                         capsys):
+        if source == "config":  # json.dump writes NaN, and json.load reads it
+            (tmp_path / "job.json").write_text(json.dumps(values))
+            argv = ["--config", str(tmp_path / "job.json")]
+        else:
+            argv = [a for k, v in values.items() for a in (f"--{k.replace('_', '-')}", str(v))]
+        result = run_cli_warnings_as_errors(capsys, "compile", *argv, "--n", "5", "--m", "2",
+                                            "--emit", "none")
+        assert_one_json_error(result, 3)
+        assert "RZ" not in json.loads(result[2])["message"]  # blames the input, not a gate
+
+    def test_numpy_warnings_stay_off_stderr_in_a_fresh_process(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--expr", "log(x)",
+                               "--n", "5", "--m", "2", "--filter-a", "nan", "--emit", "none"],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert_one_json_error((proc.returncode, proc.stdout, proc.stderr), 3)
+
+    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    def test_config_keys_named_like_internals_are_ignored(self, command, tmp_path, capsys):
+        job = {"function": "lorentzian", "n": 5, "m": 2}
+        (tmp_path / "plain.json").write_text(json.dumps(job))
+        (tmp_path / "odd.json").write_text(json.dumps(
+            {**job, "__class__": "x", "func": 1, "values": [2], "command": "image",
+             "flags": {"n": 3}}))
+        emit = ["--emit", "none"] if command == "compile" else []
+        want = run_cli(capsys, command, "--config", str(tmp_path / "plain.json"), *emit)
+        got = run_cli(capsys, command, "--config", str(tmp_path / "odd.json"), *emit)
+        assert got[0] == 0 and got == want
+
+    def test_job_holds_one_key_per_flag(self, tmp_path):
+        (tmp_path / "job.json").write_text(json.dumps({"n": 5, "loader": "schmidt"}))
+        args = cli.build_parser().parse_args(["compile", "--config", str(tmp_path / "job.json"),
+                                              "--function", "sinc", "--n", "6"])
+        job = cli._merge_config(args)
+        assert set(job) == set(args.flags)
+        assert (job["n"], job["loader"], job["fanout"], job["m"]) == (6, "schmidt", "tree", None)
 
     def test_both_function_and_expr_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--function", "constant",

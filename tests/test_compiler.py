@@ -1,14 +1,14 @@
 """End-to-end compilation against the direct-evaluation target oracle."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import gate_key, rand_state, reference_peephole
 from fsl import funcs
-from fsl.circuit import Circuit, GateKind, cnot, compose, depth, gate_counts, h, phase
-from fsl.compiler import (FSLPlan, Loader, NonperiodicVariant, _fanout_gates,
+from fsl.circuit import Circuit, GateCounts, GateKind, cnot, compose, depth, gate_counts, h, phase
+from fsl.compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant, _fanout_gates,
                           compile_nonperiodic, compile_spec, prepare_spec, target_state)
 from fsl.errors import CapacityExceeded, DimensionMismatch
 from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
@@ -358,3 +358,55 @@ class TestAssembleEqualsReference:
         want = reference_assembly(phase_spectra(img, m), plan, lead=1,
                                   tail=(h(0), phase(math.pi / 2, 0)))
         self.check(*compile_frqi(img, m, plan), want)
+
+
+def hand_written_to_dict(report: CompileReport, include_timing: bool = True) -> dict:
+    """``CompileReport.to_dict`` as it was once written out field by field: the
+    reference that the dict derived from the dataclass fields must equal."""
+    d = {
+        "depth": report.depth,
+        "gate_counts": {
+            "single_qubit": report.gate_counts.single_qubit,
+            "two_qubit": report.gate_counts.two_qubit,
+            "opaque": report.gate_counts.opaque,
+            "by_kind": dict(sorted(report.gate_counts.by_kind.items())),
+        },
+        "exact_infidelity": report.exact_infidelity,
+        "analytic_bound": report.analytic_bound,
+        "contains_opaque": report.contains_opaque,
+    }
+    if report.post_processing is not None:
+        d["post_processing"] = report.post_processing
+    if include_timing:
+        d["compile_wall_time_s"] = report.compile_wall_time
+    return d
+
+
+class TestReportDict:
+    @staticmethod
+    def reports(rng):
+        grid = random_grid(rng, 6)
+        img = GrayImage(8, rng.random((8, 8)))
+        tanh = funcs.sample(funcs.builtin("tanh"), 6)
+        return {
+            "periodic": compile_spec(prepare_spec(grid, 2), FSLPlan(n=6, m=2), source=grid)[1],
+            "mirror-measure": compile_nonperiodic(tanh, 3, NonperiodicVariant.MEASURE)[1],
+            "schmidt": compile_spec(prepare_spec(grid, 2),
+                                    FSLPlan(n=6, m=2, loader=Loader.SCHMIDT))[1],
+            "frqi": compile_frqi(img, 1)[1],
+        }
+
+    @pytest.mark.parametrize("include_timing", [True, False])
+    def test_equals_the_hand_written_dict_on_every_load_path(self, include_timing, rng):
+        reports = self.reports(rng)
+        assert reports["mirror-measure"].post_processing is not None
+        assert reports["schmidt"].contains_opaque and not reports["periodic"].contains_opaque
+        for path, report in reports.items():
+            assert report.to_dict(include_timing) == hand_written_to_dict(report, include_timing), path
+
+    def test_opaque_flag_follows_the_counts(self, rng):
+        assert "contains_opaque" not in {f.name for f in fields(CompileReport)}
+        report = self.reports(rng)["schmidt"]
+        decomposed = replace(report, gate_counts=GateCounts(3, 2, 0, {"RY": 3, "CNOT": 2}))
+        assert report.contains_opaque and not decomposed.contains_opaque
+        assert decomposed.to_dict()["contains_opaque"] is False

@@ -1,6 +1,7 @@
 """Spectral analysis: DFT conventions, truncation, filtering, mirror extension,
 and the exact/bounded truncation-error accounting."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,12 @@ class TestDftCoefficients:
     def test_rejects_unnormalized(self):
         g = GridFunction.from_samples(np.ones(4))
         object.__setattr__(g, "samples", g.samples * 2)
+        with pytest.raises(NonUnitNorm):
+            dft_coefficients(g)
+
+    def test_rejects_nan_samples(self):
+        g = GridFunction.from_samples(np.ones(4))
+        object.__setattr__(g, "samples", g.samples * np.nan)
         with pytest.raises(NonUnitNorm):
             dft_coefficients(g)
 
@@ -139,6 +146,12 @@ class TestLanczosFilter:
         ratio = filtered.coefficient(0) / spec.coefficient(0)
         others = filtered.coeffs / np.where(np.abs(spec.coeffs) > 0, spec.coeffs, 1.0)
         assert abs(ratio) >= np.max(np.abs(others)) - 1e-12
+
+    @pytest.mark.parametrize("a", [-1.0, np.nan])
+    def test_negative_or_nan_exponent_rejected(self, a, rng):
+        spec = truncate(dft_coefficients(grid_from(rng, 6)), 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            lanczos_filter(spec, a)
 
     def test_zero_exponent_is_identity(self, rng):
         spec = truncate(dft_coefficients(grid_from(rng, 6)), 3)
@@ -344,10 +357,27 @@ class TestDecaySlope:
             decay_slope(g, range(2, 8))  # everything saturates at ~0
 
 
+class TestGridFunctionValidation:
+    def test_nan_samples_fail_the_norm_check(self):
+        with pytest.raises(NonUnitNorm):
+            GridFunction(1, 2, np.full(4, np.nan))
+
+    @pytest.mark.parametrize("fill, why", [(0.0, "all-zero"), (1e300, "overflows")])
+    def test_from_samples_rejects_a_norm_it_cannot_divide_by(self, fill, why):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and says so without a numpy warning
+            with pytest.raises(NonUnitNorm, match=why):
+                GridFunction.from_samples(np.full(4, fill))
+
+
 class TestFourierSpecValidation:
     def test_unit_norm_enforced(self):
         with pytest.raises(NonUnitNorm):
             FourierSpec(1, 1, np.array([1.0, 1.0, 1.0]), 1.0)
+
+    def test_nan_coefficients_fail_the_norm_check(self):
+        with pytest.raises(NonUnitNorm):
+            FourierSpec(1, 1, np.full(3, np.nan), 1.0)
 
     def test_window_shape_enforced(self):
         with pytest.raises(DimensionMismatch):

@@ -1,5 +1,6 @@
 """Builtin catalog parameters, grid sampling, sqrt mode, and expression mode."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsl import funcs
-from fsl.errors import ExpressionError, NegativeUnderSqrt, UnknownFunction
+from fsl.errors import ExpressionError, NegativeUnderSqrt, NonUnitNorm, UnknownFunction
 
 
 class TestCatalogParameters:
@@ -87,6 +88,15 @@ class TestSampling:
         fd = funcs.builtin("qho_excited", sqrt_mode=True)
         with pytest.raises(NegativeUnderSqrt):
             funcs.sample(fd, 5)
+
+    @pytest.mark.parametrize("expr, error", [("log(x)", ValueError), ("1/x", ValueError),
+                                             ("exp(1000*x)", ValueError),
+                                             ("exp(700*x)", NonUnitNorm)])
+    def test_non_finite_values_raise_without_numpy_warnings(self, expr, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="not finite|overflows"):
+                funcs.sample(funcs.expression(expr), 5)
 
     def test_sqrt_mode_clamps_tiny_negatives(self):
         fd = funcs.expression("cos(2*pi*x) + 1 - 1e-13", sqrt_mode=True)

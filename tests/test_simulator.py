@@ -10,7 +10,7 @@ from fsl import funcs, simulator
 from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, cphase, h, invert, ry,
                          swap, unitary)
 from fsl.compiler import FSLPlan, compile_spec, prepare_spec
-from fsl.errors import CapacityExceeded, DimensionMismatch, NotADistribution
+from fsl.errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
 from fsl.frqi import GrayImage, compile_frqi
 from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            dump_statevector, fidelity, histogram_to_csv,
@@ -313,6 +313,8 @@ class TestClassicalFidelity:
             classical_fidelity([0.5, 0.4], [0.5, 0.5])
         with pytest.raises(NotADistribution):
             classical_fidelity([1.1, -0.1], [0.5, 0.5])
+        with pytest.raises(NotADistribution):
+            classical_fidelity([np.nan, np.nan], [0.5, 0.5])
 
 
 class TestSample:
@@ -367,6 +369,18 @@ class TestOnDiskFormats:
         back = load_statevector(path)
         assert back.num_qubits == 5
         assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-15
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    def test_unnormalizable_amplitudes_are_rejected(self, fill, tmp_path):
+        np.full(8, fill, dtype="<c16").tofile(tmp_path / "state.c16")
+        with pytest.raises(NonUnitNorm, match="cannot normalize"):
+            load_statevector(tmp_path / "state.c16")
+        with pytest.raises(NonUnitNorm, match="cannot normalize"):
+            Statevector.from_amplitudes(np.full(8, fill))
+
+    def test_nan_amplitudes_fail_the_norm_check(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            Statevector(2, np.full(4, np.nan))
 
     def test_histogram_csv_layout(self):
         text = histogram_to_csv(ShotHistogram({3: 5, 1: 2}, 7))

@@ -34,6 +34,10 @@ class TestMottonenAngles:
         with pytest.raises(NonUnitNorm):
             mottonen_angles(np.array([1.0, 1.0]))
 
+    def test_rejects_nan_input(self):
+        with pytest.raises(NonUnitNorm):
+            mottonen_angles(np.array([np.nan, np.nan]))
+
     def test_circuit_from_angles_reproduces_state_exactly(self, rng):
         # exact equality, global phase included, not just fidelity
         target = rand_state(rng, 3)
