@@ -9,15 +9,30 @@ Conventions used throughout the package:
   output lives on wire ``w`` (used to elide the terminal SWAP network of the
   QFT).  The identity permutation is the common case.
 * Angles are stored as given, without mod-2*pi reduction.
+
+A ``Circuit`` holds its gate list as columns, one row per gate:
+
+* ``kinds``: uint8 codes, ``CODES[kind]`` (``KINDS[code]`` maps back);
+* ``wires``: int32, gates x 2, controls first; a one-wire gate's second
+  entry is -1;
+* ``angles``: float64, NaN where the kind takes no angle;
+* ``side``: gate index -> ``Gate``, a side table for the gates the columns
+  cannot hold in full: opaque unitaries (matrix, label and every wire; their
+  row holds the first two wires) and any gate given a label or a matrix.
+
+The compile path, the writers and the simulator read and write the columns;
+a ``Circuit`` checks them once, with whole-array tests.  ``Circuit.gates`` is a
+view: the tuple of ``Gate`` objects, materialised on first use and cached.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -50,6 +65,13 @@ _ARITY = {
 _ANGLED = {GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CPHASE}
 
 UNITARITY_TOL = 1e-10
+
+KINDS = tuple(GateKind)
+CODES = {kind: code for code, kind in enumerate(KINDS)}
+_CNOT, _OPAQUE = CODES[GateKind.CNOT], CODES[GateKind.OPAQUE_UNITARY]
+_ARITY_OF = np.full(256, -1)  # by code: 1 or 2 wires, 0 for opaque, -1 for no kind
+_ARITY_OF[:len(KINDS)] = [_ARITY.get(kind, 0) for kind in KINDS]
+_ANGLED_OF = np.array([kind in _ANGLED for kind in KINDS] + [False] * (256 - len(KINDS)))
 
 
 @dataclass(frozen=True)
@@ -99,6 +121,14 @@ class Gate:
         return Gate(self.kind, tuple(mapping[q] for q in self.qubits), self.angle, self.matrix, self.label)
 
 
+def _view(kind: GateKind, a: int, b: int, angle: float) -> Gate:
+    """The ``Gate`` of an already checked plain row, built without checking it again."""
+    g = object.__new__(Gate)
+    g.__dict__.update(kind=kind, qubits=(a,) if b < 0 else (a, b),
+                      angle=None if angle != angle else angle, matrix=None, label="")
+    return g
+
+
 # Short constructors; these keep circuit builders readable.
 def h(q: int) -> Gate:
     return Gate(GateKind.H, (q,))
@@ -136,35 +166,142 @@ def unitary(matrix: np.ndarray, qubits, label: str = "U") -> Gate:
     return Gate(GateKind.OPAQUE_UNITARY, tuple(qubits), matrix=np.asarray(matrix, dtype=complex), label=label)
 
 
-@dataclass(frozen=True)
+def cnot_rows(pairs) -> tuple:
+    """A (kinds, wires, angles) row block of CNOTs, one per (control, target) pair."""
+    wires = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+    return np.full(len(wires), _CNOT, np.uint8), wires, np.full(len(wires), math.nan)
+
+
+_COLUMN_TYPES = ((np.uint8, (-1,)), (np.int32, (-1, 2)), (np.float64, (-1,)))
+
+
+def _permutation(num_qubits: int, perm) -> tuple[int, ...]:
+    perm = tuple(range(num_qubits)) if perm is None else tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(num_qubits)):
+        raise ValueError(f"invalid output permutation {perm}")
+    return perm
+
+
 class Circuit:
-    """Ordered gate list over ``num_qubits`` wires plus an output permutation."""
+    """Ordered gate list over ``num_qubits`` wires plus an output permutation,
+    held as kind, wire and angle columns with a side table (module docstring).
 
-    num_qubits: int
-    gates: tuple[Gate, ...] = ()
-    output_permutation: tuple[int, ...] = None  # identity when omitted
+    ``Circuit(num_qubits, gates, output_permutation)`` takes ``Gate`` objects;
+    ``Circuit.join`` builds one from row blocks and other circuits."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        perm = self.output_permutation
-        if perm is None:
-            perm = tuple(range(self.num_qubits))
-        else:
-            perm = tuple(int(p) for p in perm)
-        if sorted(perm) != list(range(self.num_qubits)):
-            raise ValueError(f"invalid output permutation {perm}")
-        object.__setattr__(self, "output_permutation", perm)
-        wires = [q for g in self.gates for q in g.qubits]
-        if wires and (min(wires) < 0 or max(wires) >= self.num_qubits):
-            g = next(g for g in self.gates if not all(0 <= q < self.num_qubits for q in g.qubits))
-            raise ValueError(f"gate {g.kind} on {g.qubits} outside {self.num_qubits} qubits")
+    def __init__(self, num_qubits: int, gates=(), output_permutation=None):
+        gates = tuple(gates)
+        _permutation(num_qubits, output_permutation)
+        wires = [q for g in gates for q in g.qubits]
+        if wires and (min(wires) < 0 or max(wires) >= num_qubits):
+            g = next(g for g in gates if not all(0 <= q < num_qubits for q in g.qubits))
+            raise ValueError(f"gate {g.kind} on {g.qubits} outside {num_qubits} qubits")
+        rows = ([CODES[g.kind] for g in gates], [(g.qubits + (-1, -1))[:2] for g in gates],
+                [math.nan if g.angle is None else g.angle for g in gates])
+        side = {i: g for i, g in enumerate(gates) if g.matrix is not None or g.label}
+        self._fill(num_qubits, rows, side, output_permutation)
+        self.__dict__["gates"] = gates
+
+    @classmethod
+    def join(cls, num_qubits: int, parts, output_permutation=None) -> Circuit:
+        """The circuit that runs ``parts`` in order.  A part is a Circuit (its
+        gates; its output permutation is not used) or a (kinds, wires, angles)
+        row block of kind codes, wire pairs padded with -1 and angles."""
+        columns, side, offset = [[np.empty(0, t).reshape(s)] for t, s in _COLUMN_TYPES], {}, 0
+        for part in parts:
+            if isinstance(part, Circuit):
+                side.update((offset + i, g) for i, g in part.side.items())
+                part = part.kinds, part.wires, part.angles
+            for column, values, (dtype, shape) in zip(columns, part, _COLUMN_TYPES):
+                column.append(np.asarray(values, dtype).reshape(shape))
+            offset += len(columns[0][-1])
+        c = cls.__new__(cls)
+        c._fill(num_qubits, [np.concatenate(column) for column in columns], side, output_permutation)
+        return c
+
+    def _fill(self, num_qubits: int, rows, side: dict, output_permutation) -> None:
+        """Set the fields from columns and check them as whole arrays, in the
+        order of the per-gate checks: the first faulty gate raises the error its
+        ``Gate`` would, then the permutation and the wire range are checked."""
+        kinds, wires, angles = (np.asarray(values, dtype).reshape(shape)
+                                for values, (dtype, shape) in zip(rows, _COLUMN_TYPES))
+        for column in (kinds, wires, angles):
+            column.setflags(write=False)
+        self.num_qubits, self.kinds, self.wires, self.angles, self.side = \
+            num_qubits, kinds, wires, angles, side
+
+        arity, (a, b) = _ARITY_OF[kinds], wires.T
+        plain_ok = (a >= 0) & np.where(arity == 1, b == -1, (b >= 0) & (b != a)) \
+            & (np.isfinite(angles) == _ANGLED_OF[kinds])
+        in_side = np.zeros(len(kinds), bool)
+        in_side[list(side)] = True
+        ok = np.where(arity == 0, in_side, plain_ok & (arity > 0))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            k, angle = int(kinds[i]), float(angles[i])
+            if arity[i] > 0:  # the Gate constructor names the fault as for a gate object
+                Gate(KINDS[k], self._qubits(i), None if math.isnan(angle) else angle)
+            raise ValueError(f"gate row {i} (kind code {k}, wires {wires[i].tolist()}) is malformed")
+        self.output_permutation = _permutation(num_qubits, output_permutation)
+        side_wires = [q for g in side.values() for q in g.qubits]
+        if max(wires.max(initial=-1), *side_wires, -1) >= num_qubits or min(side_wires, default=0) < 0:
+            i = next(i for i in range(len(kinds))
+                     if not all(0 <= q < num_qubits for q in self._qubits(i)))
+            raise ValueError(f"gate {KINDS[kinds[i]]} on {self._qubits(i)} outside {num_qubits} qubits")
+
+    def _qubits(self, i: int) -> tuple[int, ...]:
+        g = self.side.get(i)
+        return g.qubits if g is not None else tuple(q for q in self.wires[i].tolist() if q != -1)
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gate list as ``Gate`` objects, materialised from the columns once."""
+        return tuple(self.side[i] if i in self.side else _view(KINDS[k], a, b, angle)
+                     for i, k, a, b, angle in zip(count(), self.kinds.tolist(),
+                                                  *self.wires.T.tolist(), self.angles.tolist()))
+
+    @cached_property
+    def angle_texts(self) -> list[str]:
+        """Each gate's angle to 17 significant digits ('' where the kind takes
+        none), formatted once and shared by ``to_json`` and ``export_qasm``."""
+        return ["" if a != a else format(a, ".17g") for a in self.angles.tolist()]
+
+    def take(self, keep) -> Circuit:
+        """The gates that ``keep`` (a slice or boolean mask) selects, in order,
+        with this circuit's output permutation."""
+        mask = np.zeros(len(self.kinds), bool)
+        mask[keep] = True
+        rank = np.cumsum(mask) - 1
+        c = Circuit.__new__(Circuit)
+        c._fill(self.num_qubits, (self.kinds[mask], self.wires[mask], self.angles[mask]),
+                {int(rank[i]): g for i, g in self.side.items() if mask[i]}, self.output_permutation)
+        return c
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.num_qubits, self.gates, self.output_permutation) == \
+            (other.num_qubits, other.gates, other.output_permutation)
+
+    def __hash__(self):
+        return hash((self.num_qubits, self.gates, self.output_permutation))
+
+    def __repr__(self):
+        return (f"Circuit(num_qubits={self.num_qubits!r}, gates={self.gates!r}, "
+                f"output_permutation={self.output_permutation!r})")
 
     @property
     def is_identity_permutation(self) -> bool:
         return self.output_permutation == tuple(range(self.num_qubits))
 
     def has_opaque(self) -> bool:
-        return any(g.kind is GateKind.OPAQUE_UNITARY for g in self.gates)
+        return bool(np.any(self.kinds == _OPAQUE))
+
+
+def _wide(c: Circuit) -> dict:
+    """Gate index -> wires of the gates whose wires do not fit a row (opaque
+    gates on no wire or more than two)."""
+    return {i: g.qubits for i, g in c.side.items() if not 1 <= len(g.qubits) <= 2}
 
 
 @dataclass(frozen=True)
@@ -183,27 +320,29 @@ def depth(c: Circuit) -> int:
     """ASAP-layered depth: each gate enters the earliest layer after every
     earlier gate sharing one of its qubits.  Opaque gates count as depth 1."""
     busy_until = [0] * c.num_qubits  # never decreases, so its max is the depth
-    for g in c.gates:
-        qubits = g.qubits
-        if len(qubits) == 1:
-            busy_until[qubits[0]] += 1
-        elif len(qubits) == 2:
-            a, b = qubits
-            la, lb = busy_until[a], busy_until[b]
-            busy_until[a] = busy_until[b] = (la if la > lb else lb) + 1
-        else:
-            layer = 1 + max(busy_until[q] for q in qubits)
-            for q in qubits:
+    wide, (first, second), start = _wide(c), c.wires.T.tolist(), 0
+    for stop in [*sorted(wide), len(first)]:  # the rows between two wide gates, then one
+        for a, b in zip(first[start:stop], second[start:stop]):
+            if b < 0:
+                busy_until[a] += 1
+            else:
+                la, lb = busy_until[a], busy_until[b]
+                busy_until[a] = busy_until[b] = (la if la > lb else lb) + 1
+        if stop in wide:
+            layer = 1 + max(busy_until[q] for q in wide[stop])
+            for q in wide[stop]:
                 busy_until[q] = layer
+        start = stop + 1
     return max(busy_until, default=0)
 
 
 def gate_counts(c: Circuit) -> GateCounts:
-    kinds = Counter(g.kind for g in c.gates)
-    single = sum(k for kind, k in kinds.items() if _ARITY.get(kind) == 1)
-    two = sum(k for kind, k in kinds.items() if _ARITY.get(kind) == 2)
-    by_kind = {kind.value: k for kind, k in kinds.items()}
-    return GateCounts(single, two, kinds[GateKind.OPAQUE_UNITARY], by_kind)
+    counts = np.bincount(c.kinds, minlength=len(KINDS)).tolist()
+    present, first = np.unique(c.kinds, return_index=True)
+    by_kind = {KINDS[k].value: counts[k] for k in present[np.argsort(first)].tolist()}
+    arity = _ARITY_OF[:len(KINDS)].tolist()
+    return GateCounts(sum(n for n, a in zip(counts, arity) if a == 1),
+                      sum(n for n, a in zip(counts, arity) if a == 2), counts[_OPAQUE], by_kind)
 
 
 def _inverse_permutation(perm) -> tuple[int, ...]:
@@ -237,36 +376,44 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.num_qubits, gates, perm)
 
 
-def _cancel_sweep(gates, num_qubits: int) -> tuple[list[Gate], bool]:
+def _cancel_sweep(c: Circuit) -> tuple[list[int], bool]:
     """One left-to-right sweep that drops each CNOT equal to the kept gate just
-    before it on both wires; also says whether a later sweep could drop more.
+    before it on both wires: the dropped gates' indices, and whether a later
+    sweep could drop more.
 
     Each wire keeps a stack of kept-gate indices.  A cancelled pair pops both
     stacks, uncovering the gates beneath, which may not pair again within the
     same sweep; an uncovered CNOT that meets an equal one flags a later sweep."""
-    stacks = [[] for _ in range(num_qubits)]
-    pushed = [True] * num_qubits  # the wire's top was pushed, not uncovered
-    dropped = set()
+    kinds = c.kinds.tolist()
+    controls, targets = c.wires.T.tolist()
+    wide = _wide(c)
+    stacks = [[] for _ in range(c.num_qubits)]
+    pushed = [True] * c.num_qubits  # the wire's top was pushed, not uncovered
+    dropped = []
     uncovered_pair = False
-    for i, g in enumerate(gates):
-        qubits = g.qubits
-        if g.kind is GateKind.CNOT:
-            a, b = qubits
+    for i, kind, a, b in zip(range(len(kinds)), kinds, controls, targets):
+        if kind == _CNOT:
             sa, sb = stacks[a], stacks[b]
             if sa and sb and sa[-1] == sb[-1]:
-                top = gates[sa[-1]]
-                if top.kind is GateKind.CNOT and top.qubits == qubits:
+                top = sa[-1]  # on both wires, so a CNOT there acts on a and b
+                if kinds[top] == _CNOT and controls[top] == a:
                     if pushed[a] and pushed[b]:
-                        dropped.add(sa.pop())
+                        dropped += (sa.pop(), i)
                         sb.pop()
-                        dropped.add(i)
                         pushed[a] = pushed[b] = False
                         continue
                     uncovered_pair = True
-        for q in qubits:
-            stacks[q].append(i)
-            pushed[q] = True
-    return [g for i, g in enumerate(gates) if i not in dropped], uncovered_pair
+        elif i in wide:
+            for q in wide[i]:
+                stacks[q].append(i)
+                pushed[q] = True
+            continue
+        stacks[a].append(i)
+        pushed[a] = True
+        if b >= 0:
+            stacks[b].append(i)
+            pushed[b] = True
+    return dropped, uncovered_pair
 
 
 def peephole_cancel_cnots(c: Circuit) -> Circuit:
@@ -276,10 +423,13 @@ def peephole_cancel_cnots(c: Circuit) -> Circuit:
     Each sweep drops the pairs adjacent in its input, pairing runs of equal
     CNOTs from the left.  A sweep that uncovers no equal pair is the last; a
     further sweep runs only when a dropped pair sat between two equal CNOTs."""
-    gates, again = _cancel_sweep(c.gates, c.num_qubits)
+    again = True
     while again:
-        gates, again = _cancel_sweep(gates, c.num_qubits)
-    return Circuit(c.num_qubits, tuple(gates), c.output_permutation)
+        dropped, again = _cancel_sweep(c)
+        keep = np.ones(len(c.kinds), bool)
+        keep[dropped] = False
+        c = c.take(keep)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +487,32 @@ def permutation_to_swaps(perm) -> list[tuple[int, int]]:
     return swaps
 
 
-def _gate_texts(c: Circuit, parts) -> list[str]:
-    """One text per gate.  ``parts(g)`` gives the text before and after the
-    angle, which depends only on the gate's kind and qubits, so it runs once
-    per distinct pair (and raises for an opaque gate); only angles are
-    formatted per gate."""
-    texts = []
-    fixed: dict = {}
-    for g in c.gates:
-        key = (g.kind, g.qubits)
-        around = fixed.get(key)
-        if around is None:
-            around = fixed[key] = parts(g)
-        if g.angle is None:
-            texts.append(around[0])
-        else:
-            texts.append(around[0] + format(g.angle, ".17g") + around[1])  # angles are floats
-    return texts
+def _reject_opaque(c: Circuit, verb: str) -> None:
+    opaque = np.flatnonzero(c.kinds == _OPAQUE)
+    if opaque.size:
+        label = c.side[int(opaque[0])].label
+        raise OpaqueGatePresent(f"cannot {verb} opaque gate '{label}'; decompose first")
 
 
-def _qasm_parts(g: Gate) -> tuple[str, str]:
-    if g.kind is GateKind.OPAQUE_UNITARY:
-        raise OpaqueGatePresent(f"cannot export opaque gate '{g.label}'; decompose first")
-    name = _QASM_NAMES[g.kind]
-    args = ",".join(f"q[{q}]" for q in g.qubits)
-    if g.kind in _ANGLED:
+def _gate_texts(c: Circuit, parts, verb: str) -> list[str]:
+    """One text per gate: its angle text (``angle_texts``) between the two
+    texts ``parts(kind, qubits)`` gives, which depend only on the gate's row of
+    kind and wires, so they are built once per distinct row.  An opaque gate
+    raises, as it cannot be written."""
+    _reject_opaque(c, verb)
+    base = c.num_qubits + 1
+    key = (c.kinds.astype(np.int64) * base + c.wires[:, 0]) * base + c.wires[:, 1] + 1
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    around = [parts(KINDS[k], (a,) if b < 0 else (a, b))
+              for k, (a, b) in zip(c.kinds[first].tolist(), c.wires[first].tolist())]
+    return [head + angle + end
+            for (head, end), angle in zip(map(around.__getitem__, inverse.tolist()), c.angle_texts)]
+
+
+def _qasm_parts(kind: GateKind, qubits) -> tuple[str, str]:
+    name = _QASM_NAMES[kind]
+    args = ",".join(f"q[{q}]" for q in qubits)
+    if kind in _ANGLED:
         return f"{name}(", f") {args};"
     return f"{name} {args};", ""
 
@@ -375,27 +526,21 @@ def export_qasm(c: Circuit) -> str:
     naming; ``u1`` is the plain phase gate.
     """
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    lines += _gate_texts(c, _qasm_parts)
+    lines += _gate_texts(c, _qasm_parts, "export")
     if not c.is_identity_permutation:
         for a, b in permutation_to_swaps(c.output_permutation):
             lines.append(f"swap q[{a}],q[{b}];")
     return "\n".join(lines) + "\n"
 
 
-def _not_serializable(g: Gate) -> OpaqueGatePresent:
-    return OpaqueGatePresent(f"cannot serialize opaque gate '{g.label}'; decompose first")
-
-
 def to_json_dict(c: Circuit) -> dict:
     """Circuit as the documented JSON schema (opaque gates are not representable)."""
+    _reject_opaque(c, "serialize")
     gates = []
-    for g in c.gates:
-        if g.kind is GateKind.OPAQUE_UNITARY:
-            raise _not_serializable(g)
-        entry = {"kind": g.kind.value, "qubits": list(g.qubits)}
-        if g.angle is not None:
-            entry["angle"] = g.angle
-        gates.append(entry)
+    for k, a, b, angle in zip(c.kinds.tolist(), *c.wires.T.tolist(), c.angles.tolist()):
+        gates.append({"kind": KINDS[k].value, "qubits": [a] if b < 0 else [a, b]})
+        if angle == angle:
+            gates[-1]["angle"] = angle
     return {
         "num_qubits": c.num_qubits,
         "gates": gates,
@@ -416,12 +561,9 @@ _JSON_GATE_HEAD = {kind: f'    {{\n      "kind": "{kind.value}",\n      "qubits"
                    for kind in _ARITY}
 
 
-def _json_parts(g: Gate) -> tuple[str, str]:
-    head = _JSON_GATE_HEAD.get(g.kind)
-    if head is None:
-        raise _not_serializable(g)
-    text = head + ",\n        ".join(map(str, g.qubits)) + "\n      ]"
-    if g.kind in _ANGLED:
+def _json_parts(kind: GateKind, qubits) -> tuple[str, str]:
+    text = _JSON_GATE_HEAD[kind] + ",\n        ".join(map(str, qubits)) + "\n      ]"
+    if kind in _ANGLED:
         return text + ',\n      "angle": ', "\n    }"
     return text + "\n    }", ""
 
@@ -429,7 +571,7 @@ def _json_parts(g: Gate) -> tuple[str, str]:
 def to_json(c: Circuit) -> str:
     """The ``to_json_dict`` schema, floats to 17 significant digits (exact round
     trip), byte for byte as ``dumps(to_json_dict(c), indent=2)`` lays it out."""
-    entries = _gate_texts(c, _json_parts)
+    entries = _gate_texts(c, _json_parts, "serialize")
     gates = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     perm = ",\n    ".join(map(str, c.output_permutation))
     perm = f"[\n    {perm}\n  ]" if perm else "[]"

@@ -179,13 +179,16 @@ def _sample(cfg: dict, fdef: funcs.FunctionDef, m: int,
 
 
 def _compile(cfg: dict, grid: fourier.GridFunction, m: int,
-             variant: NonperiodicVariant | None, spectrum: np.ndarray | None = None):
+             variant: NonperiodicVariant | None, spectrum: np.ndarray | None = None,
+             extended: fourier.GridFunction | None = None):
     """Plan and compile one load of ``grid``; the spec is None on the mirror path.
-    ``spectrum`` is the grid's DFT when the caller has already taken it."""
+    ``spectrum`` is the DFT of the grid, or on the mirror path of its mirror
+    extension ``extended``, when the caller has already taken it."""
     plan = _plan(cfg, grid.n, m, grid.dims)
     if variant is not None:
         return (None,) + compiler.compile_nonperiodic(grid, m, variant, plan,
-                                                      filter_a=cfg["filter_a"])
+                                                      filter_a=cfg["filter_a"],
+                                                      extended=extended, spectrum=spectrum)
     if spectrum is None:
         spectrum = fourier.dft_coefficients(grid)
     spec = compiler.window_spectrum(spectrum, m, cfg["filter_a"])
@@ -283,10 +286,11 @@ def cmd_sweep(cfg: dict) -> int:
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
     grid = _sample(cfg, fdef, hi, variant)  # a bad top of the range fails before sampling
-    spectrum = None if variant is not None else fourier.dft_coefficients(grid)
+    extended = None if variant is None else fourier.mirror_extend(grid)
+    spectrum = fourier.dft_coefficients(grid if extended is None else extended)
     rows = [SWEEP_COLUMNS]
     for m in range(lo, hi + 1):
-        *_, report = _compile(cfg, grid, m, variant, spectrum)
+        *_, report = _compile(cfg, grid, m, variant, spectrum, extended)
         bound = "" if report.analytic_bound is None else _fmt(report.analytic_bound)
         rows.append(",".join([
             str(m), _fmt(report.exact_infidelity), bound, str(report.depth),

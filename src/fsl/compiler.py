@@ -11,8 +11,9 @@ registers of n wires each:
      terminal swaps are elided into the circuit's output permutation;
   4. the caller's tail gates, moved onto the wires that permutation names.
 
-The four steps append to one gate list, which becomes one ``Circuit`` for the
-peephole pass; ``assemble`` returns the result with its ``CompileReport``.
+``assemble`` concatenates the four steps' kind, wire and angle columns into
+one ``Circuit`` for the peephole pass and returns the result with its
+``CompileReport``.
 
 ``compile_spec`` (periodic) uses no lead wires and no tail.  The mirror load
 ``compile_nonperiodic`` uses one (n+1)-wire register and a CNOT/H tail that
@@ -31,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import fourier
-from .circuit import (Circuit, Gate, GateCounts, cnot, depth, gate_counts, h,
+from .circuit import (Circuit, Gate, GateCounts, cnot, cnot_rows, depth, gate_counts, h,
                       peephole_cancel_cnots)
 from .errors import CapacityExceeded, DimensionMismatch
 from .fourier import FourierSpec, GridFunction
@@ -121,20 +122,21 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
     return Statevector(spec.dims * n, samples / np.linalg.norm(samples))
 
 
-def _fanout_gates(source: int, targets: list[int], mode: str) -> list[Gate]:
+def _fanout_pairs(source: int, targets: list[int], mode: str) -> list[tuple[int, int]]:
+    """(control, target) of each fan-out CNOT, in order."""
     if mode == "sequential":
-        return [cnot(source, t) for t in targets]
+        return [(source, t) for t in targets]
     holders = [source]
     queue = list(targets)
-    gates = []
+    pairs = []
     while queue:
         for hold in list(holders):
             if not queue:
                 break
             t = queue.pop(0)
-            gates.append(cnot(hold, t))
+            pairs.append((hold, t))
             holders.append(t)
-    return gates
+    return pairs
 
 
 def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
@@ -145,8 +147,8 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
 
     The leading qubits of ``vec`` go on wires 0..lead-1, the rest on each
     register's m+1 coefficient wires.  ``tail`` gates address logical qubits
-    (after the iQFTs' elided swaps) and are remapped onto wires; every gate
-    goes into one list and one ``Circuit``.  Callers check capacity first.  The
+    (after the iQFTs' elided swaps) and are remapped onto wires; the steps'
+    columns go into one ``Circuit``.  Callers check capacity first.  The
     report's ``compile_wall_time`` covers assembly only: the spectrum is
     computed before the clock starts, and depth and counts after it stops."""
     t0 = time.perf_counter()
@@ -155,16 +157,15 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
     regs = [list(range(lead + d * n, lead + (d + 1) * n)) for d in range(plan.dims)]
     loader_qubits = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
     build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
-    gates = list(build(vec, qubits=loader_qubits, num_qubits=total).gates)
-    for reg in regs:
-        gates.extend(_fanout_gates(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout))
+    parts = [build(vec, qubits=loader_qubits, num_qubits=total)]
+    parts += [cnot_rows(_fanout_pairs(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout))
+              for reg in regs]
     perm = list(range(total))  # logical qubit -> wire after the iQFTs' elided swaps
     for reg in regs:  # registers are disjoint, so no iQFT gate needs remapping
-        iqft = build_inverse_qft(n, num_qubits=total, qubits=reg)
-        gates.extend(iqft.gates)
-        perm = [perm[p] for p in iqft.output_permutation]
-    gates.extend(g.remap(perm) for g in tail)
-    circ = peephole_cancel_cnots(Circuit(total, tuple(gates), tuple(perm)))
+        parts.append(build_inverse_qft(n, num_qubits=total, qubits=reg))
+        perm = [perm[p] for p in parts[-1].output_permutation]
+    parts.append(Circuit(total, [g.remap(perm) for g in tail]))
+    circ = peephole_cancel_cnots(Circuit.join(total, parts, perm))
     wall = time.perf_counter() - t0
     return circ, CompileReport(
         depth=depth(circ),
@@ -205,8 +206,9 @@ def window_spectrum(coeffs_full: np.ndarray, m: int,
 
 
 def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
-                        plan: FSLPlan | None = None,
-                        filter_a: float | None = None) -> tuple[Circuit, CompileReport]:
+                        plan: FSLPlan | None = None, filter_a: float | None = None,
+                        extended: GridFunction | None = None,
+                        spectrum: np.ndarray | None = None) -> tuple[Circuit, CompileReport]:
     """Load a non-periodic 1D function through its mirror extension.
 
     The extension lives on n+1 qubits; wire 0 is the ancilla and wires 1..n
@@ -215,6 +217,8 @@ def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
     MEASURE instead attaches a classical post-processing rule to the report:
     on ancilla outcome 1, complement the data register (apply X everywhere).
     ``filter_a`` applies the Lanczos filter to the extension's window.
+    ``extended`` and ``spectrum`` are g's mirror extension and its DFT when the
+    caller has already taken them (a sweep takes them once for every m).
     """
     if g.dims != 1:
         raise DimensionMismatch("non-periodic loading is one-dimensional")
@@ -225,8 +229,11 @@ def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
     plan = replace(plan, n=n + 1)
     check_capacity(plan)
 
-    extended = fourier.mirror_extend(g)
-    spec = prepare_spec(extended, m, filter_a)
+    if extended is None:
+        extended = fourier.mirror_extend(g)
+    if spectrum is None:
+        spectrum = fourier.dft_coefficients(extended)
+    spec = window_spectrum(spectrum, m, filter_a)
     bound = fourier.infidelity_bound(extended, m)
     tail, rule = (), None
     if variant is NonperiodicVariant.DISENTANGLE:

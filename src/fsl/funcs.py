@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import math
 import reprlib
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,9 +254,11 @@ def expression(expr: str, dims: int = 1, sqrt_mode: bool = False) -> FunctionDef
         raise ExpressionError("expression mode supports D in {1, 2}")
     variables = {"x"} if dims == 1 else {"x", "y"}
     try:
-        tree = ast.parse(expr.replace("^", "**"), mode="eval")
-        _validate(tree, variables)
-        code = compile(tree, "<expression>", "eval")
+        with warnings.catch_warnings():  # the parser's SyntaxWarnings would reach stderr
+            warnings.simplefilter("ignore", SyntaxWarning)
+            tree = ast.parse(expr.replace("^", "**"), mode="eval")
+            _validate(tree, variables)
+            code = compile(tree, "<expression>", "eval")
     except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
         raise ExpressionError(
             f"cannot parse {reprlib.repr(expr)}: {type(exc).__name__}: {exc}") from None

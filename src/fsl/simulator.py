@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import CODES, KINDS, Circuit, GateKind
 from .errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
 
 DEFAULT_MAX_QUBITS = 24
@@ -28,6 +28,7 @@ MAX_OPAQUE_QUBITS = 12
 
 _NORM_TOL = 1e-10
 _SQRT_HALF = 1 / math.sqrt(2)
+_H, _CPHASE = CODES[GateKind.H], CODES[GateKind.CPHASE]
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,19 @@ def _h_phase(psi: np.ndarray, qs: tuple[int, ...], angles, k: int) -> None:
     b *= factor
 
 
-def _apply_gate(psi: np.ndarray, g: Gate, qs: tuple[int, ...], k: int) -> None:
-    """Apply ``g`` (any kind but H) in place to the ``k``-axis ``psi``, its wires
-    sitting at axes ``qs``: built-in kinds swap, scale or mix slices of ``psi``."""
-    kind = g.kind
+def _apply_gate(psi: np.ndarray, op: tuple, qs: tuple[int, ...], k: int) -> None:
+    """Apply the gate ``op`` = (kind, angle, opaque matrix), any kind but H, in
+    place to the ``k``-axis ``psi``, its wires sitting at axes ``qs``: built-in
+    kinds swap, scale or mix slices of ``psi``."""
+    kind, angle, matrix = op
     if kind is GateKind.OPAQUE_UNITARY:
         w = len(qs)
         if w > MAX_OPAQUE_QUBITS:
             raise CapacityExceeded(f"opaque gate on {w} qubits exceeds cap {MAX_OPAQUE_QUBITS}")
         moved = np.moveaxis(psi.reshape([2] * k), qs, range(w))
-        moved[...] = (g.matrix @ moved.reshape(2**w, -1)).reshape(moved.shape)
+        moved[...] = (matrix @ moved.reshape(2**w, -1)).reshape(moved.shape)
     elif kind is GateKind.RY:
-        c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
+        c, s = math.cos(angle / 2), math.sin(angle / 2)
         _mix(np.array([[c, -s], [s, c]]), _at(psi, qs, (0,)), _at(psi, qs, (1,)))
     elif kind is GateKind.X:
         _swap(_at(psi, qs, (0,)), _at(psi, qs, (1,)))
@@ -143,13 +145,13 @@ def _apply_gate(psi: np.ndarray, g: Gate, qs: tuple[int, ...], k: int) -> None:
     elif kind is GateKind.SWAP:
         _swap(_at(psi, qs, (0, 1)), _at(psi, qs, (1, 0)))
     elif kind is GateKind.RZ:
-        ph = cmath.exp(0.5j * g.angle)
+        ph = cmath.exp(0.5j * angle)
         _scale(_at(psi, qs, (0,)), ph.conjugate())
         _scale(_at(psi, qs, (1,)), ph)
     elif kind is GateKind.PHASE:
-        _scale(_at(psi, qs, (1,)), cmath.exp(1j * g.angle))
+        _scale(_at(psi, qs, (1,)), cmath.exp(1j * angle))
     elif kind is GateKind.CPHASE:
-        _scale(_at(psi, qs, (1, 1)), cmath.exp(1j * g.angle))
+        _scale(_at(psi, qs, (1, 1)), cmath.exp(1j * angle))
     else:  # pragma: no cover
         raise ValueError(f"unknown gate kind {kind}")
 
@@ -169,12 +171,13 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
     else:
         psi = initial.amplitudes.copy()
         order = {w: n - 1 - w for w in range(n)}
-    gates, j = c.gates, 0
-    while j < len(gates):  # gates[i:j] run as one step: a gate, or an H and its CPHASE run
-        g, i, j, wires = gates[j], j, j + 1, gates[j].qubits
-        while (g.kind is GateKind.H and j < len(gates) and gates[j].kind is GateKind.CPHASE
-               and wires[0] in gates[j].qubits):  # a CPHASE right after the H, on its wire
-            wires += tuple(q for q in gates[j].qubits if q != wires[0])
+    kinds, angles, rows, j = c.kinds.tolist(), c.angles.tolist(), c.wires.tolist(), 0
+    while j < len(kinds):  # gates i..j-1 run as one step: a gate, or an H and its CPHASE run
+        i, j = j, j + 1
+        wires = c.side[i].qubits if i in c.side else tuple(q for q in rows[i] if q != -1)
+        while (kinds[i] == _H and j < len(kinds) and kinds[j] == _CPHASE
+               and wires[0] in rows[j]):  # a CPHASE right after the H, on its wire
+            wires += tuple(q for q in rows[j] if q != wires[0])
             j += 1
         for q in wires:
             order.setdefault(q, len(order))
@@ -182,10 +185,11 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         # numpy and BLAS round 1-element and 1-3-column operands unlike a full-width run.
         k = min(n, max(len(order), len(set(wires)) + 2))
         qs = tuple(k - 1 - order[q] for q in wires)
-        if g.kind is GateKind.H:
-            _h_phase(psi[:2**k], qs, [x.angle for x in gates[i + 1:j]], k)
+        if kinds[i] == _H:
+            _h_phase(psi[:2**k], qs, angles[i + 1:j], k)
         else:
-            _apply_gate(psi[:2**k], g, qs, k)
+            matrix = c.side[i].matrix if i in c.side else None
+            _apply_gate(psi[:2**k], (KINDS[kinds[i]], angles[i], matrix), qs, k)
     for w in reversed(range(n)):  # untouched wires fill the leading axes
         order.setdefault(w, len(order))
     axes = [n - 1 - order[w] for w in c.output_permutation]

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, cnot, cphase, h, phase, ry, rz, unitary
+from .circuit import CODES, Circuit, GateKind, cnot_rows, unitary
 from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 
 NORM_TOL = 1e-9
@@ -135,46 +135,49 @@ def gray_transform_matrix(j: int) -> np.ndarray:
     return ((-1.0) ** (dots % 2)) / size
 
 
+_H, _RY, _RZ, _PHASE, _CPHASE = (CODES[k] for k in (GateKind.H, GateKind.RY, GateKind.RZ,
+                                                     GateKind.PHASE, GateKind.CPHASE))
+_NO_ROWS = ((), (), ())
+
+
 @lru_cache(maxsize=None)
-def _gray_control_positions(j: int) -> tuple[int, ...]:
+def _gray_control_positions(j: int) -> np.ndarray:
     """Which of the j controls the k-th CNOT of a block uses, k = 1..2^j: the
     one whose Gray-code bit flips between k-1 and k (control 0 for the most
     significant bit), and control 0 for the 2^j-th, which closes the cycle."""
-    flips = ((gray_code(k) ^ gray_code(k - 1)).bit_length() for k in range(1, 2**j))
-    return tuple(j - bits for bits in flips) + (0,)
+    k = np.arange(1, 2**j)
+    flips = (k ^ (k >> 1)) ^ ((k - 1) ^ ((k - 1) >> 1))  # one bit, 2^(its index)
+    positions = np.append(j - 1 - np.log2(flips).astype(int), 0)
+    positions.setflags(write=False)
+    return positions
 
 
-def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bool = False) -> list[Gate]:
-    """Gate list of one uniformly controlled rotation.
+def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bool = False):
+    """(kinds, wires, angles) rows of one uniformly controlled rotation: the
+    2^j rotations, each followed by the CNOT of the Gray-code walk.
 
-    With ``start_with_cnot`` the block is emitted in the inverted-walk order
-    (CNOT first, rotation last); both orders realize the same operator, and
-    abutting a normal block with an inverted one lets the shared boundary
-    CNOT pair cancel in the peephole pass.  The block has only j distinct
-    CNOTs, so each is built once and the walk reuses it.
+    With ``start_with_cnot`` the rows run backwards (CNOT first, rotation
+    last); both orders realize the same operator, and abutting a normal block
+    with an inverted one lets the shared boundary CNOT pair cancel in the
+    peephole pass.  Rotations below ``ANGLE_EPS`` are left out.
     """
     theta = gray_transform(alpha)
     if np.max(np.abs(theta)) < ANGLE_EPS:
-        return []  # all-zero level: the bare CNOT cycle is the identity
-    j = int(round(math.log2(len(theta))))
-    theta = theta.tolist()
-    if j == 0:
-        return [] if abs(theta[0]) < ANGLE_EPS else [Gate(axis, (target,), theta[0])]
-    cnots = [cnot(c, target) for c in controls]
-    walk = [cnots[p] for p in _gray_control_positions(j)]  # the CNOT after rotation k
-
-    gates: list[Gate] = []
+        return _NO_ROWS  # all-zero level: the bare CNOT cycle is the identity
+    size = len(theta)
+    if size == 1:
+        return [CODES[axis]], [(target, -1)], theta
+    kinds = np.tile(np.array([CODES[axis], CODES[GateKind.CNOT]], np.uint8), size)
+    wires = np.full((2 * size, 2), target, np.int32)
+    wires[0::2, 1] = -1
+    wires[1::2, 0] = np.asarray(controls)[_gray_control_positions(size.bit_length() - 1)]
+    angles = np.full(2 * size, math.nan)
+    angles[0::2] = theta
+    keep = np.ones(2 * size, bool)
+    keep[0::2] = np.abs(theta) >= ANGLE_EPS
     if start_with_cnot:
-        for angle, gate in zip(reversed(theta), reversed(walk)):
-            gates.append(gate)
-            if abs(angle) >= ANGLE_EPS:
-                gates.append(Gate(axis, (target,), angle))
-    else:
-        for angle, gate in zip(theta, walk):
-            if abs(angle) >= ANGLE_EPS:
-                gates.append(Gate(axis, (target,), angle))
-            gates.append(gate)
-    return gates
+        kinds, wires, angles, keep = kinds[::-1], wires[::-1], angles[::-1], keep[::-1]
+    return kinds[keep], wires[keep], angles[keep]
 
 
 def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Circuit:
@@ -188,16 +191,15 @@ def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Cir
     ang = mottonen_angles(target)
     q = ang.num_qubits
     qubits, total = _wires(q, qubits, num_qubits)
-    gates: list[Gate] = []
+    blocks = []
     if abs(ang.global_phase) > ANGLE_EPS:
-        gates.append(rz(-ang.global_phase, qubits[0]))
-
+        blocks.append(([_RZ], [(qubits[0], -1)], [-ang.global_phase]))
     for t in range(q):
         controls, tgt = qubits[:t], qubits[t]
-        gates.extend(_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], controls, tgt))
-        gates.extend(_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], controls, tgt,
-                                start_with_cnot=t > 0))
-    return Circuit(total, tuple(gates))
+        blocks.append(_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], controls, tgt))
+        blocks.append(_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], controls, tgt,
+                                 start_with_cnot=t > 0))
+    return Circuit.join(total, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +241,11 @@ def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) ->
     coeff_vec = np.zeros(2**form.left_qubits)
     coeff_vec[: len(form.schmidt_coeffs)] = form.schmidt_coeffs
     loader = build_ucr_circuit(coeff_vec, qubits=left, num_qubits=total)
-
-    gates = list(loader.gates)
-    low_left = left[form.left_qubits - form.right_qubits:]
-    for a, b in zip(low_left, right):
-        gates.append(cnot(a, b))
-    for mat, regs, label in ((form.u_matrix, left, "U"), (form.v_matrix, right, "V")):
-        if np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12:
-            gates.append(unitary(mat, regs, label=label))
-    return Circuit(total, tuple(gates))
+    ladder = cnot_rows(list(zip(left[form.left_qubits - form.right_qubits:], right)))
+    bases = [unitary(mat, regs, label=label)
+             for mat, regs, label in ((form.u_matrix, left, "U"), (form.v_matrix, right, "V"))
+             if np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12]
+    return Circuit.join(total, [loader, ladder, Circuit(total, bases)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,40 +269,34 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, float(beta), gamma, float(delta)
 
 
-def _emit_1q(u: np.ndarray, qubit: int) -> list[Gate]:
-    """Exact single-qubit synthesis: at most RZ, RY, RZ plus a PHASE.
+def _emit_1q(u: np.ndarray, qubit: int) -> list:
+    """Exact single-qubit synthesis: at most RZ, RY, RZ plus a PHASE, as one
+    row block in a list.
 
     The global phase is folded into the final RZ/PHASE pair so the emitted
     gates reproduce ``u`` exactly, which the recursive decomposition relies on.
     """
     alpha, beta, gamma, delta = _zyz_angles(u)
-    gates = []
-    if abs(delta) > ANGLE_EPS:
-        gates.append(rz(delta, qubit))
-    if abs(gamma) > ANGLE_EPS:
-        gates.append(ry(gamma, qubit))
-    if abs(beta - 2 * alpha) > ANGLE_EPS:
-        gates.append(rz(beta - 2 * alpha, qubit))
-    if abs(alpha) > ANGLE_EPS:
-        gates.append(phase(2 * alpha, qubit))
-    return gates
+    rows = [(code, angle) for code, angle, size in (
+        (_RZ, delta, delta), (_RY, gamma, gamma), (_RZ, beta - 2 * alpha, beta - 2 * alpha),
+        (_PHASE, 2 * alpha, alpha)) if abs(size) > ANGLE_EPS]
+    return [([c for c, _ in rows], [(qubit, -1)] * len(rows), [a for _, a in rows])]
 
 
-def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int]) -> list[Gate]:
-    """Gates for |0><0| (x) a + |1><1| (x) b with ``select`` as the select qubit."""
+def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int]) -> list:
+    """Row blocks for |0><0| (x) a + |1><1| (x) b with ``select`` as the select qubit."""
     from scipy.linalg import schur  # deferred: importing fsl must not load scipy.linalg
 
     evals, l_mat = schur(a @ b.conj().T, output="complex")
     lam = np.diag(evals)
     d = np.exp(0.5j * np.angle(lam))
     r_mat = (d[:, None].conj() * l_mat.conj().T) @ a
-    gates = _synth_rec(r_mat, rest)
-    gates += _ucr_block(GateKind.RZ, -2.0 * np.angle(d), rest, select)
-    gates += _synth_rec(l_mat, rest)
-    return gates
+    return [*_synth_rec(r_mat, rest), _ucr_block(GateKind.RZ, -2.0 * np.angle(d), rest, select),
+            *_synth_rec(l_mat, rest)]
 
 
-def _synth_rec(u: np.ndarray, qubits: list[int]) -> list[Gate]:
+def _synth_rec(u: np.ndarray, qubits: list[int]) -> list:
+    """Row blocks of ``u`` on ``qubits``, in order."""
     if len(qubits) == 1:
         return _emit_1q(u, qubits[0])
     from scipy.linalg import cossin  # deferred: importing fsl must not load scipy.linalg
@@ -312,10 +304,9 @@ def _synth_rec(u: np.ndarray, qubits: list[int]) -> list[Gate]:
     half = len(u) // 2
     (u1, u2), theta, (v1h, v2h) = cossin(u, p=half, q=half, separate=True)
     select, rest = qubits[0], qubits[1:]
-    gates = _demultiplex(v1h, v2h, select, rest)
-    gates += _ucr_block(GateKind.RY, 2.0 * np.asarray(theta), rest, select)
-    gates += _demultiplex(u1, u2, select, rest)
-    return gates
+    return [*_demultiplex(v1h, v2h, select, rest),
+            _ucr_block(GateKind.RY, 2.0 * np.asarray(theta), rest, select),
+            *_demultiplex(u1, u2, select, rest)]
 
 
 def synth_unitary(u: np.ndarray, qubits=None, num_qubits: int | None = None) -> Circuit:
@@ -332,18 +323,17 @@ def synth_unitary(u: np.ndarray, qubits=None, num_qubits: int | None = None) -> 
     if np.max(np.abs(u.conj().T @ u - np.eye(dim))) >= 1e-10:
         raise NotUnitary("synth_unitary input is not unitary")
     qubits, total = _wires(q, qubits, num_qubits)
-    return Circuit(total, tuple(_synth_rec(u, qubits)))
+    return Circuit.join(total, _synth_rec(u, qubits))
 
 
 def decompose_opaque(c: Circuit) -> Circuit:
     """Replace every opaque gate with its synthesized gate sequence."""
-    gates: list[Gate] = []
-    for g in c.gates:
-        if g.kind is GateKind.OPAQUE_UNITARY:
-            gates.extend(_synth_rec(np.asarray(g.matrix), list(g.qubits)))
-        else:
-            gates.append(g)
-    return Circuit(c.num_qubits, tuple(gates), c.output_permutation)
+    parts, start = [], 0
+    for i in np.flatnonzero(c.kinds == CODES[GateKind.OPAQUE_UNITARY]).tolist():
+        g = c.side[i]
+        parts += [c.take(slice(start, i)), *_synth_rec(np.asarray(g.matrix), list(g.qubits))]
+        start = i + 1
+    return Circuit.join(c.num_qubits, [*parts, c.take(slice(start, None))], c.output_permutation)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +349,11 @@ def build_inverse_qft(q: int, num_qubits: int | None = None, qubits=None) -> Cir
     if q < 1:
         raise ValueError("need at least one qubit")
     qubits, total = _wires(q, qubits, num_qubits)
-
-    gates: list[Gate] = []
+    rows = []
     for s in range(q):
-        gates.append(h(qubits[s]))
-        for d in range(1, q - s):
-            gates.append(cphase(-math.pi / 2**d, qubits[s + d], qubits[s]))
-
+        rows.append((_H, (qubits[s], -1), math.nan))
+        rows += [(_CPHASE, (qubits[s + d], qubits[s]), -math.pi / 2**d) for d in range(1, q - s)]
     perm = list(range(total))
     for s in range(q):
         perm[qubits[s]] = qubits[q - 1 - s]
-    return Circuit(total, tuple(gates), tuple(perm))
+    return Circuit.join(total, [tuple(zip(*rows))], perm)

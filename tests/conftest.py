@@ -6,11 +6,13 @@ simulator it checks.
 """
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from fsl.circuit import Circuit, Gate, GateKind
+from fsl.circuit import Circuit, Gate, GateCounts, GateKind, cnot, ry, rz
+from fsl.synth import ANGLE_EPS, gray_code, gray_transform
 
 
 def rand_state(rng, q):
@@ -54,6 +56,28 @@ def gate_key(g: Gate):
     return g.kind, g.qubits, g.angle, g.label, None if g.matrix is None else g.matrix.tobytes()
 
 
+def reference_depth(c: Circuit) -> int:
+    """The per-``Gate`` ASAP layering ``depth`` replaced: each gate one layer
+    past the latest layer on any of its wires."""
+    busy_until = [0] * c.num_qubits
+    for g in c.gates:
+        layer = 1 + max(busy_until[q] for q in g.qubits)
+        for q in g.qubits:
+            busy_until[q] = layer
+    return max(busy_until, default=0)
+
+
+def reference_gate_counts(c: Circuit) -> GateCounts:
+    """The per-``Gate`` count ``gate_counts`` replaced: a ``Counter`` over the
+    kinds, in first-seen order, split by the plain kinds' arity."""
+    kinds = Counter(g.kind for g in c.gates)
+    arity = {k: 2 if k in (GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP) else 1
+             for k in GateKind if k is not GateKind.OPAQUE_UNITARY}
+    return GateCounts(sum(k for kind, k in kinds.items() if arity.get(kind) == 1),
+                      sum(k for kind, k in kinds.items() if arity.get(kind) == 2),
+                      kinds[GateKind.OPAQUE_UNITARY], {kind.value: k for kind, k in kinds.items()})
+
+
 def reference_peephole(c: Circuit) -> Circuit:
     """The fixed-point CNOT cancellation ``peephole_cancel_cnots`` replaced:
     whole passes over the gate list, each dropping the identical CNOT pairs
@@ -80,6 +104,38 @@ def reference_peephole(c: Circuit) -> Circuit:
                 last_on[q] = len(kept) - 1
         gates = [g for g in kept if g is not None]
     return Circuit(c.num_qubits, tuple(gates), c.output_permutation)
+
+
+def reference_ucr_block(axis, alpha, controls, target, start_with_cnot=False):
+    """The per-gate form ``_ucr_block`` replaced: a new CNOT for each of the
+    2^j steps, its control read from the Gray-code bit that flips there."""
+    theta = gray_transform(alpha)
+    if np.max(np.abs(theta)) < ANGLE_EPS:
+        return []
+    j = int(round(math.log2(len(theta))))
+    rot = ry if axis is GateKind.RY else rz
+
+    def control(k):  # of the k-th CNOT, 1-based; the 2^j-th closes the cycle
+        if k == 2**j:
+            return controls[0]
+        flip = gray_code(k) ^ gray_code(k - 1)
+        return controls[j - 1 - (flip.bit_length() - 1)]
+
+    def rotation(k):
+        return [] if abs(theta[k]) < ANGLE_EPS else [rot(float(theta[k]), target)]
+
+    if j == 0:
+        return rotation(0)
+    gates = []
+    if start_with_cnot:
+        for k in range(2**j, 0, -1):
+            gates.append(cnot(control(k), target))
+            gates.extend(rotation(k - 1))
+    else:
+        for k in range(2**j):
+            gates.extend(rotation(k))
+            gates.append(cnot(control(k + 1), target))
+    return gates
 
 
 def _bit(index, qubit, n):

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_circuit_matrix, gate_key, rand_state, random_circuit,
-                      reference_peephole)
+from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary, random_circuit,
+                      reference_depth, reference_gate_counts, reference_peephole,
+                      reference_ucr_block)
 from fsl import circuit as cir
 from fsl import simulator
-from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, cphase, depth,
+from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, depth,
                          export_qasm, from_json, gate_counts, h, invert,
                          peephole_cancel_cnots, permutation_to_swaps, phase, ry, rz,
                          swap, to_json, unitary)
 from fsl.errors import NotUnitary, OpaqueGatePresent
+from fsl.synth import ANGLE_EPS, build_ucr_circuit, mottonen_angles
 
 
 class TestGateValidation:
@@ -384,10 +386,24 @@ class TestPermutationToSwaps:
                            dense_circuit_matrix(materialized), atol=1e-12)
 
 
+def reference_json_dict(c: Circuit) -> dict:
+    """The per-``Gate`` dict ``to_json_dict`` replaced."""
+    gates = []
+    for g in c.gates:
+        if g.kind is GateKind.OPAQUE_UNITARY:
+            raise OpaqueGatePresent(f"cannot serialize opaque gate '{g.label}'; decompose first")
+        entry = {"kind": g.kind.value, "qubits": list(g.qubits)}
+        if g.angle is not None:
+            entry["angle"] = g.angle
+        gates.append(entry)
+    return {"num_qubits": c.num_qubits, "gates": gates,
+            "output_permutation": list(c.output_permutation)}
+
+
 def reference_to_json(c: Circuit) -> str:
-    """The generic writer ``to_json`` replaced: ``json.dumps`` over
-    ``to_json_dict`` with every float swapped for its 17-digit text."""
-    text = json.dumps(cir._tag_floats(cir.to_json_dict(c)), indent=2)
+    """The generic writer ``to_json`` replaced: ``json.dumps`` over the schema
+    dict with every float swapped for its 17-digit text."""
+    text = json.dumps(cir._tag_floats(reference_json_dict(c)), indent=2)
     return re.sub(r'"\\u0000f:([^"]*)"', r"\1", text)
 
 
@@ -400,7 +416,7 @@ class TestJson:
     def test_bytes_equal_reference_writer(self, c):
         text = to_json(c)
         assert text == reference_to_json(c)
-        assert json.loads(text) == cir.to_json_dict(c)
+        assert json.loads(text) == cir.to_json_dict(c) == reference_json_dict(c)
 
     def test_compiled_circuit_equals_reference_writer(self, rng):
         from fsl.compiler import FSLPlan, compile_spec, prepare_spec
@@ -427,3 +443,204 @@ class TestJson:
         c = Circuit(1, (unitary(np.eye(2), (0,)),))
         with pytest.raises(OpaqueGatePresent):
             to_json(c)
+
+
+# ---------------------------------------------------------------------------
+# Columns
+
+@st.composite
+def gate_lists(draw):
+    """(n, gates, permutation) on 1-5 wires: every kind, edge-case angles
+    (signed zeros, subnormals, huge), opaque gates on 1-3 wires, and a random
+    output permutation."""
+    n = draw(st.integers(1, 5))
+    kinds = [k for k in GateKind if n >= 2 or k not in TWO_QUBIT]
+    gates = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds))
+        if kind is GateKind.OPAQUE_UNITARY:
+            qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            gates.append(unitary(rand_unitary(rng, 2 ** len(qubits)), qubits,
+                                 label=draw(st.sampled_from(["U", "V", ""]))))
+            continue
+        qubits = draw(st.permutations(range(n)))[: 2 if kind in TWO_QUBIT else 1]
+        gates.append(Gate(kind, tuple(qubits), draw(ANGLES) if kind in ANGLED else None))
+    return n, gates, tuple(draw(st.permutations(range(n))))
+
+
+def from_columns(c: Circuit) -> Circuit:
+    """A copy of ``c`` rebuilt from its columns alone, so nothing it holds
+    comes from the ``Gate`` objects ``c`` was made from."""
+    return Circuit.join(c.num_qubits, [c], c.output_permutation)
+
+
+class TestColumns:
+    """Every columnar consumer equals its per-``Gate`` reference."""
+
+    @given(gate_lists())
+    @example((3, [ry(-0.0, 0), rz(5e-324, 1), cphase(-2.5e-310, 0, 2), phase(0.0, 2)], (2, 0, 1)))
+    @example((3, [cnot(0, 1), unitary(np.eye(8), (2, 0, 1), label="W"), cnot(0, 1)], (0, 1, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_consumers_equal_per_gate_references(self, case):
+        n, gates, perm = case
+        c = Circuit(n, gates, perm)
+        fresh = from_columns(c)
+        assert "gates" not in vars(fresh)  # its Gate views are not built yet
+        assert [gate_key(g) for g in fresh.gates] == [gate_key(g) for g in gates]
+        assert [gate_key(g) for g in c.take(slice(None)).gates] == [gate_key(g) for g in gates]
+        assert fresh == c and fresh.output_permutation == perm
+        assert depth(fresh) == reference_depth(c)
+        counts, want = gate_counts(fresh), reference_gate_counts(c)
+        assert counts == want and list(counts.by_kind.items()) == list(want.by_kind.items())
+        assert [gate_key(g) for g in peephole_cancel_cnots(fresh).gates] == \
+            [gate_key(g) for g in reference_peephole(c).gates]
+        for writer, reference in ((to_json, reference_to_json),
+                                  (export_qasm, reference_export_qasm)):
+            try:
+                want = reference(c)
+            except OpaqueGatePresent as exc:
+                with pytest.raises(OpaqueGatePresent) as err:
+                    writer(fresh)
+                assert str(err.value) == str(exc)
+            else:
+                assert writer(fresh) == want
+        state = simulator.run(fresh).amplitudes
+        assert np.max(np.abs(state - dense_circuit_matrix(c)[:, 0])) < 1e-10
+
+    def test_columns_hold_padding_nan_and_side_table(self):
+        u = unitary(np.eye(8), (3, 0, 1), label="W")
+        c = Circuit(4, (h(2), cnot(0, 3), u, ry(0.25, 1)))
+        assert c.kinds.tolist() == [CODES[g.kind] for g in c.gates]
+        assert c.wires.tolist() == [[2, -1], [0, 3], [3, 0], [1, -1]]
+        assert np.isnan(c.angles[:3]).all() and c.angles[3] == 0.25
+        assert c.side == {2: u}
+        with pytest.raises(ValueError):
+            c.kinds[0] = 0  # the columns are read-only
+
+    @pytest.mark.parametrize("q", range(1, 8))  # levels j = 0..q-1, RY and RZ, both walk orders
+    def test_ucr_circuit_equals_per_gate_blocks(self, q):
+        rng = np.random.default_rng(900 + q)
+        target = rand_state(rng, q)
+        target[rng.random(2**q) < 0.3] = 0.0  # empty blocks elide rotations
+        target /= np.linalg.norm(target)
+        wires = [int(w) for w in rng.permutation(q + 2)[:q]]
+        ang = mottonen_angles(target)
+        want = [rz(-ang.global_phase, wires[0])] if abs(ang.global_phase) > ANGLE_EPS else []
+        for t in range(q):
+            want += reference_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], wires[:t], wires[t])
+            want += reference_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], wires[:t], wires[t],
+                                        start_with_cnot=t > 0)
+        got = build_ucr_circuit(target, qubits=wires, num_qubits=q + 2)
+        assert "gates" not in vars(got)
+        assert [gate_key(g) for g in got.gates] == [gate_key(g) for g in want]
+
+
+def _entry(kind, qubits, angle="absent"):
+    entry = {"kind": kind, "qubits": qubits}
+    if angle != "absent":
+        entry["angle"] = angle
+    return entry
+
+
+# (the faulty gate, the same gate as a JSON entry, the error both give)
+MALFORMED = {
+    "duplicate wire": (lambda: Gate(GateKind.CNOT, (1, 1)), _entry("CNOT", [1, 1]),
+                       ValueError, "duplicate qubit in gate GateKind.CNOT: (1, 1)"),
+    "two-wire kind on one": (lambda: Gate(GateKind.CNOT, (1,)), _entry("CNOT", [1]),
+                             ValueError, "GateKind.CNOT expects 2 qubits, got (1,)"),
+    "one-wire kind on two": (lambda: Gate(GateKind.H, (0, 1)), _entry("H", [0, 1]),
+                             ValueError, "GateKind.H expects 1 qubits, got (0, 1)"),
+    "nan angle": (lambda: Gate(GateKind.RY, (0,), math.nan), _entry("RY", [0], math.nan),
+                  ValueError, "GateKind.RY requires a finite angle, got nan"),
+    "inf angle": (lambda: Gate(GateKind.CPHASE, (0, 1), -math.inf),
+                  _entry("CPHASE", [0, 1], -math.inf),
+                  ValueError, "GateKind.CPHASE requires a finite angle, got -inf"),
+    "missing angle": (lambda: Gate(GateKind.RZ, (2,)), _entry("RZ", [2]),
+                      ValueError, "GateKind.RZ requires a finite angle, got None"),
+    "angle on H": (lambda: Gate(GateKind.H, (0,), 0.5), _entry("H", [0], 0.5),
+                   ValueError, "GateKind.H takes no angle"),
+    "angle on X": (lambda: Gate(GateKind.X, (1,), 0.0), _entry("X", [1], 0.0),
+                   ValueError, "GateKind.X takes no angle"),
+    "angle on CNOT": (lambda: Gate(GateKind.CNOT, (0, 1), 1.5), _entry("CNOT", [0, 1], 1.5),
+                      ValueError, "GateKind.CNOT takes no angle"),
+    "angle on SWAP": (lambda: Gate(GateKind.SWAP, (2, 1), -2.0), _entry("SWAP", [2, 1], -2.0),
+                      ValueError, "GateKind.SWAP takes no angle"),
+    "wire above range": (lambda: Gate(GateKind.CNOT, (1, 3)), _entry("CNOT", [1, 3]),
+                         ValueError, "gate GateKind.CNOT on (1, 3) outside 3 qubits"),
+    "negative wire": (lambda: Gate(GateKind.H, (-1,)), _entry("H", [-1]),
+                      ValueError, "gate GateKind.H on (-1,) outside 3 qubits"),
+}
+
+
+class TestMalformedGates:
+    """The column checks raise what the per-gate checks raised, for the first
+    faulty gate, whether the gates come as objects or as JSON."""
+
+    @staticmethod
+    def gates_around(gate):
+        return [h(0), cnot(0, 2), gate, ry(0.5, 1)]
+
+    @staticmethod
+    def json_around(entry, perm=(0, 1, 2)):
+        return json.dumps({"num_qubits": 3, "output_permutation": list(perm), "gates": [
+            _entry("H", [0]), _entry("CNOT", [0, 2]), entry, _entry("RY", [1], 0.5)]})
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_gate_objects_and_json_raise_the_same(self, name):
+        make, entry, kind, message = MALFORMED[name]
+        with pytest.raises(kind) as err:
+            Circuit(3, self.gates_around(make()))
+        assert str(err.value) == message
+        with pytest.raises(kind) as err:
+            from_json(self.json_around(entry))
+        assert str(err.value) == message
+
+    def test_unknown_kind(self):
+        with pytest.raises(KeyError, match="TOFFOLI"):
+            Circuit(3, self.gates_around(Gate("TOFFOLI", (0, 1, 2))))
+        with pytest.raises(ValueError) as err:
+            from_json(self.json_around(_entry("TOFFOLI", [0, 1, 2])))
+        assert str(err.value) == "'TOFFOLI' is not a valid GateKind"
+
+    def test_opaque_gate(self):
+        with pytest.raises(NotUnitary) as err:
+            Circuit(3, self.gates_around(unitary(np.array([[1, 1], [0, 1]]), (0,), label="W")))
+        assert str(err.value) == "opaque gate 'W' is not unitary"
+        with pytest.raises(ValueError) as err:  # JSON cannot carry a matrix
+            from_json(self.json_around(_entry("OPAQUE_UNITARY", [0])))
+        assert str(err.value) == "OPAQUE_UNITARY requires a matrix"
+
+    @pytest.mark.parametrize("perm, gates, message", [
+        ([0, 0, 1], [_entry("CNOT", [0, 5]), _entry("RZ", [1]), _entry("CNOT", [2, 2])],
+         "GateKind.RZ requires a finite angle, got None"),
+        ([0, 0, 1], [_entry("CNOT", [0, 5]), _entry("RZ", [1], 1.5)],
+         "invalid output permutation (0, 0, 1)"),
+        ([0, 1, 2], [_entry("RZ", [1], 1.5), _entry("CNOT", [0, 5]), _entry("H", [7])],
+         "gate GateKind.CNOT on (0, 5) outside 3 qubits"),
+        ([0, 1, 2], [_entry("CNOT", [2, 2]), _entry("FOO", [1])],
+         "duplicate qubit in gate GateKind.CNOT: (2, 2)"),
+        ([0, 1, 2], [_entry("FOO", [1]), {"kind": "H"}],  # a later entry lacks its qubits
+         "'FOO' is not a valid GateKind"),
+    ])
+    def test_faults_are_found_in_the_per_gate_order(self, perm, gates, message):
+        # gate faults first, in gate order, then the permutation, then the wire
+        # range: the order of building every Gate and then their Circuit
+        text = json.dumps({"num_qubits": 3, "output_permutation": perm, "gates": gates})
+        with pytest.raises(ValueError) as err:
+            from_json(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("rows, message", [
+        (([CODES[GateKind.RY]], [(0, -1)], [math.nan]), "GateKind.RY requires a finite angle, got None"),
+        (([CODES[GateKind.H]], [(0, 2)], [math.nan]), "GateKind.H expects 1 qubits, got (0, 2)"),
+        (([CODES[GateKind.SWAP]], [(1, 1)], [math.nan]), "duplicate qubit in gate GateKind.SWAP: (1, 1)"),
+        (([CODES[GateKind.X]], [(4, -1)], [math.nan]), "gate GateKind.X on (4,) outside 3 qubits"),
+        (([CODES[GateKind.OPAQUE_UNITARY]], [(0, -1)], [math.nan]),
+         "gate row 1 (kind code 8, wires [0, -1]) is malformed"),  # no side-table entry
+        (([200], [(0, -1)], [math.nan]), "gate row 1 (kind code 200, wires [0, -1]) is malformed"),
+    ])
+    def test_row_blocks_are_checked(self, rows, message):
+        with pytest.raises(ValueError) as err:
+            Circuit.join(3, [([CODES[GateKind.H]], [(2, -1)], [math.nan]), rows])
+        assert str(err.value) == message

@@ -241,6 +241,21 @@ class TestFullScaleThroughCli:
         slope = np.polyfit(ms, logs, 1)[0]
         assert slope == pytest.approx(1.0, abs=0.3)
 
+    def test_ucr_compile_and_export_builds_no_gate_objects(self, tmp_path, capsys, monkeypatch):
+        # the m=14 loader's 131k gates go from synthesis to both files as
+        # columns; a Gate object may stand only for a caller's tail or an
+        # opaque gate, and this load has neither
+        made = []
+        post_init, view = cir.Gate.__post_init__, getattr(cir, "_view", None)
+        monkeypatch.setattr(cir.Gate, "__post_init__", lambda g: made.append(g) or post_init(g))
+        monkeypatch.setattr(cir, "_view", lambda *a: made.append(a) or view(*a), raising=False)
+        code, out, _ = run_cli(capsys, "compile", "--function", "piecewise", "--n", "20",
+                               "--m", "14", "--emit", "json,qasm", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert json.loads(out)["gate_counts"]["single_qubit"] > 65000
+        assert (tmp_path / "fsl_circuit.qasm").stat().st_size > 2_000_000
+        assert len(made) < 100
+
 
 class TestSweepCommand:
     def test_schema_and_values(self, capsys):
@@ -321,6 +336,34 @@ class TestSweepCommand:
         assert rows[0] == SWEEP_COLUMNS
         assert [row.split(",")[:-1] for row in rows[1:]] == want  # all but compile_seconds
 
+
+    @pytest.mark.parametrize("filter_a", [None, 0.5])
+    def test_mirror_rows_take_one_extension_and_one_dft(self, capsys, monkeypatch, filter_a):
+        calls = {"dft": 0, "mirror": 0}
+        dft, mirror = fourier.dft_coefficients, fourier.mirror_extend
+
+        def count(name, f):
+            return lambda g: calls.__setitem__(name, calls[name] + 1) or f(g)
+
+        monkeypatch.setattr(fourier, "dft_coefficients", count("dft", dft))
+        monkeypatch.setattr(fourier, "mirror_extend", count("mirror", mirror))
+        flags = [] if filter_a is None else ["--filter-a", str(filter_a)]
+        code, out, _ = run_cli(capsys, "sweep", "--function", "tanh", "--n", "8",
+                               "--m-range", "1:5", *flags)
+        assert code == 0
+        assert calls == {"dft": 1, "mirror": 1}  # one extension and spectrum serve every m
+        monkeypatch.undo()
+        grid = funcs.sample(funcs.builtin("tanh"), 8)
+        want = []
+        for m in range(1, 6):
+            _, report = compiler.compile_nonperiodic(
+                grid, m, compiler.NonperiodicVariant.DISENTANGLE, filter_a=filter_a)
+            want.append([str(m), cli._fmt(report.exact_infidelity), cli._fmt(report.analytic_bound),
+                         str(report.depth), str(report.gate_counts.single_qubit),
+                         str(report.gate_counts.two_qubit)])
+        rows = out.strip().split("\n")
+        assert rows[0] == SWEEP_COLUMNS
+        assert [row.split(",")[:-1] for row in rows[1:]] == want  # all but compile_seconds
 
     def test_bound_difference_taken_once_per_sweep(self, capsys, monkeypatch):
         calls = []
@@ -561,6 +604,14 @@ class TestConfigAndErrors:
                                "--n", "5", "--m", "2", "--filter-a", "nan", "--emit", "none"],
                               env=env, capture_output=True, text=True, timeout=30)
         assert_one_json_error((proc.returncode, proc.stdout, proc.stderr), 3)
+
+    def test_parser_warnings_stay_off_stderr_in_a_fresh_process(self):
+        # "1if" makes the parser warn about an invalid decimal literal
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--expr", "1if x else 2",
+                               "--n", "4", "--m", "1", "--emit", "none"],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert_one_json_error((proc.returncode, proc.stdout, proc.stderr), 2)
 
     @pytest.mark.parametrize("command", ["compile", "simulate"])
     def test_config_keys_named_like_internals_are_ignored(self, command, tmp_path, capsys):

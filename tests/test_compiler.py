@@ -8,7 +8,7 @@ import pytest
 from conftest import gate_key, rand_state, reference_peephole
 from fsl import funcs
 from fsl.circuit import Circuit, GateCounts, GateKind, cnot, compose, depth, gate_counts, h, phase
-from fsl.compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant, _fanout_gates,
+from fsl.compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant, _fanout_pairs,
                           compile_nonperiodic, compile_spec, prepare_spec, target_state)
 from fsl.errors import CapacityExceeded, DimensionMismatch
 from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
@@ -302,8 +302,8 @@ def reference_assembly(vec, plan: FSLPlan, lead: int = 0, tail=()) -> Circuit:
     wires = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
     build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
     circ = build(vec, qubits=wires, num_qubits=total)
-    fanout = [g for reg in regs
-              for g in _fanout_gates(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout)]
+    fanout = [cnot(*pair) for reg in regs
+              for pair in _fanout_pairs(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout)]
     circ = Circuit(total, circ.gates + tuple(fanout))
     for reg in regs:
         circ = compose(circ, build_inverse_qft(n, num_qubits=total, qubits=reg))

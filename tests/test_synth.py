@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_matrix, gate_key, rand_state, rand_unitary
-from fsl.circuit import Circuit, GateKind, cnot, compose, gate_counts, invert, ry, rz
+from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary,
+                      reference_ucr_block)
+from fsl.circuit import CODES, Circuit, GateKind, compose, gate_counts, invert
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 from fsl.simulator import Statevector, fidelity, run
-from fsl.synth import (ANGLE_EPS, SchmidtForm, UCRAngles, _ucr_block, build_inverse_qft,
+from fsl.synth import (SchmidtForm, UCRAngles, _ucr_block, build_inverse_qft,
                        build_schmidt_circuit, build_ucr_circuit, decompose_opaque,
                        gray_code, gray_transform, gray_transform_matrix,
                        mottonen_angles, schmidt_decompose, synth_unitary)
@@ -88,8 +89,8 @@ class TestGrayTransform:
         # dense-matrix comparison of the CNOT-interleaved form against the
         # uniformly controlled rotation built directly from alpha
         alpha = rng.standard_normal(8)
-        gates = _ucr_block(GateKind.RY, alpha, controls=[0, 1, 2], target=3)
-        got = dense_circuit_matrix(Circuit(4, tuple(gates)))
+        block = _ucr_block(GateKind.RY, alpha, controls=[0, 1, 2], target=3)
+        got = dense_circuit_matrix(Circuit.join(4, [block]))
         want = np.zeros((16, 16))
         for k in range(8):
             c, s = math.cos(alpha[k] / 2), math.sin(alpha[k] / 2)
@@ -98,10 +99,10 @@ class TestGrayTransform:
 
     def test_inverted_walk_block_same_operator(self, rng):
         alpha = rng.standard_normal(4)
-        normal = dense_circuit_matrix(Circuit(3, tuple(
-            _ucr_block(GateKind.RZ, alpha, [0, 1], 2))))
-        inverted = dense_circuit_matrix(Circuit(3, tuple(
-            _ucr_block(GateKind.RZ, alpha, [0, 1], 2, start_with_cnot=True))))
+        normal = dense_circuit_matrix(Circuit.join(3, [
+            _ucr_block(GateKind.RZ, alpha, [0, 1], 2)]))
+        inverted = dense_circuit_matrix(Circuit.join(3, [
+            _ucr_block(GateKind.RZ, alpha, [0, 1], 2, start_with_cnot=True)]))
         assert np.allclose(normal, inverted, atol=1e-12)
 
     @pytest.mark.parametrize("start_with_cnot", [False, True])
@@ -113,47 +114,18 @@ class TestGrayTransform:
         theta = rng.standard_normal(2**j)
         theta[rng.random(2**j) < 0.4] = 0.0  # elided rotations put CNOTs side by side
         alpha = 2**j * gray_transform_matrix(j).T @ theta
-        got = _ucr_block(axis, alpha, controls, target, start_with_cnot)
+        kinds, wires, angles = _ucr_block(axis, alpha, controls, target, start_with_cnot)
+        got = Circuit.join(j + 2, [(kinds, wires, angles)])
         want = reference_ucr_block(axis, alpha, controls, target, start_with_cnot)
-        assert [gate_key(g) for g in got] == [gate_key(g) for g in want]
-        assert len({id(g) for g in got if g.kind is GateKind.CNOT}) == j  # one per control
+        assert [gate_key(g) for g in got.gates] == [gate_key(g) for g in want]
+        cnot_controls = np.asarray(wires)[np.asarray(kinds) == CODES[GateKind.CNOT], 0]
+        assert len(set(cnot_controls.tolist())) == j  # the walk uses all j control wires
         zero = np.zeros(2**j)
-        assert _ucr_block(axis, zero, controls, target, start_with_cnot) == []
+        assert Circuit.join(j + 2, [_ucr_block(axis, zero, controls, target,
+                                                start_with_cnot)]).gates == ()
 
     def test_gray_code_sequence(self):
         assert [gray_code(k) for k in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
-
-
-def reference_ucr_block(axis, alpha, controls, target, start_with_cnot=False):
-    """The per-gate form ``_ucr_block`` replaced: a new CNOT for each of the
-    2^j steps, its control read from the Gray-code bit that flips there."""
-    theta = gray_transform(alpha)
-    if np.max(np.abs(theta)) < ANGLE_EPS:
-        return []
-    j = int(round(math.log2(len(theta))))
-    rot = ry if axis is GateKind.RY else rz
-
-    def control(k):  # of the k-th CNOT, 1-based; the 2^j-th closes the cycle
-        if k == 2**j:
-            return controls[0]
-        flip = gray_code(k) ^ gray_code(k - 1)
-        return controls[j - 1 - (flip.bit_length() - 1)]
-
-    def rotation(k):
-        return [] if abs(theta[k]) < ANGLE_EPS else [rot(float(theta[k]), target)]
-
-    if j == 0:
-        return rotation(0)
-    gates = []
-    if start_with_cnot:
-        for k in range(2**j, 0, -1):
-            gates.append(cnot(control(k), target))
-            gates.extend(rotation(k - 1))
-    else:
-        for k in range(2**j):
-            gates.extend(rotation(k))
-            gates.append(cnot(control(k + 1), target))
-    return gates
 
 
 class TestBuildUcr:
