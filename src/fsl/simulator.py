@@ -4,13 +4,22 @@ Amplitude vectors are big-endian: qubit 0 is the most significant index bit, mat
 circuit convention.  ``run`` allocates one 2^n buffer and lets wires join lazily: the first
 gate on a wire makes it the new most significant axis of the active prefix, whose new upper
 half is still zero, so nothing is copied and an FSL loader sweeps 2^(m+1) amplitudes instead
-of 2^n.  One last transpose maps the activation order and output permutation to wire order.
+of 2^n.  One last transpose maps the wires' bit positions and the output permutation to wire
+order.
 Gates see axes: ``_at`` is the strided view (no copy) of the amplitudes whose listed axes
 read the given bits, which built-in gates swap (X, CNOT, SWAP), scale (RZ, PHASE, CPHASE) or
 mix with a 2x2 matrix (RY); opaque unitaries apply their dense block to the axes moved to
 the front.  An H and the CPHASE gates right after it that touch its wire (an inverse-QFT
 stage) fuse into an in-place butterfly and one broadcast multiply of the half where that
 wire reads 1 by the partners' [1, e^{i theta}] vectors and the H's 1/sqrt(2).
+
+Such a step is slow on a wire whose bit p sits in the low half of the a active bits: its
+halves are runs of 2^p contiguous amplitudes.  So before it ``run`` rotates the active bits
+by r = floor(a/2), bit p to bit (p + r) mod a, with one transient transpose copy of the active
+prefix, and records each wire's new bit.  The result is bit-identical: each kernel above is
+elementwise, and the opaque matmul gets the same columns in another order, so every
+amplitude meets the same operations in the same order, only elsewhere in memory; the final
+transpose reads any layout back to wire order.
 """
 from __future__ import annotations
 
@@ -57,7 +66,7 @@ class Statevector:
     @classmethod
     def from_amplitudes(cls, amps) -> Statevector:
         amps = np.asarray(amps, dtype=complex)
-        n = int(round(math.log2(len(amps))))
+        n = len(amps).bit_length() - 1
         if 2**n != len(amps):
             raise DimensionMismatch(f"amplitude count {len(amps)} is not a power of two")
         norm = np.linalg.norm(amps)
@@ -165,7 +174,7 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
     if initial is None:
         psi = np.zeros(2**n, dtype=complex)
         psi[0] = 1.0
-        order = {}  # wire w -> activation index: axis k - 1 - order[w] of psi[:2**k]
+        order = {}  # wire w -> bit position: axis k - 1 - order[w] of psi[:2**k]
     elif initial.num_qubits != n:
         raise DimensionMismatch(f"initial state has {initial.num_qubits} qubits, circuit {n}")
     else:
@@ -181,6 +190,10 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
             j += 1
         for q in wires:
             order.setdefault(q, len(order))
+        active, r = len(order), len(order) // 2
+        if kinds[i] == _H and order[wires[0]] < r:  # rotate the low half of the bits up
+            psi[:2**active] = psi[:2**active].reshape(2**r, -1).T.reshape(-1)
+            order = {w: (p + r) % active for w, p in order.items()}
         # A gate on a wires sees at least 2^(a+2) amplitudes (the extra axes read 0):
         # numpy and BLAS round 1-element and 1-3-column operands unlike a full-width run.
         k = min(n, max(len(order), len(set(wires)) + 2))
@@ -268,5 +281,10 @@ def dump_statevector(s: Statevector, path) -> None:
 
 
 def load_statevector(path) -> Statevector:
-    amps = np.fromfile(path, dtype="<c16")
-    return Statevector.from_amplitudes(amps)
+    """Read ``dump_statevector``'s format; a file that is empty or ends inside an
+    amplitude is a ``DimensionMismatch``."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0 or raw.size % 16:
+        raise DimensionMismatch(f"state file holds {raw.size} bytes, not a whole number "
+                                "of 16-byte amplitudes")
+    return Statevector.from_amplitudes(raw.view("<c16"))

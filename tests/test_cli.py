@@ -186,6 +186,17 @@ class TestSimulateCommand:
         assert_one_json_error(result, 3)
         assert json.loads(result[2])["error"] == "NonUnitNorm"
 
+    @pytest.mark.parametrize("size", [0, 7, 16 * 2**5 + 3], ids=["empty", "short", "trailing"])
+    def test_partial_compare_state_exits_3(self, size, tmp_path, capsys):
+        state_file = tmp_path / "state.c16"
+        base = ["simulate", "--function", "lorentzian", "--n", "5", "--m", "2"]
+        assert run_cli(capsys, *base, "--state-out", str(state_file))[0] == 0
+        state_file.write_bytes((state_file.read_bytes() + b"\0" * 3)[:size])
+        result = run_cli_warnings_as_errors(capsys, *base, "--compare-state", str(state_file))
+        assert_one_json_error(result, 3)
+        err = json.loads(result[2])
+        assert err["error"] == "DimensionMismatch" and f"{size} bytes" in err["message"]
+
     @pytest.mark.parametrize("function, n, m, nonperiodic", [("piecewise", 6, 3, "auto"),
                                                              ("sinc2d", 3, 1, "auto"),
                                                              ("tanh", 6, 3, "disentangle"),

@@ -42,6 +42,7 @@ CASES = {
     "image": ["image", "--pgm", "{pgm}", "--m", "2", *EMIT],
     "simulate-shots": ["simulate", "--function", "lorentzian", "--n", "9", "--m", "4",
                        "--shots", "500"],
+    "simulate-piecewise-n14": ["simulate", "--function", "piecewise", "--n", "14", "--m", "5"],
     "sweep-periodic": ["sweep", "--function", "piecewise", "--n", "10", "--m-range", "2:8"],
     "sweep-mirror-filtered": ["sweep", "--function", "tanh", "--n", "8", "--m-range", "1:5",
                               "--filter-a", "0.5"],
@@ -75,6 +76,10 @@ DIGESTS = {
         "exit": 0,
         "report.json": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
         "stdout": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
+    },
+    "simulate-piecewise-n14": {
+        "exit": 0,
+        "stdout": "dc5c04511bc9d53c3aa12f939d1a49f79b585ba0c36b0125901262b622a3921c",
     },
     "simulate-shots": {
         "exit": 0,

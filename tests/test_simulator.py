@@ -1,15 +1,18 @@
 """Statevector engine against an independent dense-matrix oracle."""
+import functools
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import dense_circuit_matrix, dense_gate_matrix, rand_state, random_circuit
 from fsl import funcs, simulator
-from fsl.circuit import (Circuit, Gate, GateKind, cnot, compose, cphase, h, invert, ry,
+from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, h, invert, ry,
                          swap, unitary)
-from fsl.compiler import FSLPlan, compile_spec, prepare_spec
+from fsl.compiler import FSLPlan, compile_nonperiodic, compile_spec, prepare_spec
 from fsl.errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
 from fsl.frqi import GrayImage, compile_frqi
 from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
@@ -17,6 +20,7 @@ from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            load_statevector, reduced_density_matrix,
                            reduced_population, run, sample)
 from fsl.synth import build_inverse_qft
+from test_cli_bytes import RECORDED_NUMPY
 
 
 class TestRun:
@@ -208,7 +212,7 @@ def _fft_on_register(amps, n, qubits):
 class TestFusedHPhase:
     """``run`` applies an H and the CPHASE gates after it that touch its wire as one step."""
 
-    @pytest.mark.parametrize("q", range(1, 13))
+    @pytest.mark.parametrize("q", range(1, 15))
     def test_inverse_qft_on_embedded_register_matches_fft(self, q):
         rng = np.random.default_rng(300 + q)
         n = q + 3
@@ -217,7 +221,7 @@ class TestFusedHPhase:
         got = run(build_inverse_qft(q, num_qubits=n, qubits=qubits), Statevector(n, start))
         assert np.max(np.abs(got.amplitudes - _fft_on_register(start, n, qubits))) < 1e-12
 
-    @pytest.mark.parametrize("q", range(1, 13))
+    @pytest.mark.parametrize("q", range(1, 15))
     def test_inverse_qft_after_lazy_prefix_matches_fft(self, q):
         rng = np.random.default_rng(400 + q)
         n = q + 3
@@ -230,29 +234,99 @@ class TestFusedHPhase:
         got = run(compose(prefix, iqft)).amplitudes
         assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("seed", range(21))
     def test_planted_runs_match_dense_oracle(self, seed):
         rng = np.random.default_rng(500 + seed)
-        n = 2 + seed % 5
+        n = 2 + seed % 7
         c = _planted_run_circuit(rng, n, 4)
         want = dense_circuit_matrix(c)[:, 0]
         assert np.max(np.abs(run(c).amplitudes - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("seed", range(21))
     def test_planted_runs_from_initial_state_match_dense_oracle(self, seed):
         rng = np.random.default_rng(600 + seed)
-        n = 2 + seed % 5
+        n = 2 + seed % 7
         c = _planted_run_circuit(rng, n, 4)
         start = rand_state(rng, n)
         want = dense_circuit_matrix(c) @ start
         assert np.max(np.abs(run(c, Statevector(n, start)).amplitudes - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("seed", range(48))
     def test_planted_runs_lazy_is_byte_identical_to_explicit_zero_start(self, seed):
         rng = np.random.default_rng(700 + seed)
-        n = 2 + seed % 8
+        n = 2 + seed % 12
         c = _planted_run_circuit(rng, n, int(rng.integers(1, 6)))
         assert np.array_equal(run(c).amplitudes, run(c, Statevector.zero(n)).amplitudes)
+
+
+@functools.cache
+def _fsl_load(name: str) -> Circuit:
+    """A periodic, mirror, 2-D or FRQI load wide enough that ``run`` rotates its bits."""
+    if name == "piecewise-n16":
+        spec = prepare_spec(funcs.sample(funcs.builtin("piecewise"), 16), 5)
+        return compile_spec(spec, FSLPlan(n=16, m=5))[0]
+    if name == "tanh-mirror-n15":
+        return compile_nonperiodic(funcs.sample(funcs.builtin("tanh"), 15), 4, "disentangle")[0]
+    if name == "sinc2d-n8":
+        spec = prepare_spec(funcs.sample(funcs.builtin("sinc2d"), 8), 3)
+        return compile_spec(spec, FSLPlan(n=8, m=3, dims=2))[0]
+    pixels = ((np.arange(1024) * 37 + 11) % 256).reshape(32, 32) / 255
+    return compile_frqi(GrayImage(32, pixels), 2)[0]
+
+
+# SHA-256 of run(load).amplitudes.tobytes(), recorded before run rotated any bits.
+STATE_DIGESTS = {
+    "piecewise-n16": "ce0050f2b9e6cbf97249e8a760996d0d0c1cbee529bc6568af5c230a40a76039",
+    "tanh-mirror-n15": "8ed1f0b27b5d30374bb32624f45571ee5aab2a056149a090b93f6429607976d3",
+    "sinc2d-n8": "769bd73e233144369ea3f93efad911380dd5211b19382702176587d3d66c4c92",
+    "frqi-n5": "47093cd1899eecc3a3260c5a842c6228c3419469dcd8a7e8a1d4aff0c7e82f04",
+}
+
+
+class TestRotatedBits:
+    """Before a fused step on a low bit, ``run`` rotates the active bits; amplitudes keep
+    every bit they had without it."""
+
+    @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+    def test_every_fused_step_targets_a_high_bit(self, name, monkeypatch):
+        c, steps, h_phase = _fsl_load(name), [], simulator._h_phase
+
+        def spy(psi, qs, angles, k):
+            steps.append((k - 1 - qs[0], k))  # the target's bit position
+            h_phase(psi, qs, angles, k)
+
+        monkeypatch.setattr(simulator, "_h_phase", spy)
+        run(c)
+        assert steps and all(k == c.num_qubits for _, k in steps)  # every wire is active
+        assert all(bit >= k // 2 for bit, k in steps)
+
+    @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                        reason=f"digests were recorded under numpy {RECORDED_NUMPY}")
+    @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+    def test_final_state_matches_recorded_digest(self, name):
+        got = hashlib.sha256(run(_fsl_load(name)).amplitudes.tobytes()).hexdigest()
+        assert got == STATE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
+    def test_chained_at_the_iqft_is_byte_identical_to_one_run(self, name):
+        c = _fsl_load(name)
+        split = int(np.argmax(c.kinds == CODES[GateKind.H]))  # the first iQFT stage
+        head = Circuit.join(c.num_qubits, [c.take(slice(0, split))])
+        tail = c.take(slice(split, None))
+        chained = run(tail, initial=run(head))
+        assert chained.amplitudes.tobytes() == run(c).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("name", ["piecewise-n16", "sinc2d-n8", "tanh-mirror-n15"])
+    def test_peak_memory_stays_near_two_state_buffers(self, name):
+        c = _fsl_load(name)
+        run(c)
+        tracemalloc.start()
+        try:
+            run(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 16 * 2**c.num_qubits
 
 
 class TestFidelity:
@@ -381,6 +455,17 @@ class TestOnDiskFormats:
     def test_nan_amplitudes_fail_the_norm_check(self):
         with pytest.raises(ValueError, match="not normalized"):
             Statevector(2, np.full(4, np.nan))
+
+    @pytest.mark.parametrize("size", [0, 3, 15, 16 * 2**4 + 3, 16 * 2**4 - 1])
+    def test_partial_amplitude_files_are_rejected(self, size, rng, tmp_path):
+        path = tmp_path / "state.c16"
+        path.write_bytes(rand_state(rng, 5).astype("<c16").tobytes()[:size])
+        with pytest.raises(DimensionMismatch, match=f"holds {size} bytes"):
+            load_statevector(path)
+
+    def test_empty_amplitude_list_is_not_a_power_of_two(self):
+        with pytest.raises(DimensionMismatch, match="amplitude count 0 is not a power of two"):
+            Statevector.from_amplitudes([])
 
     def test_histogram_csv_layout(self):
         text = histogram_to_csv(ShotHistogram({3: 5, 1: 2}, 7))
