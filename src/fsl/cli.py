@@ -2,8 +2,9 @@
 
 Subcommands: ``compile``, ``simulate``, ``sweep``, ``image``.
 Configuration precedence is flags > --config JSON file > built-in defaults.
-A config file value must have the JSON type its flag takes; a key that names
-no flag of the subcommand is ignored.
+A config file value must have the JSON type its flag takes and be one of the
+flag's choices if it has any; a key that names no flag of the subcommand is
+ignored.
 Qubit capacity: --max-qubits > config ``max_qubits`` > env FSL_MAX_QUBITS >
 ``simulator.DEFAULT_MAX_QUBITS`` (24); it must be at least 1.
 Exit codes: 0 success, 2 configuration error, 3 compile/math error,
@@ -39,7 +40,6 @@ _DEFAULTS = {
     "dims": 1,
     "loader": "ucr",
     "nonperiodic": "auto",
-    "fanout": "tree",
     "sqrt_mode": False,
     "seed": 7,
     "emit": "json",
@@ -59,9 +59,9 @@ def _takes(kind: type, value) -> bool:
 
 
 def _check_config_types(file_cfg: dict, flags: dict) -> None:
-    """Each value must have the JSON type its flag takes: int flags integers,
+    """Each value must have the JSON type its flag takes (int flags integers,
     float flags numbers, switches booleans, the rest strings, and repeatable
-    flags a list of those."""
+    flags a list of those) and be one of the flag's choices, as on the command line."""
     for key, value in file_cfg.items():
         action = flags.get(key)
         if action is None:
@@ -72,6 +72,9 @@ def _check_config_types(file_cfg: dict, flags: dict) -> None:
         if not isinstance(values, list) or not all(_takes(kind, v) for v in values):
             raise ConfigError(f"config key {key!r} takes a JSON {_JSON_TYPE_NAMES[kind]}"
                               f"{' list' if many else ''}, got {json.dumps(value)}")
+        if action.choices is not None and not all(v in action.choices for v in values):
+            raise ConfigError(f"config key {key!r} takes one of {list(action.choices)}, "
+                              f"got {json.dumps(value)}")
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -144,19 +147,13 @@ def _function_def(cfg: dict) -> funcs.FunctionDef:
 
 def _nonperiodic_variant(cfg: dict, fdef: funcs.FunctionDef) -> NonperiodicVariant | None:
     mode = cfg["nonperiodic"]
-    if mode in (None, "none", "periodic"):
-        return None
     if mode == "auto":
-        if fdef.name in funcs.MIRROR_DEFAULT:
-            return NonperiodicVariant.DISENTANGLE
+        return NonperiodicVariant.DISENTANGLE if fdef.name in funcs.MIRROR_DEFAULT else None
+    if mode == "none":
         return None
-    try:
-        variant = NonperiodicVariant(mode)
-    except ValueError:
-        raise ConfigError(f"unknown nonperiodic mode {mode!r}")
     if fdef.dims != 1:
         raise ConfigError("non-periodic loading supports one dimension only")
-    return variant
+    return NonperiodicVariant(mode)
 
 
 def _require(cfg: dict, *names):
@@ -166,8 +163,7 @@ def _require(cfg: dict, *names):
 
 
 def _plan(cfg: dict, n: int, m: int, dims: int) -> FSLPlan:
-    return FSLPlan(n=n, m=m, dims=dims, loader=Loader(cfg["loader"]), fanout=cfg["fanout"],
-                   max_qubits=_capacity(cfg))
+    return FSLPlan(n=n, m=m, dims=dims, loader=Loader(cfg["loader"]), max_qubits=_capacity(cfg))
 
 
 def _sample(cfg: dict, fdef: funcs.FunctionDef, m: int,
@@ -209,18 +205,25 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
+def _gate_level(circ: cir.Circuit, report: compiler.CompileReport):
+    """The circuit with its opaque loader gates decomposed, and its report with
+    depth and gate counts refreshed to match; unchanged if nothing is opaque."""
+    if not report.contains_opaque:
+        return circ, report
+    circ = cir.peephole_cancel_cnots(decompose_opaque(circ))
+    return circ, replace(report, depth=cir.depth(circ), gate_counts=cir.gate_counts(circ))
+
+
 def _emit(cfg: dict, circ: cir.Circuit, report: compiler.CompileReport, **extra) -> int:
-    """Export the gate-level form (opaque loaders decomposed, metrics refreshed)
-    and print its report with ``extra`` fields added."""
+    """Export the gate-level form (``_gate_level``) and print its report with
+    ``extra`` fields added."""
     targets = {t.strip() for t in str(cfg["emit"]).split(",") if t.strip()}
     unknown = targets - {"json", "qasm", "none"}
     if unknown:
         raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
     out = Path(cfg["out_dir"])
     prefix = cfg["prefix"]
-    if report.contains_opaque:
-        circ = cir.peephole_cancel_cnots(decompose_opaque(circ))
-        report = replace(report, depth=cir.depth(circ), gate_counts=cir.gate_counts(circ))
+    circ, report = _gate_level(circ, report)
     report_dict = {**report.to_dict(include_timing=bool(cfg["timing"])), **extra}
     if "json" in targets:
         _write(out / f"{prefix}circuit.json", cir.to_json(circ) + "\n")
@@ -290,7 +293,7 @@ def cmd_sweep(cfg: dict) -> int:
     spectrum = fourier.dft_coefficients(grid if extended is None else extended)
     rows = [SWEEP_COLUMNS]
     for m in range(lo, hi + 1):
-        *_, report = _compile(cfg, grid, m, variant, spectrum, extended)
+        _, report = _gate_level(*_compile(cfg, grid, m, variant, spectrum, extended)[1:])
         bound = "" if report.analytic_bound is None else _fmt(report.analytic_bound)
         rows.append(",".join([
             str(m), _fmt(report.exact_infidelity), bound, str(report.depth),
@@ -354,7 +357,6 @@ def _add_function_flags(p: argparse.ArgumentParser):
 
 def _add_load_flags(p: argparse.ArgumentParser):
     p.add_argument("--loader", choices=["ucr", "schmidt"])
-    p.add_argument("--fanout", choices=["tree", "sequential"])
     p.add_argument("--max-qubits", dest="max_qubits", type=int)
     p.add_argument("--config", help="JSON config file (flags override it)")
 

@@ -6,7 +6,8 @@ registers of n wires each:
   1. a loader U_c (UCR or Schmidt) preparing the loader vector on the lead
      wires plus the top m+1 wires of every register (one joint loader);
   2. a CNOT fan-out from each register's sign wire (position n-m-1 within
-     the register) that pads the negative frequencies up to the full register;
+     the register) that pads the negative frequencies up to the full register,
+     a balanced tree of depth ceil(log2(n-m));
   3. an inverse QFT per register, converting frequencies to samples, whose
      terminal swaps are elided into the circuit's output permutation;
   4. the caller's tail gates, moved onto the wires that permutation names.
@@ -56,7 +57,6 @@ class FSLPlan:
     m: int
     dims: int = 1
     loader: Loader = Loader.UCR
-    fanout: str = "tree"  # "tree" (balanced, log depth) or "sequential" (figure-faithful)
     max_qubits: int = DEFAULT_MAX_QUBITS
 
     def __post_init__(self):
@@ -64,8 +64,6 @@ class FSLPlan:
             raise ValueError("dims must be >= 1")
         if not 0 <= self.m < self.n:
             raise ValueError(f"need 0 <= m < n, got m={self.m}, n={self.n}")
-        if self.fanout not in ("tree", "sequential"):
-            raise ValueError(f"unknown fanout mode {self.fanout!r}")
 
 
 # The widest load whose 2^total complex128 amplitudes numpy can address: 58 on 64-bit.
@@ -122,21 +120,11 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
     return Statevector(spec.dims * n, samples / np.linalg.norm(samples))
 
 
-def _fanout_pairs(source: int, targets: list[int], mode: str) -> list[tuple[int, int]]:
-    """(control, target) of each fan-out CNOT, in order."""
-    if mode == "sequential":
-        return [(source, t) for t in targets]
-    holders = [source]
-    queue = list(targets)
-    pairs = []
-    while queue:
-        for hold in list(holders):
-            if not queue:
-                break
-            t = queue.pop(0)
-            pairs.append((hold, t))
-            holders.append(t)
-    return pairs
+def _fanout_pairs(wires: list[int]) -> list[tuple[int, int]]:
+    """(control, target) of each CNOT copying the sign wire ``wires[0]`` onto
+    the rest, in order: a balanced tree in which copy wire k takes its control
+    from the wire k - 2^floor(log2 k), so k's copy lands in layer bit_length(k)."""
+    return [(wires[k - (1 << (k.bit_length() - 1))], wires[k]) for k in range(1, len(wires))]
 
 
 def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
@@ -158,8 +146,7 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
     loader_qubits = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
     build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
     parts = [build(vec, qubits=loader_qubits, num_qubits=total)]
-    parts += [cnot_rows(_fanout_pairs(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout))
-              for reg in regs]
+    parts += [cnot_rows(_fanout_pairs(reg[n - m - 1::-1])) for reg in regs]
     perm = list(range(total))  # logical qubit -> wire after the iQFTs' elided swaps
     for reg in regs:  # registers are disjoint, so no iQFT gate needs remapping
         parts.append(build_inverse_qft(n, num_qubits=total, qubits=reg))

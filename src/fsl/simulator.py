@@ -14,12 +14,13 @@ stage) fuse into an in-place butterfly and one broadcast multiply of the half wh
 wire reads 1 by the partners' [1, e^{i theta}] vectors and the H's 1/sqrt(2).
 
 Such a step is slow on a wire whose bit p sits in the low half of the a active bits: its
-halves are runs of 2^p contiguous amplitudes.  So before it ``run`` rotates the active bits
-by r = floor(a/2), bit p to bit (p + r) mod a, with one transient transpose copy of the active
-prefix, and records each wire's new bit.  The result is bit-identical: each kernel above is
-elementwise, and the opaque matmul gets the same columns in another order, so every
-amplitude meets the same operations in the same order, only elsewhere in memory; the final
-transpose reads any layout back to wire order.
+halves are runs of 2^p contiguous amplitudes.  So before a step with CPHASE partners (a lone
+H costs less than the rotation) ``run`` rotates the active bits by r = floor(a/2), bit p to
+bit (p + r) mod a, with one transient transpose copy of the active prefix, and records each
+wire's new bit.  The result is bit-identical: each kernel above is elementwise, and the
+opaque matmul gets the same columns in another order, so every amplitude meets the same
+operations in the same order, only elsewhere in memory; the final transpose reads any layout
+back to wire order.
 """
 from __future__ import annotations
 
@@ -191,7 +192,7 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         for q in wires:
             order.setdefault(q, len(order))
         active, r = len(order), len(order) // 2
-        if kinds[i] == _H and order[wires[0]] < r:  # rotate the low half of the bits up
+        if j > i + 1 and order[wires[0]] < r:  # an H with partners: rotate the low bits up
             psi[:2**active] = psi[:2**active].reshape(2**r, -1).T.reshape(-1)
             order = {w: (p + r) % active for w, p in order.items()}
         # A gate on a wires sees at least 2^(a+2) amplitudes (the extra axes read 0):

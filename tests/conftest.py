@@ -11,8 +11,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fsl.circuit import Circuit, Gate, GateCounts, GateKind, cnot, ry, rz
-from fsl.synth import ANGLE_EPS, gray_code, gray_transform
+from fsl.circuit import Circuit, Gate, GateCounts, GateKind, cnot, compose, ry, rz
+from fsl.compiler import FSLPlan, Loader
+from fsl.synth import (ANGLE_EPS, build_inverse_qft, build_schmidt_circuit, build_ucr_circuit,
+                       gray_code, gray_transform)
 
 
 def rand_state(rng, q):
@@ -104,6 +106,40 @@ def reference_peephole(c: Circuit) -> Circuit:
                 last_on[q] = len(kept) - 1
         gates = [g for g in kept if g is not None]
     return Circuit(c.num_qubits, tuple(gates), c.output_permutation)
+
+
+def reference_fanout_pairs(source: int, targets: list[int]) -> list[tuple[int, int]]:
+    """The balanced fan-out tree as a queue: each round, every wire that already
+    holds the sign copies it onto the next target in line, until none is left."""
+    holders = [source]
+    queue = list(targets)
+    pairs = []
+    while queue:
+        for hold in list(holders):
+            if not queue:
+                break
+            t = queue.pop(0)
+            pairs.append((hold, t))
+            holders.append(t)
+    return pairs
+
+
+def reference_assembly(vec, plan: FSLPlan, lead: int = 0, tail=()) -> Circuit:
+    """The load ``compiler.assemble`` builds, put together the way it used to
+    be: the loader, the queue-built fan-out and each iQFT joined by
+    ``compose``, the tail composed last, then the fixed-point peephole pass."""
+    n, m = plan.n, plan.m
+    total = lead + plan.dims * n
+    regs = [list(range(lead + d * n, lead + (d + 1) * n)) for d in range(plan.dims)]
+    wires = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
+    build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
+    circ = build(vec, qubits=wires, num_qubits=total)
+    fanout = [cnot(*pair) for reg in regs
+              for pair in reference_fanout_pairs(reg[n - m - 1], reg[: n - m - 1][::-1])]
+    circ = Circuit(total, circ.gates + tuple(fanout))
+    for reg in regs:
+        circ = compose(circ, build_inverse_qft(n, num_qubits=total, qubits=reg))
+    return reference_peephole(compose(circ, Circuit(total, tuple(tail))))
 
 
 def reference_ucr_block(axis, alpha, controls, target, start_with_cnot=False):

@@ -1,4 +1,5 @@
 """Command-line behavior: outputs, determinism, precedence, and exit codes."""
+import argparse
 import json
 import os
 import re
@@ -18,6 +19,8 @@ from fsl import cli, compiler, fourier, frqi, funcs, simulator
 from fsl.cli import SWEEP_COLUMNS, dumps, main
 
 ROOT = Path(__file__).resolve().parent.parent
+_SUBPARSERS = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +379,20 @@ class TestSweepCommand:
         assert rows[0] == SWEEP_COLUMNS
         assert [row.split(",")[:-1] for row in rows[1:]] == want  # all but compile_seconds
 
+    def test_schmidt_rows_equal_the_compile_report(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--function", "piecewise", "--n", "6",
+                               "--m-range", "1:4", "--loader", "schmidt")
+        assert code == 0
+        rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+        for m, row in zip(range(1, 5), rows, strict=True):
+            code, out, _ = run_cli(capsys, "compile", "--function", "piecewise", "--n", "6",
+                                   "--m", str(m), "--loader", "schmidt", "--emit", "none")
+            assert code == 0
+            report = json.loads(out)
+            counts = report["gate_counts"]
+            assert row[3:6] == [str(report["depth"]), str(counts["single_qubit"]),
+                                str(counts["two_qubit"])]
+
     def test_bound_difference_taken_once_per_sweep(self, capsys, monkeypatch):
         calls = []
         diff = fourier._forward_difference
@@ -537,17 +554,24 @@ class TestConfigAndErrors:
         assert code == 4
         assert json.loads(err)["error"] == "CapacityExceeded"
 
-    def test_bad_fanout_in_config_exits_3_for_compile_and_image(self, tmp_path, capsys):
-        cfg = tmp_path / "job.json"
-        cfg.write_text(json.dumps({"fanout": "bogus"}))
+    @pytest.mark.parametrize("command, key, value", [
+        (command, key, value)
+        for command, sub in _SUBPARSERS.items()
+        for key, action in sub.get_default("flags").items() if action.choices
+        for value in ("periodic", action.choices[0].upper())])
+    def test_config_value_outside_its_choices_exits_2(self, command, key, value, tmp_path,
+                                                      capsys):
         pgm = tmp_path / "img.pgm"
-        frqi.write_pgm(frqi.GrayImage(8, np.zeros((8, 8))), pgm)
-        code, _, _ = run_cli(capsys, "compile", "--function", "constant", "--n", "5",
-                             "--m", "2", "--config", str(cfg), "--emit", "none")
-        assert code == 3
-        code, _, _ = run_cli(capsys, "image", "--pgm", str(pgm), "--m", "1",
-                             "--config", str(cfg), "--emit", "none")
-        assert code == 3
+        frqi.write_pgm(frqi.GrayImage(4, np.zeros((4, 4))), pgm)
+        job = {"function": "constant", "n": 4, "m": 1, "m_range": "1:2", "pgm": str(pgm),
+               "emit": "none", "out_dir": str(tmp_path)}  # a valid job for every subcommand
+        (tmp_path / "ok.json").write_text(json.dumps(job))
+        (tmp_path / "bad.json").write_text(json.dumps({**job, key: value}))
+        assert run_cli(capsys, command, "--config", str(tmp_path / "ok.json"))[0] == 0
+        result = run_cli(capsys, command, "--config", str(tmp_path / "bad.json"))
+        assert_one_json_error(result, 2)
+        error = json.loads(result[2])
+        assert error["error"] == "ConfigError" and repr(key) in error["message"]
 
     def test_config_file_provides_defaults_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
@@ -630,7 +654,7 @@ class TestConfigAndErrors:
         (tmp_path / "plain.json").write_text(json.dumps(job))
         (tmp_path / "odd.json").write_text(json.dumps(
             {**job, "__class__": "x", "func": 1, "values": [2], "command": "image",
-             "flags": {"n": 3}}))
+             "flags": {"n": 3}, "fanout": "sequential"}))
         emit = ["--emit", "none"] if command == "compile" else []
         want = run_cli(capsys, command, "--config", str(tmp_path / "plain.json"), *emit)
         got = run_cli(capsys, command, "--config", str(tmp_path / "odd.json"), *emit)
@@ -642,7 +666,8 @@ class TestConfigAndErrors:
                                               "--function", "sinc", "--n", "6"])
         job = cli._merge_config(args)
         assert set(job) == set(args.flags)
-        assert (job["n"], job["loader"], job["fanout"], job["m"]) == (6, "schmidt", "tree", None)
+        assert (job["n"], job["loader"], job["m"]) == (6, "schmidt", None)
+        assert "fanout" not in job  # the balanced tree is the only fan-out
 
     def test_both_function_and_expr_rejected(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--function", "constant",
@@ -671,7 +696,6 @@ _FUZZ_WELL_TYPED = {
     "filter_a": st.floats(), "sqrt_mode": st.booleans(), "timing": st.booleans(),
     "loader": st.sampled_from(["ucr", "schmidt", "qsd"]),
     "nonperiodic": st.sampled_from(["auto", "none", "disentangle", "measure", "mirror"]),
-    "fanout": st.sampled_from(["tree", "sequential", "star"]),
     "emit": st.text(max_size=8), "out_dir": st.text(max_size=8), "prefix": st.text(max_size=8),
 }
 _FUZZ_KEYS = sorted(["function", "expr", "n", "m", *_FUZZ_WELL_TYPED])

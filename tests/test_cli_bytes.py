@@ -35,8 +35,7 @@ CASES = {
                                     "--nonperiodic", "disentangle", "--filter-a", "0.5", *EMIT],
     "mirror-measure-filtered": ["compile", "--function", "tanh", "--n", "10", "--m", "4",
                                 "--nonperiodic", "measure", "--filter-a", "0.5", *EMIT],
-    "sinc2d-sequential": ["compile", "--function", "sinc2d", "--n", "6", "--m", "3",
-                          "--fanout", "sequential", *EMIT],
+    "sinc2d": ["compile", "--function", "sinc2d", "--n", "6", "--m", "3", *EMIT],
     "expr": ["compile", "--expr", "sin(2*pi*x) + 0.5*x^2 + exp(-x)", "--n", "10", "--m", "5",
              *EMIT],
     "image": ["image", "--pgm", "{pgm}", "--m", "2", *EMIT],
@@ -85,7 +84,7 @@ DIGESTS = {
         "exit": 0,
         "stdout": "ad5198bd1162e31d991a2719d9ec881d55449c16fb3953523524a71e6554a1fe",
     },
-    "sinc2d-sequential": {
+    "sinc2d": {
         "circuit.json": "7b0f9c03cfd03b0b389987bc32be199feabb5efc2b77dff56f4bb2e6fe4b20e8",
         "circuit.qasm": "3230668c9d5b16622f3edab837d339a2ebf750c8a2f503d362cbc0c2d6d2fe23",
         "exit": 0,

@@ -5,9 +5,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import gate_key, rand_state, reference_peephole
+from conftest import gate_key, rand_state, reference_assembly, reference_fanout_pairs
 from fsl import funcs
-from fsl.circuit import Circuit, GateCounts, GateKind, cnot, compose, depth, gate_counts, h, phase
+from fsl.circuit import Circuit, GateCounts, GateKind, cnot, depth, gate_counts, h, phase
 from fsl.compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant, _fanout_pairs,
                           compile_nonperiodic, compile_spec, prepare_spec, target_state)
 from fsl.errors import CapacityExceeded, DimensionMismatch
@@ -15,7 +15,6 @@ from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
                          lanczos_filter, mirror_extend, truncate)
 from fsl.frqi import GrayImage, compile_frqi, phase_spectra
 from fsl.simulator import Statevector, fidelity, reduced_population, run
-from fsl.synth import build_inverse_qft, build_schmidt_circuit, build_ucr_circuit
 
 
 def random_grid(rng, n, dims=1):
@@ -104,15 +103,13 @@ class TestCompile1d:
         from fsl.circuit import Circuit
         assert depth(Circuit(n, tuple(fanout))) == math.ceil(math.log2(n - m))
 
-    def test_sequential_fanout_mode(self, rng):
-        n, m = 8, 2
-        spec = truncate(dft_coefficients(random_grid(rng, n)), m)
-        circ, _ = compile_spec(spec, FSLPlan(n=n, m=m, fanout="sequential"))
-        src = n - m - 1
-        fanout = [g for g in circ.gates
-                  if g.kind is GateKind.CNOT and g.qubits[1] < src]
-        assert all(g.qubits[0] == src for g in fanout)
-        assert fidelity(run(circ), target_state(spec, n)) >= 1 - 1e-9
+    @pytest.mark.parametrize("copies", range(65))
+    def test_closed_form_fanout_is_the_queue_built_tree(self, copies):
+        wires = [100 + 3 * k for k in range(copies + 1)]  # any distinct wires, sign wire first
+        pairs = _fanout_pairs(wires)
+        assert pairs == reference_fanout_pairs(wires[0], wires[1:])
+        fanout = Circuit(max(wires) + 1, tuple(cnot(*p) for p in pairs))
+        assert depth(fanout) == math.ceil(math.log2(copies + 1))  # ceil(log2(n - m))
 
     def test_filtered_spec_compiles_to_filtered_target(self, rng):
         g = funcs.sample(funcs.builtin("piecewise"), 7)
@@ -292,24 +289,6 @@ class TestResourceShape:
         assert report.gate_counts.total == len(circ.gates)
 
 
-def reference_assembly(vec, plan: FSLPlan, lead: int = 0, tail=()) -> Circuit:
-    """The load ``assemble`` builds, put together the way it used to be: the
-    loader, fan-out and each iQFT joined by ``compose``, the tail composed last,
-    then the fixed-point peephole pass."""
-    n, m = plan.n, plan.m
-    total = lead + plan.dims * n
-    regs = [list(range(lead + d * n, lead + (d + 1) * n)) for d in range(plan.dims)]
-    wires = list(range(lead)) + [q for reg in regs for q in reg[n - m - 1:]]
-    build = build_schmidt_circuit if plan.loader is Loader.SCHMIDT else build_ucr_circuit
-    circ = build(vec, qubits=wires, num_qubits=total)
-    fanout = [cnot(*pair) for reg in regs
-              for pair in _fanout_pairs(reg[n - m - 1], reg[: n - m - 1][::-1], plan.fanout)]
-    circ = Circuit(total, circ.gates + tuple(fanout))
-    for reg in regs:
-        circ = compose(circ, build_inverse_qft(n, num_qubits=total, qubits=reg))
-    return reference_peephole(compose(circ, Circuit(total, tuple(tail))))
-
-
 class TestAssembleEqualsReference:
     """Every load path gives the reference assembly gate for gate, and its
     report describes that circuit."""
@@ -323,12 +302,11 @@ class TestAssembleEqualsReference:
         assert report.gate_counts == gate_counts(want)
         assert report.contains_opaque == want.has_opaque()
 
-    @pytest.mark.parametrize("fanout", ["tree", "sequential"])
     @pytest.mark.parametrize("n, m, loader", [(3, 0, Loader.UCR), (5, 2, Loader.UCR),
                                               (7, 4, Loader.UCR), (5, 2, Loader.SCHMIDT),
                                               (7, 4, Loader.SCHMIDT)])  # Schmidt needs m >= 1
-    def test_periodic(self, n, m, loader, fanout, rng):
-        plan = FSLPlan(n=n, m=m, loader=loader, fanout=fanout)
+    def test_periodic(self, n, m, loader, rng):
+        plan = FSLPlan(n=n, m=m, loader=loader)
         spec = prepare_spec(random_grid(rng, n), m)
         self.check(*compile_spec(spec, plan), reference_assembly(spec.wrapped_vector(), plan))
 

@@ -283,22 +283,33 @@ STATE_DIGESTS = {
 }
 
 
+def _h_steps(c: Circuit, monkeypatch) -> list[tuple[int, int, bool]]:
+    """(target bit, active bits, has CPHASE partners) of each H step ``run(c)`` takes."""
+    steps, h_phase = [], simulator._h_phase
+
+    def spy(psi, qs, angles, k):
+        steps.append((k - 1 - qs[0], k, len(qs) > 1))
+        h_phase(psi, qs, angles, k)
+
+    monkeypatch.setattr(simulator, "_h_phase", spy)
+    run(c)
+    return steps
+
+
 class TestRotatedBits:
-    """Before a fused step on a low bit, ``run`` rotates the active bits; amplitudes keep
-    every bit they had without it."""
+    """Before a fused step (an H with CPHASE partners) on a low bit, ``run`` rotates the
+    active bits; amplitudes keep every bit they had without it."""
 
     @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
     def test_every_fused_step_targets_a_high_bit(self, name, monkeypatch):
-        c, steps, h_phase = _fsl_load(name), [], simulator._h_phase
-
-        def spy(psi, qs, angles, k):
-            steps.append((k - 1 - qs[0], k))  # the target's bit position
-            h_phase(psi, qs, angles, k)
-
-        monkeypatch.setattr(simulator, "_h_phase", spy)
-        run(c)
+        c = _fsl_load(name)
+        steps = [(bit, k) for bit, k, fused in _h_steps(c, monkeypatch) if fused]
         assert steps and all(k == c.num_qubits for _, k in steps)  # every wire is active
         assert all(bit >= k // 2 for bit, k in steps)
+
+    def test_a_lone_h_on_a_low_bit_is_not_rotated(self, monkeypatch):
+        c = Circuit(4, (h(0), h(1), h(2), h(3), h(0)))  # wire 0 joined first: bit 0 of 4
+        assert _h_steps(c, monkeypatch)[-1] == (0, 4, False)
 
     @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
                         reason=f"digests were recorded under numpy {RECORDED_NUMPY}")
