@@ -100,10 +100,37 @@ def _at(psi: np.ndarray, qubits, bits) -> np.ndarray:
     return psi.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)[:, ba, :, bb, :]
 
 
+_SLAB = 1 << 14  # amplitudes per step of a large swap
+
+
+def _slabs(v: np.ndarray):
+    """Views of at most ``_SLAB`` elements that tile ``v``, splitting the
+    leading axis (and the ones after it while a single index is too large)."""
+    if v.size <= _SLAB:
+        yield v
+    elif v.size // len(v) > _SLAB:
+        for row in v:
+            yield from _slabs(row)
+    else:
+        step = _SLAB // (v.size // len(v))
+        for start in range(0, len(v), step):
+            yield v[start:start + step]
+
+
 def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    tmp = a.copy()
-    a[...] = b
-    b[...] = tmp
+    """Exchange two equal-shape views; a large pair goes slab by slab through
+    one slab-sized buffer instead of a half-state temporary."""
+    if a.size <= _SLAB:
+        tmp = a.copy()
+        a[...] = b
+        b[...] = tmp
+        return
+    buffer = np.empty(_SLAB, dtype=a.dtype)
+    for sa, sb in zip(_slabs(a), _slabs(b)):
+        tmp = buffer[:sa.size].reshape(sa.shape)
+        np.copyto(tmp, sa)
+        np.copyto(sa, sb)
+        np.copyto(sb, tmp)
 
 
 def _scale(a: np.ndarray, z: complex) -> None:

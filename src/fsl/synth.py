@@ -12,11 +12,17 @@ Three loaders live here:
 * ``build_inverse_qft`` — the standard controlled-phase network, with the
   terminal SWAP stage optionally replaced by an output permutation.
 
-``synth_unitary`` performs a recursive cosine-sine (quantum Shannon)
-decomposition down to ZYZ rotations, exact including global phase.
+``synth_unitary`` performs the optimised quantum Shannon decomposition of
+Shende, Bullock & Markov (quant-ph/0406176), exact including global phase:
+cosine-sine steps and demultiplexors recurse down to two-qubit leaves, each
+leaf a canonical-form circuit of at most 3 CNOTs (Vatan & Williams,
+quant-ph/0308006), every leaf but the last taken only up to a diagonal
+(2 CNOTs), and each cosine-sine step's last CZ folded into the next block.
+A one-qubit unitary is a ZYZ rotation.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +34,7 @@ from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 
 NORM_TOL = 1e-9
 ANGLE_EPS = 1e-14  # rotations below this are identity for all practical purposes
+SCHMIDT_RANK_TOL = 1e-12  # Schmidt coefficients below this times the largest are zero
 
 
 @dataclass(frozen=True)
@@ -135,8 +142,8 @@ def gray_transform_matrix(j: int) -> np.ndarray:
     return ((-1.0) ** (dots % 2)) / size
 
 
-_H, _RY, _RZ, _PHASE, _CPHASE = (CODES[k] for k in (GateKind.H, GateKind.RY, GateKind.RZ,
-                                                     GateKind.PHASE, GateKind.CPHASE))
+_H, _RY, _RZ, _PHASE, _CNOT, _CPHASE = (CODES[k] for k in (
+    GateKind.H, GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CNOT, GateKind.CPHASE))
 _NO_ROWS = ((), (), ())
 
 
@@ -214,11 +221,39 @@ class SchmidtForm:
     v_matrix: np.ndarray
 
 
+def _complete_basis(cols: np.ndarray) -> np.ndarray:
+    """A unitary whose first columns are the orthonormal ``cols``: the standard
+    basis vectors follow in index order, each orthonormalised against the
+    columns before it, and a vector with less than 1/(2 dim) of its squared
+    norm outside their span is left out (enough always remain)."""
+    dim, k = cols.shape
+    out = np.zeros((dim, dim), dtype=complex)
+    out[:, :k] = cols
+    for i in range(dim):
+        if k == dim:
+            break
+        basis = out[:, :k]
+        if 1 - np.vdot(basis[i], basis[i]).real < 1 / (2 * dim):
+            continue
+        v = -basis @ basis[i].conj()
+        v[i] += 1
+        v -= basis @ (basis.conj().T @ v)
+        out[:, k] = v / np.linalg.norm(v)
+        k += 1
+    return out
+
+
 def schmidt_decompose(target) -> SchmidtForm:
     """SVD of the target reshaped across the ceil/floor half split.
 
     Reconstruction: target = (U (x) V) sum_k alpha_k |k>|k>, with U on the
-    left (larger) register and V on the right.
+    left (larger) register and V on the right.  Singular values below
+    ``SCHMIDT_RANK_TOL`` times the largest count as zero.  U and V keep only
+    the singular vectors of the others, each pair's phase fixed by making
+    u_k's overlap with a fixed asymmetric vector real and positive, and
+    ``_complete_basis`` fills the rest: inputs a rounding error apart give
+    nearby U and V, where the SVD alone may flip a pair's sign or complete
+    the null space anew.
     """
     psi = _check_unit(target)
     q = int(round(math.log2(len(psi))))
@@ -226,9 +261,13 @@ def schmidt_decompose(target) -> SchmidtForm:
         raise ValueError("schmidt_decompose needs at least 2 qubits")
     left = (q + 1) // 2
     right = q // 2
-    mat = psi.reshape(2**left, 2**right)
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return SchmidtForm(left, right, s, u, vh.T)
+    u, s, vh = np.linalg.svd(psi.reshape(2**left, 2**right))
+    rank = int(np.count_nonzero(s > SCHMIDT_RANK_TOL * s[0]))
+    s[rank:] = 0.0
+    sign = np.sign(np.sqrt(np.arange(1.0, 2**left + 1)) @ u[:, :rank]).conj()
+    sign[sign == 0] = 1
+    return SchmidtForm(left, right, s, _complete_basis(u[:, :rank] * sign),
+                       _complete_basis(vh[:rank].T * sign.conj()))
 
 
 def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) -> Circuit:
@@ -249,7 +288,7 @@ def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Generic unitary synthesis (quantum Shannon / cosine-sine decomposition)
+# Generic unitary synthesis (optimised quantum Shannon decomposition)
 
 def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     """(alpha, beta, gamma, delta) with u = e^{i alpha} Rz(beta) Ry(gamma) Rz(delta)."""
@@ -283,36 +322,175 @@ def _emit_1q(u: np.ndarray, qubit: int) -> list:
     return [([c for c, _ in rows], [(qubit, -1)] * len(rows), [a for _, a in rows])]
 
 
-def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int]) -> list:
-    """Row blocks for |0><0| (x) a + |1><1| (x) b with ``select`` as the select qubit."""
+# Two-qubit leaves.  In the magic basis _MAGIC a local gate a (x) b is a real
+# SO(4) matrix, and the canonical gate exp(i(a XX + b YY + c ZZ)) is diagonal
+# with phases (a - b + c, a + b - c, -a - b - c, -a + b + c).
+_MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]]) / math.sqrt(2)
+_YY = np.diag([-1.0, 1.0, 1.0, -1.0])[::-1]  # Y (x) Y
+_RZ_HALF_PI = np.diag([cmath.exp(-0.25j * math.pi), cmath.exp(0.25j * math.pi)])  # Rz(pi/2)
+# The three ways to pair four eigenphases, as orders that put the pairs at
+# positions (0, 2) and (1, 3).
+_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+_MIXES = [(math.cos(1 + 2.4 * k), math.sin(1 + 2.4 * k)) for k in range(16)]
+_PAIR_TOL = 1e-12
+
+
+def _real_eigvecs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, d): real orthogonal p and d with m = p diag(d) p^T, for a symmetric
+    unitary m.
+
+    Re m and Im m are commuting real symmetric matrices, so a generic real mix
+    of the two has their common eigenvectors; a fixed list of mixes is tried
+    until one reproduces m (a mix can merge two of m's eigenvalues)."""
+    for x, y in _MIXES:
+        p = np.linalg.eigh(x * m.real + y * m.imag)[1]
+        d = np.einsum("ij,ik,kj->j", p, m, p)
+        if np.max(np.abs((p * d) @ p.T - m)) < 1e-13:
+            break
+    return p, d
+
+
+def _local_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with a (x) b = k, for a 4x4 tensor product of 2x2 unitaries."""
+    blocks = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)  # blocks[i, j] = a[i, j] b
+    i, j = np.unravel_index(np.argmax(np.abs(blocks).sum(axis=(2, 3))), (2, 2))
+    b = blocks[i, j] / np.sqrt(np.linalg.det(blocks[i, j]))
+    return np.einsum("ijkl,kl->ij", blocks, b.conj()) / 2, b
+
+
+def _canonical(u: np.ndarray):
+    """u = e^{i phase} (a1 (x) a2) exp(i(a XX + b YY + c ZZ)) (b1 (x) b2), as
+    (phase, a1, a2, (a, b, c), b1, b2), computed in the magic basis.
+
+    M = U^T U, with U the magic-basis form of u / det(u)^(1/4), is p D p^T, and
+    the canonical phases are square roots of D.  When u takes two CNOTs, D's
+    phases pair up as +-2 theta; the eigenvectors are then ordered so that b
+    is exactly 0."""
+    phase = float(np.angle(np.linalg.det(u))) / 4
+    up = _MAGIC.conj().T @ u @ _MAGIC * cmath.exp(-1j * phase)
+    p, d = _real_eigvecs(up.T @ up)
+    theta = np.angle(d) / 2
+    gaps = [max(abs(math.sin(theta[i] + theta[k])), abs(math.sin(theta[j] + theta[l])))
+            for i, j, k, l in _PAIRINGS]
+    if min(gaps) < _PAIR_TOL:
+        order = _PAIRINGS[int(np.argmin(gaps))]
+        p, theta = p[:, order], theta[list(order)]
+        lam = np.array([theta[0], theta[1], -theta[0], -theta[1]])
+    else:
+        lam = np.append(theta[:3], -theta[:3].sum())
+    if np.linalg.det(p) < 0:  # into SO(4); M's eigenvectors keep a free sign
+        p = p * [-1, 1, 1, 1]
+    k1 = up @ p * np.exp(-1j * lam)
+    coords = ((lam[0] + lam[1]) / 2, (lam[1] + lam[3]) / 2, (lam[0] + lam[3]) / 2)
+    return (phase, *_local_factors(_MAGIC @ k1 @ _MAGIC.conj().T), coords,
+            *_local_factors(_MAGIC @ p.T @ _MAGIC.conj().T))
+
+
+def _leaf_rows(u: np.ndarray, wires: list[int]) -> list:
+    """Row blocks of the two-qubit unitary u on ``wires``: its canonical form,
+    with the canonical gate as 0, 2 or 3 CNOTs (Vatan & Williams for 3)."""
+    phase, a1, a2, (a, b, c), b1, b2 = _canonical(u)
+    a1 = a1 * cmath.exp(1j * phase)
+    w0, w1 = wires
+    if b != 0:  # Rz(pi/2) on w1, the rows, Rz(-pi/2) on w0: e^{-i pi/4} exp(i(aXX+bYY+cZZ))
+        a1, b2 = a1 @ _RZ_HALF_PI.conj() * cmath.exp(0.25j * math.pi), _RZ_HALF_PI @ b2
+        rows = [(_CNOT, (w1, w0), math.nan), (_RZ, (w0, -1), math.pi / 2 - 2 * c),
+                (_RY, (w1, -1), math.pi / 2 - 2 * a), (_CNOT, (w0, w1), math.nan),
+                (_RY, (w1, -1), 2 * b - math.pi / 2), (_CNOT, (w1, w0), math.nan)]
+    elif max(abs(a), abs(c)) >= ANGLE_EPS:  # Rz(pi/2), the rows, Rz(-pi/2) on w0: exp(i(aXX+cZZ))
+        a1, b1 = a1 @ _RZ_HALF_PI.conj(), _RZ_HALF_PI @ b1
+        rows = [(_CNOT, (w0, w1), math.nan), (_RY, (w0, -1), -2 * a),
+                (_RZ, (w1, -1), -2 * c), (_CNOT, (w0, w1), math.nan)]
+    else:  # a local gate
+        return [*_emit_1q(a1 @ b1, w0), *_emit_1q(a2 @ b2, w1)]
+    rows = [r for r in rows if r[0] == _CNOT or abs(r[2]) >= ANGLE_EPS]
+    return [*_emit_1q(b1, w0), *_emit_1q(b2, w1), tuple(zip(*rows)),
+            *_emit_1q(a1, w0), *_emit_1q(a2, w1)]
+
+
+def _split_diagonal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, w) with u = diag(delta) w and w a two-CNOT unitary.
+
+    w = diag(1, 1, e^{-i psi}, e^{i psi}) u takes two CNOTs when
+    tr(w Y(x)Y w^T Y(x)Y) is real (Shende, Markov & Bullock); that trace is
+    e^{i psi} p + e^{-i psi} q, which fixes psi."""
+    v = u * complex(np.linalg.det(u)) ** -0.25
+    n = v @ _YY @ v.T
+    z = -2 * n[0, 3] - (2 * n[1, 2]).conjugate()  # p - conj(q)
+    psi = 0.0 if abs(z) < 1e-14 else math.atan2(-z.imag, z.real)
+    delta = np.exp(1j * psi * np.array([0, 0, 1, -1]))
+    return delta, delta.conj()[:, None] * u
+
+
+# The quantum Shannon decomposition
+
+def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int], parts: list) -> None:
+    """Append the parts of |0><0| (x) a + |1><1| (x) b, ``select`` the select qubit."""
     from scipy.linalg import schur  # deferred: importing fsl must not load scipy.linalg
 
     evals, l_mat = schur(a @ b.conj().T, output="complex")
     lam = np.diag(evals)
     d = np.exp(0.5j * np.angle(lam))
     r_mat = (d[:, None].conj() * l_mat.conj().T) @ a
-    return [*_synth_rec(r_mat, rest), _ucr_block(GateKind.RZ, -2.0 * np.angle(d), rest, select),
-            *_synth_rec(l_mat, rest)]
+    _qsd(r_mat, rest, parts)
+    parts.append(_ucr_block(GateKind.RZ, -2.0 * np.angle(d), rest, select))
+    _qsd(l_mat, rest, parts)
 
 
-def _synth_rec(u: np.ndarray, qubits: list[int]) -> list:
-    """Row blocks of ``u`` on ``qubits``, in order."""
-    if len(qubits) == 1:
-        return _emit_1q(u, qubits[0])
+def _qsd(u: np.ndarray, qubits: list[int], parts: list) -> None:
+    """Append the parts of ``u`` on two or more ``qubits`` in time order: row
+    blocks for the multiplexors and a 4x4 matrix for each two-qubit leaf.
+
+    The cosine-sine step's multiplexed RY uses CZs (CPHASE(pi)), as Z Ry Z = X
+    Ry X; its last CZ, on the first of the other wires, is left out and taken
+    into the next demultiplexor's second block, u2 -> u2 Z."""
+    if len(qubits) == 2:
+        parts.append(u)
+        return
     from scipy.linalg import cossin  # deferred: importing fsl must not load scipy.linalg
 
     half = len(u) // 2
     (u1, u2), theta, (v1h, v2h) = cossin(u, p=half, q=half, separate=True)
     select, rest = qubits[0], qubits[1:]
-    return [*_demultiplex(v1h, v2h, select, rest),
-            _ucr_block(GateKind.RY, 2.0 * np.asarray(theta), rest, select),
-            *_demultiplex(u1, u2, select, rest)]
+    _demultiplex(v1h, v2h, select, rest, parts)
+    kinds, wires, angles = _ucr_block(GateKind.RY, 2.0 * np.asarray(theta), rest, select)
+    if len(kinds):
+        cz = kinds == _CNOT
+        parts.append((np.where(cz, _CPHASE, kinds)[:-1], wires[:-1],
+                      np.where(cz, math.pi, angles)[:-1]))
+        u2 = u2 * np.repeat([1, -1], half // 2)
+    _demultiplex(u1, u2, select, rest, parts)
+
+
+def _synth_rec(u: np.ndarray, qubits: list[int]) -> list:
+    """Row blocks of ``u`` on ``qubits``, in order.
+
+    Every leaf but the last is synthesised up to a diagonal (two CNOTs); the
+    diagonal commutes with the multiplexors up to the next leaf, whose controls
+    include both leaf wires, and is multiplied into that leaf."""
+    if len(qubits) == 1:
+        return _emit_1q(u, qubits[0])
+    parts, rows, delta = [], [], np.ones(4)
+    _qsd(u, qubits, parts)
+    last = max(i for i, part in enumerate(parts) if isinstance(part, np.ndarray))
+    for i, part in enumerate(parts):
+        if not isinstance(part, np.ndarray):
+            rows.append(part)
+            continue
+        part = part * delta
+        if i < last:
+            delta, part = _split_diagonal(part)
+        rows += _leaf_rows(part, qubits[-2:])
+    return rows
 
 
 def synth_unitary(u: np.ndarray, qubits=None, num_qubits: int | None = None) -> Circuit:
-    """Decompose a unitary into RZ/RY/PHASE/CNOT gates, exact up to 1e-9.
+    """Decompose a unitary into RZ/RY/PHASE/CNOT/CPHASE gates, exact up to 1e-9.
 
-    Recursive cosine-sine decomposition; O(4^q) gates.  The result includes
+    The optimised quantum Shannon decomposition (module docstring): a generic
+    q-qubit unitary, q >= 2, takes (23/48) 4^q - (3/2) 2^q + 4/3 two-qubit
+    gates (3, 20, 100, 444, 1868 for q = 2..6); degenerate inputs such as
+    diagonal, controlled or local unitaries take fewer.  The result includes
     the input's global phase.
     """
     u = np.asarray(u, dtype=complex)

@@ -8,9 +8,11 @@ value.  A refactor of the compile path must leave every digest as it is; a
 change that means to alter output must re-record them and say why.
 
 Digests depend on numpy's floating-point kernels, so the test only runs under
-the numpy version they were recorded with.  Schmidt loads are left out: the
-SVD completes its unitaries on the zero-singular-value subspace in a way that
-is not canonical, so their gates can change with the last bit of the input.
+the numpy version they were recorded with.  The Schmidt case also goes through
+LAPACK (the SVD and the Shannon decomposition of U and V), so its digests
+hold for the LAPACK build and CPU kernels they were recorded on as well.  It
+can be pinned because ``schmidt_decompose`` fixes each Schmidt pair's phase
+and completes U and V on the zero-singular-value subspace canonically.
 """
 import contextlib
 import hashlib
@@ -27,6 +29,8 @@ RECORDED_NUMPY = "2.4.6"
 EMIT = ["--emit", "json,qasm"]
 
 CASES = {
+    "schmidt-piecewise-n10-m5": ["compile", "--function", "piecewise", "--n", "10", "--m", "5",
+                                 "--loader", "schmidt", *EMIT],
     "ucr-piecewise-n12-m9": ["compile", "--function", "piecewise", "--n", "12", "--m", "9", *EMIT],
     "ucr-sinc-n14-m5": ["compile", "--function", "sinc", "--n", "14", "--m", "5", *EMIT],
     "ucr-bimodal-n13-m7": ["compile", "--function", "bimodal_gaussian", "--n", "13", "--m", "7",
@@ -75,6 +79,13 @@ DIGESTS = {
         "exit": 0,
         "report.json": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
         "stdout": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
+    },
+    "schmidt-piecewise-n10-m5": {
+        "circuit.json": "a464044c41251153bf559f747facdf23bfe08b53fe77c8564817c0a0f9630002",
+        "circuit.qasm": "306faad60615b73438f8fd1a5e4e9e5b184cfc259358d15ca9bf9c1d2639a3e8",
+        "exit": 0,
+        "report.json": "645de86a8a539d665747e8776372df6e1729617292715707f5069d0aeec64092",
+        "stdout": "645de86a8a539d665747e8776372df6e1729617292715707f5069d0aeec64092",
     },
     "simulate-piecewise-n14": {
         "exit": 0,

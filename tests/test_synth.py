@@ -1,5 +1,6 @@
 """Loader synthesis: angle formulas, Gray-code decomposition, Schmidt circuits,
-generic unitary synthesis, and the inverse QFT."""
+generic unitary synthesis (the optimal quantum Shannon decomposition and its
+two-qubit leaves), and the inverse QFT."""
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary,
                       reference_ucr_block)
 from fsl.circuit import CODES, Circuit, GateKind, compose, gate_counts, invert
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
+from fsl.frqi import GrayImage, _joint_vector, _phase_spec
 from fsl.simulator import Statevector, fidelity, run
-from fsl.synth import (SchmidtForm, UCRAngles, _ucr_block, build_inverse_qft,
+from fsl.synth import (SchmidtForm, UCRAngles, _leaf_rows, _split_diagonal, _ucr_block,
+                       build_inverse_qft,
                        build_schmidt_circuit, build_ucr_circuit, decompose_opaque,
                        gray_code, gray_transform, gray_transform_matrix,
                        mottonen_angles, schmidt_decompose, synth_unitary)
@@ -221,6 +224,34 @@ class TestSchmidt:
         # A loads |0>, so only the ladder CNOT and the local bases remain
         assert [g.kind.value for g in c.gates][:1] == ["CNOT"]
 
+    def test_inputs_one_ulp_apart_give_nearby_bases(self):
+        # A real FRQI loader vector (n=4, m=2) has a zero singular value.  Under
+        # a last-bit change the SVD alone may flip a Schmidt pair's sign or
+        # complete the null space anew, moving U and V entries by up to 2.
+        img = GrayImage(16, np.random.default_rng(0).random((16, 16)))
+        vec = _joint_vector(_phase_spec(img, 2))
+        vec /= np.linalg.norm(vec)
+        form = schmidt_decompose(vec)
+        assert np.count_nonzero(form.schmidt_coeffs) < len(form.schmidt_coeffs)
+        for k in range(len(vec)):
+            bumped = vec.copy()
+            bumped[k] = complex(np.nextafter(bumped[k].real, 2.0), bumped[k].imag)
+            other = schmidt_decompose(bumped)
+            assert np.max(np.abs(other.u_matrix - form.u_matrix)) < 1e-12
+            assert np.max(np.abs(other.v_matrix - form.v_matrix)) < 1e-12
+        for target in (vec, bumped):
+            out = run(decompose_opaque(build_schmidt_circuit(target))).amplitudes
+            assert np.max(np.abs(out - target)) < 1e-9
+
+    def test_bases_are_unitary_and_complete_the_singular_vectors(self, rng):
+        target = np.kron(rand_state(rng, 3), rand_state(rng, 2))  # rank 1
+        form = schmidt_decompose(target)
+        for mat in (form.u_matrix, form.v_matrix):
+            assert np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))) < 1e-12
+        assert np.count_nonzero(form.schmidt_coeffs) == 1
+        rebuilt = form.schmidt_coeffs[0] * np.kron(form.u_matrix[:, 0], form.v_matrix[:, 0])
+        assert np.max(np.abs(rebuilt - target)) < 1e-12
+
     def test_decomposed_schmidt_circuit_still_exact(self, rng):
         target = rand_state(rng, 5)
         c = decompose_opaque(build_schmidt_circuit(target))
@@ -240,8 +271,9 @@ class TestSynthUnitary:
         assert len(c.gates) <= 4
         assert np.max(np.abs(dense_circuit_matrix(c) - u)) < 1e-12
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
     def test_reconstructs_random_unitaries(self, q, rng):
+        # exact including global phase
         u = rand_unitary(rng, 2**q)
         c = synth_unitary(u)
         assert not c.has_opaque()
@@ -256,6 +288,87 @@ class TestSynthUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             synth_unitary(np.ones((2, 2)))
+
+
+def _synth_error(u: np.ndarray, c: Circuit) -> float:
+    return float(np.max(np.abs(dense_circuit_matrix(c) - u)))
+
+
+_OPTIMAL_TWO_QUBIT = {2: 3, 3: 20, 4: 100, 5: 444, 6: 1868}  # (23/48) 4^q - (3/2) 2^q + 4/3
+_CNOT = np.eye(4)[[0, 1, 3, 2]]
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+_ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
+
+
+def _controlled(u: np.ndarray) -> np.ndarray:
+    return np.block([[np.eye(len(u)), np.zeros_like(u)], [np.zeros_like(u), u]])
+
+
+def _structured(name: str, q: int, rng) -> np.ndarray:
+    """A q-qubit unitary of a kind whose canonical form is degenerate."""
+    fill = np.eye(2 ** (q - 2))
+    if name == "identity":
+        return np.eye(2**q)
+    if name == "diagonal":
+        return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 2**q)))
+    if name in ("cnot", "swap", "iswap"):
+        return np.kron({"cnot": _CNOT, "swap": _SWAP, "iswap": _ISWAP}[name], fill)
+    if name == "controlled":
+        return _controlled(rand_unitary(rng, 2 ** (q - 1)))
+    if name == "local":
+        return np.kron(rand_unitary(rng, 2), rand_unitary(rng, 2 ** (q - 1)))
+    if name == "schmidt":  # a completed null space: U of an odd-width rank-deficient state
+        return schmidt_decompose(np.kron(rand_state(rng, q - 1), rand_state(rng, q))).u_matrix
+    raise ValueError(name)
+
+
+class TestOptimalShannonDecomposition:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_generic_unitaries_take_the_optimal_cnot_count(self, q, rng):
+        assert gate_counts(synth_unitary(rand_unitary(rng, 2**q))).two_qubit \
+            == _OPTIMAL_TWO_QUBIT[q]
+
+    def test_cosine_sine_multiplexors_use_cz(self, rng):
+        # q=3: one multiplexed RY with its last CZ folded away, 3 CPHASE(pi);
+        # 2 x 4 RZ-multiplexor CNOTs and 2 + 2 + 2 + 3 leaf CNOTs
+        c = synth_unitary(rand_unitary(rng, 8))
+        assert gate_counts(c).by_kind["CPHASE"] == 3
+        assert gate_counts(c).by_kind["CNOT"] == 17
+        assert {g.angle for g in c.gates if g.kind is GateKind.CPHASE} == {math.pi}
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["identity", "diagonal", "cnot", "swap", "iswap",
+                                      "controlled", "local", "schmidt"])
+    def test_structured_inputs_exact_and_never_larger(self, name, q, rng):
+        u = _structured(name, q, rng)
+        c = synth_unitary(u)
+        assert _synth_error(u, c) <= 1e-9
+        assert gate_counts(c).two_qubit <= _OPTIMAL_TWO_QUBIT[q]
+
+    def test_identity_and_local_products_need_no_cnot(self, rng):
+        assert gate_counts(synth_unitary(np.eye(4))).two_qubit == 0
+        assert gate_counts(synth_unitary(_structured("local", 2, rng))).two_qubit == 0
+
+    @pytest.mark.parametrize("name", ["random", "identity", "diagonal", "cnot", "swap", "iswap",
+                                      "controlled", "local"])
+    def test_leaf_full_and_up_to_a_diagonal(self, name, rng):
+        u = rand_unitary(rng, 4) if name == "random" else _structured(name, 2, rng)
+        full = Circuit.join(2, _leaf_rows(u, [0, 1]))
+        assert gate_counts(full).two_qubit <= 3
+        assert _synth_error(u, full) <= 1e-12
+        delta, w = _split_diagonal(u)
+        assert np.allclose(np.abs(delta), 1.0, rtol=0, atol=1e-15)
+        assert np.max(np.abs(delta[:, None] * w - u)) <= 1e-15
+        split = Circuit.join(2, _leaf_rows(w, [0, 1]))
+        assert gate_counts(split).two_qubit <= 2
+        assert _synth_error(w, split) <= 1e-12
+
+    def test_leaf_on_reversed_wires(self, rng):
+        u = rand_unitary(rng, 4)
+        c = Circuit.join(3, _leaf_rows(u, [2, 0]))
+        # u's first qubit is wire 2 and its second wire 0; wire 1 is idle
+        want = np.einsum("cadb,ef->aecbfd", u.reshape(2, 2, 2, 2), np.eye(2)).reshape(8, 8)
+        assert np.max(np.abs(dense_circuit_matrix(c) - want)) < 1e-12
 
 
 class TestInverseQft:
