@@ -118,19 +118,12 @@ def _slabs(v: np.ndarray):
 
 
 def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    """Exchange two equal-shape views; a large pair goes slab by slab through
-    one slab-sized buffer instead of a half-state temporary."""
-    if a.size <= _SLAB:
-        tmp = a.copy()
-        a[...] = b
-        b[...] = tmp
-        return
-    buffer = np.empty(_SLAB, dtype=a.dtype)
+    """Exchange two equal-shape views one slab at a time, so the temporary
+    holds at most ``_SLAB`` amplitudes instead of half the state."""
     for sa, sb in zip(_slabs(a), _slabs(b)):
-        tmp = buffer[:sa.size].reshape(sa.shape)
-        np.copyto(tmp, sa)
-        np.copyto(sa, sb)
-        np.copyto(sb, tmp)
+        tmp = sa.copy()
+        sa[...] = sb
+        sb[...] = tmp
 
 
 def _scale(a: np.ndarray, z: complex) -> None:

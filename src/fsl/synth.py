@@ -264,8 +264,10 @@ def schmidt_decompose(target) -> SchmidtForm:
     u, s, vh = np.linalg.svd(psi.reshape(2**left, 2**right))
     rank = int(np.count_nonzero(s > SCHMIDT_RANK_TOL * s[0]))
     s[rank:] = 0.0
-    sign = np.sign(np.sqrt(np.arange(1.0, 2**left + 1)) @ u[:, :rank]).conj()
-    sign[sign == 0] = 1
+    overlap = np.sqrt(np.arange(1.0, 2**left + 1)) @ u[:, :rank]
+    size = np.abs(overlap)
+    sign = np.ones(rank, dtype=complex)
+    sign[size > 0] = overlap[size > 0].conj() / size[size > 0]
     return SchmidtForm(left, right, s, _complete_basis(u[:, :rank] * sign),
                        _complete_basis(vh[:rank].T * sign.conj()))
 
@@ -333,6 +335,7 @@ _RZ_HALF_PI = np.diag([cmath.exp(-0.25j * math.pi), cmath.exp(0.25j * math.pi)])
 _PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 _MIXES = [(math.cos(1 + 2.4 * k), math.sin(1 + 2.4 * k)) for k in range(16)]
 _PAIR_TOL = 1e-12
+_EIG_TOL = 1e-9
 
 
 def _real_eigvecs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,14 +343,20 @@ def _real_eigvecs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unitary m.
 
     Re m and Im m are commuting real symmetric matrices, so a generic real mix
-    of the two has their common eigenvectors; a fixed list of mixes is tried
-    until one reproduces m (a mix can merge two of m's eigenvalues)."""
+    of the two has their common eigenvectors.  A fixed list of mixes is tried
+    until one reproduces m (a mix can merge two of m's eigenvalues); failing
+    that, the best one is kept if it reproduces m to ``_EIG_TOL``."""
+    best = (math.inf, None, None)
     for x, y in _MIXES:
         p = np.linalg.eigh(x * m.real + y * m.imag)[1]
         d = np.einsum("ij,ik,kj->j", p, m, p)
-        if np.max(np.abs((p * d) @ p.T - m)) < 1e-13:
+        best = min(best, (np.max(np.abs((p * d) @ p.T - m)), p, d), key=lambda t: t[0])
+        if best[0] < 1e-13:
             break
-    return p, d
+    if best[0] > _EIG_TOL:
+        raise NotUnitary(f"no real eigenbasis reproduces a two-qubit leaf to {_EIG_TOL} "
+                         f"(best {best[0]:.1e})")
+    return best[1], best[2]
 
 
 def _local_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,29 +8,36 @@ value.  A refactor of the compile path must leave every digest as it is; a
 change that means to alter output must re-record them and say why.
 
 Digests depend on numpy's floating-point kernels, so the test only runs under
-the numpy version they were recorded with.  The Schmidt case also goes through
-LAPACK (the SVD and the Shannon decomposition of U and V), so its digests
-hold for the LAPACK build and CPU kernels they were recorded on as well.  It
-can be pinned because ``schmidt_decompose`` fixes each Schmidt pair's phase
-and completes U and V on the zero-singular-value subspace canonically.
+the numpy version they were recorded with.
+
+A Schmidt compile also goes through LAPACK (the SVD and the Shannon
+decomposition of U and V), whose last bits move with the BLAS kernels the CPU
+selects, so its angles are not pinned by bytes.  Its test digests the outputs
+with every angle taken out, which fixes gate kinds, wires, counts, depth and
+the output permutation, and checks the angles by the state they prepare: the
+UCR compile's state, to 1e-12 up to a global phase.  The structure is
+reproducible because ``schmidt_decompose`` fixes each Schmidt pair's phase and
+completes U and V on the zero-singular-value subspace canonically.
 """
 import contextlib
 import hashlib
 import io
+import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fsl.circuit import from_json
 from fsl.cli import main
+from fsl.simulator import run
 
 RECORDED_NUMPY = "2.4.6"
 
 EMIT = ["--emit", "json,qasm"]
 
 CASES = {
-    "schmidt-piecewise-n10-m5": ["compile", "--function", "piecewise", "--n", "10", "--m", "5",
-                                 "--loader", "schmidt", *EMIT],
     "ucr-piecewise-n12-m9": ["compile", "--function", "piecewise", "--n", "12", "--m", "9", *EMIT],
     "ucr-sinc-n14-m5": ["compile", "--function", "sinc", "--n", "14", "--m", "5", *EMIT],
     "ucr-bimodal-n13-m7": ["compile", "--function", "bimodal_gaussian", "--n", "13", "--m", "7",
@@ -79,13 +86,6 @@ DIGESTS = {
         "exit": 0,
         "report.json": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
         "stdout": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
-    },
-    "schmidt-piecewise-n10-m5": {
-        "circuit.json": "a464044c41251153bf559f747facdf23bfe08b53fe77c8564817c0a0f9630002",
-        "circuit.qasm": "306faad60615b73438f8fd1a5e4e9e5b184cfc259358d15ca9bf9c1d2639a3e8",
-        "exit": 0,
-        "report.json": "645de86a8a539d665747e8776372df6e1729617292715707f5069d0aeec64092",
-        "stdout": "645de86a8a539d665747e8776372df6e1729617292715707f5069d0aeec64092",
     },
     "simulate-piecewise-n14": {
         "exit": 0,
@@ -144,10 +144,10 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def case_digests(name: str, work: Path) -> dict:
-    """Exit code and the digest of each output of case ``name``, run in ``work``."""
+def run_case(argv: list, work: Path) -> dict:
+    """Exit code, stdout and the text of each emitted file of ``argv``, run in ``work``."""
     _write_pgm(work / "image.pgm")
-    argv = [a.format(pgm=work / "image.pgm") for a in CASES[name]]
+    argv = [a.format(pgm=work / "image.pgm") for a in argv]
     if "--emit" in argv:
         argv += ["--out-dir", str(work / "out"), "--prefix", "c_"]
     out = io.StringIO()
@@ -156,10 +156,16 @@ def case_digests(name: str, work: Path) -> dict:
     stdout = out.getvalue()
     if argv[0] == "sweep":
         stdout = "".join(line.rsplit(",", 1)[0] + "\n" for line in stdout.splitlines())
-    got = {"exit": code, "stdout": _digest(stdout)}
+    got = {"exit": code, "stdout": stdout}
     for path in sorted((work / "out").glob("c_*")):
-        got[path.name[2:]] = _digest(path.read_text())
+        got[path.name[2:]] = path.read_text()
     return got
+
+
+def case_digests(name: str, work: Path) -> dict:
+    """Exit code and the digest of each output of case ``name``, run in ``work``."""
+    return {key: value if key == "exit" else _digest(value)
+            for key, value in run_case(CASES[name], work).items()}
 
 
 @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
@@ -167,3 +173,51 @@ def case_digests(name: str, work: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_recorded_digests(name, tmp_path):
     assert case_digests(name, tmp_path) == DIGESTS[name]
+
+
+SCHMIDT_ARGV = ["compile", "--function", "piecewise", "--n", "10", "--m", "5", *EMIT]
+# Digests of circuit.json without its angles and of circuit.qasm with every
+# gate argument blanked, and report.json without its two float values.
+SCHMIDT_STRUCTURE = {
+    "circuit.json": "6ed7a82478b359687b9633a2caa3190b269f3c5f363cb942cf574e4d52f05b91",
+    "circuit.qasm": "23a88c72bc24676c20a81a6040edbe541e73abdde1dd5947d81615f87f4ef482",
+}
+SCHMIDT_REPORT = {
+    "contains_opaque": False,
+    "depth": 84,
+    "gate_counts": {"by_kind": {"CNOT": 47, "CPHASE": 51, "H": 10, "PHASE": 8, "RY": 57, "RZ": 88},
+                    "opaque": 0, "single_qubit": 163, "two_qubit": 98},
+}
+SCHMIDT_FLOATS = {"analytic_bound": 0.01414566290553763, "exact_infidelity": 0.003116132230376545}
+
+
+def _without_angles(outputs: dict) -> tuple[dict, list, list]:
+    """Structure digests of a compile's circuit files, with the angles of
+    circuit.json and the gate arguments of circuit.qasm in file order."""
+    circuit = json.loads(outputs["circuit.json"])
+    angles = [g.pop("angle") for g in circuit["gates"] if "angle" in g]
+    qasm = outputs["circuit.qasm"]
+    args = [float(a) for a in re.findall(r"\(([^)]*)\)", qasm)]
+    return ({"circuit.json": _digest(json.dumps(circuit, sort_keys=True)),
+             "circuit.qasm": _digest(re.sub(r"\([^)]*\)", "()", qasm))}, angles, args)
+
+
+@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                    reason=f"structure was recorded under numpy {RECORDED_NUMPY}")
+def test_schmidt_compile_matches_recorded_structure(tmp_path):
+    for sub in ("schmidt", "ucr"):
+        (tmp_path / sub).mkdir()
+    got = run_case([*SCHMIDT_ARGV, "--loader", "schmidt"], tmp_path / "schmidt")
+    assert got["exit"] == 0
+    assert got["stdout"] == got["report.json"]
+    report = json.loads(got["report.json"])
+    floats = {key: report.pop(key) for key in SCHMIDT_FLOATS}
+    assert report == SCHMIDT_REPORT
+    assert floats == pytest.approx(SCHMIDT_FLOATS, rel=1e-9)
+    structure, angles, args = _without_angles(got)
+    assert structure == SCHMIDT_STRUCTURE
+    assert args == angles
+    ucr = run_case(SCHMIDT_ARGV, tmp_path / "ucr")
+    a, b = (run(from_json(out["circuit.json"])).amplitudes for out in (got, ucr))
+    overlap = np.vdot(b, a)
+    assert np.max(np.abs(a - overlap / abs(overlap) * b)) < 1e-12

@@ -135,20 +135,23 @@ def _loader_call_sizes(monkeypatch, c, loader_wires):
     return sizes[:count]
 
 
+SLAB_N = 17  # 2^16-amplitude halves: several slabs each
+
+
 class TestSlabSwap:
-    """X, CNOT and SWAP exchange two views of the state; views larger than one
-    slab go slab by slab through a reused buffer, and must move exactly the
-    amplitudes a plain exchange moves."""
+    """X, CNOT and SWAP exchange two views of the state slab by slab, and must
+    move exactly the amplitudes a plain exchange moves."""
 
-    N = 17  # 2^16-amplitude halves: several slabs each
-
-    @pytest.mark.parametrize("qubits,bits", [
-        *[((q,), ((0,), (1,))) for q in (0, 1, 8, 15, 16)],
-        *[((a, b), ((1, 0), (1, 1))) for a, b in ((0, 1), (0, 16), (16, 0), (7, 9), (15, 16))],
-        ((3, 12), ((0, 1), (1, 0))),
+    @pytest.mark.parametrize("n,qubits,bits", [
+        *[(SLAB_N, (q,), ((0,), (1,))) for q in (0, 1, 8, 15, 16)],
+        *[(SLAB_N, (a, b), ((1, 0), (1, 1)))
+          for a, b in ((0, 1), (0, 16), (16, 0), (7, 9), (15, 16))],
+        (SLAB_N, (3, 12), ((0, 1), (1, 0))),
+        *[(3, (q,), ((0,), (1,))) for q in (0, 2)],  # below one slab
+        (3, (0, 2), ((1, 0), (1, 1))),
     ])
-    def test_matches_a_plain_exchange(self, qubits, bits, rng):
-        psi = rand_state(rng, self.N)
+    def test_matches_a_plain_exchange(self, n, qubits, bits, rng):
+        psi = rand_state(rng, n)
         want = psi.copy()
         a, b = (simulator._at(want, qubits, bit) for bit in bits)
         a[...], b[...] = b.copy(), a.copy()
@@ -156,7 +159,7 @@ class TestSlabSwap:
         assert np.array_equal(psi, want)
 
     def test_slabs_tile_the_view(self):
-        psi = np.arange(2**self.N, dtype=complex)
+        psi = np.arange(2**SLAB_N, dtype=complex)
         view = simulator._at(psi, (4, 11), (1, 0))
         slabs = list(simulator._slabs(view))
         assert max(s.size for s in slabs) <= simulator._SLAB < view.size

@@ -12,8 +12,8 @@ from fsl.circuit import CODES, Circuit, GateKind, compose, gate_counts, invert
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 from fsl.frqi import GrayImage, _joint_vector, _phase_spec
 from fsl.simulator import Statevector, fidelity, run
-from fsl.synth import (SchmidtForm, UCRAngles, _leaf_rows, _split_diagonal, _ucr_block,
-                       build_inverse_qft,
+from fsl.synth import (SchmidtForm, UCRAngles, _leaf_rows, _real_eigvecs, _split_diagonal,
+                       _ucr_block, build_inverse_qft,
                        build_schmidt_circuit, build_ucr_circuit, decompose_opaque,
                        gray_code, gray_transform, gray_transform_matrix,
                        mottonen_angles, schmidt_decompose, synth_unitary)
@@ -243,6 +243,14 @@ class TestSchmidt:
             out = run(decompose_opaque(build_schmidt_circuit(target))).amplitudes
             assert np.max(np.abs(out - target)) < 1e-9
 
+    def test_pair_phases_are_fixed(self, rng):
+        # each kept u_k overlaps the fixed vector (sqrt 1, sqrt 2, ...) with a
+        # real positive number, whatever phase the SVD gave the pair
+        form = schmidt_decompose(rand_state(rng, 5))
+        overlap = np.sqrt(np.arange(1.0, 9.0)) @ form.u_matrix[:, :4]
+        assert np.max(np.abs(overlap.imag)) < 1e-12
+        assert np.all(overlap.real > 0)
+
     def test_bases_are_unitary_and_complete_the_singular_vectors(self, rng):
         target = np.kron(rand_state(rng, 3), rand_state(rng, 2))  # rank 1
         form = schmidt_decompose(target)
@@ -362,6 +370,20 @@ class TestOptimalShannonDecomposition:
         split = Circuit.join(2, _leaf_rows(w, [0, 1]))
         assert gate_counts(split).two_qubit <= 2
         assert _synth_error(w, split) <= 1e-12
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_nearly_unitary_input_still_exact(self, q, rng):
+        # unitary to ~1e-11, inside synth_unitary's 1e-10 acceptance
+        u = rand_unitary(rng, 2**q)
+        u = u + 1e-11 * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+        assert _synth_error(u, synth_unitary(u)) <= 1e-9
+
+    def test_leaf_eigenbasis_rejects_a_non_unitary_block(self, rng):
+        # Re m and Im m of a random complex symmetric m do not commute, so no
+        # mix of them reproduces m
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(NotUnitary, match="real eigenbasis"):
+            _real_eigvecs(m + m.T)
 
     def test_leaf_on_reversed_wires(self, rng):
         u = rand_unitary(rng, 4)
