@@ -533,30 +533,7 @@ def export_qasm(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json_dict(c: Circuit) -> dict:
-    """Circuit as the documented JSON schema (opaque gates are not representable)."""
-    _reject_opaque(c, "serialize")
-    gates = []
-    for k, a, b, angle in zip(c.kinds.tolist(), *c.wires.T.tolist(), c.angles.tolist()):
-        gates.append({"kind": KINDS[k].value, "qubits": [a] if b < 0 else [a, b]})
-        if angle == angle:
-            gates[-1]["angle"] = angle
-    return {
-        "num_qubits": c.num_qubits,
-        "gates": gates,
-        "output_permutation": list(c.output_permutation),
-    }
-
-
-def from_json_dict(d: dict) -> Circuit:
-    gates = tuple(
-        Gate(GateKind(e["kind"]), tuple(e["qubits"]), e.get("angle"))
-        for e in d["gates"]
-    )
-    return Circuit(int(d["num_qubits"]), gates, tuple(d["output_permutation"]))
-
-
-# What ``dumps(to_json_dict(c), indent=2)`` writes before each gate's first qubit.
+# What ``json.dumps(..., indent=2)`` writes before each gate's first qubit.
 _JSON_GATE_HEAD = {kind: f'    {{\n      "kind": "{kind.value}",\n      "qubits": [\n        '
                    for kind in _ARITY}
 
@@ -569,8 +546,11 @@ def _json_parts(kind: GateKind, qubits) -> tuple[str, str]:
 
 
 def to_json(c: Circuit) -> str:
-    """The ``to_json_dict`` schema, floats to 17 significant digits (exact round
-    trip), byte for byte as ``dumps(to_json_dict(c), indent=2)`` lays it out."""
+    """The circuit as the documented JSON schema (``num_qubits``; ``gates``, each
+    with ``kind``, ``qubits`` and, if the kind takes one, ``angle``;
+    ``output_permutation``), laid out as ``dumps(..., indent=2)`` would, floats
+    to 17 significant digits (exact round trip).  Opaque gates are not
+    representable."""
     entries = _gate_texts(c, _json_parts, "serialize")
     gates = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     perm = ",\n    ".join(map(str, c.output_permutation))
@@ -579,5 +559,13 @@ def to_json(c: Circuit) -> str:
             f'  "output_permutation": {perm}\n}}')
 
 
+def to_json_dict(c: Circuit) -> dict:
+    """The ``to_json`` schema as a dict: its text read back, so an integral
+    angle (-0.0 too) comes back as a JSON integer of equal value."""
+    return json.loads(to_json(c))
+
+
 def from_json(text: str) -> Circuit:
-    return from_json_dict(json.loads(text))
+    d = json.loads(text)
+    gates = tuple(Gate(GateKind(e["kind"]), tuple(e["qubits"]), e.get("angle")) for e in d["gates"])
+    return Circuit(int(d["num_qubits"]), gates, tuple(d["output_permutation"]))

@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,6 @@ from . import compiler, fourier, frqi, funcs, simulator
 from .circuit import _fmt, dumps
 from .compiler import FSLPlan, Loader, NonperiodicVariant
 from .errors import CapacityExceeded, ExpressionError, FSLError, UnknownFunction
-from .synth import decompose_opaque
 
 
 # ---------------------------------------------------------------------------
@@ -205,25 +203,15 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _gate_level(circ: cir.Circuit, report: compiler.CompileReport):
-    """The circuit with its opaque loader gates decomposed, and its report with
-    depth and gate counts refreshed to match; unchanged if nothing is opaque."""
-    if not report.contains_opaque:
-        return circ, report
-    circ = cir.peephole_cancel_cnots(decompose_opaque(circ))
-    return circ, replace(report, depth=cir.depth(circ), gate_counts=cir.gate_counts(circ))
-
-
 def _emit(cfg: dict, circ: cir.Circuit, report: compiler.CompileReport, **extra) -> int:
-    """Export the gate-level form (``_gate_level``) and print its report with
-    ``extra`` fields added."""
+    """Export the circuit as the ``--emit`` targets ask and print its report
+    with ``extra`` fields added."""
     targets = {t.strip() for t in str(cfg["emit"]).split(",") if t.strip()}
     unknown = targets - {"json", "qasm", "none"}
     if unknown:
         raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
     out = Path(cfg["out_dir"])
     prefix = cfg["prefix"]
-    circ, report = _gate_level(circ, report)
     report_dict = {**report.to_dict(include_timing=bool(cfg["timing"])), **extra}
     if "json" in targets:
         _write(out / f"{prefix}circuit.json", cir.to_json(circ) + "\n")
@@ -266,7 +254,7 @@ def cmd_simulate(cfg: dict) -> int:
     if state_out:
         simulator.dump_statevector(state, state_out)
 
-    if cfg["shots"]:
+    if cfg["shots"] is not None:
         hist = simulator.sample(state, int(cfg["shots"]), int(cfg["seed"]))
         target_probs = np.abs(grid.samples.reshape(-1)) ** 2
         measured = hist.probabilities(2**state.num_qubits)  # marginal over a mirror ancilla
@@ -293,7 +281,7 @@ def cmd_sweep(cfg: dict) -> int:
     spectrum = fourier.dft_coefficients(grid if extended is None else extended)
     rows = [SWEEP_COLUMNS]
     for m in range(lo, hi + 1):
-        _, report = _gate_level(*_compile(cfg, grid, m, variant, spectrum, extended)[1:])
+        report = _compile(cfg, grid, m, variant, spectrum, extended)[-1]
         bound = "" if report.analytic_bound is None else _fmt(report.analytic_bound)
         rows.append(",".join([
             str(m), _fmt(report.exact_infidelity), bound, str(report.depth),

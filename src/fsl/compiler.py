@@ -3,8 +3,9 @@
 Every load is built by ``assemble``, on ``lead`` leading wires followed by D
 registers of n wires each:
 
-  1. a loader U_c (UCR or Schmidt) preparing the loader vector on the lead
-     wires plus the top m+1 wires of every register (one joint loader);
+  1. a loader U_c (UCR or Schmidt, both at gate level) preparing the loader
+     vector on the lead wires plus the top m+1 wires of every register (one
+     joint loader);
   2. a CNOT fan-out from each register's sign wire (position n-m-1 within
      the register) that pads the negative frequencies up to the full register,
      a balanced tree of depth ceil(log2(n-m));
@@ -96,7 +97,8 @@ class CompileReport:
         return self.gate_counts.opaque > 0
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        """The fields as JSON values, plus ``contains_opaque``; the wall time is
+        """The fields as JSON values, plus ``contains_opaque`` (false for every
+        compiled load, whose loaders are gate level); the wall time is
         ``compile_wall_time_s`` when timing is asked for, and a None
         ``post_processing`` is left out."""
         d = asdict(self)

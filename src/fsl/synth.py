@@ -8,7 +8,7 @@ Three loaders live here:
   CNOTs whose controls follow the binary-reflected Gray code.
 * ``build_schmidt_circuit`` — SVD-based: load the Schmidt coefficients on one
   half register, copy with a CNOT ladder, rotate both halves into the Schmidt
-  basis with local unitaries (kept opaque; decompose via ``synth_unitary``).
+  basis with local unitaries, each synthesised as ``synth_unitary`` does.
 * ``build_inverse_qft`` — the standard controlled-phase network, with the
   terminal SWAP stage optionally replaced by an output permutation.
 
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CODES, Circuit, GateKind, cnot_rows, unitary
+from .circuit import CODES, Circuit, GateKind, cnot_rows
 from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 
 NORM_TOL = 1e-9
@@ -273,7 +273,12 @@ def schmidt_decompose(target) -> SchmidtForm:
 
 
 def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) -> Circuit:
-    """Schmidt-decomposition loader: coefficient load, CNOT ladder, local bases."""
+    """Schmidt-decomposition loader, gate level: coefficient load on the left
+    register, CNOT ladder, then U on the left and V on the right register,
+    each synthesised by ``_synth_rec`` unless it is the identity.  A
+    one-qubit ``target`` has no split and is loaded by ``build_ucr_circuit``."""
+    if np.size(target) == 2:
+        return build_ucr_circuit(target, qubits, num_qubits)
     form = schmidt_decompose(target)
     qubits, total = _wires(form.left_qubits + form.right_qubits, qubits, num_qubits)
     left = qubits[:form.left_qubits]
@@ -283,10 +288,9 @@ def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) ->
     coeff_vec[: len(form.schmidt_coeffs)] = form.schmidt_coeffs
     loader = build_ucr_circuit(coeff_vec, qubits=left, num_qubits=total)
     ladder = cnot_rows(list(zip(left[form.left_qubits - form.right_qubits:], right)))
-    bases = [unitary(mat, regs, label=label)
-             for mat, regs, label in ((form.u_matrix, left, "U"), (form.v_matrix, right, "V"))
-             if np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12]
-    return Circuit.join(total, [loader, ladder, Circuit(total, bases)])
+    bases = [row for mat, regs in ((form.u_matrix, left), (form.v_matrix, right))
+             if np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12 for row in _synth_rec(mat, regs)]
+    return Circuit.join(total, [loader, ladder, *bases])
 
 
 # ---------------------------------------------------------------------------

@@ -441,8 +441,9 @@ class TestJson:
 
     def test_opaque_not_representable(self):
         c = Circuit(1, (unitary(np.eye(2), (0,)),))
-        with pytest.raises(OpaqueGatePresent):
-            to_json(c)
+        for write in (to_json, cir.to_json_dict):
+            with pytest.raises(OpaqueGatePresent, match="cannot serialize opaque gate 'U'"):
+                write(c)
 
 
 # ---------------------------------------------------------------------------

@@ -104,27 +104,13 @@ class TestCompileCommand:
                              "--n", "5", "--m", "2", "--loader", "schmidt",
                              "--emit", "json,qasm", "--out-dir", str(tmp_path))
         assert code == 0
-        report = json.loads((tmp_path / "fsl_report.json").read_text())
-        assert report["contains_opaque"] is False
-        text = (tmp_path / "fsl_circuit.qasm").read_text()
-        assert text.startswith("OPENQASM 2.0;")
-
-    @pytest.mark.parametrize("loader", ["ucr", "schmidt"])
-    def test_export_reads_the_opaque_flag_from_the_report(self, tmp_path, capsys,
-                                                         monkeypatch, loader):
-        # the gate counts already say whether the loader is opaque; no rescan
-        def rescan(self):
-            raise AssertionError("Circuit.has_opaque called")
-        monkeypatch.setattr(cir.Circuit, "has_opaque", rescan)
-        code, _, _ = run_cli(capsys, "compile", "--function", "bimodal_gaussian",
-                             "--n", "5", "--m", "2", "--loader", loader,
-                             "--emit", "json,qasm", "--out-dir", str(tmp_path))
-        assert code == 0
         circ = cir.from_json((tmp_path / "fsl_circuit.json").read_text())
         report = json.loads((tmp_path / "fsl_report.json").read_text())
         assert report["contains_opaque"] is False
         assert report["gate_counts"]["opaque"] == 0
         assert report["depth"] == cir.depth(circ)
+        text = (tmp_path / "fsl_circuit.qasm").read_text()
+        assert text.startswith("OPENQASM 2.0;")
 
     def test_circuit_json_is_written_by_circuit_to_json(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "compile", "--function", "bimodal_gaussian",
@@ -220,6 +206,11 @@ class TestSimulateCommand:
             empirical = hist.probabilities(len(target))
         assert json.loads(out)["classical_fidelity_vs_function"] == \
             simulator.classical_fidelity(empirical, target)
+
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_shots_below_one_exit_3(self, shots, capsys):
+        assert_one_json_error(run_cli(capsys, "simulate", "--function", "piecewise", "--n", "5",
+                                      "--m", "2", "--shots", shots), 3)
 
     def test_compare_state_dimension_mismatch_exits_3(self, tmp_path, capsys):
         state_file = str(tmp_path / "state.c16")
@@ -432,6 +423,58 @@ class TestImageCommand:
     def test_missing_file_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "image", "--pgm", "/nonexistent.pgm", "--m", "1")
         assert code == 3
+
+
+class TestSchmidtLoadThroughCli:
+    """A Schmidt load is one gate-level circuit: simulate, compile, sweep and
+    image report, verify and export the same gates."""
+
+    @pytest.mark.parametrize("function, n, m", [("piecewise", 8, 3), ("tanh", 6, 3),
+                                                ("sinc2d", 4, 2)])
+    def test_simulate_reports_the_circuit_compile_writes(self, function, n, m, capsys):
+        argv = ["--function", function, "--n", str(n), "--m", str(m), "--loader", "schmidt"]
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert code == 0
+        result = json.loads(out)
+        code, out, _ = run_cli(capsys, "compile", *argv, "--emit", "none")
+        assert code == 0
+        assert result["report"] == json.loads(out)
+        assert result["report"]["gate_counts"]["opaque"] == 0
+        fidelity = result.get("fidelity_vs_truncated", result.get("ancilla_zero_population"))
+        assert fidelity >= 1 - 1e-9
+
+    @pytest.mark.parametrize("function", ["piecewise", "tanh"])
+    def test_m0_reaches_the_ucr_state(self, function, tmp_path, capsys):
+        argv = ["simulate", "--function", function, "--n", "5", "--m", "0"]
+        state = str(tmp_path / "ucr.c16")
+        assert run_cli(capsys, *argv, "--state-out", state)[0] == 0
+        code, out, _ = run_cli(capsys, *argv, "--loader", "schmidt", "--compare-state", state)
+        assert code == 0
+        result = json.loads(out)
+        assert result["fidelity_vs_file"] >= 1 - 1e-9
+        assert result.get("fidelity_vs_truncated", 1.0) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("function", ["piecewise", "tanh"])
+    def test_sweep_from_m0(self, function, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--function", function, "--n", "6",
+                               "--m-range", "0:3", "--loader", "schmidt")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + 4
+
+    def test_image_simulate_reports_the_compiled_counts(self, tmp_path, capsys):
+        pgm = tmp_path / "img.pgm"
+        frqi.write_pgm(frqi.GrayImage(8, np.random.default_rng(2).random((8, 8))), pgm)
+        argv = ["image", "--pgm", str(pgm), "--m", "1", "--loader", "schmidt", "--emit", "none"]
+        code, out, _ = run_cli(capsys, *argv, "--simulate")
+        assert code == 0
+        simulated = json.loads(out)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        compiled = json.loads(out)
+        assert simulated["fidelity_vs_truncated_frqi"] >= 1 - 1e-9
+        assert (simulated["depth"], simulated["gate_counts"]) == \
+            (compiled["depth"], compiled["gate_counts"])
+        assert compiled["gate_counts"]["opaque"] == 0
 
 
 class TestConfigAndErrors:

@@ -82,7 +82,7 @@ class TestCompile1d:
             spec = truncate(dft_coefficients(random_grid(rng, n)), m)
             circ, report = compile_spec(spec, FSLPlan(n=n, m=m, loader=loader))
             assert fidelity(run(circ), target_state(spec, n)) >= 1 - 1e-9
-            assert report.contains_opaque == (loader is Loader.SCHMIDT)
+            assert not circ.has_opaque() and not report.contains_opaque
 
     def test_report_infidelity_matches_fourier_module(self, rng):
         g = random_grid(rng, 8)
@@ -300,11 +300,11 @@ class TestAssembleEqualsReference:
             (want.num_qubits, want.output_permutation)
         assert report.depth == depth(want)
         assert report.gate_counts == gate_counts(want)
-        assert report.contains_opaque == want.has_opaque()
+        assert not (circ.has_opaque() or report.contains_opaque)
 
     @pytest.mark.parametrize("n, m, loader", [(3, 0, Loader.UCR), (5, 2, Loader.UCR),
-                                              (7, 4, Loader.UCR), (5, 2, Loader.SCHMIDT),
-                                              (7, 4, Loader.SCHMIDT)])  # Schmidt needs m >= 1
+                                              (7, 4, Loader.UCR), (3, 0, Loader.SCHMIDT),
+                                              (5, 2, Loader.SCHMIDT), (7, 4, Loader.SCHMIDT)])
     def test_periodic(self, n, m, loader, rng):
         plan = FSLPlan(n=n, m=m, loader=loader)
         spec = prepare_spec(random_grid(rng, n), m)
@@ -366,25 +366,29 @@ class TestReportDict:
         grid = random_grid(rng, 6)
         img = GrayImage(8, rng.random((8, 8)))
         tanh = funcs.sample(funcs.builtin("tanh"), 6)
+        schmidt = compile_spec(prepare_spec(grid, 2), FSLPlan(n=6, m=2, loader=Loader.SCHMIDT))[1]
         return {
             "periodic": compile_spec(prepare_spec(grid, 2), FSLPlan(n=6, m=2), source=grid)[1],
             "mirror-measure": compile_nonperiodic(tanh, 3, NonperiodicVariant.MEASURE)[1],
-            "schmidt": compile_spec(prepare_spec(grid, 2),
-                                    FSLPlan(n=6, m=2, loader=Loader.SCHMIDT))[1],
+            "schmidt": schmidt,
             "frqi": compile_frqi(img, 1)[1],
+            # no entry point emits opaque gates; a report with two stands in
+            "opaque": replace(schmidt, gate_counts=GateCounts(
+                3, 2, 2, {"RY": 3, "CNOT": 2, "OPAQUE_UNITARY": 2})),
         }
 
     @pytest.mark.parametrize("include_timing", [True, False])
     def test_equals_the_hand_written_dict_on_every_load_path(self, include_timing, rng):
         reports = self.reports(rng)
         assert reports["mirror-measure"].post_processing is not None
-        assert reports["schmidt"].contains_opaque and not reports["periodic"].contains_opaque
+        assert reports["opaque"].contains_opaque and not reports["schmidt"].contains_opaque
         for path, report in reports.items():
             assert report.to_dict(include_timing) == hand_written_to_dict(report, include_timing), path
 
     def test_opaque_flag_follows_the_counts(self, rng):
         assert "contains_opaque" not in {f.name for f in fields(CompileReport)}
-        report = self.reports(rng)["schmidt"]
-        decomposed = replace(report, gate_counts=GateCounts(3, 2, 0, {"RY": 3, "CNOT": 2}))
-        assert report.contains_opaque and not decomposed.contains_opaque
+        reports = self.reports(rng)
+        opaque, decomposed = reports["opaque"], reports["schmidt"]
+        assert opaque.contains_opaque and not decomposed.contains_opaque
+        assert opaque.to_dict()["contains_opaque"] is True
         assert decomposed.to_dict()["contains_opaque"] is False

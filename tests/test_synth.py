@@ -8,7 +8,8 @@ import pytest
 
 from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary,
                       reference_ucr_block)
-from fsl.circuit import CODES, Circuit, GateKind, compose, gate_counts, invert
+from fsl.circuit import (CODES, Circuit, GateKind, cnot, compose, gate_counts, h, invert,
+                         unitary)
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 from fsl.frqi import GrayImage, _joint_vector, _phase_spec
 from fsl.simulator import Statevector, fidelity, run
@@ -240,7 +241,7 @@ class TestSchmidt:
             assert np.max(np.abs(other.u_matrix - form.u_matrix)) < 1e-12
             assert np.max(np.abs(other.v_matrix - form.v_matrix)) < 1e-12
         for target in (vec, bumped):
-            out = run(decompose_opaque(build_schmidt_circuit(target))).amplitudes
+            out = run(build_schmidt_circuit(target)).amplitudes
             assert np.max(np.abs(out - target)) < 1e-9
 
     def test_pair_phases_are_fixed(self, rng):
@@ -260,11 +261,19 @@ class TestSchmidt:
         rebuilt = form.schmidt_coeffs[0] * np.kron(form.u_matrix[:, 0], form.v_matrix[:, 0])
         assert np.max(np.abs(rebuilt - target)) < 1e-12
 
-    def test_decomposed_schmidt_circuit_still_exact(self, rng):
+    def test_schmidt_circuit_is_gate_level(self, rng):
         target = rand_state(rng, 5)
-        c = decompose_opaque(build_schmidt_circuit(target))
+        c = build_schmidt_circuit(target)
         assert not c.has_opaque()
         assert fidelity(run(c), Statevector(5, target)) >= 1 - 1e-9
+
+    def test_one_qubit_target_is_a_ucr_load(self, rng):
+        # no split to take: schmidt_decompose refuses it, the loader falls back
+        target = rand_state(rng, 1)
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            schmidt_decompose(target)
+        assert build_schmidt_circuit(target, qubits=[2], num_qubits=3) == \
+            build_ucr_circuit(target, qubits=[2], num_qubits=3)
 
 
 class TestSynthUnitary:
@@ -296,6 +305,13 @@ class TestSynthUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             synth_unitary(np.ones((2, 2)))
+
+    def test_decompose_opaque_replaces_each_opaque_gate(self, rng):
+        c = Circuit(4, (h(3), unitary(rand_unitary(rng, 8), (2, 0, 1), label="W"), cnot(3, 0),
+                        unitary(rand_unitary(rng, 2), (3,))), (1, 0, 2, 3))
+        out = decompose_opaque(c)
+        assert not out.has_opaque() and out.output_permutation == c.output_permutation
+        assert np.max(np.abs(dense_circuit_matrix(out) - dense_circuit_matrix(c))) < 1e-9
 
 
 def _synth_error(u: np.ndarray, c: Circuit) -> float:
