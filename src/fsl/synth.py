@@ -6,9 +6,10 @@ Three loaders live here:
   vectors come from the amplitude/phase block formulas, each uniformly
   j-controlled rotation decomposes into 2^j rotations interleaved with 2^j
   CNOTs whose controls follow the binary-reflected Gray code.
-* ``build_schmidt_circuit`` — SVD-based: load the Schmidt coefficients on one
-  half register, copy with a CNOT ladder, rotate both halves into the Schmidt
-  basis with local unitaries, each synthesised as ``synth_unitary`` does.
+* ``build_schmidt_circuit`` — SVD-based and rank aware: load the r nonzero
+  Schmidt coefficients on ceil(log2 r) wires of one half register, copy them
+  with a CNOT ladder, and rotate both halves into the Schmidt basis with local
+  isometries (Iten et al., PRA 93, 032318); a product target is two UCR loads.
 * ``build_inverse_qft`` — the standard controlled-phase network, with the
   terminal SWAP stage optionally replaced by an output permutation.
 
@@ -18,7 +19,8 @@ cosine-sine steps and demultiplexors recurse down to two-qubit leaves, each
 leaf a canonical-form circuit of at most 3 CNOTs (Vatan & Williams,
 quant-ph/0308006), every leaf but the last taken only up to a diagonal
 (2 CNOTs), and each cosine-sine step's last CZ folded into the next block.
-A one-qubit unitary is a ZYZ rotation.
+A one-qubit unitary is a ZYZ rotation; inside a larger one, every one-qubit
+gate is emitted in SU(2) and the phases are summed into one RZ/PHASE pair.
 """
 from __future__ import annotations
 
@@ -273,23 +275,26 @@ def schmidt_decompose(target) -> SchmidtForm:
 
 
 def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) -> Circuit:
-    """Schmidt-decomposition loader, gate level: coefficient load on the left
-    register, CNOT ladder, then U on the left and V on the right register,
-    each synthesised by ``_synth_rec`` unless it is the identity.  A
-    one-qubit ``target`` has no split and is loaded by ``build_ucr_circuit``."""
+    """Schmidt-decomposition loader, gate level: the r nonzero coefficients
+    load on the last k = ceil(log2 r) wires of the left register, k ladder
+    CNOTs copy them onto the last k of the right, then U (left) and V (right)
+    follow, each an isometry from those k wires synthesised by ``_synth_rec``
+    unless its first 2^k columns are the identity's.  At k = 0 U's and V's
+    first columns are UCR loads; a one-qubit ``target`` is one UCR load."""
     if np.size(target) == 2:
         return build_ucr_circuit(target, qubits, num_qubits)
     form = schmidt_decompose(target)
     qubits, total = _wires(form.left_qubits + form.right_qubits, qubits, num_qubits)
-    left = qubits[:form.left_qubits]
-    right = qubits[form.left_qubits:]
-
-    coeff_vec = np.zeros(2**form.left_qubits)
-    coeff_vec[: len(form.schmidt_coeffs)] = form.schmidt_coeffs
-    loader = build_ucr_circuit(coeff_vec, qubits=left, num_qubits=total)
-    ladder = cnot_rows(list(zip(left[form.left_qubits - form.right_qubits:], right)))
+    left, right = qubits[:form.left_qubits], qubits[form.left_qubits:]
+    k = (int(np.count_nonzero(form.schmidt_coeffs)) - 1).bit_length()
+    if k == 0:
+        return Circuit.join(total, [build_ucr_circuit(form.u_matrix[:, 0], left, total),
+                                    build_ucr_circuit(form.v_matrix[:, 0], right, total)])
+    loader = build_ucr_circuit(form.schmidt_coeffs[:2**k], left[-k:], total)
+    ladder = cnot_rows(list(zip(left[-k:], right[-k:])))
     bases = [row for mat, regs in ((form.u_matrix, left), (form.v_matrix, right))
-             if np.max(np.abs(mat - np.eye(len(mat)))) > 1e-12 for row in _synth_rec(mat, regs)]
+             if np.max(np.abs(mat[:, :2**k] - np.eye(len(mat), 2**k))) > 1e-12
+             for row in _synth_rec(mat, regs, len(regs) - k)]
     return Circuit.join(total, [loader, ladder, *bases])
 
 
@@ -314,14 +319,17 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, float(beta), gamma, float(delta)
 
 
-def _emit_1q(u: np.ndarray, qubit: int) -> list:
+def _emit_1q(u: np.ndarray, qubit: int, phases: list | None = None) -> list:
     """Exact single-qubit synthesis: at most RZ, RY, RZ plus a PHASE, as one
     row block in a list.
 
     The global phase is folded into the final RZ/PHASE pair so the emitted
-    gates reproduce ``u`` exactly, which the recursive decomposition relies on.
+    gates reproduce ``u`` exactly, or appended to ``phases`` if given.
     """
     alpha, beta, gamma, delta = _zyz_angles(u)
+    if phases is not None:
+        phases.append(alpha)
+        alpha = 0.0
     rows = [(code, angle) for code, angle, size in (
         (_RZ, delta, delta), (_RY, gamma, gamma), (_RZ, beta - 2 * alpha, beta - 2 * alpha),
         (_PHASE, 2 * alpha, alpha)) if abs(size) > ANGLE_EPS]
@@ -399,11 +407,12 @@ def _canonical(u: np.ndarray):
             *_local_factors(_MAGIC @ p.T @ _MAGIC.conj().T))
 
 
-def _leaf_rows(u: np.ndarray, wires: list[int]) -> list:
-    """Row blocks of the two-qubit unitary u on ``wires``: its canonical form,
-    with the canonical gate as 0, 2 or 3 CNOTs (Vatan & Williams for 3)."""
+def _leaf_rows(u: np.ndarray, wires: list[int], phases: list) -> list:
+    """Row blocks of the two-qubit unitary u on ``wires``, up to the global
+    phases appended to ``phases``: its canonical form, with the canonical gate
+    as 0, 2 or 3 CNOTs (Vatan & Williams for 3)."""
     phase, a1, a2, (a, b, c), b1, b2 = _canonical(u)
-    a1 = a1 * cmath.exp(1j * phase)
+    phases.append(phase)
     w0, w1 = wires
     if b != 0:  # Rz(pi/2) on w1, the rows, Rz(-pi/2) on w0: e^{-i pi/4} exp(i(aXX+bYY+cZZ))
         a1, b2 = a1 @ _RZ_HALF_PI.conj() * cmath.exp(0.25j * math.pi), _RZ_HALF_PI @ b2
@@ -415,10 +424,10 @@ def _leaf_rows(u: np.ndarray, wires: list[int]) -> list:
         rows = [(_CNOT, (w0, w1), math.nan), (_RY, (w0, -1), -2 * a),
                 (_RZ, (w1, -1), -2 * c), (_CNOT, (w0, w1), math.nan)]
     else:  # a local gate
-        return [*_emit_1q(a1 @ b1, w0), *_emit_1q(a2 @ b2, w1)]
+        return [*_emit_1q(a1 @ b1, w0, phases), *_emit_1q(a2 @ b2, w1, phases)]
     rows = [r for r in rows if r[0] == _CNOT or abs(r[2]) >= ANGLE_EPS]
-    return [*_emit_1q(b1, w0), *_emit_1q(b2, w1), tuple(zip(*rows)),
-            *_emit_1q(a1, w0), *_emit_1q(a2, w1)]
+    return [*_emit_1q(b1, w0, phases), *_emit_1q(b2, w1, phases), tuple(zip(*rows)),
+            *_emit_1q(a1, w0, phases), *_emit_1q(a2, w1, phases)]
 
 
 def _split_diagonal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,13 +459,17 @@ def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int], par
     _qsd(l_mat, rest, parts)
 
 
-def _qsd(u: np.ndarray, qubits: list[int], parts: list) -> None:
+def _qsd(u: np.ndarray, qubits: list[int], parts: list, zeros: int = 0) -> None:
     """Append the parts of ``u`` on two or more ``qubits`` in time order: row
     blocks for the multiplexors and a 4x4 matrix for each two-qubit leaf.
 
     The cosine-sine step's multiplexed RY uses CZs (CPHASE(pi)), as Z Ry Z = X
     Ry X; its last CZ, on the first of the other wires, is left out and taken
-    into the next demultiplexor's second block, u2 -> u2 Z."""
+    into the next demultiplexor's second block, u2 -> u2 Z.
+
+    With the first ``zeros`` qubits known to be |0>, only u's first
+    2^(q - zeros) columns need be right, and a select qubit among them
+    reduces the right-hand demultiplexor to its first block."""
     if len(qubits) == 2:
         parts.append(u)
         return
@@ -465,7 +478,10 @@ def _qsd(u: np.ndarray, qubits: list[int], parts: list) -> None:
     half = len(u) // 2
     (u1, u2), theta, (v1h, v2h) = cossin(u, p=half, q=half, separate=True)
     select, rest = qubits[0], qubits[1:]
-    _demultiplex(v1h, v2h, select, rest, parts)
+    if zeros:
+        _qsd(v1h, rest, parts, zeros - 1)
+    else:
+        _demultiplex(v1h, v2h, select, rest, parts)
     kinds, wires, angles = _ucr_block(GateKind.RY, 2.0 * np.asarray(theta), rest, select)
     if len(kinds):
         cz = kinds == _CNOT
@@ -475,16 +491,17 @@ def _qsd(u: np.ndarray, qubits: list[int], parts: list) -> None:
     _demultiplex(u1, u2, select, rest, parts)
 
 
-def _synth_rec(u: np.ndarray, qubits: list[int]) -> list:
-    """Row blocks of ``u`` on ``qubits``, in order.
+def _synth_rec(u: np.ndarray, qubits: list[int], zeros: int = 0) -> list:
+    """Row blocks of ``u`` on ``qubits`` (its first 2^(q - zeros) columns: see
+    ``_qsd``), in order, with one RZ/PHASE pair for all its global phases.
 
     Every leaf but the last is synthesised up to a diagonal (two CNOTs); the
     diagonal commutes with the multiplexors up to the next leaf, whose controls
     include both leaf wires, and is multiplied into that leaf."""
     if len(qubits) == 1:
         return _emit_1q(u, qubits[0])
-    parts, rows, delta = [], [], np.ones(4)
-    _qsd(u, qubits, parts)
+    parts, rows, delta, phases = [], [], np.ones(4), []
+    _qsd(u, qubits, parts, zeros)
     last = max(i for i, part in enumerate(parts) if isinstance(part, np.ndarray))
     for i, part in enumerate(parts):
         if not isinstance(part, np.ndarray):
@@ -493,8 +510,9 @@ def _synth_rec(u: np.ndarray, qubits: list[int]) -> list:
         part = part * delta
         if i < last:
             delta, part = _split_diagonal(part)
-        rows += _leaf_rows(part, qubits[-2:])
-    return rows
+        rows += _leaf_rows(part, qubits[-2:], phases)
+    # no gate is conditioned, so every phase is global
+    return _emit_1q(cmath.exp(1j * sum(phases)) * np.eye(2), qubits[0]) + rows
 
 
 def synth_unitary(u: np.ndarray, qubits=None, num_qubits: int | None = None) -> Circuit:

@@ -17,7 +17,9 @@ with every angle taken out, which fixes gate kinds, wires, counts, depth and
 the output permutation, and checks the angles by the state they prepare: the
 UCR compile's state, to 1e-12 up to a global phase.  The structure is
 reproducible because ``schmidt_decompose`` fixes each Schmidt pair's phase and
-completes U and V on the zero-singular-value subspace canonically.
+completes U and V on the zero-singular-value subspace canonically.  Two
+low-rank Schmidt compiles, which take the rank-aware isometry path, are
+pinned by their report's counts and depth and checked by state the same way.
 """
 import contextlib
 import hashlib
@@ -29,9 +31,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsl.circuit import from_json
+from fsl import funcs
+from fsl.circuit import from_json, gate_counts, peephole_cancel_cnots
 from fsl.cli import main
+from fsl.compiler import prepare_spec
 from fsl.simulator import run
+from fsl.synth import build_ucr_circuit, schmidt_decompose
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -179,14 +184,14 @@ SCHMIDT_ARGV = ["compile", "--function", "piecewise", "--n", "10", "--m", "5", *
 # Digests of circuit.json without its angles and of circuit.qasm with every
 # gate argument blanked, and report.json without its two float values.
 SCHMIDT_STRUCTURE = {
-    "circuit.json": "6ed7a82478b359687b9633a2caa3190b269f3c5f363cb942cf574e4d52f05b91",
-    "circuit.qasm": "23a88c72bc24676c20a81a6040edbe541e73abdde1dd5947d81615f87f4ef482",
+    "circuit.json": "d6047a74e9f3367d7c1a9e6b83aebb4072e1c74fa6035fc08a8079c46185b3f2",
+    "circuit.qasm": "ebb93b4028569a0576fec7466cfa5fa0f4b33446c3c10b71905579fdd92069b5",
 }
 SCHMIDT_REPORT = {
     "contains_opaque": False,
-    "depth": 84,
-    "gate_counts": {"by_kind": {"CNOT": 47, "CPHASE": 51, "H": 10, "PHASE": 8, "RY": 57, "RZ": 88},
-                    "opaque": 0, "single_qubit": 163, "two_qubit": 98},
+    "depth": 83,
+    "gate_counts": {"by_kind": {"CNOT": 47, "CPHASE": 51, "H": 10, "PHASE": 2, "RY": 57, "RZ": 90},
+                    "opaque": 0, "single_qubit": 159, "two_qubit": 98},
 }
 SCHMIDT_FLOATS = {"analytic_bound": 0.01414566290553763, "exact_infidelity": 0.003116132230376545}
 
@@ -217,7 +222,52 @@ def test_schmidt_compile_matches_recorded_structure(tmp_path):
     structure, angles, args = _without_angles(got)
     assert structure == SCHMIDT_STRUCTURE
     assert args == angles
-    ucr = run_case(SCHMIDT_ARGV, tmp_path / "ucr")
-    a, b = (run(from_json(out["circuit.json"])).amplitudes for out in (got, ucr))
+    _assert_same_state(got, run_case(SCHMIDT_ARGV, tmp_path / "ucr"))
+
+
+def _assert_same_state(got: dict, want: dict) -> None:
+    """The two compiles' circuits prepare one state, to 1e-12 up to a global phase."""
+    a, b = (run(from_json(out["circuit.json"])).amplitudes for out in (got, want))
     overlap = np.vdot(b, a)
     assert np.max(np.abs(a - overlap / abs(overlap) * b)) < 1e-12
+
+
+# Schmidt rank 1 (sinc2d, a product across its two registers) and 2
+# (complex_cosines): the report's depth and counts, recorded like SCHMIDT_REPORT.
+LOW_RANK = {
+    "sinc2d": (["compile", "--function", "sinc2d", "--n", "6", "--m", "3"], {
+        "depth": 56,
+        "gate_counts": {"by_kind": {"CNOT": 46, "CPHASE": 30, "H": 12, "RY": 30, "RZ": 18},
+                        "opaque": 0, "single_qubit": 60, "two_qubit": 76}}),
+    "complex_cosines": (["compile", "--function", "complex_cosines", "--n", "10", "--m", "6"], {
+        "depth": 193,
+        "gate_counts": {"by_kind": {"CNOT": 66, "CPHASE": 64, "H": 10, "PHASE": 2, "RY": 96,
+                                    "RZ": 157},
+                        "opaque": 0, "single_qubit": 265, "two_qubit": 130}}),
+}
+
+
+def _loader_two_qubit(vec) -> int:
+    return gate_counts(peephole_cancel_cnots(build_ucr_circuit(vec))).two_qubit
+
+
+@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                    reason=f"counts were recorded under numpy {RECORDED_NUMPY}")
+@pytest.mark.parametrize("name", sorted(LOW_RANK))
+def test_low_rank_schmidt_compile_matches_recorded_counts(name, tmp_path):
+    argv, want = LOW_RANK[name]
+    for sub in ("schmidt", "ucr"):
+        (tmp_path / sub).mkdir()
+    got, ucr = (run_case([*argv, *EMIT, "--loader", loader], tmp_path / loader)
+                for loader in ("schmidt", "ucr"))
+    assert got["exit"] == 0
+    report = json.loads(got["report.json"])
+    assert {key: report[key] for key in want} == want
+    _assert_same_state(got, ucr)
+    if name == "sinc2d":  # rank 1: the loader is a UCR load of each register's factor
+        vec = prepare_spec(funcs.sample(funcs.builtin(name), 6), 3).wrapped_vector()
+        form = schmidt_decompose(vec)
+        halves = (form.u_matrix[:, 0], form.v_matrix[:, 0])
+        joint = json.loads(ucr["report.json"])["gate_counts"]["two_qubit"]
+        assert report["gate_counts"]["two_qubit"] - joint == \
+            sum(map(_loader_two_qubit, halves)) - _loader_two_qubit(vec)

@@ -13,8 +13,8 @@ from fsl.circuit import (CODES, Circuit, GateKind, cnot, compose, gate_counts, h
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 from fsl.frqi import GrayImage, _joint_vector, _phase_spec
 from fsl.simulator import Statevector, fidelity, run
-from fsl.synth import (SchmidtForm, UCRAngles, _leaf_rows, _real_eigvecs, _split_diagonal,
-                       _ucr_block, build_inverse_qft,
+from fsl.synth import (SCHMIDT_RANK_TOL, SchmidtForm, UCRAngles, _real_eigvecs,
+                       _split_diagonal, _synth_rec, _ucr_block, build_inverse_qft,
                        build_schmidt_circuit, build_ucr_circuit, decompose_opaque,
                        gray_code, gray_transform, gray_transform_matrix,
                        mottonen_angles, schmidt_decompose, synth_unitary)
@@ -222,8 +222,9 @@ class TestSchmidt:
     def test_product_state_loader_is_trivial(self, rng):
         target = np.kron(rand_state(rng, 1), rand_state(rng, 1))
         c = build_schmidt_circuit(target)
-        # A loads |0>, so only the ladder CNOT and the local bases remain
-        assert [g.kind.value for g in c.gates][:1] == ["CNOT"]
+        # A loads |0>, so nothing entangles: each half is a one-qubit load
+        assert gate_counts(c).two_qubit == 0
+        assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
 
     def test_inputs_one_ulp_apart_give_nearby_bases(self):
         # A real FRQI loader vector (n=4, m=2) has a zero singular value.  Under
@@ -243,6 +244,52 @@ class TestSchmidt:
         for target in (vec, bumped):
             out = run(build_schmidt_circuit(target)).amplitudes
             assert np.max(np.abs(out - target)) < 1e-9
+
+    def test_inputs_one_ulp_apart_across_the_rank_cut(self, rng):
+        # A rank-3 vector whose third singular value sits at SCHMIDT_RANK_TOL
+        # times the first: a last-bit change moves it across the cut, so the
+        # coefficient load switches from 2 wires to 1, and both must load.
+        u, v = rand_unitary(rng, 4)[:, :3], rand_unitary(rng, 4)[:, :3]
+
+        def vector(t):
+            vec = ((u * [0.8, 0.6, t]) @ v.T).reshape(-1)
+            return vec / np.linalg.norm(vec)
+
+        def rank(vec):
+            return np.count_nonzero(schmidt_decompose(vec).schmidt_coeffs)
+
+        lo, hi = 0.5 * SCHMIDT_RANK_TOL, 2 * SCHMIDT_RANK_TOL
+        assert (rank(vector(lo)), rank(vector(hi))) == (2, 3)
+        for _ in range(60):  # to two t whose vectors differ by a few ulps
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if rank(vector(mid)) == 2 else (lo, mid)
+        # walk from one to the other a last bit of one real or imaginary part at a time
+        a, b = (vector(t).view(float) for t in (lo, hi))
+        steps = [a]
+        for i in np.flatnonzero(a != b):
+            while steps[-1][i] != b[i]:
+                steps.append(steps[-1].copy())
+                steps[-1][i] = np.nextafter(steps[-1][i], b[i])
+        steps = [vec.view(complex) for vec in steps]
+        ranks = [rank(vec) for vec in steps]
+        cut = next(i for i in range(len(steps) - 1) if ranks[i] != ranks[i + 1])
+        assert {ranks[cut], ranks[cut + 1]} == {2, 3}
+        for target in steps[cut:cut + 2]:
+            out = run(build_schmidt_circuit(target)).amplitudes
+            assert np.max(np.abs(out - target)) < 1e-9
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5])
+    def test_low_rank_vectors_load_exactly(self, rank, rng):
+        for q in range(2, 9):
+            left, right = (q + 1) // 2, q // 2
+            if rank > 2**right:
+                continue
+            u, v = rand_unitary(rng, 2**left)[:, :rank], rand_unitary(rng, 2**right)[:, :rank]
+            s = rng.uniform(0.1, 1.0, rank)
+            target = ((u * s) @ v.T).reshape(-1) / np.linalg.norm(s)
+            assert np.count_nonzero(schmidt_decompose(target).schmidt_coeffs) == rank
+            out = run(build_schmidt_circuit(target)).amplitudes
+            assert np.max(np.abs(out - target)) < 1e-12
 
     def test_pair_phases_are_fixed(self, rng):
         # each kept u_k overlaps the fixed vector (sqrt 1, sqrt 2, ...) with a
@@ -305,6 +352,21 @@ class TestSynthUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             synth_unitary(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_isometry_matches_the_leading_columns(self, q, rng):
+        # with its first `zeros` qubits in |0>, u's first 2^(q - zeros)
+        # columns are exact including global phase, and each known zero
+        # saves two-qubit gates
+        u = rand_unitary(rng, 2**q)
+        counts = []
+        for zeros in range(q - 1):
+            c = Circuit.join(q, _synth_rec(u, list(range(q)), zeros))
+            cols = 2 ** (q - zeros)
+            assert np.max(np.abs(dense_circuit_matrix(c)[:, :cols] - u[:, :cols])) < 1e-10
+            counts.append(gate_counts(c).two_qubit)
+        assert counts[0] == _OPTIMAL_TWO_QUBIT[q]
+        assert all(a > b for a, b in zip(counts, counts[1:]))
 
     def test_decompose_opaque_replaces_each_opaque_gate(self, rng):
         c = Circuit(4, (h(3), unitary(rand_unitary(rng, 8), (2, 0, 1), label="W"), cnot(3, 0),
@@ -377,13 +439,13 @@ class TestOptimalShannonDecomposition:
                                       "controlled", "local"])
     def test_leaf_full_and_up_to_a_diagonal(self, name, rng):
         u = rand_unitary(rng, 4) if name == "random" else _structured(name, 2, rng)
-        full = Circuit.join(2, _leaf_rows(u, [0, 1]))
+        full = Circuit.join(2, _synth_rec(u, [0, 1]))  # one leaf and its phase
         assert gate_counts(full).two_qubit <= 3
         assert _synth_error(u, full) <= 1e-12
         delta, w = _split_diagonal(u)
         assert np.allclose(np.abs(delta), 1.0, rtol=0, atol=1e-15)
         assert np.max(np.abs(delta[:, None] * w - u)) <= 1e-15
-        split = Circuit.join(2, _leaf_rows(w, [0, 1]))
+        split = Circuit.join(2, _synth_rec(w, [0, 1]))
         assert gate_counts(split).two_qubit <= 2
         assert _synth_error(w, split) <= 1e-12
 
@@ -403,7 +465,7 @@ class TestOptimalShannonDecomposition:
 
     def test_leaf_on_reversed_wires(self, rng):
         u = rand_unitary(rng, 4)
-        c = Circuit.join(3, _leaf_rows(u, [2, 0]))
+        c = Circuit.join(3, _synth_rec(u, [2, 0]))
         # u's first qubit is wire 2 and its second wire 0; wire 1 is idle
         want = np.einsum("cadb,ef->aecbfd", u.reshape(2, 2, 2, 2), np.eye(2)).reshape(8, 8)
         assert np.max(np.abs(dense_circuit_matrix(c) - want)) < 1e-12
