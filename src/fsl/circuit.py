@@ -376,60 +376,31 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     return Circuit(a.num_qubits, gates, perm)
 
 
-def _cancel_sweep(c: Circuit) -> tuple[list[int], bool]:
-    """One left-to-right sweep that drops each CNOT equal to the kept gate just
-    before it on both wires: the dropped gates' indices, and whether a later
-    sweep could drop more.
-
-    Each wire keeps a stack of kept-gate indices.  A cancelled pair pops both
-    stacks, uncovering the gates beneath, which may not pair again within the
-    same sweep; an uncovered CNOT that meets an equal one flags a later sweep."""
-    kinds = c.kinds.tolist()
-    controls, targets = c.wires.T.tolist()
-    wide = _wide(c)
-    stacks = [[] for _ in range(c.num_qubits)]
-    pushed = [True] * c.num_qubits  # the wire's top was pushed, not uncovered
-    dropped = []
-    uncovered_pair = False
-    for i, kind, a, b in zip(range(len(kinds)), kinds, controls, targets):
-        if kind == _CNOT:
-            sa, sb = stacks[a], stacks[b]
-            if sa and sb and sa[-1] == sb[-1]:
-                top = sa[-1]  # on both wires, so a CNOT there acts on a and b
-                if kinds[top] == _CNOT and controls[top] == a:
-                    if pushed[a] and pushed[b]:
-                        dropped += (sa.pop(), i)
-                        sb.pop()
-                        pushed[a] = pushed[b] = False
-                        continue
-                    uncovered_pair = True
-        elif i in wide:
-            for q in wide[i]:
-                stacks[q].append(i)
-                pushed[q] = True
-            continue
-        stacks[a].append(i)
-        pushed[a] = True
-        if b >= 0:
-            stacks[b].append(i)
-            pushed[b] = True
-    return dropped, uncovered_pair
-
-
 def peephole_cancel_cnots(c: Circuit) -> Circuit:
     """Drop adjacent identical CNOT pairs (same control and target, nothing in
     between on either qubit), then the pairs that dropping makes adjacent.
 
-    Each sweep drops the pairs adjacent in its input, pairing runs of equal
-    CNOTs from the left.  A sweep that uncovers no equal pair is the last; a
-    further sweep runs only when a dropped pair sat between two equal CNOTs."""
-    again = True
-    while again:
-        dropped, again = _cancel_sweep(c)
-        keep = np.ones(len(c.kinds), bool)
-        keep[dropped] = False
+    A utility off the compile path, kept for its public callers: the compiled
+    circuits hold no such pair.  Each sweep drops the pairs adjacent in its
+    input, pairing runs of equal CNOTs from the left, and sweeps repeat until
+    one drops nothing."""
+    while True:
+        kinds, (controls, targets), wide = c.kinds.tolist(), c.wires.T.tolist(), _wide(c)
+        keep = np.ones(len(kinds), bool)
+        last = [-1] * (c.num_qubits + 1)  # wire -> last kept gate on it; the extra slot is wire -1
+        for i, kind, a, b in zip(count(), kinds, controls, targets):
+            j = last[a]
+            if kind == _CNOT and j >= 0 and j == last[b] and kinds[j] == _CNOT and controls[j] == a:
+                keep[j] = keep[i] = False
+                last[a] = last[b] = -1
+            elif i in wide:
+                for q in wide[i]:
+                    last[q] = i
+            else:
+                last[a] = last[b] = i
+        if keep.all():
+            return c
         c = c.take(keep)
-    return c
 
 
 # ---------------------------------------------------------------------------

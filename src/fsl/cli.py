@@ -203,13 +203,20 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _emit(cfg: dict, circ: cir.Circuit, report: compiler.CompileReport, **extra) -> int:
-    """Export the circuit as the ``--emit`` targets ask and print its report
-    with ``extra`` fields added."""
+def _emit_targets(cfg: dict) -> set:
+    """The ``--emit`` targets; commands read them before any sampling or
+    compiling, so a bad one fails at once."""
     targets = {t.strip() for t in str(cfg["emit"]).split(",") if t.strip()}
     unknown = targets - {"json", "qasm", "none"}
     if unknown:
         raise ConfigError(f"unknown emit target(s) {sorted(unknown)}")
+    return targets
+
+
+def _emit(cfg: dict, targets: set, circ: cir.Circuit, report: compiler.CompileReport,
+          **extra) -> int:
+    """Export the circuit to ``targets`` and print its report with ``extra``
+    fields added."""
     out = Path(cfg["out_dir"])
     prefix = cfg["prefix"]
     report_dict = {**report.to_dict(include_timing=bool(cfg["timing"])), **extra}
@@ -223,8 +230,9 @@ def _emit(cfg: dict, circ: cir.Circuit, report: compiler.CompileReport, **extra)
 
 
 def cmd_compile(cfg: dict) -> int:
+    targets = _emit_targets(cfg)
     circ, report = _build(cfg)[-2:]  # drop the sampled grid before exporting
-    return _emit(cfg, circ, report)
+    return _emit(cfg, targets, circ, report)
 
 
 def cmd_simulate(cfg: dict) -> int:
@@ -294,6 +302,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_image(cfg: dict) -> int:
     _require(cfg, "pgm", "m")
+    targets = _emit_targets(cfg)
     img = frqi.read_pgm(cfg["pgm"])
     m = int(cfg["m"])
     plan = _plan(cfg, img.n, m, 2)
@@ -304,7 +313,7 @@ def cmd_image(cfg: dict) -> int:
         extra["fidelity_vs_truncated_frqi"] = simulator.fidelity(
             state, frqi.frqi_truncated_target(img, m))
         extra["fidelity_vs_exact_frqi"] = simulator.fidelity(state, frqi.frqi_target(img))
-    return _emit(cfg, circ, report, **extra)
+    return _emit(cfg, targets, circ, report, **extra)
 
 
 def _deliver_csv(cfg: dict, rows):

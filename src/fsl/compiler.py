@@ -14,8 +14,9 @@ registers of n wires each:
   4. the caller's tail gates, moved onto the wires that permutation names.
 
 ``assemble`` concatenates the four steps' kind, wire and angle columns into
-one ``Circuit`` for the peephole pass and returns the result with its
-``CompileReport``.
+one ``Circuit`` and returns it with its ``CompileReport``.  No optimisation
+pass runs over the result: the UCR loader is emitted with the CNOT pairs where
+its blocks meet already cancelled, and no step leaves a pair for another.
 
 ``compile_spec`` (periodic) uses no lead wires and no tail.  The mirror load
 ``compile_nonperiodic`` uses one (n+1)-wire register and a CNOT/H tail that
@@ -34,8 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import fourier
-from .circuit import (Circuit, Gate, GateCounts, cnot, cnot_rows, depth, gate_counts, h,
-                      peephole_cancel_cnots)
+from .circuit import Circuit, Gate, GateCounts, cnot, cnot_rows, depth, gate_counts, h
 from .errors import CapacityExceeded, DimensionMismatch
 from .fourier import FourierSpec, GridFunction
 from .simulator import DEFAULT_MAX_QUBITS, Statevector
@@ -138,9 +138,10 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
     The leading qubits of ``vec`` go on wires 0..lead-1, the rest on each
     register's m+1 coefficient wires.  ``tail`` gates address logical qubits
     (after the iQFTs' elided swaps) and are remapped onto wires; the steps'
-    columns go into one ``Circuit``.  Callers check capacity first.  The
-    report's ``compile_wall_time`` covers assembly only: the spectrum is
-    computed before the clock starts, and depth and counts after it stops."""
+    columns go into one ``Circuit``, on which no pass runs.  Callers check
+    capacity first.  The report's ``compile_wall_time`` covers assembly only:
+    the spectrum is computed before the clock starts, and depth and counts
+    after it stops."""
     t0 = time.perf_counter()
     n, m = plan.n, plan.m
     total = lead + plan.dims * n
@@ -154,7 +155,7 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
         parts.append(build_inverse_qft(n, num_qubits=total, qubits=reg))
         perm = [perm[p] for p in parts[-1].output_permutation]
     parts.append(Circuit(total, [g.remap(perm) for g in tail]))
-    circ = peephole_cancel_cnots(Circuit.join(total, parts, perm))
+    circ = Circuit.join(total, parts, perm)
     wall = time.perf_counter() - t0
     return circ, CompileReport(
         depth=depth(circ),

@@ -166,9 +166,10 @@ def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bo
     2^j rotations, each followed by the CNOT of the Gray-code walk.
 
     With ``start_with_cnot`` the rows run backwards (CNOT first, rotation
-    last); both orders realize the same operator, and abutting a normal block
-    with an inverted one lets the shared boundary CNOT pair cancel in the
-    peephole pass.  Rotations below ``ANGLE_EPS`` are left out.
+    last); both orders realize the same operator, and a normal block followed
+    by a reversed one meets it in the same CNOT, which ``build_ucr_circuit``
+    leaves out.  Rotations below ``ANGLE_EPS`` are left out, and so is the
+    CNOT pair of a one-control block whose second rotation is.
     """
     theta = gray_transform(alpha)
     if np.max(np.abs(theta)) < ANGLE_EPS:
@@ -184,6 +185,8 @@ def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bo
     angles[0::2] = theta
     keep = np.ones(2 * size, bool)
     keep[0::2] = np.abs(theta) >= ANGLE_EPS
+    if size == 2 and not keep[2]:  # CNOT, CNOT on the same wires: the identity
+        keep[1::2] = False
     if start_with_cnot:
         kinds, wires, angles, keep = kinds[::-1], wires[::-1], angles[::-1], keep[::-1]
     return kinds[keep], wires[keep], angles[keep]
@@ -193,9 +196,12 @@ def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Cir
     """State-preparation circuit for ``target`` on the given qubit list.
 
     Emits RZ(-phi) then, per level, the uniformly controlled R_y followed by
-    the uniformly controlled R_z for that level (the level pairs commute with
-    deeper levels, so this matches the y-cascade-then-z-cascade form while
-    letting boundary CNOTs cancel).
+    the reversed uniformly controlled R_z for that level (the level pairs
+    commute with deeper levels, so this matches the y-cascade-then-z-cascade
+    form).  The two blocks walk the same Gray code in mirror order, so the
+    equal CNOTs where they meet cancel and are left out (Mottonen et al.,
+    quant-ph/0407010): one pair, and one more per step whose two rotations
+    both fell below ``ANGLE_EPS``.
     """
     ang = mottonen_angles(target)
     q = ang.num_qubits
@@ -205,9 +211,13 @@ def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Cir
         blocks.append(([_RZ], [(qubits[0], -1)], [-ang.global_phase]))
     for t in range(q):
         controls, tgt = qubits[:t], qubits[t]
-        blocks.append(_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], controls, tgt))
-        blocks.append(_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], controls, tgt,
-                                 start_with_cnot=t > 0))
+        ry = _ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], controls, tgt)
+        rz = _ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], controls, tgt, start_with_cnot=True)
+        cut = 0  # equal CNOT pairs at the seam
+        while cut < min(len(ry[0]), len(rz[0])) and ry[0][-1 - cut] == rz[0][cut] == _CNOT \
+                and list(ry[1][-1 - cut]) == list(rz[1][cut]):
+            cut += 1
+        blocks += [[col[:len(col) - cut] for col in ry], [col[cut:] for col in rz]]
     return Circuit.join(total, blocks)
 
 

@@ -521,20 +521,29 @@ class TestColumns:
 
     @pytest.mark.parametrize("q", range(1, 8))  # levels j = 0..q-1, RY and RZ, both walk orders
     def test_ucr_circuit_equals_per_gate_blocks(self, q):
+        """The cascade equals the per-gate blocks with their cancelling CNOT
+        pairs taken out: at each seam, and in a one-control block whose second
+        rotation vanishes (every level of a real product state but the first)."""
         rng = np.random.default_rng(900 + q)
-        target = rand_state(rng, q)
-        target[rng.random(2**q) < 0.3] = 0.0  # empty blocks elide rotations
-        target /= np.linalg.norm(target)
-        wires = [int(w) for w in rng.permutation(q + 2)[:q]]
-        ang = mottonen_angles(target)
-        want = [rz(-ang.global_phase, wires[0])] if abs(ang.global_phase) > ANGLE_EPS else []
-        for t in range(q):
-            want += reference_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], wires[:t], wires[t])
-            want += reference_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], wires[:t], wires[t],
-                                        start_with_cnot=t > 0)
-        got = build_ucr_circuit(target, qubits=wires, num_qubits=q + 2)
-        assert "gates" not in vars(got)
-        assert [gate_key(g) for g in got.gates] == [gate_key(g) for g in want]
+        sparse = rand_state(rng, q)
+        sparse[rng.random(2**q) < 0.3] = 0.0  # empty blocks elide rotations
+        product = np.ones(1)
+        for _ in range(q):
+            product = np.kron(product, rng.uniform(0.1, 1.0, 2))
+        for target in (sparse, product):
+            target /= np.linalg.norm(target)
+            wires = [int(w) for w in rng.permutation(q + 2)[:q]]
+            ang = mottonen_angles(target)
+            want = [rz(-ang.global_phase, wires[0])] if abs(ang.global_phase) > ANGLE_EPS else []
+            for t in range(q):
+                want += reference_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], wires[:t],
+                                            wires[t])
+                want += reference_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], wires[:t],
+                                            wires[t], start_with_cnot=t > 0)
+            got = build_ucr_circuit(target, qubits=wires, num_qubits=q + 2)
+            assert "gates" not in vars(got)
+            assert [gate_key(g) for g in got.gates] == \
+                [gate_key(g) for g in reference_peephole(Circuit(q + 2, want)).gates]
 
 
 def _entry(kind, qubits, angle="absent"):

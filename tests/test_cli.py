@@ -539,6 +539,20 @@ class TestConfigAndErrors:
                                    "message": "unknown emit target(s) ['csv']"}
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_emit_target_fails_before_the_capacity_check(self, capsys):
+        code, out, err = run_cli(capsys, "compile", "--function", "sinc", "--n", "60",
+                                 "--m", "2", "--emit", "csv")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": "unknown emit target(s) ['csv']"}
+
+    def test_bad_emit_target_fails_before_reading_the_image(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "image", "--pgm", str(tmp_path / "missing.pgm"),
+                                 "--m", "1", "--emit", "csv")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ConfigError",
+                                   "message": "unknown emit target(s) ['csv']"}
+
     def test_arithmetic_overflow_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--expr", "x + 10**400",
                                "--n", "5", "--m", "2", "--emit", "none")

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 from fsl import funcs
-from fsl.circuit import from_json, gate_counts, peephole_cancel_cnots
+from fsl.circuit import from_json, gate_counts
 from fsl.cli import main
 from fsl.compiler import prepare_spec
 from fsl.simulator import run
@@ -248,7 +248,7 @@ LOW_RANK = {
 
 
 def _loader_two_qubit(vec) -> int:
-    return gate_counts(peephole_cancel_cnots(build_ucr_circuit(vec))).two_qubit
+    return gate_counts(build_ucr_circuit(vec)).two_qubit
 
 
 @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
