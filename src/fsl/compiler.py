@@ -5,7 +5,9 @@ registers of n wires each:
 
   1. a loader U_c (UCR or Schmidt, both at gate level) preparing the loader
      vector on the lead wires plus the top m+1 wires of every register (one
-     joint loader);
+     loader call, which may load factors on disjoint wires: the UCR loader
+     splits a vector that is a product across some cut, such as a separable
+     function's across its registers);
   2. a CNOT fan-out from each register's sign wire (position n-m-1 within
      the register) that pads the negative frequencies up to the full register,
      a balanced tree of depth ceil(log2(n-m));

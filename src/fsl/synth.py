@@ -5,7 +5,10 @@ Three loaders live here:
 * ``build_ucr_circuit`` — the uniformly-controlled-rotation cascade.  Angle
   vectors come from the amplitude/phase block formulas, each uniformly
   j-controlled rotation decomposes into 2^j rotations interleaved with 2^j
-  CNOTs whose controls follow the binary-reflected Gray code.
+  CNOTs whose controls follow the binary-reflected Gray code.  A target that
+  is a product across some cut of its wires loads factor by factor, each on
+  its own wires and with no gate between them (Plesch & Brukner, PRA 83,
+  032302); a real target takes signed RY angles and no RZ at all.
 * ``build_schmidt_circuit`` — SVD-based and rank aware: load the r nonzero
   Schmidt coefficients on ceil(log2 r) wires of one half register, copy them
   with a CNOT ladder, and rotate both halves into the Schmidt basis with local
@@ -37,6 +40,7 @@ from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 NORM_TOL = 1e-9
 ANGLE_EPS = 1e-14  # rotations below this are identity for all practical purposes
 SCHMIDT_RANK_TOL = 1e-12  # Schmidt coefficients below this times the largest are zero
+REAL_TOL = 1e-14  # a unit vector whose imaginary parts all lie below this loads as real
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,9 @@ class UCRAngles:
     ``alpha_y[j]`` / ``alpha_z[j]`` hold the level-j angle vector of length
     2^(q-1-j): entry k conditions on the leading q-1-j qubits being |k> and
     rotates qubit q-1-j.  ``global_phase`` is the mean-phase compensation
-    applied as an initial RZ(-global_phase).
+    applied as an initial RZ(-global_phase).  For a real target
+    ``alpha_y[0]`` is signed, in (-2 pi, 2 pi], and carries every sign, so
+    every ``alpha_z`` and ``global_phase`` are 0.
     """
 
     alpha_y: tuple
@@ -65,6 +71,15 @@ def _check_unit(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _check_state(target) -> tuple[np.ndarray, int]:
+    """``target`` as a complex unit vector and its qubit count."""
+    psi = _check_unit(target)
+    q = int(round(math.log2(len(psi))))
+    if 2**q != len(psi):
+        raise NonPowerOfTwoLength(f"length {len(psi)} is not a power of two")
+    return psi, q
+
+
 def _wires(q: int, qubits, num_qubits: int | None) -> tuple[list[int], int]:
     """A builder's ``q`` wires (0..q-1 by default) and the circuit width
     (one past the highest wire by default)."""
@@ -80,13 +95,15 @@ def mottonen_angles(target) -> UCRAngles:
     The y-angles are 2*arcsin of the square root of block-mass ratios (the
     square root is required for the state-preparation identity); z-angles are
     differences of block phase means; blocks with no amplitude mass get 0.
+    A target whose imaginary parts all lie below ``REAL_TOL`` is real: its
+    level-0 y-angles are the signed 2*atan2(x_odd, x_even) of each pair, and
+    its z-angles and global phase are 0, so the load keeps every sign with no
+    RZ gate.
     """
-    psi = _check_unit(target)
-    q = int(round(math.log2(len(psi))))
-    if 2**q != len(psi):
-        raise NonPowerOfTwoLength(f"length {len(psi)} is not a power of two")
+    psi, q = _check_state(target)
+    real = np.max(np.abs(psi.imag)) < REAL_TOL
     mass = np.abs(psi) ** 2
-    omega = np.angle(psi)
+    omega = np.zeros(len(psi)) if real else np.angle(psi)
     alpha_y = []
     alpha_z = []
     for j in range(q):
@@ -98,6 +115,9 @@ def mottonen_angles(target) -> UCRAngles:
         alpha_y.append(2.0 * np.arcsin(np.sqrt(np.clip(ratio, 0.0, 1.0))))
         ph = omega.reshape(2 ** (q - 1 - j), 2, 2**j)
         alpha_z.append(ph[:, 1, :].mean(axis=1) - ph[:, 0, :].mean(axis=1))
+    if real:  # + 0.0 turns -0.0 into 0.0, so an empty pair gets angle 0, not 2 pi
+        x = psi.real + 0.0
+        alpha_y[0] = 2.0 * np.arctan2(x[1::2], x[0::2])
     global_phase = 2.0 ** (1 - q) * float(omega.sum())
     return UCRAngles(tuple(alpha_y), tuple(alpha_z), global_phase)
 
@@ -192,20 +212,65 @@ def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bo
     return kinds[keep], wires[keep], angles[keep]
 
 
+def _product_cut(psi: np.ndarray, q: int):
+    """(c, a, b) with a (x) b = ``psi`` on the first c and last q - c qubits,
+    at the first cut c = 1..q-1 where that holds to ``SCHMIDT_RANK_TOL``; or
+    None.
+
+    With M the (2^c, 2^(q-c)) reshape of psi and (i, j) the place of its
+    largest entry (the same entry at every cut), the cut holds when
+    ||M - M[:, j] M[i, :] / M[i, j]||_F <= tol, which implies sigma_2 <=
+    tol sigma_1: O(2^q) per cut, no SVD.  The residual on a grid of at most
+    64 x 64 entries is taken first: it is no larger than the whole one, so a
+    cut it rejects is rejected.  a is column j made a unit vector and b is
+    row i scaled to match, so a (x) b is that rank-1 matrix, global phase
+    included."""
+    peak = int(np.argmax(np.abs(psi)))
+    for c in range(1, q):
+        mat = psi.reshape(2**c, -1)
+        i, j = divmod(peak, mat.shape[1])
+        col = mat[:, j]
+        row = mat[i] / mat[i, j]
+        grid = np.s_[::max(1, len(col) // 64), ::max(1, len(row) // 64)]
+        if np.linalg.norm(mat[grid] - np.outer(col[grid[0]], row[grid[1]])) > SCHMIDT_RANK_TOL:
+            continue
+        if np.linalg.norm(mat - np.outer(col, row)) <= SCHMIDT_RANK_TOL:
+            size = np.linalg.norm(col)
+            return c, col / size, row * size
+    return None
+
+
 def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Circuit:
     """State-preparation circuit for ``target`` on the given qubit list.
 
-    Emits RZ(-phi) then, per level, the uniformly controlled R_y followed by
-    the reversed uniformly controlled R_z for that level (the level pairs
-    commute with deeper levels, so this matches the y-cascade-then-z-cascade
-    form).  The two blocks walk the same Gray code in mirror order, so the
-    equal CNOTs where they meet cancel and are left out (Mottonen et al.,
+    The wires are scanned for a product cut first (``_product_cut``): at the
+    first one, the left factor loads on the wires before it and the right
+    factor, by recursion, on the wires after, with no gate between the two,
+    so the two loads run side by side.  A target with no cut is one cascade:
+
+    RZ(-phi) then, per level, the uniformly controlled R_y followed by the
+    reversed uniformly controlled R_z for that level (the level pairs commute
+    with deeper levels, so this matches the y-cascade-then-z-cascade form).
+    The two blocks walk the same Gray code in mirror order, so the equal CNOTs
+    where they meet cancel and are left out (Mottonen et al.,
     quant-ph/0407010): one pair, and one more per step whose two rotations
-    both fell below ``ANGLE_EPS``.
+    both fell below ``ANGLE_EPS``.  A real target (``mottonen_angles``) has
+    no RZ and no phase gate.
     """
+    psi, q = _check_state(target)
+    qubits, total = _wires(q, qubits, num_qubits)
+    cut = _product_cut(psi, q)
+    if cut is not None:
+        c, left, right = cut
+        return Circuit.join(total, [_ucr_cascade(left, qubits[:c], total),
+                                    build_ucr_circuit(right, qubits[c:], total)])
+    return _ucr_cascade(psi, qubits, total)
+
+
+def _ucr_cascade(target, qubits: list[int], total: int) -> Circuit:
+    """The cascade of ``build_ucr_circuit`` for ``target`` on ``qubits``."""
     ang = mottonen_angles(target)
     q = ang.num_qubits
-    qubits, total = _wires(q, qubits, num_qubits)
     blocks = []
     if abs(ang.global_phase) > ANGLE_EPS:
         blocks.append(([_RZ], [(qubits[0], -1)], [-ang.global_phase]))

@@ -14,7 +14,7 @@ import pytest
 from fsl.circuit import Circuit, Gate, GateCounts, GateKind, cnot, compose, ry, rz
 from fsl.compiler import FSLPlan, Loader
 from fsl.synth import (ANGLE_EPS, build_inverse_qft, build_schmidt_circuit, build_ucr_circuit,
-                       gray_code, gray_transform)
+                       gray_code, gray_transform, mottonen_angles)
 
 
 def rand_state(rng, q):
@@ -172,6 +172,21 @@ def reference_ucr_block(axis, alpha, controls, target, start_with_cnot=False):
             gates.extend(rotation(k))
             gates.append(cnot(control(k + 1), target))
     return gates
+
+
+def reference_ucr_cascade(target, wires, total) -> Circuit:
+    """The one-cascade UCR load of ``target`` on ``wires`` from the per-gate
+    blocks: an RZ for the global phase, then per level the RY block and the
+    reversed RZ block, with the cancelling CNOT pairs taken out by
+    ``reference_peephole``."""
+    ang = mottonen_angles(target)
+    q = ang.num_qubits
+    gates = [rz(-ang.global_phase, wires[0])] if abs(ang.global_phase) > ANGLE_EPS else []
+    for t in range(q):
+        gates += reference_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], wires[:t], wires[t])
+        gates += reference_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], wires[:t], wires[t],
+                                     start_with_cnot=t > 0)
+    return reference_peephole(Circuit(total, gates))
 
 
 def _bit(index, qubit, n):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary, random_circuit,
                       reference_depth, reference_gate_counts, reference_peephole,
-                      reference_ucr_block)
+                      reference_ucr_cascade)
 from fsl import circuit as cir
 from fsl import simulator
 from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, depth,
@@ -523,27 +523,35 @@ class TestColumns:
     def test_ucr_circuit_equals_per_gate_blocks(self, q):
         """The cascade equals the per-gate blocks with their cancelling CNOT
         pairs taken out: at each seam, and in a one-control block whose second
-        rotation vanishes (every level of a real product state but the first)."""
+        rotation vanishes.  Neither input is a product at any cut, so each
+        loads as one cascade.  From q = 3 the second has a wire-0 x wire-1
+        mass that factorises and level-1 blocks whose phase means agree, so
+        level 1's RY block keeps only its first rotation and its RZ block is
+        empty: the seam has no CNOT to cancel the pair."""
         rng = np.random.default_rng(900 + q)
         sparse = rand_state(rng, q)
         sparse[rng.random(2**q) < 0.3] = 0.0  # empty blocks elide rotations
-        product = np.ones(1)
-        for _ in range(q):
-            product = np.kron(product, rng.uniform(0.1, 1.0, 2))
-        for target in (sparse, product):
+        marginal = rand_state(rng, q)
+        if q > 2:
+            mass = np.abs(marginal).reshape(2, 2, -1)
+            mass /= np.linalg.norm(mass, axis=2, keepdims=True)
+            mass *= np.sqrt(np.outer(*rng.dirichlet([1, 1], size=2)))[:, :, None]
+            phases = rng.uniform(-1.0, 1.0, mass.shape)
+            phases[:, 1] += (phases[:, 0].mean(axis=1) - phases[:, 1].mean(axis=1))[:, None]
+            marginal = (mass * np.exp(1j * phases)).reshape(-1)
+        for target in (sparse, marginal):
             target /= np.linalg.norm(target)
+            for c in range(1, q):
+                assert np.linalg.svd(target.reshape(2**c, -1), compute_uv=False)[1] > 1e-3
             wires = [int(w) for w in rng.permutation(q + 2)[:q]]
-            ang = mottonen_angles(target)
-            want = [rz(-ang.global_phase, wires[0])] if abs(ang.global_phase) > ANGLE_EPS else []
-            for t in range(q):
-                want += reference_ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], wires[:t],
-                                            wires[t])
-                want += reference_ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], wires[:t],
-                                            wires[t], start_with_cnot=t > 0)
+            if q > 2 and target is marginal:
+                ang = mottonen_angles(target)
+                assert abs(np.subtract(*ang.alpha_y[q - 2])) < ANGLE_EPS
+                assert np.max(np.abs(ang.alpha_z[q - 2])) < ANGLE_EPS
             got = build_ucr_circuit(target, qubits=wires, num_qubits=q + 2)
             assert "gates" not in vars(got)
             assert [gate_key(g) for g in got.gates] == \
-                [gate_key(g) for g in reference_peephole(Circuit(q + 2, want)).gates]
+                [gate_key(g) for g in reference_ucr_cascade(target, wires, q + 2).gates]
 
 
 def _entry(kind, qubits, angle="absent"):

@@ -98,14 +98,14 @@ DIGESTS = {
     },
     "simulate-shots": {
         "exit": 0,
-        "stdout": "ad5198bd1162e31d991a2719d9ec881d55449c16fb3953523524a71e6554a1fe",
+        "stdout": "886fcda90c220a3971294acda919834a7b5b015f3d1cb13bf1723f51ed0ba2ed",
     },
     "sinc2d": {
-        "circuit.json": "7b0f9c03cfd03b0b389987bc32be199feabb5efc2b77dff56f4bb2e6fe4b20e8",
-        "circuit.qasm": "3230668c9d5b16622f3edab837d339a2ebf750c8a2f503d362cbc0c2d6d2fe23",
+        "circuit.json": "59c1f4326871bf8f41af9981825ab8e0716c815d27bcce2cae6639715ed59699",
+        "circuit.qasm": "ca67d61292418ebde92130372e5077f3dbbf86b8f667ca817838c26d446cdbc0",
         "exit": 0,
-        "report.json": "d4eded5846d724d8cbd09b6f8a615b082508f0e116502f98f1b75c99f0670dae",
-        "stdout": "d4eded5846d724d8cbd09b6f8a615b082508f0e116502f98f1b75c99f0670dae",
+        "report.json": "d2190ff1fcf7fcff537c165dc679f017e17ce62d876037f021dd6afd02561206",
+        "stdout": "d2190ff1fcf7fcff537c165dc679f017e17ce62d876037f021dd6afd02561206",
     },
     "sweep-mirror-filtered": {
         "exit": 0,
@@ -130,11 +130,11 @@ DIGESTS = {
         "stdout": "acc80cd45321c9eeb7a8ee6b5627221f3bddfbc3335e7aa5b39d4ec682354878",
     },
     "ucr-sinc-n14-m5": {
-        "circuit.json": "4f545d544cfd869eba2e49fb7ee61e118dece47cb8e0d2a8f4bffd4fbe66889a",
-        "circuit.qasm": "d63ee3e5b5a0004638d2ad6eeb2ff8761af57bdf392b231d0ea5f07d509da08d",
+        "circuit.json": "700ae43b37d77f2d540a7a110f89269cf6046fdaba9f764fedb844528740b139",
+        "circuit.qasm": "8c054016239429634c481833ae4aa5c6b978527e4d27ac19f3a858547ab2ee98",
         "exit": 0,
-        "report.json": "a7cdefea2d04642494c1a0b0967771d52baf5b3635297ce434ff69b8cac0ff7a",
-        "stdout": "a7cdefea2d04642494c1a0b0967771d52baf5b3635297ce434ff69b8cac0ff7a",
+        "report.json": "5cc5b5a506c323c908d8a7eb3c485f56755e348c62e6d8a4e60d9e03ffae4fe6",
+        "stdout": "5cc5b5a506c323c908d8a7eb3c485f56755e348c62e6d8a4e60d9e03ffae4fe6",
     },
 }
 
@@ -236,9 +236,9 @@ def _assert_same_state(got: dict, want: dict) -> None:
 # (complex_cosines): the report's depth and counts, recorded like SCHMIDT_REPORT.
 LOW_RANK = {
     "sinc2d": (["compile", "--function", "sinc2d", "--n", "6", "--m", "3"], {
-        "depth": 56,
-        "gate_counts": {"by_kind": {"CNOT": 46, "CPHASE": 30, "H": 12, "RY": 30, "RZ": 18},
-                        "opaque": 0, "single_qubit": 60, "two_qubit": 76}}),
+        "depth": 39,
+        "gate_counts": {"by_kind": {"CNOT": 32, "CPHASE": 30, "H": 12, "RY": 30},
+                        "opaque": 0, "single_qubit": 42, "two_qubit": 62}}),
     "complex_cosines": (["compile", "--function", "complex_cosines", "--n", "10", "--m", "6"], {
         "depth": 193,
         "gate_counts": {"by_kind": {"CNOT": 66, "CPHASE": 64, "H": 10, "PHASE": 2, "RY": 96,

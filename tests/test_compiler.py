@@ -1,4 +1,5 @@
 """End-to-end compilation against the direct-evaluation target oracle."""
+import hashlib
 import math
 from dataclasses import fields, replace
 
@@ -15,6 +16,7 @@ from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
                          lanczos_filter, mirror_extend, truncate)
 from fsl.frqi import GrayImage, compile_frqi, phase_spectra
 from fsl.simulator import Statevector, fidelity, reduced_population, run
+from test_cli_bytes import RECORDED_NUMPY
 
 
 def random_grid(rng, n, dims=1):
@@ -287,6 +289,84 @@ class TestResourceShape:
         circ, report = compile_spec(spec, FSLPlan(n=6, m=2))
         assert report.depth == depth(circ)
         assert report.gate_counts.total == len(circ.gates)
+
+
+# Every catalogue function's UCR compile at n=10 (1-D) or n=6 (2-D), m=3.
+# Six loader vectors are real or a product at some cut, and their circuits
+# changed when the loader learnt to split products and to load real vectors
+# with no RZ: (1q, 2q, depth) before and after.  reflected_put's vector is
+# real and positive and no product, so it had no RZ to lose: only the last
+# bits of its level-0 angles changed.
+CHANGED = {
+    "complex_cosines": ((41, 73, 65), (26, 59, 40)),
+    "lorentzian": ((33, 73, 59), (25, 65, 48)),
+    "reflected_put": ((25, 65, 48), (25, 65, 48)),
+    "sinc": ((33, 73, 61), (25, 65, 48)),
+    "sinc2d": ((473, 528, 955), (42, 62, 39)),
+    "spiky": ((37, 73, 62), (13, 53, 26)),
+}
+# The other eight are neither, and their circuits stay as they were, by the
+# SHA-256 of the kind, wire and angle columns.
+UNCHANGED = {
+    "bimodal_gaussian": "fa0cda044db037d8d9243de44b2bcd590955ce74d3c5c91be4e4687a904c4a5d",
+    "constant": "43b9ee22cc9879b8d84362c2b5c4d4f28c0122ab062c89eff0ff93e61f699f95",
+    "gaussian2d": "4f0328627194bc5c839196407b7e521cd1f6de1fa1ac7ee2d7fcdcdc49eada4b",
+    "lognormal": "54eb7a2aad0f875f77d5bc7535706d3f616687c5407cf47c305aa369e843dd15",
+    "piecewise": "aa3574590951f3737160ccd5966392497293d7020b30bcd6e9586e85f3e852cf",
+    "qho_excited": "ee53b0155917a1a3527211f26ee5fd3991e937575aab4d065f9179f2df1d47a1",
+    "tanh": "9a33508cb98dde49b1df863f3a7aef055a66e4b5e5e24f222897a7b36c7b80ad",
+    "xpowx": "31d7c6dc552f9c2a49eba73f502ec92f5a1697a5f7c457b74ba27c4b1bf49194",
+}
+
+
+def _catalogue_compile(name):
+    fdef = funcs.builtin(name)
+    n = 10 if fdef.dims == 1 else 6
+    plan = FSLPlan(n=n, m=3, dims=fdef.dims)
+    spec = prepare_spec(funcs.sample(fdef, n), 3)
+    return compile_spec(spec, plan) + (spec, plan)
+
+
+class TestSeparableAndRealLoads:
+    """The UCR loader splits a product loader vector into factors on their own
+    wires and loads a real one with no RZ cascade; nothing else changes."""
+
+    def test_catalogue_is_split_between_changed_and_unchanged(self):
+        assert sorted([*CHANGED, *UNCHANGED]) == sorted(funcs.CATALOG_NAMES)
+
+    def test_sinc2d_loader_has_no_gate_between_the_registers(self):
+        circ, report, spec, plan = _catalogue_compile("sinc2d")
+        assert fidelity(run(circ), target_state(spec, plan.n)) > 1 - 1e-12
+        pairs = circ.wires[circ.wires[:, 1] >= 0]
+        assert len(pairs) == report.gate_counts.two_qubit > 0
+        assert np.all(pairs // plan.n == pairs[:, :1] // plan.n)
+
+    @pytest.mark.parametrize("name", funcs.CATALOG_NAMES)
+    def test_within_the_paper_resource_formulas(self, name):
+        _, report, _, plan = _catalogue_compile(name)
+        n, m, q = plan.n, plan.m, plan.dims * (plan.m + 1)
+        counts = report.gate_counts
+        assert counts.single_qubit <= plan.dims * n + 2 ** (q + 1) - 1
+        assert counts.two_qubit <= plan.dims * n * (n + 1) // 2 + 2 ** (q + 1) - 3 * q - 2
+        assert report.depth <= 2 * (n - 2) + math.ceil(math.log2(n - m)) + 2 ** (q + 2) - 2 * q
+
+    @pytest.mark.parametrize("name", sorted(CHANGED))
+    def test_real_or_product_vectors_shrink(self, name):
+        circ, report, spec, plan = _catalogue_compile(name)
+        before, after = CHANGED[name]
+        got = (report.gate_counts.single_qubit, report.gate_counts.two_qubit, report.depth)
+        assert got == after and all(g <= b for g, b in zip(got, before))
+        assert name == "reflected_put" or sum(got[:2]) < sum(before[:2])
+        assert fidelity(run(circ), target_state(spec, plan.n)) > 1 - 1e-12
+
+    @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                        reason=f"digests were recorded under numpy {RECORDED_NUMPY}")
+    @pytest.mark.parametrize("name", sorted(UNCHANGED))
+    def test_other_circuits_are_unchanged(self, name):
+        circ = _catalogue_compile(name)[0]
+        got = hashlib.sha256(b"".join(col.tobytes()
+                                      for col in (circ.kinds, circ.wires, circ.angles)))
+        assert got.hexdigest() == UNCHANGED[name]
 
 
 class TestAssembleEqualsReference:

@@ -310,7 +310,7 @@ def _fsl_load(name: str) -> Circuit:
 STATE_DIGESTS = {
     "piecewise-n16": "ce0050f2b9e6cbf97249e8a760996d0d0c1cbee529bc6568af5c230a40a76039",
     "tanh-mirror-n15": "8ed1f0b27b5d30374bb32624f45571ee5aab2a056149a090b93f6429607976d3",
-    "sinc2d-n8": "769bd73e233144369ea3f93efad911380dd5211b19382702176587d3d66c4c92",
+    "sinc2d-n8": "220b99868890d2a0611e553e0db6c60dfc4ecc3ac15bff5d17864868b347ada2",
     "frqi-n5": "47093cd1899eecc3a3260c5a842c6228c3419469dcd8a7e8a1d4aff0c7e82f04",
 }
 

@@ -2,18 +2,21 @@
 generic unitary synthesis (the optimal quantum Shannon decomposition and its
 two-qubit leaves), and the inverse QFT."""
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary,
-                      reference_ucr_block)
+                      reference_ucr_block, reference_ucr_cascade)
+from fsl import fourier, funcs
 from fsl.circuit import (CODES, Circuit, GateKind, cnot, compose, gate_counts, h, invert,
                          unitary)
+from fsl.compiler import prepare_spec, window_spectrum
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 from fsl.frqi import GrayImage, _joint_vector, _phase_spec
 from fsl.simulator import Statevector, fidelity, run
-from fsl.synth import (SCHMIDT_RANK_TOL, SchmidtForm, UCRAngles, _real_eigvecs,
+from fsl.synth import (REAL_TOL, SCHMIDT_RANK_TOL, SchmidtForm, UCRAngles, _real_eigvecs,
                        _split_diagonal, _synth_rec, _ucr_block, build_inverse_qft,
                        build_schmidt_circuit, build_ucr_circuit, decompose_opaque,
                        gray_code, gray_transform, gray_transform_matrix,
@@ -175,6 +178,134 @@ class TestBuildUcr:
         # amplitude pattern lives on qubits (2, 0); qubit 1 stays |0>
         got = np.array([[out[b0, 0, b2] for b2 in (0, 1)] for b0 in (0, 1)])
         assert np.max(np.abs(got.T.reshape(-1) - target)) < 1e-12
+
+
+def _crosses(c: Circuit, cut: int) -> bool:
+    """Whether a two-qubit gate of ``c`` has one wire below ``cut`` and one at or above it."""
+    pairs = c.wires[c.wires[:, 1] >= 0]
+    return bool(np.any((pairs[:, 0] < cut) != (pairs[:, 1] < cut)))
+
+
+def _factors(rng, sizes, zeros=0.0):
+    """Random complex unit vectors on ``sizes`` qubits each, a share ``zeros``
+    of whose entries are 0 (never all of them)."""
+    out = []
+    for size in sizes:
+        f = rand_state(rng, size)
+        f[rng.random(2**size) < zeros] = 0.0
+        f[rng.integers(2**size)] += 0.5
+        out.append(f / np.linalg.norm(f))
+    return out
+
+
+class TestProductAndRealLoads:
+    """A product target loads factor by factor with no gate between them; a
+    real one loads with signed RY angles and no RZ; both exactly, phase included."""
+
+    @pytest.mark.parametrize("q", range(2, 8))
+    def test_products_split_at_every_cut(self, q, rng):
+        for cut in range(1, q):
+            target = reduce(np.kron, _factors(rng, [cut, q - cut]))
+            c = build_ucr_circuit(target)
+            assert not _crosses(c, cut)
+            assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 3), (3, 3, 2, 1), (1, 2, 1, 2, 1)])
+    @pytest.mark.parametrize("zeros", [0.0, 0.4])
+    def test_nested_products_load_factor_by_factor(self, sizes, zeros, rng):
+        factors = _factors(rng, sizes, zeros)
+        target = reduce(np.kron, factors)
+        c = build_ucr_circuit(target)
+        assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
+        for cut in np.cumsum(sizes)[:-1]:
+            assert not _crosses(c, int(cut))
+        assert gate_counts(c).two_qubit == sum(gate_counts(build_ucr_circuit(f)).two_qubit
+                                               for f in factors)
+
+    def test_basis_and_sparse_factors(self):
+        target = reduce(np.kron, [np.eye(4)[2], np.array([0.6, 0.8j]), np.eye(2)[1]])
+        c = build_ucr_circuit(target)
+        assert gate_counts(c).two_qubit == 0
+        assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_real_vectors_with_negative_entries(self, q, rng):
+        target = rng.standard_normal(2**q)
+        target /= np.linalg.norm(target)
+        ang = mottonen_angles(target)
+        assert ang.global_phase == 0 and all(np.all(z == 0) for z in ang.alpha_z)
+        c = build_ucr_circuit(target)
+        assert {"RZ", "PHASE"}.isdisjoint(gate_counts(c).by_kind)
+        assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
+
+    def test_negative_even_entry_with_zero_partner_takes_ry_two_pi(self):
+        c = build_ucr_circuit(np.array([-1.0, 0.0]))
+        assert c.kinds.tolist() == [CODES[GateKind.RY]] and c.angles[0] == 2 * math.pi
+        assert np.max(np.abs(run(c).amplitudes - [-1.0, 0.0])) < 1e-15
+        target = np.array([-0.6, 0.0, 0.48, 0.64])  # not a product
+        assert mottonen_angles(target).alpha_y[0].tolist() == [2 * math.pi,
+                                                               2 * math.atan2(0.64, 0.48)]
+        assert np.max(np.abs(run(build_ucr_circuit(target)).amplitudes - target)) < 1e-12
+
+    def test_negative_zero_pair_gets_angle_zero(self):
+        ang = mottonen_angles(np.array([0.0, 0.6, -0.0, -0.0, 0.0, 0.8, 0.0, 0.0]))
+        assert ang.alpha_y[0][1] == 0.0
+
+    def test_fft_noise_counts_as_real_and_a_mirror_spectrum_does_not(self):
+        sinc2d = prepare_spec(funcs.sample(funcs.builtin("sinc2d"), 10), 3).wrapped_vector()
+        assert 0 < np.max(np.abs(sinc2d.imag)) < 1e-17
+        assert "RZ" not in gate_counts(build_ucr_circuit(sinc2d)).by_kind
+        extended = fourier.mirror_extend(funcs.sample(funcs.builtin("tanh"), 19))
+        tanh = window_spectrum(fourier.dft_coefficients(extended), 6).wrapped_vector()
+        tanh /= np.linalg.norm(tanh)
+        assert np.max(np.abs(tanh.imag)) > 1e-7 > REAL_TOL
+        assert gate_counts(build_ucr_circuit(tanh)).by_kind["RZ"] > 0
+
+    def test_inputs_one_ulp_apart_across_the_residual_cut(self, rng):
+        # A product on 3 + 3 qubits plus t times a fixed direction: as t grows
+        # the pivot residual crosses SCHMIDT_RANK_TOL, and a last-bit change
+        # at the crossing switches the load from two factors to one cascade.
+        product, tilt = reduce(np.kron, _factors(rng, [3, 3])), rand_state(rng, 6)
+
+        def vector(t):
+            vec = product + t * tilt
+            return vec / np.linalg.norm(vec)
+
+        def split(vec):
+            return not _crosses(build_ucr_circuit(vec), 3)
+
+        lo, hi = 0.1 * SCHMIDT_RANK_TOL, 10 * SCHMIDT_RANK_TOL
+        assert split(vector(lo)) and not split(vector(hi))
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if split(vector(mid)) else (lo, mid)
+        a, b = (vector(t).view(float) for t in (lo, hi))
+        steps = [a]
+        for i in np.flatnonzero(a != b):
+            while steps[-1][i] != b[i]:
+                steps.append(steps[-1].copy())
+                steps[-1][i] = np.nextafter(steps[-1][i], b[i])
+        steps = [vec.view(complex) for vec in steps]
+        splits = [split(vec) for vec in steps]
+        cut = next(i for i in range(len(steps) - 1) if splits[i] != splits[i + 1])
+        for target in steps[cut:cut + 2]:
+            assert np.max(np.abs(run(build_ucr_circuit(target)).amplitudes - target)) < 1e-12
+
+    @pytest.mark.parametrize("q", range(1, 12))
+    def test_non_products_are_the_reference_cascade(self, q):
+        rng = np.random.default_rng(1800 + q)
+        for zeros in (0.0, 0.3):
+            target = rand_state(rng, q)
+            target[rng.random(2**q) < zeros] = 0.0
+            target /= np.linalg.norm(target)
+            wires = [int(w) for w in rng.permutation(q + 1)[:q]]
+            got = build_ucr_circuit(target, qubits=wires, num_qubits=q + 1)
+            assert [gate_key(g) for g in got.gates] == \
+                [gate_key(g) for g in reference_ucr_cascade(target, wires, q + 1).gates]
+
+    def test_length_not_a_power_of_two_is_rejected(self):
+        with pytest.raises(NonPowerOfTwoLength):
+            build_ucr_circuit(np.ones(6) / math.sqrt(6))
 
 
 class TestSchmidt:
