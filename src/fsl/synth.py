@@ -3,18 +3,19 @@
 Three loaders live here:
 
 * ``build_ucr_circuit`` — the uniformly-controlled-rotation cascade.  Angle
-  vectors come from the amplitude/phase block formulas, each uniformly
+  vectors come from one pairwise norm/phase recursion, each uniformly
   j-controlled rotation decomposes into 2^j rotations interleaved with 2^j
   CNOTs whose controls follow the binary-reflected Gray code.  A target that
   is a product across some cut of its wires loads factor by factor, each on
   its own wires and with no gate between them (Plesch & Brukner, PRA 83,
-  032302); a real target takes signed RY angles and no RZ at all.
+  032302); a target real up to a global phase takes signed RY angles and at
+  most one RZ.
 * ``build_schmidt_circuit`` — SVD-based and rank aware: load the r nonzero
   Schmidt coefficients on ceil(log2 r) wires of one half register, copy them
   with a CNOT ladder, and rotate both halves into the Schmidt basis with local
-  isometries (Iten et al., PRA 93, 032318); a product target is two UCR loads.
+  isometries (Iten et al., PRA 93, 032318); a product target is a UCR load.
 * ``build_inverse_qft`` — the standard controlled-phase network, with the
-  terminal SWAP stage optionally replaced by an output permutation.
+  terminal SWAP stage replaced by an output permutation.
 
 ``synth_unitary`` performs the optimised quantum Shannon decomposition of
 Shende, Bullock & Markov (quant-ph/0406176), exact including global phase:
@@ -50,9 +51,10 @@ class UCRAngles:
     ``alpha_y[j]`` / ``alpha_z[j]`` hold the level-j angle vector of length
     2^(q-1-j): entry k conditions on the leading q-1-j qubits being |k> and
     rotates qubit q-1-j.  ``global_phase`` is the mean-phase compensation
-    applied as an initial RZ(-global_phase).  For a real target
-    ``alpha_y[0]`` is signed, in (-2 pi, 2 pi], and carries every sign, so
-    every ``alpha_z`` and ``global_phase`` are 0.
+    applied as an initial RZ(-global_phase).  For a target real up to the
+    phase phi of its largest entry, folded into (-pi/2, pi/2],
+    ``alpha_y[0]`` is signed, in (-2 pi, 2 pi], and carries every sign, every
+    ``alpha_z`` is 0 and ``global_phase`` is 2 phi (0 for a real target).
     """
 
     alpha_y: tuple
@@ -64,16 +66,11 @@ class UCRAngles:
         return len(self.alpha_y)
 
 
-def _check_unit(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if not abs(np.sum(np.abs(vec) ** 2) - 1.0) <= NORM_TOL:
-        raise NonUnitNorm(f"vector norm^2 = {np.sum(np.abs(vec)**2):.12g}")
-    return vec
-
-
 def _check_state(target) -> tuple[np.ndarray, int]:
     """``target`` as a complex unit vector and its qubit count."""
-    psi = _check_unit(target)
+    psi = np.asarray(target, dtype=complex).reshape(-1)
+    if not abs(np.sum(np.abs(psi) ** 2) - 1.0) <= NORM_TOL:
+        raise NonUnitNorm(f"vector norm^2 = {np.sum(np.abs(psi)**2):.12g}")
     q = int(round(math.log2(len(psi))))
     if 2**q != len(psi):
         raise NonPowerOfTwoLength(f"length {len(psi)} is not a power of two")
@@ -92,34 +89,30 @@ def _wires(q: int, qubits, num_qubits: int | None) -> tuple[list[int], int]:
 def mottonen_angles(target) -> UCRAngles:
     """Angles that make the UCR cascade map |0...0> to ``target`` exactly.
 
-    The y-angles are 2*arcsin of the square root of block-mass ratios (the
-    square root is required for the state-preparation identity); z-angles are
-    differences of block phase means; blocks with no amplitude mass get 0.
-    A target whose imaginary parts all lie below ``REAL_TOL`` is real: its
-    level-0 y-angles are the signed 2*atan2(x_odd, x_even) of each pair, and
-    its z-angles and global phase are 0, so the load keeps every sign with no
-    RZ gate.
+    One pairwise recursion from the last qubit up: sibling blocks with norms
+    (n_even, n_odd) and phases (p_even, p_odd) give y = 2 atan2(n_odd, n_even)
+    and z = p_odd - p_even, and merge into a block of norm hypot(n_even, n_odd)
+    and phase (p_even + p_odd) / 2; the level-0 blocks are the amplitudes,
+    an empty pair gets y = 0, and ``global_phase`` is twice the root's phase.
+    Real rule: with phi the phase of the largest amplitude folded into
+    (-pi/2, pi/2], a target whose imaginary parts all lie below ``REAL_TOL``
+    once turned by e^(-i phi) is real up to that phase, and its level-0 norms
+    are the turned amplitudes' signed real parts: every z is 0 and
+    ``global_phase`` is 2 phi.
     """
     psi, q = _check_state(target)
-    real = np.max(np.abs(psi.imag)) < REAL_TOL
-    mass = np.abs(psi) ** 2
-    omega = np.zeros(len(psi)) if real else np.angle(psi)
-    alpha_y = []
-    alpha_z = []
-    for j in range(q):
-        blocks = mass.reshape(2 ** (q - 1 - j), 2, 2**j)
-        block_mass = blocks.sum(axis=(1, 2))
-        odd_mass = blocks[:, 1, :].sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(block_mass > 0, odd_mass / np.where(block_mass > 0, block_mass, 1.0), 0.0)
-        alpha_y.append(2.0 * np.arcsin(np.sqrt(np.clip(ratio, 0.0, 1.0))))
-        ph = omega.reshape(2 ** (q - 1 - j), 2, 2**j)
-        alpha_z.append(ph[:, 1, :].mean(axis=1) - ph[:, 0, :].mean(axis=1))
-    if real:  # + 0.0 turns -0.0 into 0.0, so an empty pair gets angle 0, not 2 pi
-        x = psi.real + 0.0
-        alpha_y[0] = 2.0 * np.arctan2(x[1::2], x[0::2])
-    global_phase = 2.0 ** (1 - q) * float(omega.sum())
-    return UCRAngles(tuple(alpha_y), tuple(alpha_z), global_phase)
+    phi = cmath.phase(psi[np.argmax(np.abs(psi))])
+    phi -= math.pi * ((phi > math.pi / 2) - (phi <= -math.pi / 2))
+    turned = psi * cmath.exp(-1j * phi)
+    real = np.max(np.abs(turned.imag)) < REAL_TOL
+    # + 0.0 turns -0.0 into 0.0, so an empty pair gets angle 0, not 2 pi
+    norm, phase = (turned.real + 0.0, np.zeros(len(psi))) if real else (np.abs(psi), np.angle(psi))
+    alpha_y, alpha_z = [], []
+    for _ in range(q):
+        alpha_y.append(2.0 * np.arctan2(norm[1::2], norm[0::2]))
+        alpha_z.append(phase[1::2] - phase[0::2])
+        norm, phase = np.hypot(norm[0::2], norm[1::2]), (phase[0::2] + phase[1::2]) / 2
+    return UCRAngles(tuple(alpha_y), tuple(alpha_z), 2.0 * (phi if real else float(phase[0])))
 
 
 def gray_code(k: int) -> int:
@@ -166,7 +159,7 @@ def gray_transform_matrix(j: int) -> np.ndarray:
 
 _H, _RY, _RZ, _PHASE, _CNOT, _CPHASE = (CODES[k] for k in (
     GateKind.H, GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CNOT, GateKind.CPHASE))
-_NO_ROWS = ((), (), ())
+_NO_ROWS = (np.empty(0, np.uint8), np.empty((0, 2), np.int32), np.empty(0))
 
 
 @lru_cache(maxsize=None)
@@ -188,15 +181,14 @@ def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bo
     With ``start_with_cnot`` the rows run backwards (CNOT first, rotation
     last); both orders realize the same operator, and a normal block followed
     by a reversed one meets it in the same CNOT, which ``build_ucr_circuit``
-    leaves out.  Rotations below ``ANGLE_EPS`` are left out, and so is the
-    CNOT pair of a one-control block whose second rotation is.
+    leaves out.  Rotations below ``ANGLE_EPS`` are left out; every CNOT stays.
     """
     theta = gray_transform(alpha)
     if np.max(np.abs(theta)) < ANGLE_EPS:
         return _NO_ROWS  # all-zero level: the bare CNOT cycle is the identity
     size = len(theta)
     if size == 1:
-        return [CODES[axis]], [(target, -1)], theta
+        return np.array([CODES[axis]], np.uint8), np.array([(target, -1)], np.int32), theta
     kinds = np.tile(np.array([CODES[axis], CODES[GateKind.CNOT]], np.uint8), size)
     wires = np.full((2 * size, 2), target, np.int32)
     wires[0::2, 1] = -1
@@ -205,8 +197,6 @@ def _ucr_block(axis: GateKind, alpha, controls, target: int, start_with_cnot: bo
     angles[0::2] = theta
     keep = np.ones(2 * size, bool)
     keep[0::2] = np.abs(theta) >= ANGLE_EPS
-    if size == 2 and not keep[2]:  # CNOT, CNOT on the same wires: the identity
-        keep[1::2] = False
     if start_with_cnot:
         kinds, wires, angles, keep = kinds[::-1], wires[::-1], angles[::-1], keep[::-1]
     return kinds[keep], wires[keep], angles[keep]
@@ -252,10 +242,10 @@ def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Cir
     reversed uniformly controlled R_z for that level (the level pairs commute
     with deeper levels, so this matches the y-cascade-then-z-cascade form).
     The two blocks walk the same Gray code in mirror order, so the equal CNOTs
-    where they meet cancel and are left out (Mottonen et al.,
-    quant-ph/0407010): one pair, and one more per step whose two rotations
-    both fell below ``ANGLE_EPS``.  A real target (``mottonen_angles``) has
-    no RZ and no phase gate.
+    where they meet cancel (Mottonen et al., quant-ph/0407010); each run of
+    CNOTs with no rotation between keeps only the controls it holds an odd
+    number of times.  A target that is real up to a global phase
+    (``mottonen_angles``) has no RZ but the one for that phase.
     """
     psi, q = _check_state(target)
     qubits, total = _wires(q, qubits, num_qubits)
@@ -268,7 +258,11 @@ def build_ucr_circuit(target, qubits=None, num_qubits: int | None = None) -> Cir
 
 
 def _ucr_cascade(target, qubits: list[int], total: int) -> Circuit:
-    """The cascade of ``build_ucr_circuit`` for ``target`` on ``qubits``."""
+    """The cascade of ``build_ucr_circuit`` for ``target`` on ``qubits``.
+
+    Every CNOT of a level targets that level's wire, so the CNOTs of a run
+    with no rotation between them commute: the run keeps the controls it holds
+    an odd number of times, each at its first place."""
     ang = mottonen_angles(target)
     q = ang.num_qubits
     blocks = []
@@ -278,11 +272,20 @@ def _ucr_cascade(target, qubits: list[int], total: int) -> Circuit:
         controls, tgt = qubits[:t], qubits[t]
         ry = _ucr_block(GateKind.RY, ang.alpha_y[q - 1 - t], controls, tgt)
         rz = _ucr_block(GateKind.RZ, ang.alpha_z[q - 1 - t], controls, tgt, start_with_cnot=True)
-        cut = 0  # equal CNOT pairs at the seam
-        while cut < min(len(ry[0]), len(rz[0])) and ry[0][-1 - cut] == rz[0][cut] == _CNOT \
-                and list(ry[1][-1 - cut]) == list(rz[1][cut]):
-            cut += 1
-        blocks += [[col[:len(col) - cut] for col in ry], [col[cut:] for col in rz]]
+        kinds, wires, angles = (np.concatenate(pair) for pair in zip(ry, rz))
+        runs = []  # [start, stop) of each run of two or more CNOTs
+        for i in np.flatnonzero((kinds[1:] == _CNOT) & (kinds[:-1] == _CNOT)).tolist():
+            if runs and runs[-1][1] == i + 1:
+                runs[-1][1] = i + 2
+            else:
+                runs.append([i, i + 2])
+        done = 0
+        for start, stop in runs:
+            _, first, count = np.unique(wires[start:stop, 0], return_index=True, return_counts=True)
+            for rows in (slice(done, start), start + np.sort(first[count % 2 == 1])):
+                blocks.append((kinds[rows], wires[rows], angles[rows]))
+            done = stop
+        blocks.append((kinds[done:], wires[done:], angles[done:]))
     return Circuit.join(total, blocks)
 
 
@@ -332,8 +335,7 @@ def schmidt_decompose(target) -> SchmidtForm:
     nearby U and V, where the SVD alone may flip a pair's sign or complete
     the null space anew.
     """
-    psi = _check_unit(target)
-    q = int(round(math.log2(len(psi))))
+    psi, q = _check_state(target)
     if q < 2:
         raise ValueError("schmidt_decompose needs at least 2 qubits")
     left = (q + 1) // 2
@@ -354,17 +356,14 @@ def build_schmidt_circuit(target, qubits=None, num_qubits: int | None = None) ->
     load on the last k = ceil(log2 r) wires of the left register, k ladder
     CNOTs copy them onto the last k of the right, then U (left) and V (right)
     follow, each an isometry from those k wires synthesised by ``_synth_rec``
-    unless its first 2^k columns are the identity's.  At k = 0 U's and V's
-    first columns are UCR loads; a one-qubit ``target`` is one UCR load."""
-    if np.size(target) == 2:
+    unless its first 2^k columns are the identity's.  A one-qubit or rank-1
+    ``target`` (k = 0) is one UCR load, which splits a product itself."""
+    form = schmidt_decompose(target) if np.size(target) != 2 else None
+    k = 0 if form is None else (int(np.count_nonzero(form.schmidt_coeffs)) - 1).bit_length()
+    if k == 0:
         return build_ucr_circuit(target, qubits, num_qubits)
-    form = schmidt_decompose(target)
     qubits, total = _wires(form.left_qubits + form.right_qubits, qubits, num_qubits)
     left, right = qubits[:form.left_qubits], qubits[form.left_qubits:]
-    k = (int(np.count_nonzero(form.schmidt_coeffs)) - 1).bit_length()
-    if k == 0:
-        return Circuit.join(total, [build_ucr_circuit(form.u_matrix[:, 0], left, total),
-                                    build_ucr_circuit(form.v_matrix[:, 0], right, total)])
     loader = build_ucr_circuit(form.schmidt_coeffs[:2**k], left[-k:], total)
     ladder = cnot_rows(list(zip(left[-k:], right[-k:])))
     bases = [row for mat, regs in ((form.u_matrix, left), (form.v_matrix, right))

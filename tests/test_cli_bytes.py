@@ -65,44 +65,44 @@ CASES = {
 
 DIGESTS = {
     "expr": {
-        "circuit.json": "c67af2f2d4d9548bee064099a46b69f6db1a7aec6c1ef05cef40b6fdae439c15",
-        "circuit.qasm": "ed948a835b6e858dc0249fd9045389a20920d3123b1f6557dc6528235e667f5e",
+        "circuit.json": "2b8e63a526179634fa9ccd49554e4aaebaee04a126329b7599993d9e16541fba",
+        "circuit.qasm": "b9dbdf2440f16562bbf2baab98b39960f8e8c5f9dba4fd7eeeac2a26c9620f35",
         "exit": 0,
         "report.json": "32d1887540bce2b281b29c51434824eaef9682fb27181ea3374f487101161561",
         "stdout": "32d1887540bce2b281b29c51434824eaef9682fb27181ea3374f487101161561",
     },
     "image": {
-        "circuit.json": "53b55bbec555ca6ab22b075772199d96329cc76bd0b3b7ea718dc824d41d5132",
-        "circuit.qasm": "dc569476affbe619304e3da9ab03a6af357ddd30c68ed4e76b327e0b9da0f1f1",
+        "circuit.json": "2421f914c16e0644dc46f39d1bca15077ac9da8e26d99259e31817e1932a3084",
+        "circuit.qasm": "7154660acdec624e39ff46ca834d34d182ecd6d2c0eec557fa39f085d03b35a2",
         "exit": 0,
         "report.json": "6573103dd60b3a94ff162ff4060eaf558640c650be1c195de1b3787c2a2dd580",
         "stdout": "6573103dd60b3a94ff162ff4060eaf558640c650be1c195de1b3787c2a2dd580",
     },
     "mirror-disentangle-filtered": {
-        "circuit.json": "d84e39b8e7b1b7483a146a6a1781ff1483b4106dbd546bef4c70e28532614a79",
-        "circuit.qasm": "3fe8a5ff8d19661f6a4a63ccc4ad29456dc994d93b500e2b58bffb03b8311ec2",
+        "circuit.json": "c1d1daec4bb37df1834639098268dfb73433f0e4f44a6b35556ac1cef26fc73e",
+        "circuit.qasm": "80725590948b0dc7731d0f4d3777ffd8fa9c922fef166cf6f367bf3c2dd064c5",
         "exit": 0,
         "report.json": "09f45a233b9716e86b314e6623c67689c4a1d8ce9fdc37902536567b78c356d5",
         "stdout": "09f45a233b9716e86b314e6623c67689c4a1d8ce9fdc37902536567b78c356d5",
     },
     "mirror-measure-filtered": {
-        "circuit.json": "b2e1371bcd0613966dab8ad6ecb184d7cd477da14ed8e7c7bed525765b190a27",
-        "circuit.qasm": "2f8526325410addd9347c4d8a32e4154ca8d641b3cc3789786b6d45418fc731b",
+        "circuit.json": "b42bf4144d97249453f50a1afa6d19879e54ad0dde571758353a16b8462f8317",
+        "circuit.qasm": "953336bf0add2c7841623d55f37cc328dc98b14141cba79acf9c445987338abb",
         "exit": 0,
         "report.json": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
         "stdout": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
     },
     "simulate-piecewise-n14": {
         "exit": 0,
-        "stdout": "dc5c04511bc9d53c3aa12f939d1a49f79b585ba0c36b0125901262b622a3921c",
+        "stdout": "06b0a5d8ae1ff200d5a264c698a2014ecdd6c43579251a9b647f79047a577df9",
     },
     "simulate-shots": {
         "exit": 0,
-        "stdout": "886fcda90c220a3971294acda919834a7b5b015f3d1cb13bf1723f51ed0ba2ed",
+        "stdout": "08254befc8045afa5a95fa880d1bf6989447ade5be09195980cbfa7d759f47f3",
     },
     "sinc2d": {
-        "circuit.json": "59c1f4326871bf8f41af9981825ab8e0716c815d27bcce2cae6639715ed59699",
-        "circuit.qasm": "ca67d61292418ebde92130372e5077f3dbbf86b8f667ca817838c26d446cdbc0",
+        "circuit.json": "40ecba0201f803c7d5c3d3d3a04bd73e2d24f500213cf0a3ba49f7b8c190364a",
+        "circuit.qasm": "f0f2bd7088b0923e45a9ee3bea514a7d2646dda03af578db330c0072d3d01017",
         "exit": 0,
         "report.json": "d2190ff1fcf7fcff537c165dc679f017e17ce62d876037f021dd6afd02561206",
         "stdout": "d2190ff1fcf7fcff537c165dc679f017e17ce62d876037f021dd6afd02561206",
@@ -116,22 +116,22 @@ DIGESTS = {
         "stdout": "d81e007cc4a56180f28b6d00b54c9e06cac08212ff8087f807b788eb5273e8ac",
     },
     "ucr-bimodal-n13-m7": {
-        "circuit.json": "690e536b883944cf44d9c23069c799279f0c38916ff9dd0b0d34c146fccf617d",
-        "circuit.qasm": "5c7a935ca2399d2021885da316a6cad3ab0210f10ef684118ff6914eca8e37b1",
+        "circuit.json": "46e4ffa47afe2d70bc437501f6cf8307bfcef4e82002ee1402fed3e3d933f928",
+        "circuit.qasm": "80dce4d2a33db31d6eabd26749c68800d4989c4e1d369cfbc5165da95d8329d1",
         "exit": 0,
         "report.json": "7d6e29db5e54c72e9184d5c2025f66e24e483376fd4aa586b416d91ae8bf782c",
         "stdout": "7d6e29db5e54c72e9184d5c2025f66e24e483376fd4aa586b416d91ae8bf782c",
     },
     "ucr-piecewise-n12-m9": {
-        "circuit.json": "0419916212636697fa0651b482462713a52918822700f308108fa87bd8816f5e",
-        "circuit.qasm": "745ce5df9e31a60d74bff45b3bfba0a9365e4ebf6fd8b60d39ac9393282f2eca",
+        "circuit.json": "69210b4f4a950fbeda4641953550ccc67e8f629f9a934d1592e54f059b1fb8f9",
+        "circuit.qasm": "c7634dbc1569b92e588b5334cf89c54b9a7a8e550d5adcdd0bc87b729523dbad",
         "exit": 0,
         "report.json": "acc80cd45321c9eeb7a8ee6b5627221f3bddfbc3335e7aa5b39d4ec682354878",
         "stdout": "acc80cd45321c9eeb7a8ee6b5627221f3bddfbc3335e7aa5b39d4ec682354878",
     },
     "ucr-sinc-n14-m5": {
-        "circuit.json": "700ae43b37d77f2d540a7a110f89269cf6046fdaba9f764fedb844528740b139",
-        "circuit.qasm": "8c054016239429634c481833ae4aa5c6b978527e4d27ac19f3a858547ab2ee98",
+        "circuit.json": "5f05a9ff15b98ab2f8fdd53469df638cb06beac58d274530453faf8b0e357ecd",
+        "circuit.qasm": "aad4d0e5dd5a13cb39e7bb5487f0ae5fe031776669ff89fa1e00e4d5e6534ec7",
         "exit": 0,
         "report.json": "5cc5b5a506c323c908d8a7eb3c485f56755e348c62e6d8a4e60d9e03ffae4fe6",
         "stdout": "5cc5b5a506c323c908d8a7eb3c485f56755e348c62e6d8a4e60d9e03ffae4fe6",

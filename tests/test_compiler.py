@@ -305,17 +305,18 @@ CHANGED = {
     "sinc2d": ((473, 528, 955), (42, 62, 39)),
     "spiky": ((37, 73, 62), (13, 53, 26)),
 }
-# The other eight are neither, and their circuits stay as they were, by the
-# SHA-256 of the kind, wire and angle columns.
+# The other eight are neither, and their gates, counts and depth stay as they
+# were; the SHA-256 of the kind, wire and angle columns pins them, angles as the
+# pairwise recursion of ``mottonen_angles`` gives them.
 UNCHANGED = {
-    "bimodal_gaussian": "fa0cda044db037d8d9243de44b2bcd590955ce74d3c5c91be4e4687a904c4a5d",
+    "bimodal_gaussian": "77c4aa4f478e964a8701c73f5f27165a1bb0760236cf949fd91a5854aee97d5e",
     "constant": "43b9ee22cc9879b8d84362c2b5c4d4f28c0122ab062c89eff0ff93e61f699f95",
-    "gaussian2d": "4f0328627194bc5c839196407b7e521cd1f6de1fa1ac7ee2d7fcdcdc49eada4b",
-    "lognormal": "54eb7a2aad0f875f77d5bc7535706d3f616687c5407cf47c305aa369e843dd15",
-    "piecewise": "aa3574590951f3737160ccd5966392497293d7020b30bcd6e9586e85f3e852cf",
-    "qho_excited": "ee53b0155917a1a3527211f26ee5fd3991e937575aab4d065f9179f2df1d47a1",
-    "tanh": "9a33508cb98dde49b1df863f3a7aef055a66e4b5e5e24f222897a7b36c7b80ad",
-    "xpowx": "31d7c6dc552f9c2a49eba73f502ec92f5a1697a5f7c457b74ba27c4b1bf49194",
+    "gaussian2d": "b171842429ac8de0e55c29f667385326859233fcf832b26f21c62ab44ffaae1c",
+    "lognormal": "27440ebbd8dd6f3f212ad078ad1bc75f4c969df95b7e6414a5931e108523735f",
+    "piecewise": "db38e22ab4089067401ad6f08062472697b3f30ee8e0db71238e2c4fad89bac7",
+    "qho_excited": "5a18bd645b72ca0a742f54a56012f3d84dc6b8c8981c73a9a23a11ace151376a",
+    "tanh": "32f090c1a40c0432c2b94b92b98f8357d108444bef3cfa5bb2316da282ea0bf5",
+    "xpowx": "c906f6e09c3602a503e45e004a0969e6894667c5e3068b2f0bc6384e60a0b9a0",
 }
 
 

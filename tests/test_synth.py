@@ -7,8 +7,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary,
-                      reference_ucr_block, reference_ucr_cascade)
+from conftest import (dense_circuit_matrix, dense_gate_matrix, gate_key, rand_state,
+                      rand_unitary, reference_ucr_block, reference_ucr_cascade)
 from fsl import fourier, funcs
 from fsl.circuit import (CODES, Circuit, GateKind, cnot, compose, gate_counts, h, invert,
                          unitary)
@@ -60,6 +60,18 @@ class TestMottonenAngles:
         assert np.all(ang.alpha_y[0][1:] == 0.0)  # empty pair blocks stay untouched
         out = run(build_ucr_circuit(target)).amplitudes
         assert np.max(np.abs(out - target)) < 1e-12
+
+    def test_small_amplitudes_load_to_full_precision(self):
+        # the mirror-extended tanh loader vector of n=19, m=6: entry 126
+        # (8.6e-7) pairs with an entry of magnitude 0.43, the small member of
+        # a block-mass ratio near 1
+        extended = fourier.mirror_extend(funcs.sample(funcs.builtin("tanh"), 19))
+        vec = window_spectrum(fourier.dft_coefficients(extended), 6).wrapped_vector()
+        vec /= np.linalg.norm(vec)
+        assert abs(vec[126]) < 1e-6 < 0.4 < abs(vec[127])
+        out = run(build_ucr_circuit(vec)).amplitudes
+        assert np.max(np.abs(out - vec)) <= 1e-14
+        assert abs(out[126] - vec[126]) <= 1e-9 * abs(vec[126])
 
 
 class TestGrayTransform:
@@ -198,9 +210,54 @@ def _factors(rng, sizes, zeros=0.0):
     return out
 
 
+def _from_angles(alpha_y, alpha_z) -> np.ndarray:
+    """The state the UCR cascade of these level angles prepares, with no
+    global phase: each block of norm n and phase p splits into children of
+    norms n cos(y/2), n sin(y/2) and phases p -+ z/2, from the top level down."""
+    norm, phase = np.ones(1), np.zeros(1)
+    for y, z in zip(reversed(alpha_y), reversed(alpha_z)):
+        norm = np.stack([norm * np.cos(y / 2), norm * np.sin(y / 2)], axis=1).reshape(-1)
+        phase = np.stack([phase - z / 2, phase + z / 2], axis=1).reshape(-1)
+    return norm * np.exp(1j * phase)
+
+
+def _few_angle_vectors(rng, q):
+    """Complex and real unit vectors on q qubits whose Gray angles mostly vanish.
+
+    Sparse: each level's rotation angles theta are zero but for a few random
+    ones.  Structured: each level's angles alpha depend on two of its control
+    wires only, so theta is zero off the four Gray indices of those two.
+    Every y-angle but the pair level's (``alpha_y[0]``) lies in (0, pi) and
+    every z-angle is small, so ``mottonen_angles`` gets the same angles back."""
+    def sparse(size, centre, spread):
+        theta = np.zeros(size)
+        theta[0] = centre
+        theta[rng.integers(size, size=3)] += rng.uniform(-spread, spread, 3)
+        return size * gray_transform_matrix(size.bit_length() - 1).T @ theta
+
+    def structured(size, low, high):
+        bits = rng.integers(max(size.bit_length() - 1, 1), size=2)
+        table = rng.uniform(low, high, (2, 2))
+        k = np.arange(size)
+        return table[(k >> bits[0]) & 1, (k >> bits[1]) & 1]
+
+    sizes = [2 ** (q - 1 - j) for j in range(q)]
+    out = []
+    for real in (False, True):  # a real vector's pair level is signed, in (-2 pi, 2 pi)
+        ys = [sparse(s, math.pi / 2, 1.5 if real and s == sizes[0] else 0.25) for s in sizes]
+        zs = [np.zeros(s) if real else sparse(s, 0.0, 0.1) for s in sizes]
+        out.append(_from_angles(ys, zs))
+        ys = [structured(s, *(-6.0, 6.0) if real and s == sizes[0] else (0.3, math.pi - 0.3))
+              for s in sizes]
+        zs = [np.zeros(s) if real else structured(s, -0.2, 0.2) for s in sizes]
+        out.append(_from_angles(ys, zs))
+    return out
+
+
 class TestProductAndRealLoads:
-    """A product target loads factor by factor with no gate between them; a
-    real one loads with signed RY angles and no RZ; both exactly, phase included."""
+    """A product target loads factor by factor with no gate between them; one
+    real up to a global phase loads with signed RY angles and at most one RZ;
+    each CNOT run keeps a control at most once; all exactly, phase included."""
 
     @pytest.mark.parametrize("q", range(2, 8))
     def test_products_split_at_every_cut(self, q, rng):
@@ -237,6 +294,27 @@ class TestProductAndRealLoads:
         c = build_ucr_circuit(target)
         assert {"RZ", "PHASE"}.isdisjoint(gate_counts(c).by_kind)
         assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_real_up_to_a_phase_takes_one_rz(self, seed):
+        rng = np.random.default_rng(1900 + seed)
+        real, cplx = rng.standard_normal(8), rand_state(rng, 3)
+        real /= np.linalg.norm(real)
+        alone = gate_counts(build_ucr_circuit(cplx)).by_kind.get("RZ", 0)
+        theta = rng.uniform(-math.pi, math.pi)
+        for target, limit in ((np.kron(real, cplx), alone + 1), (np.kron(cplx, real), alone + 1),
+                              (np.exp(1j * theta) * real, 1)):
+            c = build_ucr_circuit(target)
+            counts = gate_counts(c)
+            assert counts.by_kind.get("RZ", 0) <= limit and "PHASE" not in counts.by_kind
+            assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
+        phased = np.exp(1j * theta) * real
+        ang = mottonen_angles(phased)
+        assert all(np.all(z == 0) for z in ang.alpha_z)
+        folded = (theta + math.pi / 2) % math.pi - math.pi / 2  # into [-pi/2, pi/2)
+        assert ang.global_phase == pytest.approx(2 * folded, abs=1e-12)
+        assert gate_counts(build_ucr_circuit(phased)).two_qubit == \
+            gate_counts(build_ucr_circuit(real)).two_qubit
 
     def test_negative_even_entry_with_zero_partner_takes_ry_two_pi(self):
         c = build_ucr_circuit(np.array([-1.0, 0.0]))
@@ -303,9 +381,34 @@ class TestProductAndRealLoads:
             assert [gate_key(g) for g in got.gates] == \
                 [gate_key(g) for g in reference_ucr_cascade(target, wires, q + 1).gates]
 
+    @pytest.mark.parametrize("q", range(2, 11))
+    def test_cnot_runs_hold_each_control_once(self, q):
+        # every CNOT of a level targets its wire, so a run of them with no
+        # rotation between commutes and needs each control at most once
+        rng = np.random.default_rng(1910 + q)
+        for target in _few_angle_vectors(rng, q):
+            c = build_ucr_circuit(target)
+            run_target = None
+            for kind, (a, b) in zip(c.kinds.tolist(), c.wires.tolist()):
+                if kind != CODES[GateKind.CNOT]:
+                    run_target = None
+                    continue
+                if b != run_target:
+                    run_target, controls = b, set()
+                assert a not in controls
+                controls.add(a)
+            state = np.eye(2**q, 1, dtype=complex)[:, 0]
+            for g in c.gates:  # the dense-matrix oracle, one gate at a time
+                state = dense_gate_matrix(g, q) @ state
+            assert np.max(np.abs(state - target)) < 1e-12
+
     def test_length_not_a_power_of_two_is_rejected(self):
         with pytest.raises(NonPowerOfTwoLength):
             build_ucr_circuit(np.ones(6) / math.sqrt(6))
+
+    def test_schmidt_length_not_a_power_of_two_is_rejected(self):
+        with pytest.raises(NonPowerOfTwoLength):
+            build_schmidt_circuit(np.ones(6) / math.sqrt(6))
 
 
 class TestSchmidt:
@@ -353,7 +456,7 @@ class TestSchmidt:
     def test_product_state_loader_is_trivial(self, rng):
         target = np.kron(rand_state(rng, 1), rand_state(rng, 1))
         c = build_schmidt_circuit(target)
-        # A loads |0>, so nothing entangles: each half is a one-qubit load
+        # rank 1: one UCR load, which splits the product, so nothing entangles
         assert gate_counts(c).two_qubit == 0
         assert np.max(np.abs(run(c).amplitudes - target)) < 1e-12
 
