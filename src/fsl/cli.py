@@ -20,6 +20,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,38 +165,30 @@ def _plan(cfg: dict, n: int, m: int, dims: int) -> FSLPlan:
     return FSLPlan(n=n, m=m, dims=dims, loader=Loader(cfg["loader"]), max_qubits=_capacity(cfg))
 
 
-def _sample(cfg: dict, fdef: funcs.FunctionDef, m: int,
-            variant: NonperiodicVariant | None) -> fourier.GridFunction:
-    """Sample the 2^n grid once its D*n wires (n+1 on the mirror path) fit."""
-    n = int(cfg["n"])
-    compiler.check_capacity(_plan(cfg, n, m, fdef.dims), lead=int(variant is not None))
-    return funcs.sample(fdef, n)
-
-
-def _compile(cfg: dict, grid: fourier.GridFunction, m: int,
-             variant: NonperiodicVariant | None, spectrum: np.ndarray | None = None,
-             extended: fourier.GridFunction | None = None):
-    """Plan and compile one load of ``grid``; the spec is None on the mirror path.
-    ``spectrum`` is the DFT of the grid, or on the mirror path of its mirror
-    extension ``extended``, when the caller has already taken it."""
-    plan = _plan(cfg, grid.n, m, grid.dims)
-    if variant is not None:
-        return (None,) + compiler.compile_nonperiodic(grid, m, variant, plan,
-                                                      filter_a=cfg["filter_a"],
-                                                      extended=extended, spectrum=spectrum)
-    if spectrum is None:
-        spectrum = fourier.dft_coefficients(grid)
-    spec = compiler.window_spectrum(spectrum, m, cfg["filter_a"])
-    return (spec,) + compiler.compile_spec(spec, plan, source=grid)
-
-
-def _build(cfg: dict):
-    """Sample, analyze, and compile per the merged configuration."""
-    _require(cfg, "n", "m")
+def _loads(cfg: dict, ms):
+    """Sample, analyze and compile one load per m in ``ms``: the grid, the
+    variant, the plan at the largest m and an iterator of one (spec, circuit,
+    report) per m, the spec None on the mirror path.  The grid is sampled once
+    its D*n wires (n+1 on the mirror path) fit at the largest m, and its
+    spectrum (the mirror extension's on the mirror path) is taken once for
+    every m.  Each load is compiled as it is read, so a sweep does not keep
+    every m's circuit, and the spectrum is freed with the iterator."""
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
-    grid = _sample(cfg, fdef, int(cfg["m"]), variant)
-    return (grid, variant) + _compile(cfg, grid, int(cfg["m"]), variant)
+    plan = _plan(cfg, int(cfg["n"]), max(ms), fdef.dims)
+    compiler.check_capacity(plan, lead=int(variant is not None))
+    grid = funcs.sample(fdef, plan.n)
+    extended = None if variant is None else fourier.mirror_extend(grid)
+    spectrum = fourier.dft_coefficients(grid if extended is None else extended)
+
+    def load(m: int):
+        if variant is not None:
+            return (None,) + compiler.compile_nonperiodic(
+                grid, m, variant, replace(plan, m=m), cfg["filter_a"], extended, spectrum)
+        spec = fourier.truncate(spectrum, m, cfg["filter_a"])
+        return (spec,) + compiler.compile_spec(spec, replace(plan, m=m), source=grid)
+
+    return grid, variant, plan, map(load, ms)
 
 
 def _write(path: Path, text: str):
@@ -231,14 +224,15 @@ def _emit(cfg: dict, targets: set, circ: cir.Circuit, report: compiler.CompileRe
 
 def cmd_compile(cfg: dict) -> int:
     targets = _emit_targets(cfg)
-    circ, report = _build(cfg)[-2:]  # drop the sampled grid before exporting
+    _require(cfg, "n", "m")
+    *_, [(_, circ, report)] = _loads(cfg, [int(cfg["m"])])  # the grid is dropped before export
     return _emit(cfg, targets, circ, report)
 
 
 def cmd_simulate(cfg: dict) -> int:
-    grid, variant, spec, circ, report = _build(cfg)
-    cap = _capacity(cfg)
-    state = simulator.run(circ, max_qubits=cap)
+    _require(cfg, "n", "m")
+    grid, variant, plan, [(spec, circ, report)] = _loads(cfg, [int(cfg["m"])])
+    state = simulator.run(circ, max_qubits=plan.max_qubits)
 
     result = {"report": report.to_dict(include_timing=bool(cfg["timing"]))}
     if variant is not None:
@@ -265,10 +259,11 @@ def cmd_simulate(cfg: dict) -> int:
     if cfg["shots"] is not None:
         hist = simulator.sample(state, int(cfg["shots"]), int(cfg["seed"]))
         target_probs = np.abs(grid.samples.reshape(-1)) ** 2
-        measured = hist.probabilities(2**state.num_qubits)  # marginal over a mirror ancilla
-        empirical = measured.reshape(-1, len(target_probs)).sum(axis=0)
+        # one row per mirror-ancilla outcome; outcome 1 complements the data register
+        measured = hist.probabilities(2**state.num_qubits).reshape(-1, len(target_probs))
+        measured[1:] = measured[1:, ::-1]
         result["classical_fidelity_vs_function"] = simulator.classical_fidelity(
-            empirical, target_probs)
+            measured.sum(axis=0), target_probs)
         hist_out = cfg["hist_out"]
         if hist_out:
             _write(Path(hist_out), simulator.histogram_to_csv(hist))
@@ -282,14 +277,8 @@ SWEEP_COLUMNS = "m,exact_infidelity,bound,depth,single_qubit,two_qubit,compile_s
 def cmd_sweep(cfg: dict) -> int:
     _require(cfg, "n", "m_range")
     lo, hi = _parse_range(cfg["m_range"])
-    fdef = _function_def(cfg)
-    variant = _nonperiodic_variant(cfg, fdef)
-    grid = _sample(cfg, fdef, hi, variant)  # a bad top of the range fails before sampling
-    extended = None if variant is None else fourier.mirror_extend(grid)
-    spectrum = fourier.dft_coefficients(grid if extended is None else extended)
     rows = [SWEEP_COLUMNS]
-    for m in range(lo, hi + 1):
-        report = _compile(cfg, grid, m, variant, spectrum, extended)[-1]
+    for m, (_, _, report) in enumerate(_loads(cfg, range(lo, hi + 1))[-1], lo):
         bound = "" if report.analytic_bound is None else _fmt(report.analytic_bound)
         rows.append(",".join([
             str(m), _fmt(report.exact_infidelity), bound, str(report.depth),

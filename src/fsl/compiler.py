@@ -185,16 +185,7 @@ def compile_spec(spec: FourierSpec, plan: FSLPlan,
 
 def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> FourierSpec:
     """Analysis pipeline: full DFT, truncation window, optional Lanczos filter."""
-    return window_spectrum(fourier.dft_coefficients(g), m, filter_a)
-
-
-def window_spectrum(coeffs_full: np.ndarray, m: int,
-                    filter_a: float | None = None) -> FourierSpec:
-    """``prepare_spec`` after the DFT, so one spectrum can serve many windows."""
-    spec = fourier.truncate(coeffs_full, m)
-    if filter_a is not None:
-        spec = fourier.lanczos_filter(spec, filter_a)
-    return spec
+    return fourier.truncate(fourier.dft_coefficients(g), m, filter_a)
 
 
 def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
@@ -210,7 +201,8 @@ def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
     on ancilla outcome 1, complement the data register (apply X everywhere).
     ``filter_a`` applies the Lanczos filter to the extension's window.
     ``extended`` and ``spectrum`` are g's mirror extension and its DFT when the
-    caller has already taken them (a sweep takes them once for every m).
+    caller has already taken them (the CLI takes them once per command, for
+    every m it compiles).
     """
     if g.dims != 1:
         raise DimensionMismatch("non-periodic loading is one-dimensional")
@@ -225,7 +217,7 @@ def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
         extended = fourier.mirror_extend(g)
     if spectrum is None:
         spectrum = fourier.dft_coefficients(extended)
-    spec = window_spectrum(spectrum, m, filter_a)
+    spec = fourier.truncate(spectrum, m, filter_a)
     bound = fourier.infidelity_bound(extended, m)
     tail, rule = (), None
     if variant is NonperiodicVariant.DISENTANGLE:

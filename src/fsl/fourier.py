@@ -11,7 +11,9 @@ Spectral conventions (D dimensions, 2^n points per axis):
 * a truncation window keeps k in [-(2^m - 1), 2^m - 1] per axis and
   renormalizes, recording the captured mass N.
 
-``FourierSpec.embed`` is the one place that knows where a window sits in fft layout.
+One index rule places a window in fft layout: ``_window_positions`` gives
+frequency k's index k mod side, and both ``FourierSpec.embed`` (window into a
+spectrum) and ``_centred_window`` (spectrum into a window) read it.
 """
 from __future__ import annotations
 
@@ -59,6 +61,11 @@ class GridFunction:
         return cls(s.ndim, n, s / norm)
 
 
+def _window_positions(m: int, side: int) -> np.ndarray:
+    """Index k mod side of each frequency |k| <= 2^m - 1, in centred order."""
+    return np.arange(1 - 2**m, 2**m) % side
+
+
 @dataclass(frozen=True)
 class FourierSpec:
     """Windowed, renormalized coefficient tensor: the compiler's input IR.
@@ -96,7 +103,7 @@ class FourierSpec:
 
     def embed(self, side: int) -> np.ndarray:
         """The window on a (side,)^D grid in fft layout: frequency k at index k mod side."""
-        pos = np.arange(-self.max_frequency, self.max_frequency + 1) % side
+        pos = _window_positions(self.m, side)
         out = np.zeros((side,) * self.dims, dtype=complex)
         out[np.ix_(*([pos] * self.dims))] = self.coeffs
         return out
@@ -133,11 +140,7 @@ def _centred_window(coeffs_full: np.ndarray, m: int) -> np.ndarray:
     n = int(round(math.log2(coeffs_full.shape[0])))
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    M = 2**m - 1
-    win = coeffs_full
-    for axis in range(coeffs_full.ndim):
-        win = np.take(win, np.arange(-M, M + 1), axis=axis)
-    return win
+    return coeffs_full[np.ix_(*[_window_positions(m, 2**n)] * coeffs_full.ndim)]
 
 
 def window_mass(coeffs_full: np.ndarray, m: int) -> float:
@@ -145,13 +148,15 @@ def window_mass(coeffs_full: np.ndarray, m: int) -> float:
     return float(np.sum(np.abs(_centred_window(coeffs_full, m)) ** 2))
 
 
-def truncate(coeffs_full: np.ndarray, m: int) -> FourierSpec:
-    """Window the full spectrum to |k| <= 2^m - 1 per axis and renormalize."""
+def truncate(coeffs_full: np.ndarray, m: int, filter_a: float | None = None) -> FourierSpec:
+    """Window the full spectrum to |k| <= 2^m - 1 per axis and renormalize,
+    then apply the Lanczos filter of exponent ``filter_a`` if one is given."""
     win = _centred_window(coeffs_full, m)
     norm_const = float(np.sum(np.abs(win) ** 2))
     if norm_const < 1e-300:
         raise EmptyWindow(f"window |k|<={2**m - 1} captures no spectral mass")
-    return FourierSpec(coeffs_full.ndim, m, win / math.sqrt(norm_const), norm_const)
+    spec = FourierSpec(coeffs_full.ndim, m, win / math.sqrt(norm_const), norm_const)
+    return spec if filter_a is None else lanczos_filter(spec, filter_a)
 
 
 def lanczos_filter(spec: FourierSpec, a: float) -> FourierSpec:

@@ -100,7 +100,7 @@ def compile_frqi(img: GrayImage, m: int,
     position registers.  The joint loader acts on the color wire plus both
     coefficient registers; after the per-register fan-outs and inverse QFTs a
     final H+S on the color wire rotates |0>,|1> into |+i>,|-i>.  ``plan`` gives
-    the loader, fan-out and capacity; ``assemble`` times and reports the load.
+    the loader and capacity; ``assemble`` times and reports the load.
     """
     plan = replace(plan or FSLPlan(n=img.n, m=m), n=img.n, m=m, dims=2)
     check_capacity(plan, lead=1)

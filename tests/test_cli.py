@@ -200,12 +200,24 @@ class TestSimulateCommand:
         rows = [line.split(",") for line in hist_file.read_text().split()[1:]]
         hist = simulator.ShotHistogram({int(k): int(c) for k, c in rows}, 3000)
         target = np.abs(funcs.sample(funcs.builtin(function), n).samples.reshape(-1)) ** 2
-        if nonperiodic != "auto":  # the two branches that one marginal expression replaced
-            empirical = hist.probabilities(2 * len(target)).reshape(2, -1).sum(axis=0)
+        if nonperiodic != "auto":  # ancilla outcome 1 complements the data register
+            zero, one = hist.probabilities(2 * len(target)).reshape(2, -1)
+            empirical = zero + one[::-1]
         else:
             empirical = hist.probabilities(len(target))
         assert json.loads(out)["classical_fidelity_vs_function"] == \
             simulator.classical_fidelity(empirical, target)
+
+    def test_measure_shots_score_the_function_like_disentangle(self, capsys):
+        """The measure variant's ancilla-1 shots hold the mirrored half, which
+        the post-processing rule complements back onto the function."""
+        scores = {}
+        for variant in ("measure", "disentangle"):
+            code, out, _ = run_cli(capsys, "simulate", "--function", "tanh", "--n", "6",
+                                   "--m", "3", "--nonperiodic", variant, "--shots", "3000")
+            assert code == 0
+            scores[variant] = json.loads(out)["classical_fidelity_vs_function"]
+        assert scores["measure"] == pytest.approx(scores["disentangle"], abs=0.01)
 
     @pytest.mark.parametrize("shots", ["0", "-5"])
     def test_shots_below_one_exit_3(self, shots, capsys):
@@ -393,6 +405,43 @@ class TestSweepCommand:
                              "--m-range", "1:6")
         assert code == 0
         assert calls == [1]  # only the cot(pi 2^m / 2^n) factor is per row
+
+
+class TestOneLoadPath:
+    """compile, simulate and sweep sample once and take one spectrum (the mirror
+    extension's on the mirror path) for every load they compile."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"sample": 0, "dft": 0, "mirror": 0}
+        for module, name, key in ((funcs, "sample", "sample"), (fourier, "dft_coefficients", "dft"),
+                                  (fourier, "mirror_extend", "mirror")):
+            def counted(*a, f=getattr(module, name), key=key, **k):
+                calls[key] += 1
+                return f(*a, **k)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("command", [["compile", "--m", "3", "--emit", "none"],
+                                         ["simulate", "--m", "3", "--shots", "100"],
+                                         ["sweep", "--m-range", "1:3"]])
+    @pytest.mark.parametrize("nonperiodic, mirrors", [("none", 0), ("disentangle", 1),
+                                                      ("measure", 1)])
+    def test_one_sample_one_dft_and_one_extension(self, calls, command, nonperiodic, mirrors,
+                                                  capsys):
+        code, _, _ = run_cli(capsys, *command, "--function", "tanh", "--n", "6",
+                             "--nonperiodic", nonperiodic)
+        assert code == 0
+        assert calls == {"sample": 1, "dft": 1, "mirror": mirrors}
+
+    @pytest.mark.parametrize("command", ["compile", "simulate"])
+    @pytest.mark.parametrize("nonperiodic", ["none", "disentangle"])
+    def test_m_not_below_n_exits_3_before_sampling(self, calls, command, nonperiodic, capsys):
+        result = run_cli(capsys, command, "--function", "tanh", "--n", "6", "--m", "6",
+                         "--nonperiodic", nonperiodic)
+        assert_one_json_error(result, 3)
+        assert "need 0 <= m < n" in json.loads(result[2])["message"]
+        assert calls == {"sample": 0, "dft": 0, "mirror": 0}
 
 
 class TestImageCommand:

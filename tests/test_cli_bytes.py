@@ -7,6 +7,9 @@ CSVs are digested without their ``compile_seconds`` column, the one timed
 value.  A refactor of the compile path must leave every digest as it is; a
 change that means to alter output must re-record them and say why.
 
+``python tests/test_cli_bytes.py`` prints the current tree's digests of every
+case as a ``DIGESTS`` literal, to paste over the recorded one.
+
 Digests depend on numpy's floating-point kernels, so the test only runs under
 the numpy version they were recorded with.
 
@@ -26,6 +29,7 @@ import hashlib
 import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +62,11 @@ CASES = {
     "simulate-shots": ["simulate", "--function", "lorentzian", "--n", "9", "--m", "4",
                        "--shots", "500"],
     "simulate-piecewise-n14": ["simulate", "--function", "piecewise", "--n", "14", "--m", "5"],
+    "simulate-tanh-mirror-shots": ["simulate", "--function", "tanh", "--n", "9", "--m", "4",
+                                   "--shots", "500"],
+    "simulate-tanh-measure-filtered-shots": ["simulate", "--function", "tanh", "--n", "9",
+                                             "--m", "4", "--nonperiodic", "measure",
+                                             "--filter-a", "0.5", "--shots", "500"],
     "sweep-periodic": ["sweep", "--function", "piecewise", "--n", "10", "--m-range", "2:8"],
     "sweep-mirror-filtered": ["sweep", "--function", "tanh", "--n", "8", "--m-range", "1:5",
                               "--filter-a", "0.5"],
@@ -99,6 +108,14 @@ DIGESTS = {
     "simulate-shots": {
         "exit": 0,
         "stdout": "08254befc8045afa5a95fa880d1bf6989447ade5be09195980cbfa7d759f47f3",
+    },
+    "simulate-tanh-measure-filtered-shots": {
+        "exit": 0,
+        "stdout": "52b73492907235fd7a1102b4dc5cb4aebdeeaa0876e7ba30704e42d18f7ec886",
+    },
+    "simulate-tanh-mirror-shots": {
+        "exit": 0,
+        "stdout": "57511e07dd53229372149ad2186b4cf437a9c10c1db2f543ffd258cf8ef6d83c",
     },
     "sinc2d": {
         "circuit.json": "40ecba0201f803c7d5c3d3d3a04bd73e2d24f500213cf0a3ba49f7b8c190364a",
@@ -271,3 +288,20 @@ def test_low_rank_schmidt_compile_matches_recorded_counts(name, tmp_path):
         joint = json.loads(ucr["report.json"])["gate_counts"]["two_qubit"]
         assert report["gate_counts"]["two_qubit"] - joint == \
             sum(map(_loader_two_qubit, halves)) - _loader_two_qubit(vec)
+
+
+def _print_digests() -> None:
+    """Print every case's digests as a ``DIGESTS = {...}`` literal in this file's layout."""
+    print("DIGESTS = {")
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as work:
+            digests = case_digests(name, Path(work))
+        print(f"    {json.dumps(name)}: {{")
+        for key, value in sorted(digests.items()):
+            print(f"        {json.dumps(key)}: {json.dumps(value)},")
+        print("    },")
+    print("}")
+
+
+if __name__ == "__main__":
+    _print_digests()

@@ -12,7 +12,7 @@ from conftest import (dense_circuit_matrix, dense_gate_matrix, gate_key, rand_st
 from fsl import fourier, funcs
 from fsl.circuit import (CODES, Circuit, GateKind, cnot, compose, gate_counts, h, invert,
                          unitary)
-from fsl.compiler import prepare_spec, window_spectrum
+from fsl.compiler import prepare_spec
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 from fsl.frqi import GrayImage, _joint_vector, _phase_spec
 from fsl.simulator import Statevector, fidelity, run
@@ -66,7 +66,7 @@ class TestMottonenAngles:
         # (8.6e-7) pairs with an entry of magnitude 0.43, the small member of
         # a block-mass ratio near 1
         extended = fourier.mirror_extend(funcs.sample(funcs.builtin("tanh"), 19))
-        vec = window_spectrum(fourier.dft_coefficients(extended), 6).wrapped_vector()
+        vec = prepare_spec(extended, 6).wrapped_vector()
         vec /= np.linalg.norm(vec)
         assert abs(vec[126]) < 1e-6 < 0.4 < abs(vec[127])
         out = run(build_ucr_circuit(vec)).amplitudes
@@ -334,7 +334,7 @@ class TestProductAndRealLoads:
         assert 0 < np.max(np.abs(sinc2d.imag)) < 1e-17
         assert "RZ" not in gate_counts(build_ucr_circuit(sinc2d)).by_kind
         extended = fourier.mirror_extend(funcs.sample(funcs.builtin("tanh"), 19))
-        tanh = window_spectrum(fourier.dft_coefficients(extended), 6).wrapped_vector()
+        tanh = prepare_spec(extended, 6).wrapped_vector()
         tanh /= np.linalg.norm(tanh)
         assert np.max(np.abs(tanh.imag)) > 1e-7 > REAL_TOL
         assert gate_counts(build_ucr_circuit(tanh)).by_kind["RZ"] > 0
