@@ -168,25 +168,22 @@ def _plan(cfg: dict, n: int, m: int, dims: int) -> FSLPlan:
 def _loads(cfg: dict, ms):
     """Sample, analyze and compile one load per m in ``ms``: the grid, the
     variant, the plan at the largest m and an iterator of one (spec, circuit,
-    report) per m, the spec None on the mirror path.  The grid is sampled once
-    its D*n wires (n+1 on the mirror path) fit at the largest m, and its
-    spectrum (the mirror extension's on the mirror path) is taken once for
-    every m.  Each load is compiled as it is read, so a sweep does not keep
-    every m's circuit, and the spectrum is freed with the iterator."""
+    report) per m of the source: the grid or, with a variant, its mirror
+    extension.  The grid is sampled once its D*n wires (n+1 with a variant)
+    fit at the largest m, and the source's spectrum is taken once for every m.
+    Each load is compiled as it is read, so a sweep does not keep every m's
+    circuit, and the spectrum is freed with the iterator."""
     fdef = _function_def(cfg)
     variant = _nonperiodic_variant(cfg, fdef)
     plan = _plan(cfg, int(cfg["n"]), max(ms), fdef.dims)
     compiler.check_capacity(plan, lead=int(variant is not None))
     grid = funcs.sample(fdef, plan.n)
-    extended = None if variant is None else fourier.mirror_extend(grid)
-    spectrum = fourier.dft_coefficients(grid if extended is None else extended)
+    source = grid if variant is None else fourier.mirror_extend(grid)
+    spectrum = fourier.dft_coefficients(source)
 
     def load(m: int):
-        if variant is not None:
-            return (None,) + compiler.compile_nonperiodic(
-                grid, m, variant, replace(plan, m=m), cfg["filter_a"], extended, spectrum)
         spec = fourier.truncate(spectrum, m, cfg["filter_a"])
-        return (spec,) + compiler.compile_spec(spec, replace(plan, m=m), source=grid)
+        return (spec,) + compiler.compile_spec(spec, replace(plan, n=source.n, m=m), source, variant)
 
     return grid, variant, plan, map(load, ms)
 
@@ -292,15 +289,16 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_image(cfg: dict) -> int:
     _require(cfg, "pgm", "m")
     targets = _emit_targets(cfg)
-    img = frqi.read_pgm(cfg["pgm"])
-    m = int(cfg["m"])
-    plan = _plan(cfg, img.n, m, 2)
-    circ, report = frqi.compile_frqi(img, m, plan)
+    pixels = frqi.pgm_pixels(Path(cfg["pgm"]).read_bytes())
+    plan = _plan(cfg, len(pixels).bit_length() - 1, int(cfg["m"]), 2)
+    compiler.check_capacity(plan, lead=1)  # before any pixel is decoded
+    img = frqi.decode_pgm(pixels)
+    circ, report = frqi.compile_frqi(img, plan.m, plan)
     extra = {"image_side": img.side}
     if cfg["simulate"]:
         state = simulator.run(circ, max_qubits=plan.max_qubits)
         extra["fidelity_vs_truncated_frqi"] = simulator.fidelity(
-            state, frqi.frqi_truncated_target(img, m))
+            state, frqi.frqi_truncated_target(img, plan.m))
         extra["fidelity_vs_exact_frqi"] = simulator.fidelity(state, frqi.frqi_target(img))
     return _emit(cfg, targets, circ, report, **extra)
 

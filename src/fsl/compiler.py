@@ -20,10 +20,11 @@ one ``Circuit`` and returns it with its ``CompileReport``.  No optimisation
 pass runs over the result: the UCR loader is emitted with the CNOT pairs where
 its blocks meet already cancelled, and no step leaves a pair for another.
 
-``compile_spec`` (periodic) uses no lead wires and no tail.  The mirror load
-``compile_nonperiodic`` uses one (n+1)-wire register and a CNOT/H tail that
-disentangles the ancilla.  The image load ``frqi.compile_frqi`` uses one lead
-colour wire and an H+S tail on it.
+``compile_spec`` uses no lead wires, and no tail for a periodic load.  With a
+``NonperiodicVariant`` it is the mirror load of an (n+1)-wire extension: a
+CNOT/H tail disentangles the ancilla, or the report carries a measurement rule
+instead; ``compile_nonperiodic`` is its grid-level form.  The image load
+``frqi.compile_frqi`` uses one lead colour wire and an H+S tail on it.
 
 ``target_state`` evaluates the same truncated series directly and is the
 oracle every compiled circuit is checked against.
@@ -169,9 +170,14 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
     )
 
 
-def compile_spec(spec: FourierSpec, plan: FSLPlan,
-                 source: GridFunction | None = None) -> tuple[Circuit, CompileReport]:
-    """Periodic load of a windowed spectrum; a 1D ``source`` adds the analytic bound."""
+def compile_spec(spec: FourierSpec, plan: FSLPlan, source: GridFunction | None = None,
+                 variant: NonperiodicVariant | None = None) -> tuple[Circuit, CompileReport]:
+    """Load of a windowed spectrum; a 1D ``source`` adds the analytic bound.
+
+    With a ``variant``, ``spec``, ``plan`` and ``source`` describe the mirror
+    extension of a 1D function on n+1 wires, wire 0 the ancilla.  DISENTANGLE
+    appends CNOTs from it onto wires 1..n and an H on it, leaving it in |0>;
+    MEASURE reports the rule that complements wires 1..n on its outcome 1."""
     if spec.dims != plan.dims:
         raise DimensionMismatch(f"spec has D={spec.dims}, plan has D={plan.dims}")
     if spec.m != plan.m:
@@ -180,7 +186,21 @@ def compile_spec(spec: FourierSpec, plan: FSLPlan,
     bound = None
     if source is not None and source.dims == 1 and 2**plan.m != 2 ** (source.n - 1):
         bound = fourier.infidelity_bound(source, plan.m)
-    return assemble(spec.wrapped_vector(), plan, spec.norm_constant, bound=bound)
+    tail, rule = (), None
+    if variant is not None:
+        if plan.dims != 1:
+            raise DimensionMismatch("non-periodic loading is one-dimensional")
+        variant = NonperiodicVariant(variant)
+    if variant is NonperiodicVariant.DISENTANGLE:
+        tail = tuple(cnot(0, t) for t in range(1, plan.n)) + (h(0),)
+    elif variant is NonperiodicVariant.MEASURE:
+        rule = {
+            "measure_qubit": 0,
+            "data_qubits": list(range(1, plan.n)),
+            "on_outcome_1": "apply X to every data qubit (complement the register)",
+        }
+    return assemble(spec.wrapped_vector(), plan, spec.norm_constant, tail=tail, bound=bound,
+                    post_processing=rule)
 
 
 def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> FourierSpec:
@@ -189,44 +209,15 @@ def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> Four
 
 
 def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
-                        plan: FSLPlan | None = None, filter_a: float | None = None,
-                        extended: GridFunction | None = None,
-                        spectrum: np.ndarray | None = None) -> tuple[Circuit, CompileReport]:
-    """Load a non-periodic 1D function through its mirror extension.
-
-    The extension lives on n+1 qubits; wire 0 is the ancilla and wires 1..n
-    the data register.  DISENTANGLE appends CNOTs from the ancilla onto every
-    data wire plus an H on the ancilla, leaving the ancilla in |0> exactly.
-    MEASURE instead attaches a classical post-processing rule to the report:
-    on ancilla outcome 1, complement the data register (apply X everywhere).
-    ``filter_a`` applies the Lanczos filter to the extension's window.
-    ``extended`` and ``spectrum`` are g's mirror extension and its DFT when the
-    caller has already taken them (the CLI takes them once per command, for
-    every m it compiles).
-    """
+                        plan: FSLPlan | None = None,
+                        filter_a: float | None = None) -> tuple[Circuit, CompileReport]:
+    """The mirror load of a 1D function: ``compile_spec`` with a ``variant`` on
+    g's extension, whose window ``filter_a`` filters.  m is bounded by g's n
+    wires, and the capacity is checked at n+1 before the grid is extended."""
     if g.dims != 1:
         raise DimensionMismatch("non-periodic loading is one-dimensional")
-    variant = NonperiodicVariant(variant)
-    n = g.n
-    # m is bounded by the data register; the circuit spans the extension.
-    plan = replace(plan or FSLPlan(n=n, m=m), n=n, m=m, dims=1)
-    plan = replace(plan, n=n + 1)
+    plan = replace(plan or FSLPlan(n=g.n, m=m), n=g.n, m=m, dims=1)
+    plan = replace(plan, n=g.n + 1)
     check_capacity(plan)
-
-    if extended is None:
-        extended = fourier.mirror_extend(g)
-    if spectrum is None:
-        spectrum = fourier.dft_coefficients(extended)
-    spec = fourier.truncate(spectrum, m, filter_a)
-    bound = fourier.infidelity_bound(extended, m)
-    tail, rule = (), None
-    if variant is NonperiodicVariant.DISENTANGLE:
-        tail = tuple(cnot(0, t) for t in range(1, n + 1)) + (h(0),)
-    else:
-        rule = {
-            "measure_qubit": 0,
-            "data_qubits": list(range(1, n + 1)),
-            "on_outcome_1": "apply X to every data qubit (complement the register)",
-        }
-    return assemble(spec.wrapped_vector(), plan, spec.norm_constant, tail=tail, bound=bound,
-                    post_processing=rule)
+    extended = fourier.mirror_extend(g)
+    return compile_spec(prepare_spec(extended, m, filter_a), plan, extended, variant)

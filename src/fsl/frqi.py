@@ -116,10 +116,9 @@ def compile_frqi(img: GrayImage, m: int,
 _PGM_HEADER_ITEM = re.compile(rb"\s+|#[^\n]*\n|(?P<token>[^\s#]+)")
 
 
-def read_pgm(path) -> GrayImage:
-    """Binary 8-bit PGM; square power-of-two images only, brightness = pixel/255."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def pgm_pixels(data: bytes) -> np.ndarray:
+    """The pixels of binary 8-bit PGM bytes as a (side, side) uint8 view of
+    ``data``; the image must be square with a power-of-two side."""
     tokens = []
     pos = 0
     while len(tokens) < 4:
@@ -141,11 +140,22 @@ def read_pgm(path) -> GrayImage:
         raise InvalidImage(f"expected 8-bit PGM (maxval 255), got {maxval}")
     if width != height:
         raise InvalidImage(f"image must be square, got {width}x{height}")
-    payload = data[pos + 1:]
-    if len(payload) < width * height:
+    if width & (width - 1):
+        raise InvalidImage(f"side {width} is not a power of two")
+    if len(data) - pos - 1 < width * height:
         raise InvalidImage("truncated PGM pixel data")
-    pixels = np.frombuffer(payload, dtype=np.uint8, count=width * height)
-    return GrayImage(width, pixels.reshape(height, width) / 255.0)
+    return np.frombuffer(data, np.uint8, width * height, pos + 1).reshape(height, width)
+
+
+def decode_pgm(pixels: np.ndarray) -> GrayImage:
+    """The image of ``pgm_pixels``: brightness = pixel/255."""
+    return GrayImage(len(pixels), pixels / 255.0)
+
+
+def read_pgm(path) -> GrayImage:
+    """Binary 8-bit PGM; square power-of-two images only, brightness = pixel/255."""
+    with open(path, "rb") as fh:
+        return decode_pgm(pgm_pixels(fh.read()))
 
 
 def write_pgm(img: GrayImage, path) -> None:

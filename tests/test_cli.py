@@ -473,6 +473,46 @@ class TestImageCommand:
         code, _, err = run_cli(capsys, "image", "--pgm", "/nonexistent.pgm", "--m", "1")
         assert code == 3
 
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        """Sides of the images built from pixels, counted at construction."""
+        sides = []
+
+        class Counted(frqi.GrayImage):
+            def __post_init__(self):
+                sides.append(self.side)
+                super().__post_init__()
+
+        monkeypatch.setattr(frqi, "GrayImage", Counted)
+        return sides
+
+    def test_capacity_checked_before_pixels_are_decoded(self, decoded, tmp_path, capsys):
+        pgm = tmp_path / "big.pgm"
+        pgm.write_bytes(b"P5\n1024 1024\n255\n" + bytes(1024 * 1024))
+        result = run_cli(capsys, "image", "--pgm", str(pgm), "--m", "2", "--max-qubits", "5")
+        assert_one_json_error(result, 4)
+        assert json.loads(result[2])["error"] == "CapacityExceeded"
+        assert decoded == []
+
+    def test_m_not_below_n_exits_3_before_pixels_are_decoded(self, decoded, tmp_path, capsys):
+        pgm = tmp_path / "img.pgm"
+        pgm.write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+        result = run_cli(capsys, "image", "--pgm", str(pgm), "--m", "4")
+        assert_one_json_error(result, 3)
+        assert "need 0 <= m < n" in json.loads(result[2])["message"]
+        assert decoded == []
+
+    @pytest.mark.parametrize("header", [b"P5\n12 12\n255\n", b"P5\n16 8\n255\n",
+                                        b"P5\n16 16\n15\n", b"P2\n16 16\n255\n"])
+    def test_header_faults_exit_3_before_the_capacity_check(self, header, decoded, tmp_path,
+                                                            capsys):
+        pgm = tmp_path / "bad.pgm"
+        pgm.write_bytes(header + bytes(256))
+        result = run_cli(capsys, "image", "--pgm", str(pgm), "--m", "1", "--max-qubits", "1")
+        assert_one_json_error(result, 3)
+        assert json.loads(result[2])["error"] == "InvalidImage"
+        assert decoded == []
+
 
 class TestSchmidtLoadThroughCli:
     """A Schmidt load is one gate-level circuit: simulate, compile, sweep and
@@ -572,6 +612,30 @@ class TestConfigAndErrors:
                                "--n", "5", "--m", "2", "--max-qubits", "0")
         assert code == 2
         assert json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("text", [None, "{", '["n", 6]'])
+    def test_unreadable_or_non_object_config_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "job.json"
+        if text is not None:
+            cfg.write_text(text)
+        result = run_cli(capsys, "compile", "--function", "constant", "--n", "5", "--m", "2",
+                         "--config", str(cfg))
+        assert_one_json_error(result, 2)
+        assert json.loads(result[2])["error"] == "ConfigError"
+
+    def test_non_integer_capacity_env_var_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("FSL_MAX_QUBITS", "abc")
+        result = run_cli(capsys, "compile", "--function", "constant", "--n", "5", "--m", "2")
+        assert_one_json_error(result, 2)
+        assert json.loads(result[2]) == {"error": "ConfigError",
+                                         "message": "FSL_MAX_QUBITS='abc' is not an integer"}
+
+    def test_empty_m_range_exits_2(self, capsys):
+        result = run_cli(capsys, "sweep", "--function", "constant", "--n", "6",
+                         "--m-range", "5:3")
+        assert_one_json_error(result, 2)
+        assert json.loads(result[2]) == {"error": "ConfigError",
+                                         "message": "empty range '5:3'"}
 
     def test_negative_capacity_env_var_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("FSL_MAX_QUBITS", "-5")

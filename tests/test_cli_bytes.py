@@ -70,6 +70,8 @@ CASES = {
     "sweep-periodic": ["sweep", "--function", "piecewise", "--n", "10", "--m-range", "2:8"],
     "sweep-mirror-filtered": ["sweep", "--function", "tanh", "--n", "8", "--m-range", "1:5",
                               "--filter-a", "0.5"],
+    "sweep-mirror-measure": ["sweep", "--function", "tanh", "--n", "8", "--m-range", "1:5",
+                             "--nonperiodic", "measure"],
 }
 
 DIGESTS = {
@@ -127,6 +129,10 @@ DIGESTS = {
     "sweep-mirror-filtered": {
         "exit": 0,
         "stdout": "c3582b65ec2704ce22fc26824d16feb686261b67b6d0742bd57f6ac05ece084a",
+    },
+    "sweep-mirror-measure": {
+        "exit": 0,
+        "stdout": "2fd06a5259640f0e84c09ae5c14cc45a56b38f32db803411c979e98e4d2155b0",
     },
     "sweep-periodic": {
         "exit": 0,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import gate_key, rand_state, reference_assembly, reference_fanout_pairs
-from fsl import funcs
+from fsl import fourier, funcs
 from fsl.circuit import Circuit, GateCounts, GateKind, cnot, depth, gate_counts, h, phase
 from fsl.compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant, _fanout_pairs,
                           compile_nonperiodic, compile_spec, prepare_spec, target_state)
@@ -267,6 +267,52 @@ class TestCompileNonperiodic:
         g = random_grid(rng, 3, dims=2)
         with pytest.raises(DimensionMismatch):
             compile_nonperiodic(g, 1, "disentangle")
+
+    def test_capacity_checked_before_the_grid_is_extended(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fourier, "mirror_extend", lambda g: calls.append(g))
+        g = funcs.sample(funcs.builtin("tanh"), 6)
+        with pytest.raises(CapacityExceeded, match="7 qubits"):
+            compile_nonperiodic(g, 3, "disentangle", FSLPlan(n=6, m=3, max_qubits=6))
+        assert calls == []
+
+
+class TestMirrorLoadIsASpecLoad:
+    """``compile_nonperiodic`` is ``compile_spec`` with a variant on the mirror
+    extension's window, circuit and report alike."""
+
+    @pytest.mark.parametrize("variant", list(NonperiodicVariant))
+    @pytest.mark.parametrize("filter_a", [None, 0.5])
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_grid_level_form_equals_the_spec_load(self, variant, filter_a, m):
+        g = funcs.sample(funcs.builtin("tanh"), 8)
+        ext = mirror_extend(g)
+        circ, report = compile_spec(prepare_spec(ext, m, filter_a), FSLPlan(n=9, m=m), ext,
+                                    variant)
+        want_circ, want_report = compile_nonperiodic(g, m, variant, filter_a=filter_a)
+        assert circ == want_circ
+        assert report.to_dict(include_timing=False) == want_report.to_dict(include_timing=False)
+
+    def test_variant_is_coerced_from_its_value(self):
+        ext = mirror_extend(funcs.sample(funcs.builtin("tanh"), 5))
+        spec = prepare_spec(ext, 2)
+        by_value = compile_spec(spec, FSLPlan(n=6, m=2), ext, "measure")
+        by_member = compile_spec(spec, FSLPlan(n=6, m=2), ext, NonperiodicVariant.MEASURE)
+        assert by_value[0] == by_member[0]
+        assert by_value[1].post_processing == by_member[1].post_processing
+        with pytest.raises(ValueError):
+            compile_spec(spec, FSLPlan(n=6, m=2), ext, "mirror")
+
+    @pytest.mark.parametrize("variant", [None, *NonperiodicVariant])
+    def test_spec_truncated_at_another_m_is_rejected(self, variant):
+        ext = mirror_extend(funcs.sample(funcs.builtin("tanh"), 5))
+        with pytest.raises(ValueError, match="truncated at m=2, plan says m=3"):
+            compile_spec(prepare_spec(ext, 2), FSLPlan(n=6, m=3), ext, variant)
+
+    def test_variant_needs_one_register(self, rng):
+        spec = truncate(dft_coefficients(random_grid(rng, 3, dims=2)), 1)
+        with pytest.raises(DimensionMismatch):
+            compile_spec(spec, FSLPlan(n=3, m=1, dims=2), variant="disentangle")
 
 
 class TestResourceShape:
