@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 A ``Circuit`` holds its gate list as columns, one row per gate:
 
-* ``kinds``: uint8 codes, ``CODES[kind]`` (``KINDS[code]`` maps back);
+* ``kinds``: uint8 codes, ``CODES[kind]`` (``KINDS[code]`` maps back); the
+  kind's ``GateKind`` row holds its wire count, angle flag and QASM name;
 * ``wires``: int32, gates x 2, controls first; a one-wire gate's second
   entry is -1;
 * ``angles``: float64, NaN where the kind takes no angle;
@@ -40,29 +41,24 @@ from .errors import NotUnitary, OpaqueGatePresent
 
 
 class GateKind(str, Enum):
-    H = "H"
-    X = "X"
-    RY = "RY"
-    RZ = "RZ"
-    PHASE = "PHASE"
-    CNOT = "CNOT"
-    CPHASE = "CPHASE"
-    SWAP = "SWAP"
-    OPAQUE_UNITARY = "OPAQUE_UNITARY"
+    """One row per gate kind: name, wire count (0 for an opaque unitary, whose
+    matrix sets its wires), whether it takes an angle, and OpenQASM name."""
 
+    def __new__(cls, value: str, arity: int, angled: bool, qasm: str | None):
+        kind = str.__new__(cls, value)
+        kind._value_, kind.arity, kind.angled, kind.qasm = value, arity, angled, qasm
+        return kind
 
-_ARITY = {
-    GateKind.H: 1,
-    GateKind.X: 1,
-    GateKind.RY: 1,
-    GateKind.RZ: 1,
-    GateKind.PHASE: 1,
-    GateKind.CNOT: 2,
-    GateKind.CPHASE: 2,
-    GateKind.SWAP: 2,
-}
+    H = "H", 1, False, "h"
+    X = "X", 1, False, "x"
+    RY = "RY", 1, True, "ry"
+    RZ = "RZ", 1, True, "rz"
+    PHASE = "PHASE", 1, True, "u1"
+    CNOT = "CNOT", 2, False, "cx"
+    CPHASE = "CPHASE", 2, True, "cp"
+    SWAP = "SWAP", 2, False, "swap"
+    OPAQUE_UNITARY = "OPAQUE_UNITARY", 0, False, None
 
-_ANGLED = {GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CPHASE}
 
 UNITARITY_TOL = 1e-10
 
@@ -70,8 +66,8 @@ KINDS = tuple(GateKind)
 CODES = {kind: code for code, kind in enumerate(KINDS)}
 _CNOT, _OPAQUE = CODES[GateKind.CNOT], CODES[GateKind.OPAQUE_UNITARY]
 _ARITY_OF = np.full(256, -1)  # by code: 1 or 2 wires, 0 for opaque, -1 for no kind
-_ARITY_OF[:len(KINDS)] = [_ARITY.get(kind, 0) for kind in KINDS]
-_ANGLED_OF = np.array([kind in _ANGLED for kind in KINDS] + [False] * (256 - len(KINDS)))
+_ARITY_OF[:len(KINDS)] = [kind.arity for kind in KINDS]
+_ANGLED_OF = np.array([kind.angled for kind in KINDS] + [False] * (256 - len(KINDS)))
 
 
 @dataclass(frozen=True)
@@ -88,6 +84,7 @@ class Gate:
         object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in gate {self.kind}: {self.qubits}")
+        object.__setattr__(self, "kind", KINDS[CODES[self.kind]])  # KeyError for an unknown kind
         if self.kind is GateKind.OPAQUE_UNITARY:
             if self.matrix is None:
                 raise ValueError("OPAQUE_UNITARY requires a matrix")
@@ -101,9 +98,9 @@ class Gate:
             mat.setflags(write=False)
             object.__setattr__(self, "matrix", mat)
         else:
-            if len(self.qubits) != _ARITY[self.kind]:
-                raise ValueError(f"{self.kind} expects {_ARITY[self.kind]} qubits, got {self.qubits}")
-            if self.kind in _ANGLED:
+            if len(self.qubits) != self.kind.arity:
+                raise ValueError(f"{self.kind} expects {self.kind.arity} qubits, got {self.qubits}")
+            if self.kind.angled:
                 if self.angle is None or not math.isfinite(self.angle):
                     raise ValueError(f"{self.kind} requires a finite angle, got {self.angle}")
                 object.__setattr__(self, "angle", float(self.angle))
@@ -111,7 +108,7 @@ class Gate:
                 raise ValueError(f"{self.kind} takes no angle")
 
     def inverse(self) -> Gate:
-        if self.kind in _ANGLED:
+        if self.kind.angled:
             return Gate(self.kind, self.qubits, -self.angle)
         if self.kind is GateKind.OPAQUE_UNITARY:
             return Gate(self.kind, self.qubits, matrix=self.matrix.conj().T, label=self.label + "+")
@@ -406,18 +403,6 @@ def peephole_cancel_cnots(c: Circuit) -> Circuit:
 # ---------------------------------------------------------------------------
 # Serialization
 
-_QASM_NAMES = {
-    GateKind.H: "h",
-    GateKind.X: "x",
-    GateKind.RY: "ry",
-    GateKind.RZ: "rz",
-    GateKind.PHASE: "u1",
-    GateKind.CNOT: "cx",
-    GateKind.CPHASE: "cp",
-    GateKind.SWAP: "swap",
-}
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -481,11 +466,10 @@ def _gate_texts(c: Circuit, parts, verb: str) -> list[str]:
 
 
 def _qasm_parts(kind: GateKind, qubits) -> tuple[str, str]:
-    name = _QASM_NAMES[kind]
     args = ",".join(f"q[{q}]" for q in qubits)
-    if kind in _ANGLED:
-        return f"{name}(", f") {args};"
-    return f"{name} {args};", ""
+    if kind.angled:
+        return f"{kind.qasm}(", f") {args};"
+    return f"{kind.qasm} {args};", ""
 
 
 def export_qasm(c: Circuit) -> str:
@@ -506,12 +490,12 @@ def export_qasm(c: Circuit) -> str:
 
 # What ``json.dumps(..., indent=2)`` writes before each gate's first qubit.
 _JSON_GATE_HEAD = {kind: f'    {{\n      "kind": "{kind.value}",\n      "qubits": [\n        '
-                   for kind in _ARITY}
+                   for kind in KINDS}
 
 
 def _json_parts(kind: GateKind, qubits) -> tuple[str, str]:
     text = _JSON_GATE_HEAD[kind] + ",\n        ".join(map(str, qubits)) + "\n      ]"
-    if kind in _ANGLED:
+    if kind.angled:
         return text + ',\n      "angle": ', "\n    }"
     return text + "\n    }", ""
 

@@ -36,7 +36,6 @@ from .errors import CapacityExceeded, ExpressionError, FSLError, UnknownFunction
 # Configuration
 
 _DEFAULTS = {
-    "dims": 1,
     "loader": "ucr",
     "nonperiodic": "auto",
     "sqrt_mode": False,
@@ -128,18 +127,25 @@ def _parse_params(items) -> dict:
 
 
 def _function_def(cfg: dict) -> funcs.FunctionDef:
-    name = cfg["function"]
-    expr = cfg["expr"]
+    """The builtin or expression the job names; a flag it would ignore (a
+    --param with --expr, a --dims unlike the builtin's D) is rejected."""
+    name, expr, dims = cfg["function"], cfg["expr"], cfg["dims"]
     if bool(name) == bool(expr):
         raise ConfigError("exactly one of --function or --expr is required")
     if name:
         try:
-            return funcs.builtin(name, _parse_params(cfg["param"]),
+            fdef = funcs.builtin(name, _parse_params(cfg["param"]),
                                  sqrt_mode=bool(cfg["sqrt_mode"]))
         except UnknownFunction as exc:
             raise ConfigError(str(exc))
+        if dims not in (None, fdef.dims):
+            raise ConfigError(f"{name} has D={fdef.dims}, got --dims {dims}")
+        return fdef
+    if cfg["param"]:
+        raise ConfigError("--param sets a builtin's parameters; --expr takes none")
     try:
-        return funcs.expression(expr, dims=int(cfg["dims"]), sqrt_mode=bool(cfg["sqrt_mode"]))
+        return funcs.expression(expr, dims=1 if dims is None else dims,
+                                sqrt_mode=bool(cfg["sqrt_mode"]))
     except ExpressionError as exc:
         raise ConfigError(str(exc))
 

@@ -119,8 +119,6 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
     This is the reference oracle: embed the windowed coefficients at their
     signed frequencies in the full 2^n spectrum and reconstruct.
     """
-    if spec.m >= n:
-        raise ValueError(f"need m < n, got m={spec.m}, n={n}")
     samples = fourier.reconstruct(spec.embed(2**n)).reshape(-1)
     return Statevector(spec.dims * n, samples / np.linalg.norm(samples))
 
@@ -172,7 +170,7 @@ def assemble(vec: np.ndarray, plan: FSLPlan, captured: float, lead: int = 0,
 
 def compile_spec(spec: FourierSpec, plan: FSLPlan, source: GridFunction | None = None,
                  variant: NonperiodicVariant | None = None) -> tuple[Circuit, CompileReport]:
-    """Load of a windowed spectrum; a 1D ``source`` adds the analytic bound.
+    """Load of a windowed spectrum; ``source``, the plan's grid, adds the analytic bound in 1D.
 
     With a ``variant``, ``spec``, ``plan`` and ``source`` describe the mirror
     extension of a 1D function on n+1 wires, wire 0 the ancilla.  DISENTANGLE
@@ -182,9 +180,12 @@ def compile_spec(spec: FourierSpec, plan: FSLPlan, source: GridFunction | None =
         raise DimensionMismatch(f"spec has D={spec.dims}, plan has D={plan.dims}")
     if spec.m != plan.m:
         raise ValueError(f"spec was truncated at m={spec.m}, plan says m={plan.m}")
+    if source is not None and (source.n, source.dims) != (plan.n, plan.dims):
+        raise DimensionMismatch(f"source grid has n={source.n}, D={source.dims}; "
+                                f"plan has n={plan.n}, D={plan.dims}")
     check_capacity(plan)
     bound = None
-    if source is not None and source.dims == 1 and 2**plan.m != 2 ** (source.n - 1):
+    if source is not None and source.dims == 1 and plan.m != plan.n - 1:
         bound = fourier.infidelity_bound(source, plan.m)
     tail, rule = (), None
     if variant is not None:

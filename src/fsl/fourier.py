@@ -13,7 +13,8 @@ Spectral conventions (D dimensions, 2^n points per axis):
 
 One index rule places a window in fft layout: ``_window_positions`` gives
 frequency k's index k mod side, and both ``FourierSpec.embed`` (window into a
-spectrum) and ``_centred_window`` (spectrum into a window) read it.
+spectrum) and ``_centred_window`` (spectrum into a window) read it.  It holds
+m < n too: a side below 2^(m+1) would give two frequencies one index.
 """
 from __future__ import annotations
 
@@ -47,10 +48,8 @@ class GridFunction:
         object.__setattr__(self, "samples", s)
 
     @classmethod
-    def from_samples(cls, samples, dims: int | None = None) -> GridFunction:
+    def from_samples(cls, samples) -> GridFunction:
         s = np.asarray(samples, dtype=complex)
-        if dims is not None and s.ndim != dims:
-            raise DimensionMismatch(f"expected {dims}-dimensional samples")
         n = int(round(math.log2(s.shape[0])))
         with np.errstate(over="ignore"):  # an overflowing norm is rejected below
             norm = np.linalg.norm(s)
@@ -63,6 +62,8 @@ class GridFunction:
 
 def _window_positions(m: int, side: int) -> np.ndarray:
     """Index k mod side of each frequency |k| <= 2^m - 1, in centred order."""
+    if 2 ** (m + 1) > side:
+        raise ValueError(f"need m < n, got m={m}, n={side.bit_length() - 1}")
     return np.arange(1 - 2**m, 2**m) % side
 
 
@@ -137,10 +138,7 @@ def reconstruct(coeffs_full: np.ndarray) -> np.ndarray:
 
 def _centred_window(coeffs_full: np.ndarray, m: int) -> np.ndarray:
     """The |k| <= 2^m - 1 block of a full fft-layout spectrum, in centred order."""
-    n = int(round(math.log2(coeffs_full.shape[0])))
-    if m >= n:
-        raise ValueError(f"need m < n, got m={m}, n={n}")
-    return coeffs_full[np.ix_(*[_window_positions(m, 2**n)] * coeffs_full.ndim)]
+    return coeffs_full[np.ix_(*[_window_positions(m, coeffs_full.shape[0])] * coeffs_full.ndim)]
 
 
 def window_mass(coeffs_full: np.ndarray, m: int) -> float:

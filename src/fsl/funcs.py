@@ -196,7 +196,7 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
     values = np.broadcast_to(np.asarray(values, dtype=complex), (2**n,) * fdef.dims)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{fdef.name} is not finite on the grid")
-    return GridFunction.from_samples(values, dims=fdef.dims)
+    return GridFunction.from_samples(values)
 
 
 # ---------------------------------------------------------------------------

@@ -182,8 +182,6 @@ def _apply_gate(psi: np.ndarray, op: tuple, qs: tuple[int, ...], k: int) -> None
         _scale(_at(psi, qs, (1,)), cmath.exp(1j * angle))
     elif kind is GateKind.CPHASE:
         _scale(_at(psi, qs, (1, 1)), cmath.exp(1j * angle))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown gate kind {kind}")
 
 
 def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None = None) -> Statevector:

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import CODES, Circuit, GateKind, cnot_rows
+from .circuit import CODES, UNITARITY_TOL, Circuit, GateKind, cnot_rows
 from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 
 NORM_TOL = 1e-9
@@ -603,7 +603,7 @@ def synth_unitary(u: np.ndarray, qubits=None, num_qubits: int | None = None) -> 
     q = int(round(math.log2(dim)))
     if u.shape != (dim, dim) or 2**q != dim:
         raise ValueError(f"matrix shape {u.shape} is not 2^q x 2^q")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) >= 1e-10:
+    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) >= UNITARITY_TOL:
         raise NotUnitary("synth_unitary input is not unitary")
     qubits, total = _wires(q, qubits, num_qubits)
     return Circuit.join(total, _synth_rec(u, qubits))

@@ -56,6 +56,13 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="permutation"):
             Circuit(2, (), (0, 0))
 
+    def test_kind_given_by_value_is_its_row(self):
+        g = Gate("RY", (0,), 0.5)
+        assert g.kind is GateKind.RY and g == ry(0.5, 0)
+        assert g.inverse() == ry(-0.5, 0)
+        with pytest.raises(ValueError, match="takes no angle"):
+            Gate("CNOT", (0, 1), 0.5)
+
 
 class TestDepth:
     def test_empty_circuit(self):
@@ -153,6 +160,10 @@ class TestCompose:
         b = random_circuit(rng, 3, 10, random_perm=True)
         want = dense_circuit_matrix(b) @ dense_circuit_matrix(a)
         assert np.allclose(dense_circuit_matrix(compose(a, b)), want, atol=1e-12)
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            compose(Circuit(2, (h(0),)), Circuit(3, (h(2),)))
 
 
 @st.composite

@@ -844,6 +844,45 @@ class TestConfigAndErrors:
                                "--expr", "x", "--n", "4", "--m", "1")
         assert code == 2
 
+    def test_param_without_a_value_exits_2(self, capsys):
+        result = run_cli(capsys, "compile", "--function", "lorentzian", "--n", "5", "--m", "2",
+                         "--param", "sigma", "--emit", "none")
+        assert_one_json_error(result, 2)
+        assert json.loads(result[2]) == {"error": "ConfigError",
+                                         "message": "--param expects name=value, got 'sigma'"}
+
+    @pytest.mark.parametrize("mode", ["disentangle", "measure"])
+    def test_mirror_load_of_a_2d_builtin_exits_2(self, mode, capsys):
+        result = run_cli(capsys, "compile", "--function", "sinc2d", "--n", "4", "--m", "2",
+                         "--nonperiodic", mode, "--emit", "none")
+        assert_one_json_error(result, 2)
+        assert json.loads(result[2])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("values, fault", [
+        ({"expr": "x", "param": ["a=1"]}, "--expr takes none"),
+        ({"function": "piecewise", "dims": 2}, "piecewise has D=1, got --dims 2"),
+        ({"function": "sinc2d", "dims": 1}, "sinc2d has D=2, got --dims 1"),
+    ], ids=["param-with-expr", "dims-2-for-1d", "dims-1-for-2d"])
+    def test_flag_the_function_would_ignore_exits_2(self, values, fault, source, tmp_path,
+                                                    capsys):
+        if source == "config":
+            (tmp_path / "job.json").write_text(json.dumps(values))
+            argv = ["--config", str(tmp_path / "job.json")]
+        else:
+            argv = [a for k, v in values.items()
+                    for a in (f"--{k}", *(v if isinstance(v, list) else [str(v)]))]
+        result = run_cli(capsys, "compile", *argv, "--n", "4", "--m", "1", "--emit", "none")
+        assert_one_json_error(result, 2)
+        error = json.loads(result[2])
+        assert error["error"] == "ConfigError" and fault in error["message"]
+
+    @pytest.mark.parametrize("argv", [["--function", "piecewise", "--dims", "1"],
+                                      ["--function", "sinc2d", "--dims", "2"],
+                                      ["--expr", "x*y", "--dims", "2"]])
+    def test_dims_that_agrees_is_accepted(self, argv, capsys):
+        assert run_cli(capsys, "compile", *argv, "--n", "4", "--m", "1", "--emit", "none")[0] == 0
+
     def test_missing_n_reports_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "job.json"
         cfg.write_text(json.dumps({"function": "constant", "m": 2}))

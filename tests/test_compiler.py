@@ -61,6 +61,19 @@ class TestTargetState:
         t = target_state(spec, 9)  # interpolate the same series on a finer grid
         assert t.num_qubits == 9
 
+    @pytest.mark.parametrize("n", [2, 1])
+    def test_grid_too_coarse_for_the_window_is_rejected(self, n):
+        spec = spec_with_single_mode(4, 2, 1)
+        with pytest.raises(ValueError, match=f"need m < n, got m=2, n={n}"):
+            target_state(spec, n)
+
+
+class TestFSLPlan:
+    @pytest.mark.parametrize("dims", [0, -1])
+    def test_no_register_rejected(self, dims):
+        with pytest.raises(ValueError, match="dims must be >= 1"):
+            FSLPlan(n=4, m=1, dims=dims)
+
 
 class TestCompile1d:
     def test_dc_spec_gives_plus_states(self):
@@ -308,6 +321,21 @@ class TestMirrorLoadIsASpecLoad:
         ext = mirror_extend(funcs.sample(funcs.builtin("tanh"), 5))
         with pytest.raises(ValueError, match="truncated at m=2, plan says m=3"):
             compile_spec(prepare_spec(ext, 2), FSLPlan(n=6, m=3), ext, variant)
+
+    @pytest.mark.parametrize("variant", [None, *NonperiodicVariant])
+    def test_source_that_is_not_the_plans_grid_is_rejected(self, variant):
+        g = funcs.sample(funcs.builtin("tanh"), 8)
+        ext = mirror_extend(g)
+        spec = prepare_spec(ext, 3)
+        want = compile_spec(spec, FSLPlan(n=9, m=3), ext, variant)[1].analytic_bound
+        assert want == pytest.approx(fourier.infidelity_bound(ext, 3))
+        with pytest.raises(DimensionMismatch, match="source grid has n=8, D=1; plan has n=9"):
+            compile_spec(spec, FSLPlan(n=9, m=3), g, variant)  # g's bound is not ext's
+
+    def test_source_of_another_dimension_is_rejected(self, rng):
+        spec = truncate(dft_coefficients(random_grid(rng, 4)), 1)
+        with pytest.raises(DimensionMismatch, match="D=2; plan has n=4, D=1"):
+            compile_spec(spec, FSLPlan(n=4, m=1), random_grid(rng, 4, dims=2))
 
     def test_variant_needs_one_register(self, rng):
         spec = truncate(dft_coefficients(random_grid(rng, 3, dims=2)), 1)

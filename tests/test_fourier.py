@@ -158,6 +158,16 @@ class TestLanczosFilter:
         filtered = lanczos_filter(spec, 0.0)
         assert np.max(np.abs(filtered.coeffs - spec.coeffs)) < 1e-14
 
+    def test_m0_window_is_left_as_it_is(self):
+        spec = FourierSpec(1, 0, np.array([1.0]), 0.5)
+        assert lanczos_filter(spec, 3.0) is spec
+
+    def test_filter_that_removes_all_mass_raises(self):
+        # sinc(+-pi)^100 underflows to 0, and the window holds no k = 0 mass
+        spec = FourierSpec(1, 1, np.array([1.0, 0.0, 1.0]) / math.sqrt(2), 1.0)
+        with pytest.raises(EmptyWindow, match="removed all"):
+            lanczos_filter(spec, 100.0)
+
     def test_suppresses_gibbs_overshoot_at_a_jump(self):
         n, m = 12, 8
         edge = 2**n // 2
@@ -250,6 +260,13 @@ class TestExactInfidelity:
 
 
 class TestInfidelityBound:
+    def test_m_not_below_n_and_negative_order_rejected(self):
+        g = GridFunction.from_samples(np.ones(16))
+        with pytest.raises(ValueError, match="need m < n"):
+            infidelity_bound(g, 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            infidelity_bound(g, 2, p=-1)
+
     def test_constant_function_bound_is_zero(self):
         g = GridFunction.from_samples(np.ones(64))
         assert infidelity_bound(g, 3) == 0.0
@@ -358,6 +375,11 @@ class TestDecaySlope:
 
 
 class TestGridFunctionValidation:
+    @pytest.mark.parametrize("dims, shape", [(1, (8,)), (2, (4, 8)), (2, (4,))])
+    def test_shape_enforced(self, dims, shape):
+        with pytest.raises(DimensionMismatch):
+            GridFunction(dims, 2, np.full(shape, 1 / math.sqrt(np.prod(shape))))
+
     def test_nan_samples_fail_the_norm_check(self):
         with pytest.raises(NonUnitNorm):
             GridFunction(1, 2, np.full(4, np.nan))
@@ -382,3 +404,11 @@ class TestFourierSpecValidation:
     def test_window_shape_enforced(self):
         with pytest.raises(DimensionMismatch):
             FourierSpec(1, 2, np.array([1.0]), 1.0)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_embed_rejects_a_side_too_small_for_the_window(self, dims):
+        spec = FourierSpec(dims, 2, np.full((7,) * dims, 7 ** (-dims / 2)), 1.0)
+        assert spec.embed(8).shape == (8,) * dims
+        for side in (4, 2):  # on 4 points k = 3 and k = -1 would share index 3
+            with pytest.raises(ValueError, match="need m < n, got m=2"):
+                spec.embed(side)

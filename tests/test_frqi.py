@@ -180,6 +180,12 @@ class TestCompileFrqi:
             compile_frqi(img, 1, FSLPlan(n=3, m=1, max_qubits=5))
 
 
+class TestGrayImageValidation:
+    def test_brightness_of_another_shape_rejected(self):
+        with pytest.raises(InvalidImage, match="expected 4x4, got"):
+            GrayImage(4, np.zeros((4, 2)))
+
+
 class TestPgm:
     def test_round_trip(self, rng, tmp_path):
         img = random_image(rng, 3)

@@ -98,6 +98,16 @@ class TestSampling:
             with pytest.raises(error, match="not finite|overflows"):
                 funcs.sample(funcs.expression(expr), 5)
 
+    def test_sqrt_mode_rejects_complex_functions(self):
+        fd = funcs.builtin("complex_cosines", sqrt_mode=True)
+        with pytest.raises(NegativeUnderSqrt, match="real-valued"):
+            funcs.sample(fd, 4)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_grid_of_no_wire_rejected(self, n):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            funcs.sample(funcs.builtin("constant"), n)
+
     def test_sqrt_mode_clamps_tiny_negatives(self):
         fd = funcs.expression("cos(2*pi*x) + 1 - 1e-13", sqrt_mode=True)
         g = funcs.sample(fd, 4)
@@ -133,6 +143,11 @@ class TestExpressionMode:
         fd = funcs.expression("sinc(pi*x)")
         x = np.array([0.5])
         assert fd.evaluate(x)[0] == pytest.approx(math.sin(math.pi * 0.5) / (math.pi * 0.5))
+
+    @pytest.mark.parametrize("expr", ["sin(x, x)", "exp()"])
+    def test_calls_take_one_argument(self, expr):
+        with pytest.raises(ExpressionError, match="exactly one positional argument"):
+            funcs.expression(expr)
 
     def test_constants(self):
         fd = funcs.expression("e + 0*x")

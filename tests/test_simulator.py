@@ -32,6 +32,12 @@ class TestRun:
         out = run(Circuit(1, (h(0),)))
         assert np.allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
+    def test_opaque_gate_wider_than_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_OPAQUE_QUBITS", 1)
+        run(Circuit(2, (unitary(np.eye(2), (1,)),)))
+        with pytest.raises(CapacityExceeded, match="opaque gate on 2 qubits exceeds cap 1"):
+            run(Circuit(2, (unitary(np.eye(4), (0, 1)),)))
+
     def test_big_endian_convention(self):
         # qubit 0 is the most significant index bit: CNOT(0, 1) maps |10> to |11>
         out = run(Circuit(2, (cnot(0, 1),)),
@@ -373,6 +379,13 @@ class TestRotatedBits:
         assert peak <= 2.25 * 16 * 2**c.num_qubits
 
 
+class TestStatevectorValidation:
+    @pytest.mark.parametrize("shape", [(4,), (16,), (2, 4)])
+    def test_amplitudes_of_another_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatch, match="expected 8 amplitudes"):
+            Statevector(3, np.full(shape, 1 / math.sqrt(np.prod(shape))))
+
+
 class TestFidelity:
     def test_self_fidelity_is_one(self, rng):
         s = Statevector(3, rand_state(rng, 3))
@@ -409,6 +422,10 @@ class TestClassicalFidelity:
 
     def test_disjoint_supports(self):
         assert classical_fidelity([1.0, 0.0], [0.0, 1.0]) == 0.0
+
+    def test_distributions_of_another_shape_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            classical_fidelity([0.5, 0.5], [0.25, 0.25, 0.5])
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_uniform_vs_point_mass(self, k):

@@ -587,6 +587,11 @@ class TestSynthUnitary:
         with pytest.raises(NotUnitary):
             synth_unitary(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3)])
+    def test_rejects_a_matrix_not_2q_by_2q(self, shape):
+        with pytest.raises(ValueError, match="is not 2\\^q x 2\\^q"):
+            synth_unitary(np.eye(*shape))
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
     def test_isometry_matches_the_leading_columns(self, q, rng):
         # with its first `zeros` qubits in |0>, u's first 2^(q - zeros)
@@ -706,6 +711,10 @@ class TestOptimalShannonDecomposition:
 
 
 class TestInverseQft:
+    def test_no_qubit_rejected(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            build_inverse_qft(0)
+
     def test_single_qubit_is_one_hadamard(self):
         c = build_inverse_qft(1)
         assert [g.kind.value for g in c.gates] == ["H"]
