@@ -117,10 +117,21 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
     """Direct evaluation of the truncated series on every grid point.
 
     This is the reference oracle: embed the windowed coefficients at their
-    signed frequencies in the full 2^n spectrum and reconstruct.
+    signed frequencies in the full 2^n spectrum and reconstruct.  A window
+    that is exactly Hermitian, ``np.array_equal(c, conj(c[::-1, ...]))`` as
+    every real grid's is, gives a real series.  That series is its own
+    conjugate, which ``irfftn`` sums from the conjugate window's k >= 0 half
+    on the last axis.  Any other window goes through ``fourier.reconstruct``.
     """
-    samples = fourier.reconstruct(spec.embed(2**n)).reshape(-1)
-    return Statevector(spec.dims * n, samples / np.linalg.norm(samples))
+    conj, side = np.conjugate(spec.coeffs), 2**n
+    if np.array_equal(spec.coeffs, conj[(slice(None, None, -1),) * spec.dims]):
+        half = replace(spec, coeffs=conj).embed(side, half=True)
+        samples = np.fft.irfftn(half, s=(side,) * spec.dims, axes=range(spec.dims),
+                                norm="forward").reshape(-1)
+    else:
+        samples = fourier.reconstruct(spec.embed(side)).reshape(-1)
+    samples /= np.linalg.norm(samples)
+    return Statevector(spec.dims * n, samples)
 
 
 def _fanout_pairs(wires: list[int]) -> list[tuple[int, int]]:

@@ -11,6 +11,11 @@ Spectral conventions (D dimensions, 2^n points per axis):
 * a truncation window keeps k in [-(2^m - 1), 2^m - 1] per axis and
   renormalizes, recording the captured mass N.
 
+A real grid keeps float64 samples, and ``dft_coefficients`` conjugates its
+``rfftn`` (the last axis's k >= 0 half) and fills k < 0 by c_(-k) = conj(c_k),
+so the spectrum and every window of it are exactly Hermitian.  A complex grid
+takes a complex ``ifftn``.
+
 One index rule places a window in fft layout: ``_window_positions`` gives
 frequency k's index k mod side, and both ``FourierSpec.embed`` (window into a
 spectrum) and ``_centred_window`` (spectrum into a window) read it.  It holds
@@ -31,14 +36,15 @@ GRID_NORM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Unit-norm complex samples on the uniform (2^n)^D grid, f(k/2^n)."""
+    """Unit-norm samples on the uniform (2^n)^D grid, f(k/2^n): float64 when
+    the values are real, complex128 otherwise."""
 
     dims: int
     n: int
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
+        s = _real_or_complex(self.samples)
         if s.shape != (2**self.n,) * self.dims:
             raise DimensionMismatch(f"expected shape {(2**self.n,) * self.dims}, got {s.shape}")
         if not abs(np.sum(np.abs(s) ** 2) - 1.0) <= 1e-12:
@@ -49,7 +55,7 @@ class GridFunction:
 
     @classmethod
     def from_samples(cls, samples) -> GridFunction:
-        s = np.asarray(samples, dtype=complex)
+        s = _real_or_complex(samples)
         n = int(round(math.log2(s.shape[0])))
         with np.errstate(over="ignore"):  # an overflowing norm is rejected below
             norm = np.linalg.norm(s)
@@ -58,6 +64,10 @@ class GridFunction:
         if norm == math.inf:
             raise NonUnitNorm("the samples' norm overflows a float")
         return cls(s.ndim, n, s / norm)
+
+
+def _real_or_complex(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
 
 
 def _window_positions(m: int, side: int) -> np.ndarray:
@@ -102,11 +112,17 @@ class FourierSpec:
         M = self.max_frequency
         return self.coeffs[tuple(ki + M for ki in k)]
 
-    def embed(self, side: int) -> np.ndarray:
-        """The window on a (side,)^D grid in fft layout: frequency k at index k mod side."""
-        pos = _window_positions(self.m, side)
-        out = np.zeros((side,) * self.dims, dtype=complex)
-        out[np.ix_(*([pos] * self.dims))] = self.coeffs
+    def embed(self, side: int, half: bool = False) -> np.ndarray:
+        """The window on a (side,)^D grid in fft layout: frequency k at index k mod side.
+        ``half`` keeps only the last axis's k >= 0, on its first 2^m indices:
+        the ``rfftn`` layout, which ``irfftn`` pads to side."""
+        pos = [_window_positions(self.m, side)] * self.dims
+        shape, coeffs = [side] * self.dims, self.coeffs
+        if half:
+            M = self.max_frequency
+            pos[-1], shape[-1], coeffs = pos[-1][M:], M + 1, coeffs[..., M:]
+        out = np.zeros(shape, dtype=complex)
+        out[np.ix_(*pos)] = coeffs
         return out
 
     def wrapped_vector(self) -> np.ndarray:
@@ -127,7 +143,24 @@ def dft_coefficients(g: GridFunction) -> np.ndarray:
     if not abs(np.sum(np.abs(g.samples) ** 2) - 1.0) <= GRID_NORM_TOL:
         raise NonUnitNorm("grid function is not unit-norm")
     scale = 2.0 ** (g.dims * g.n / 2)
-    return np.fft.ifftn(g.samples) * scale
+    if np.iscomplexobj(g.samples):
+        return np.fft.ifftn(g.samples) * scale
+    h, axes = 2 ** (g.n - 1), range(g.dims - 1)
+    c = np.empty(g.samples.shape, dtype=complex)
+    half = np.fft.rfftn(g.samples, norm="forward")
+    np.multiply(np.conjugate(half, out=half), scale, out=c[..., :h + 1])
+    for k in (0, h):  # self-conjugate planes, Hermitian only to rounding when D > 1
+        c[..., k] = (c[..., k] + np.conjugate(_negated(c[..., k], axes))) / 2
+    np.conjugate(_negated(c[..., h - 1:0:-1], axes), out=c[..., h + 1:])
+    return c
+
+
+def _negated(a: np.ndarray, axes) -> np.ndarray:
+    """``a`` at frequency -k mod side on each of ``axes``: index 0 stays and
+    the rest reverse, by slices (``a`` itself when there is no axis)."""
+    for axis in axes:
+        a = np.roll(np.flip(a, axis), 1, axis)
+    return a
 
 
 def reconstruct(coeffs_full: np.ndarray) -> np.ndarray:

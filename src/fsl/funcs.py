@@ -171,7 +171,8 @@ def builtin(name: str, overrides: dict | None = None, sqrt_mode: bool = False) -
 
 
 def sample(fdef: FunctionDef, n: int) -> GridFunction:
-    """Evaluate on the (2^n)^D grid at coordinates k/2^n and normalize.
+    """Evaluate on the (2^n)^D grid at coordinates k/2^n and normalize; real
+    values stay real (float64 samples).
 
     In sqrt mode the signed amplitude is used when the function provides one;
     otherwise values below -1e-12 raise and tiny negatives clamp to zero.
@@ -193,7 +194,7 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
                 raise NegativeUnderSqrt(
                     f"f reaches {np.min(values):.3g} < -1e-12; cannot take a square root")
             values = np.sqrt(np.clip(values, 0.0, None))
-    values = np.broadcast_to(np.asarray(values, dtype=complex), (2**n,) * fdef.dims)
+    values = np.broadcast_to(np.asarray(values), (2**n,) * fdef.dims)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{fdef.name} is not finite on the grid")
     return GridFunction.from_samples(values)

@@ -8,7 +8,9 @@ value.  A refactor of the compile path must leave every digest as it is; a
 change that means to alter output must re-record them and say why.
 
 ``python tests/test_cli_bytes.py`` prints the current tree's digests of every
-case as a ``DIGESTS`` literal, to paste over the recorded one.
+case as a ``DIGESTS`` literal, to paste over the recorded one, and nothing
+else; ``tests/test_compiler.py`` and ``tests/test_simulator.py`` print their
+``UNCHANGED`` and ``STATE_DIGESTS`` the same way, through ``print_literal``.
 
 Digests depend on numpy's floating-point kernels, so the test only runs under
 the numpy version they were recorded with.
@@ -76,11 +78,11 @@ CASES = {
 
 DIGESTS = {
     "expr": {
-        "circuit.json": "2b8e63a526179634fa9ccd49554e4aaebaee04a126329b7599993d9e16541fba",
-        "circuit.qasm": "b9dbdf2440f16562bbf2baab98b39960f8e8c5f9dba4fd7eeeac2a26c9620f35",
+        "circuit.json": "59ec19e13e904864faded82ca49aa4aad3a6a590800ca18f76293418cc145813",
+        "circuit.qasm": "82df6b77b5b79c7c9f0233492c56231911c5bc33bf3fbd935070019255332371",
         "exit": 0,
-        "report.json": "32d1887540bce2b281b29c51434824eaef9682fb27181ea3374f487101161561",
-        "stdout": "32d1887540bce2b281b29c51434824eaef9682fb27181ea3374f487101161561",
+        "report.json": "2197ebb5b50abd22fca06e45d5027a4faa7e1d3a4798a28a15c2e2c3a8965692",
+        "stdout": "2197ebb5b50abd22fca06e45d5027a4faa7e1d3a4798a28a15c2e2c3a8965692",
     },
     "image": {
         "circuit.json": "2421f914c16e0644dc46f39d1bca15077ac9da8e26d99259e31817e1932a3084",
@@ -90,74 +92,74 @@ DIGESTS = {
         "stdout": "6573103dd60b3a94ff162ff4060eaf558640c650be1c195de1b3787c2a2dd580",
     },
     "mirror-disentangle-filtered": {
-        "circuit.json": "c1d1daec4bb37df1834639098268dfb73433f0e4f44a6b35556ac1cef26fc73e",
-        "circuit.qasm": "80725590948b0dc7731d0f4d3777ffd8fa9c922fef166cf6f367bf3c2dd064c5",
+        "circuit.json": "fe534a958c5063f4be6f327b8345cd795b6ab4e6416f8ee027ad3bf86a6356b2",
+        "circuit.qasm": "f5f71085f0462aa3c06c485c2ef8ead1bc789523b283415a17aa53ef13e3023b",
         "exit": 0,
-        "report.json": "09f45a233b9716e86b314e6623c67689c4a1d8ce9fdc37902536567b78c356d5",
-        "stdout": "09f45a233b9716e86b314e6623c67689c4a1d8ce9fdc37902536567b78c356d5",
+        "report.json": "6b2e1b2fb174177ac907adfdba92bebcdceb25a53cac12e400f8e2fbc8908f12",
+        "stdout": "6b2e1b2fb174177ac907adfdba92bebcdceb25a53cac12e400f8e2fbc8908f12",
     },
     "mirror-measure-filtered": {
-        "circuit.json": "b42bf4144d97249453f50a1afa6d19879e54ad0dde571758353a16b8462f8317",
-        "circuit.qasm": "953336bf0add2c7841623d55f37cc328dc98b14141cba79acf9c445987338abb",
+        "circuit.json": "d86b9756adf7c7f8d0690967a5854561bea5f0a75290bd937ee03141372ffd9b",
+        "circuit.qasm": "48049e8114b9eaf6ad4b155691e9a8de658a264e91aa5c5a154d54602b714a1b",
         "exit": 0,
-        "report.json": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
-        "stdout": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
+        "report.json": "d6f5a1c45851bf4365dbc625bc216e06ab9a4f8d7f4be0926d45cadc5da59970",
+        "stdout": "d6f5a1c45851bf4365dbc625bc216e06ab9a4f8d7f4be0926d45cadc5da59970",
     },
     "simulate-piecewise-n14": {
         "exit": 0,
-        "stdout": "06b0a5d8ae1ff200d5a264c698a2014ecdd6c43579251a9b647f79047a577df9",
+        "stdout": "2fc9797bd955ebe69d7d163bf566efce0532867c1594c7861504f5a7c58a61e9",
     },
     "simulate-shots": {
         "exit": 0,
-        "stdout": "08254befc8045afa5a95fa880d1bf6989447ade5be09195980cbfa7d759f47f3",
+        "stdout": "14da317f1e29825d7034014ea01b200d27d1d85c4e3416b57dc7016a70cd2c35",
     },
     "simulate-tanh-measure-filtered-shots": {
         "exit": 0,
-        "stdout": "52b73492907235fd7a1102b4dc5cb4aebdeeaa0876e7ba30704e42d18f7ec886",
+        "stdout": "b1995816211ed2325086e1caeeaa90dd1fe11154c7cc4db31f616e737bb2e795",
     },
     "simulate-tanh-mirror-shots": {
         "exit": 0,
-        "stdout": "57511e07dd53229372149ad2186b4cf437a9c10c1db2f543ffd258cf8ef6d83c",
+        "stdout": "a9e7a32779cd95e6510c23c2d332885a2c51b07d7c7fca31316815a50561573a",
     },
     "sinc2d": {
-        "circuit.json": "40ecba0201f803c7d5c3d3d3a04bd73e2d24f500213cf0a3ba49f7b8c190364a",
-        "circuit.qasm": "f0f2bd7088b0923e45a9ee3bea514a7d2646dda03af578db330c0072d3d01017",
+        "circuit.json": "7581cf028d8a92ecb93d61513ae3037303dd7e6adaee0b951a52cf8aeabf740d",
+        "circuit.qasm": "b7f58b7da4c73fe717e1601cfedc8f9da94a1f61c38cd64e497d55e17243147e",
         "exit": 0,
-        "report.json": "d2190ff1fcf7fcff537c165dc679f017e17ce62d876037f021dd6afd02561206",
-        "stdout": "d2190ff1fcf7fcff537c165dc679f017e17ce62d876037f021dd6afd02561206",
+        "report.json": "c9eb616879ac4564bb15907b8e2477296f60e9ca5cb9ce7ba21bee12969f540e",
+        "stdout": "c9eb616879ac4564bb15907b8e2477296f60e9ca5cb9ce7ba21bee12969f540e",
     },
     "sweep-mirror-filtered": {
         "exit": 0,
-        "stdout": "c3582b65ec2704ce22fc26824d16feb686261b67b6d0742bd57f6ac05ece084a",
+        "stdout": "dae3a6c84e555a3b15867fd77bf6e055dbe9d25d88adc2a7d11ab3a34b995930",
     },
     "sweep-mirror-measure": {
         "exit": 0,
-        "stdout": "2fd06a5259640f0e84c09ae5c14cc45a56b38f32db803411c979e98e4d2155b0",
+        "stdout": "f7a0a40f6658bed61960d60bf75520481d84d825418b29e48c0a4c49c52abaf2",
     },
     "sweep-periodic": {
         "exit": 0,
-        "stdout": "d81e007cc4a56180f28b6d00b54c9e06cac08212ff8087f807b788eb5273e8ac",
+        "stdout": "763291dde28fff659d454b0e66357f2c867532dbaee8d4cd0e953a13926922dc",
     },
     "ucr-bimodal-n13-m7": {
-        "circuit.json": "46e4ffa47afe2d70bc437501f6cf8307bfcef4e82002ee1402fed3e3d933f928",
-        "circuit.qasm": "80dce4d2a33db31d6eabd26749c68800d4989c4e1d369cfbc5165da95d8329d1",
+        "circuit.json": "f5af40a5eafbc16dd6da36fa975fb45c9af41182722ac704b1d4ca3ebd0c8e75",
+        "circuit.qasm": "1bf297986d34738cfaf3eed2e32012015aee0c954073b6c5c2e5bd175e8008c5",
         "exit": 0,
-        "report.json": "7d6e29db5e54c72e9184d5c2025f66e24e483376fd4aa586b416d91ae8bf782c",
-        "stdout": "7d6e29db5e54c72e9184d5c2025f66e24e483376fd4aa586b416d91ae8bf782c",
+        "report.json": "bf0fdf6970b58c675b84861aa924313d9dcf60784662e3bd6dca281fdcb1a75a",
+        "stdout": "bf0fdf6970b58c675b84861aa924313d9dcf60784662e3bd6dca281fdcb1a75a",
     },
     "ucr-piecewise-n12-m9": {
-        "circuit.json": "69210b4f4a950fbeda4641953550ccc67e8f629f9a934d1592e54f059b1fb8f9",
-        "circuit.qasm": "c7634dbc1569b92e588b5334cf89c54b9a7a8e550d5adcdd0bc87b729523dbad",
+        "circuit.json": "007d00d1e14cd0865801cb319f9b9e584026e480c0ed0752714f577dff541793",
+        "circuit.qasm": "f96fd06c6febfb873370bd72b9e533da8d1b5f0b35e48cafc371fdab88f9d794",
         "exit": 0,
-        "report.json": "acc80cd45321c9eeb7a8ee6b5627221f3bddfbc3335e7aa5b39d4ec682354878",
-        "stdout": "acc80cd45321c9eeb7a8ee6b5627221f3bddfbc3335e7aa5b39d4ec682354878",
+        "report.json": "8846cb78a855ccc528d7bb8cd2f40948e77219fcb669a1f2178c9e85c8dfaf46",
+        "stdout": "8846cb78a855ccc528d7bb8cd2f40948e77219fcb669a1f2178c9e85c8dfaf46",
     },
     "ucr-sinc-n14-m5": {
-        "circuit.json": "5f05a9ff15b98ab2f8fdd53469df638cb06beac58d274530453faf8b0e357ecd",
-        "circuit.qasm": "aad4d0e5dd5a13cb39e7bb5487f0ae5fe031776669ff89fa1e00e4d5e6534ec7",
+        "circuit.json": "d3e1337eb194441a8f49e8e01519d7acd8a6b28f5f2645ba28607f08edb6a3c9",
+        "circuit.qasm": "a7763d4f332f0cf9c37fe1c7c3378d4ace44340b2d8a2bf8d1309bca71b5066b",
         "exit": 0,
-        "report.json": "5cc5b5a506c323c908d8a7eb3c485f56755e348c62e6d8a4e60d9e03ffae4fe6",
-        "stdout": "5cc5b5a506c323c908d8a7eb3c485f56755e348c62e6d8a4e60d9e03ffae4fe6",
+        "report.json": "60821f51a9a5daff7a18330073f019e5b470c233e9c8c66782472b1f96081626",
+        "stdout": "60821f51a9a5daff7a18330073f019e5b470c233e9c8c66782472b1f96081626",
     },
 }
 
@@ -296,18 +298,28 @@ def test_low_rank_schmidt_compile_matches_recorded_counts(name, tmp_path):
             sum(map(_loader_two_qubit, halves)) - _loader_two_qubit(vec)
 
 
-def _print_digests() -> None:
-    """Print every case's digests as a ``DIGESTS = {...}`` literal in this file's layout."""
-    print("DIGESTS = {")
-    for name in sorted(CASES):
-        with tempfile.TemporaryDirectory() as work:
-            digests = case_digests(name, Path(work))
-        print(f"    {json.dumps(name)}: {{")
-        for key, value in sorted(digests.items()):
-            print(f"        {json.dumps(key)}: {json.dumps(value)},")
-        print("    },")
+def print_literal(name: str, entries: dict) -> None:
+    """Print ``entries`` as a ``name = {...}`` literal in this file's layout, keys
+    sorted and a dict value one level deep, to paste over the recorded one."""
+    print(f"{name} = {{")
+    for key, value in sorted(entries.items()):
+        if isinstance(value, dict):
+            print(f"    {json.dumps(key)}: {{")
+            for k, v in sorted(value.items()):
+                print(f"        {json.dumps(k)}: {json.dumps(v)},")
+            print("    },")
+        else:
+            print(f"    {json.dumps(key)}: {json.dumps(value)},")
     print("}")
 
 
+def _current_digests() -> dict:
+    digests = {}
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as work:
+            digests[name] = case_digests(name, Path(work))
+    return digests
+
+
 if __name__ == "__main__":
-    _print_digests()
+    print_literal("DIGESTS", _current_digests())

@@ -16,7 +16,7 @@ from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
                          lanczos_filter, mirror_extend, truncate)
 from fsl.frqi import GrayImage, compile_frqi, phase_spectra
 from fsl.simulator import Statevector, fidelity, reduced_population, run
-from test_cli_bytes import RECORDED_NUMPY
+from test_cli_bytes import RECORDED_NUMPY, print_literal
 
 
 def random_grid(rng, n, dims=1):
@@ -60,6 +60,23 @@ class TestTargetState:
         spec = truncate(dft_coefficients(random_grid(rng, 5)), 2)
         t = target_state(spec, 9)  # interpolate the same series on a finer grid
         assert t.num_qubits == 9
+
+    @pytest.mark.parametrize("dims, n, m", [(1, 7, 4), (2, 4, 2), (3, 3, 1)])
+    @pytest.mark.parametrize("filter_a", [None, 0.5])
+    def test_real_grid_takes_irfftn_and_equals_reconstruct(self, rng, monkeypatch,
+                                                           dims, n, m, filter_a):
+        spec = prepare_spec(GridFunction.from_samples(rng.standard_normal((2**n,) * dims)),
+                            m, filter_a)
+        want = fourier.reconstruct(spec.embed(2**n)).reshape(-1)
+        monkeypatch.setattr(fourier, "reconstruct", lambda _: pytest.fail("reconstruct ran"))
+        got = target_state(spec, n).amplitudes
+        assert np.max(np.abs(got - want / np.linalg.norm(want))) < 1e-15
+
+    def test_complex_window_is_reconstructed_as_before(self, rng):
+        n = 6
+        spec = truncate(dft_coefficients(random_grid(rng, n)), 3)
+        want = fourier.reconstruct(spec.embed(2**n)).reshape(-1)
+        assert np.array_equal(target_state(spec, n).amplitudes, want / np.linalg.norm(want))
 
     @pytest.mark.parametrize("n", [2, 1])
     def test_grid_too_coarse_for_the_window_is_rejected(self, n):
@@ -381,16 +398,18 @@ CHANGED = {
 }
 # The other eight are neither, and their gates, counts and depth stay as they
 # were; the SHA-256 of the kind, wire and angle columns pins them, angles as the
-# pairwise recursion of ``mottonen_angles`` gives them.
+# pairwise recursion of ``mottonen_angles`` gives them.  Since a real grid's
+# window is exactly Hermitian, gaussian2d has four RZs fewer (523/528/1004 ->
+# 519/528/1001): their angles are exactly 0, and the emitter drops them.
 UNCHANGED = {
-    "bimodal_gaussian": "77c4aa4f478e964a8701c73f5f27165a1bb0760236cf949fd91a5854aee97d5e",
+    "bimodal_gaussian": "2186087dae22bbd388ffce840cb4e9904bc5123425428b4086ac33b923514871",
     "constant": "43b9ee22cc9879b8d84362c2b5c4d4f28c0122ab062c89eff0ff93e61f699f95",
-    "gaussian2d": "b171842429ac8de0e55c29f667385326859233fcf832b26f21c62ab44ffaae1c",
-    "lognormal": "27440ebbd8dd6f3f212ad078ad1bc75f4c969df95b7e6414a5931e108523735f",
-    "piecewise": "db38e22ab4089067401ad6f08062472697b3f30ee8e0db71238e2c4fad89bac7",
-    "qho_excited": "5a18bd645b72ca0a742f54a56012f3d84dc6b8c8981c73a9a23a11ace151376a",
-    "tanh": "32f090c1a40c0432c2b94b92b98f8357d108444bef3cfa5bb2316da282ea0bf5",
-    "xpowx": "c906f6e09c3602a503e45e004a0969e6894667c5e3068b2f0bc6384e60a0b9a0",
+    "gaussian2d": "64ee2fd95838fed79011e679788162a9fe421c1ae614b839e4b35d7c88a0d284",
+    "lognormal": "4c6ac63c80ccf330c0a5c2a578f3a1d79e0ab4ab1c3828fade7fc6e75432918d",
+    "piecewise": "566d7afbede3108fd8cfa76938cf25ad2f030d590d1ba281ecc82b466bc503f5",
+    "qho_excited": "f64777672053869efeda09b977cfa7c65a77404df6adb3c2afd3e605433c057d",
+    "tanh": "60b85f661d888ec4b4bf21a9a2c5ca4728119be4a2b18d84fc9a256c985638ca",
+    "xpowx": "0e3dd19d886b7c90c8ee6460fd048344234af72e9c0152336b67e4becc684682",
 }
 
 
@@ -400,6 +419,12 @@ def _catalogue_compile(name):
     plan = FSLPlan(n=n, m=3, dims=fdef.dims)
     spec = prepare_spec(funcs.sample(fdef, n), 3)
     return compile_spec(spec, plan) + (spec, plan)
+
+
+def _catalogue_digest(name) -> str:
+    circ = _catalogue_compile(name)[0]
+    return hashlib.sha256(b"".join(col.tobytes()
+                                   for col in (circ.kinds, circ.wires, circ.angles))).hexdigest()
 
 
 class TestSeparableAndRealLoads:
@@ -438,10 +463,16 @@ class TestSeparableAndRealLoads:
                         reason=f"digests were recorded under numpy {RECORDED_NUMPY}")
     @pytest.mark.parametrize("name", sorted(UNCHANGED))
     def test_other_circuits_are_unchanged(self, name):
-        circ = _catalogue_compile(name)[0]
-        got = hashlib.sha256(b"".join(col.tobytes()
-                                      for col in (circ.kinds, circ.wires, circ.angles)))
-        assert got.hexdigest() == UNCHANGED[name]
+        assert _catalogue_digest(name) == UNCHANGED[name]
+
+
+def test_exactly_hermitian_window_drops_zero_angle_rz():
+    """piecewise n=20, m=14: the 15-wire loader vector is dense and not real,
+    so its phase cascade has 2^15 RZ angles.  The window is exactly Hermitian,
+    which makes two of them exactly 0, and the emitter drops those."""
+    spec = prepare_spec(funcs.sample(funcs.builtin("piecewise"), 20), 14)
+    report = compile_spec(spec, FSLPlan(n=20, m=14))[1]
+    assert report.gate_counts.by_kind["RZ"] == 32766
 
 
 class TestAssembleEqualsReference:
@@ -547,3 +578,7 @@ class TestReportDict:
         assert opaque.contains_opaque and not decomposed.contains_opaque
         assert opaque.to_dict()["contains_opaque"] is True
         assert decomposed.to_dict()["contains_opaque"] is False
+
+
+if __name__ == "__main__":
+    print_literal("UNCHANGED", {name: _catalogue_digest(name) for name in UNCHANGED})

@@ -78,6 +78,31 @@ class TestDftCoefficients:
         assert np.max(np.abs(back - g.samples)) < 1e-10
 
 
+class TestRealGrids:
+    """A real grid keeps float64 samples and takes its spectrum with rfftn; the
+    spectrum is the complex transform's, and exactly Hermitian."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_spectrum_matches_the_complex_transform(self, rng, dims, n):
+        g = GridFunction.from_samples(rng.standard_normal((2**n,) * dims))
+        assert g.samples.dtype == np.float64
+        want = np.fft.ifftn(g.samples.astype(complex)) * 2.0 ** (dims * n / 2)
+        assert np.max(np.abs(dft_coefficients(g) - want)) < 1e-15
+
+    @pytest.mark.parametrize("dims, n", [(1, 6), (2, 4), (3, 3)])
+    def test_every_window_is_exactly_hermitian(self, rng, dims, n):
+        full = dft_coefficients(GridFunction.from_samples(rng.standard_normal((2**n,) * dims)))
+        for m in range(n):
+            c = truncate(full, m).coeffs
+            assert np.array_equal(c, np.conj(c[(slice(None, None, -1),) * dims])), m
+
+    def test_complex_grid_takes_the_complex_transform(self, rng):
+        g = grid_from(rng, 4, dims=2)
+        assert g.samples.dtype == np.complex128
+        assert np.array_equal(dft_coefficients(g), np.fft.ifftn(g.samples) * 2.0**4)
+
+
 class TestTruncate:
     def test_band_limited_input_is_unchanged(self, rng):
         full = np.zeros(32, dtype=complex)

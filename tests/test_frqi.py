@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fsl import fourier
+from fsl import fourier, frqi
 from fsl.compiler import FSLPlan, Loader
 from fsl.errors import CapacityExceeded, InvalidImage
 from fsl.frqi import (GrayImage, compile_frqi, frqi_target, frqi_truncated_target,
@@ -127,6 +127,22 @@ def two_spectrum_target(img, m):
     gp, gm = halves
     amps = np.concatenate([(gp + gm) / 2.0, 0.5j * (gp - gm)])
     return amps / np.linalg.norm(amps)
+
+
+class TestComplexPhaseGrid:
+    def test_spectrum_and_target_take_the_complex_transforms(self):
+        """g+ is complex, so its spectrum is ifftn's and its target
+        ``reconstruct``'s, bit for bit."""
+        pixels = ((np.arange(1024) * 37 + 11) % 256).reshape(32, 32) / 255
+        img, m = GrayImage(32, pixels), 2
+        g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
+        spec = fourier.truncate(np.fft.ifftn(g_plus) * img.side, m)  # 2^(Dn/2) = side
+        assert np.array_equal(frqi._phase_spec(img, m).coeffs, spec.coeffs)
+        t = fourier.reconstruct(spec.embed(img.side)).reshape(-1)
+        t /= np.linalg.norm(t)
+        want = np.concatenate([t.real, -t.imag])
+        assert np.array_equal(frqi_truncated_target(img, m).amplitudes,
+                              want / np.linalg.norm(want))
 
 
 class TestTruncatedTarget:

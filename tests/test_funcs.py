@@ -128,6 +128,20 @@ class TestSampling:
         raw = np.add.outer(np.arange(4) / 4, 10 * np.arange(4) / 4)
         assert np.allclose(g.samples, raw / np.linalg.norm(raw))
 
+    @pytest.mark.parametrize("fd", [
+        *(funcs.builtin(name) for name in funcs.CATALOG_NAMES if name != "complex_cosines"),
+        funcs.expression("sin(2*pi*x) + 0.5*x^2 + exp(-x)"),
+        funcs.expression("x + 10*y", dims=2),
+        funcs.builtin("lognormal", sqrt_mode=True),
+        funcs.builtin("spiky", sqrt_mode=True),
+    ], ids=lambda fd: fd.name + (" sqrt" if fd.sqrt_mode else ""))
+    def test_real_function_samples_float64(self, fd):
+        assert funcs.sample(fd, 4 if fd.dims == 1 else 3).samples.dtype == np.float64
+
+    def test_complex_function_samples_complex128(self):
+        g = funcs.sample(funcs.builtin("complex_cosines"), 4)
+        assert g.samples.dtype == np.complex128
+
     def test_tanh_default_is_shifted_positive(self):
         vals = funcs.builtin("tanh").evaluate(np.arange(32) / 32)
         assert np.all(vals.real > 0)

