@@ -47,7 +47,7 @@ class GridFunction:
         s = _real_or_complex(self.samples)
         if s.shape != (2**self.n,) * self.dims:
             raise DimensionMismatch(f"expected shape {(2**self.n,) * self.dims}, got {s.shape}")
-        if not abs(np.sum(np.abs(s) ** 2) - 1.0) <= 1e-12:
+        if not abs(np.vdot(s, s).real - 1.0) <= 1e-12:
             raise NonUnitNorm("grid samples are not unit-norm")
         s = np.ascontiguousarray(s)
         s.setflags(write=False)
@@ -97,7 +97,7 @@ class FourierSpec:
         w = 2 ** (self.m + 1) - 1
         if c.shape != (w,) * self.dims:
             raise DimensionMismatch(f"expected window shape {(w,) * self.dims}, got {c.shape}")
-        if not abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12:
+        if not abs(np.vdot(c, c).real - 1.0) <= 1e-12:
             raise NonUnitNorm("windowed coefficients are not unit-norm")
         c = np.ascontiguousarray(c)
         c.setflags(write=False)
@@ -140,7 +140,7 @@ class SpectralTail:
 
 def dft_coefficients(g: GridFunction) -> np.ndarray:
     """Full coefficient tensor of ``g`` in fft layout (unitary, positive kernel)."""
-    if not abs(np.sum(np.abs(g.samples) ** 2) - 1.0) <= GRID_NORM_TOL:
+    if not abs(np.vdot(g.samples, g.samples).real - 1.0) <= GRID_NORM_TOL:
         raise NonUnitNorm("grid function is not unit-norm")
     scale = 2.0 ** (g.dims * g.n / 2)
     if np.iscomplexobj(g.samples):

@@ -1,11 +1,17 @@
 """Dense statevector simulation, fidelity metrics, and measurement sampling.
 
 Amplitude vectors are big-endian: qubit 0 is the most significant index bit, matching the
-circuit convention.  ``run`` allocates one 2^n buffer and lets wires join lazily: the first
-gate on a wire makes it the new most significant axis of the active prefix, whose new upper
-half is still zero, so nothing is copied and an FSL loader sweeps 2^(m+1) amplitudes instead
-of 2^n.  One last transpose maps the wires' bit positions and the output permutation to wire
-order.
+circuit convention.  ``run`` allocates one 2^n buffer and lets wires join lazily: a wire
+joins when a gate first mixes it, as the new most significant axis of the active prefix.  A
+fresh wire's new upper half is still zero, so nothing is copied and an FSL loader sweeps
+2^(m+1) amplitudes instead of 2^n.  A CNOT onto a fresh wire records a copy of its control's
+source and moves nothing.  A copy in a diagonal role (RZ, PHASE, either CPHASE wire, a CNOT
+control, a fused H step's partner) reads its source's axis; any other role, a mixing gate on
+its source, or the end of the run joins it: the half of the prefix where the source reads 1
+moves up to the new upper half.  So an FSL fan-out costs nothing, and the iQFT stage on each
+copy runs on a prefix one bit wider than the stage before.  With an ``initial`` state every
+wire is active and no copy is recorded.  One last transpose maps the wires' bit positions and
+the output permutation to wire order.
 Gates see axes: ``_at`` is the strided view (no copy) of the amplitudes whose listed axes
 read the given bits, which built-in gates swap (X, CNOT, SWAP), scale (RZ, PHASE, CPHASE) or
 mix with a 2x2 matrix (RY); opaque unitaries apply their dense block to the axes moved to
@@ -38,7 +44,8 @@ MAX_OPAQUE_QUBITS = 12
 
 _NORM_TOL = 1e-10
 _SQRT_HALF = 1 / math.sqrt(2)
-_H, _CPHASE = CODES[GateKind.H], CODES[GateKind.CPHASE]
+_H, _CNOT, _CPHASE = CODES[GateKind.H], CODES[GateKind.CNOT], CODES[GateKind.CPHASE]
+_DIAGONAL = {CODES[GateKind.RZ], CODES[GateKind.PHASE], _CPHASE}
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class Statevector:
         if amps.shape != (2**self.num_qubits,):
             raise DimensionMismatch(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}")
-        norm = np.sum(np.abs(amps) ** 2)
+        norm = np.vdot(amps, amps).real
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"statevector is not normalized (squared norm {norm!r})")
         amps = np.ascontiguousarray(amps)
@@ -199,29 +206,56 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
     else:
         psi = initial.amplitudes.copy()
         order = {w: n - 1 - w for w in range(n)}
+    copies = {}  # copy wire -> the active wire it copies
+
+    def materialise(w):  # the copy w becomes the new top axis: its source's 1-half moves up
+        a, p = len(order), order[copies.pop(w)]
+        ones = _at(psi[:2**a], (a - 1 - p,), (1,))
+        _at(psi[2**a:2**(a + 1)], (a - 1 - p,), (1,))[...] = ones
+        ones[...] = 0
+        order[w] = a
+
     kinds, angles, rows, j = c.kinds.tolist(), c.angles.tolist(), c.wires.tolist(), 0
     while j < len(kinds):  # gates i..j-1 run as one step: a gate, or an H and its CPHASE run
         i, j = j, j + 1
+        kind = kinds[i]
         wires = c.side[i].qubits if i in c.side else tuple(q for q in rows[i] if q != -1)
-        while (kinds[i] == _H and j < len(kinds) and kinds[j] == _CPHASE
+        while (kind == _H and j < len(kinds) and kinds[j] == _CPHASE
                and wires[0] in rows[j]):  # a CPHASE right after the H, on its wire
             wires += tuple(q for q in rows[j] if q != wires[0])
             j += 1
+        if kind == _CNOT and wires[1] not in order and wires[1] not in copies:
+            source = copies.get(wires[0], wires[0])  # a CNOT onto a fresh wire: a copy
+            order.setdefault(source, len(order))
+            copies[wires[1]] = source
+            continue
+        # Diagonal roles read a copy's source; any other role first makes the copy an
+        # axis, and a source in one first materialises all its copies.
+        mixed = (wires[:1] if kind == _H else wires[1:] if kind == _CNOT
+                 else () if kind in _DIAGONAL else wires)
+        for q in mixed:
+            for w in [w for w, source in copies.items() if q in (w, source)]:
+                materialise(w)
+        wires = tuple(copies.get(q, q) for q in wires)
         for q in wires:
             order.setdefault(q, len(order))
         active, r = len(order), len(order) // 2
         if j > i + 1 and order[wires[0]] < r:  # an H with partners: rotate the low bits up
             psi[:2**active] = psi[:2**active].reshape(2**r, -1).T.reshape(-1)
             order = {w: (p + r) % active for w, p in order.items()}
-        # A gate on a wires sees at least 2^(a+2) amplitudes (the extra axes read 0):
+        # A gate on a axes sees at least 2^(a+2) amplitudes (the extra axes read 0):
         # numpy and BLAS round 1-element and 1-3-column operands unlike a full-width run.
         k = min(n, max(len(order), len(set(wires)) + 2))
         qs = tuple(k - 1 - order[q] for q in wires)
-        if kinds[i] == _H:
+        if kind == _H:
             _h_phase(psi[:2**k], qs, angles[i + 1:j], k)
+        elif len(set(qs)) < len(qs):  # a CPHASE within one copy family is a PHASE
+            _apply_gate(psi[:2**k], (GateKind.PHASE, angles[i], None), qs[:1], k)
         else:
             matrix = c.side[i].matrix if i in c.side else None
-            _apply_gate(psi[:2**k], (KINDS[kinds[i]], angles[i], matrix), qs, k)
+            _apply_gate(psi[:2**k], (KINDS[kind], angles[i], matrix), qs, k)
+    for w in list(copies):
+        materialise(w)
     for w in reversed(range(n)):  # untouched wires fill the leading axes
         order.setdefault(w, len(order))
     axes = [n - 1 - order[w] for w in c.output_permutation]

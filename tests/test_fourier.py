@@ -399,6 +399,10 @@ class TestDecaySlope:
             decay_slope(g, range(2, 8))  # everything saturates at ~0
 
 
+# Fills whose squared norm is NaN, infinite or overflows a float
+UNNORMED_FILLS = [np.inf, 1e300, 1e300 + 1e300j, complex(0, np.nan)]
+
+
 class TestGridFunctionValidation:
     @pytest.mark.parametrize("dims, shape", [(1, (8,)), (2, (4, 8)), (2, (4,))])
     def test_shape_enforced(self, dims, shape):
@@ -408,6 +412,15 @@ class TestGridFunctionValidation:
     def test_nan_samples_fail_the_norm_check(self):
         with pytest.raises(NonUnitNorm):
             GridFunction(1, 2, np.full(4, np.nan))
+
+    @pytest.mark.parametrize("fill", UNNORMED_FILLS)
+    def test_infinite_or_overflowing_samples_fail_the_norm_check(self, fill):
+        with pytest.raises(NonUnitNorm, match="grid samples are not unit-norm"):
+            GridFunction(1, 2, np.full(4, fill))
+        g = GridFunction.from_samples(np.ones(4))
+        object.__setattr__(g, "samples", np.full(4, fill))
+        with pytest.raises(NonUnitNorm, match="grid function is not unit-norm"):
+            dft_coefficients(g)
 
     @pytest.mark.parametrize("fill, why", [(0.0, "all-zero"), (1e300, "overflows")])
     def test_from_samples_rejects_a_norm_it_cannot_divide_by(self, fill, why):
@@ -425,6 +438,11 @@ class TestFourierSpecValidation:
     def test_nan_coefficients_fail_the_norm_check(self):
         with pytest.raises(NonUnitNorm):
             FourierSpec(1, 1, np.full(3, np.nan), 1.0)
+
+    @pytest.mark.parametrize("fill", UNNORMED_FILLS)
+    def test_infinite_or_overflowing_coefficients_fail_the_norm_check(self, fill):
+        with pytest.raises(NonUnitNorm, match="windowed coefficients are not unit-norm"):
+            FourierSpec(1, 1, np.full(3, fill), 1.0)
 
     def test_window_shape_enforced(self):
         with pytest.raises(DimensionMismatch):

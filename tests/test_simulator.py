@@ -8,10 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_matrix, dense_gate_matrix, rand_state, random_circuit
+from conftest import (dense_circuit_matrix, dense_gate_matrix, rand_state, rand_unitary,
+                      random_circuit)
 from fsl import funcs, simulator
-from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, h, invert, ry,
-                         swap, unitary)
+from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, h, invert,
+                         phase, ry, rz, swap, unitary, x)
 from fsl.compiler import FSLPlan, compile_nonperiodic, compile_spec, prepare_spec
 from fsl.errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
 from fsl.frqi import GrayImage, compile_frqi
@@ -21,6 +22,7 @@ from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            reduced_population, run, sample)
 from fsl.synth import build_inverse_qft
 from test_cli_bytes import RECORDED_NUMPY, print_literal
+from test_fourier import UNNORMED_FILLS
 
 
 class TestRun:
@@ -106,37 +108,76 @@ class TestRun:
         assert np.allclose(run(elided, s).amplitudes, run(explicit, s).amplitudes)
 
 
-def _sparse_circuit(rng, n, num_gates):
-    """A random circuit, opaque gates included, on a random subset of at least two
-    of the ``n`` wires, with a random output permutation other than the identity."""
-    wires = tuple(int(w) for w in rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-    sub = random_circuit(rng, len(wires), num_gates, include_opaque=True)
+def _sparse_circuit(rng, n, num_gates, gates=()):
+    """A random circuit, opaque gates included, or ``gates`` (on wires 0, 1, ...),
+    on a random subset of at least two of the ``n`` wires, with a random output
+    permutation other than the identity."""
+    least = max([2] + [q + 1 for g in gates for q in g.qubits])
+    wires = tuple(int(w) for w in rng.choice(n, size=int(rng.integers(least, n + 1)),
+                                             replace=False))
+    gates = gates or random_circuit(rng, len(wires), num_gates, include_opaque=True).gates
     perm = tuple(int(v) for v in rng.permutation(n))
     if perm == tuple(range(n)):
         perm = perm[::-1]
-    return Circuit(n, tuple(g.remap(wires) for g in sub.gates), perm)
+    return Circuit(n, tuple(g.remap(wires) for g in gates), perm)
 
 
-def _loader_call_sizes(monkeypatch, c, loader_wires):
-    """Amplitude counts that ``_apply_gate`` or the fused ``_h_phase`` receive for
-    the loader gates of ``c`` (the leading gates that act on ``loader_wires``
-    only), one count for every gate a call covers."""
-    sizes = []
+# Each copies wire 0, after an RY puts it in superposition, onto fresh wires with
+# CNOTs, then uses a copy or its source in one role that ``run`` treats apart.
+_COPY_CASES = {name: (ry(0.7, 0),) + gates for name, gates in {
+    "copy-of-copy-chain": (cnot(0, 1), cnot(1, 2), cnot(2, 3), h(3), cphase(0.3, 2, 1)),
+    "cnot-from-fresh-control": (cnot(1, 2), ry(0.4, 2), cnot(1, 3), h(1), cnot(0, 1)),
+    "rz-and-phase-on-copy": (cnot(0, 1), rz(0.8, 1), phase(-1.1, 1), h(1)),
+    "cphase-copy-source": (cnot(0, 1), cnot(0, 2), cphase(0.9, 1, 0), cphase(-0.4, 0, 2),
+                           cphase(0.5, 1, 2), h(2)),
+    "fused-h-partners-two-copies-and-source": (cnot(0, 1), cnot(0, 2), h(3), cphase(0.6, 1, 3),
+                                               cphase(-0.7, 3, 2), cphase(1.3, 0, 3), h(1)),
+    "ry-on-source": (cnot(0, 1), cnot(0, 2), ry(1.2, 0), cphase(0.2, 1, 2)),
+    "x-on-source": (cnot(0, 1), cnot(1, 2), x(0), h(2)),
+    "swap-on-source": (cnot(0, 1), cnot(0, 2), swap(0, 3), h(1), cnot(3, 2)),
+    "opaque-on-source": (cnot(0, 1), cnot(0, 2),
+                         unitary(rand_unitary(np.random.default_rng(7), 4), (3, 0)), h(2)),
+    "copies-pending-at-end": (cnot(0, 1), cnot(1, 2), cnot(0, 3), rz(0.5, 2)),
+}.items()}
+
+
+def _lazy_case(case, base):
+    """The rng (seeded ``base`` + ``case``) and gates of a ``TestLazyWires`` case:
+    random for a seed, ``_COPY_CASES[case]`` for a name."""
+    if case in _COPY_CASES:
+        seed = base + 1000 + list(_COPY_CASES).index(case)
+        return np.random.default_rng(seed), _COPY_CASES[case]
+    return np.random.default_rng(base + case), ()
+
+
+def _kernel_calls(monkeypatch, c) -> list[tuple[bool, int, tuple[int, ...], int]]:
+    """(is ``_h_phase``, amplitudes received, axes, k) of each kernel call ``run(c)`` makes."""
+    calls = []
     apply_gate, h_phase = simulator._apply_gate, simulator._h_phase
 
     def spy(psi, g, qs, k):
-        sizes.append(psi.size)
+        calls.append((False, psi.size, qs, k))
         apply_gate(psi, g, qs, k)
 
     def fused_spy(psi, qs, angles, k):
-        sizes.extend([psi.size] * len(qs))  # the H and each of its CPHASE gates
+        calls.append((True, psi.size, qs, k))
         h_phase(psi, qs, angles, k)
 
     monkeypatch.setattr(simulator, "_apply_gate", spy)
     monkeypatch.setattr(simulator, "_h_phase", fused_spy)
     run(c)
+    return calls
+
+
+def _loader_call_sizes(monkeypatch, c, loader_wires, fanout):
+    """Amplitude counts that ``_apply_gate`` or the fused ``_h_phase`` receive for
+    the loader gates of ``c`` (the leading gates that act on ``loader_wires``
+    only), one count for every gate a call covers.  Each of the ``fanout`` CNOTs
+    onto a fresh wire only records a copy, so no kernel call covers it."""
+    calls = _kernel_calls(monkeypatch, c)  # a fused call covers its H and each CPHASE
+    sizes = [size for fused, size, qs, _ in calls for _ in range(len(qs) if fused else 1)]
     count = next(i for i, g in enumerate(c.gates) if not set(g.qubits) <= set(loader_wires))
-    assert count > 0 and len(sizes) == len(c.gates)
+    assert count > 0 and len(sizes) == len(c.gates) - fanout
     assert sizes[-1] == 2**c.num_qubits
     return sizes[:count]
 
@@ -174,57 +215,75 @@ class TestSlabSwap:
 
 
 class TestLazyWires:
-    """``run`` activates a wire at its first gate; that must not change any amplitude."""
+    """``run`` activates a wire at the first gate that mixes it, and a CNOT onto a fresh
+    wire only records a copy; that must not change any amplitude."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_sparse_wires_match_dense_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        c = _sparse_circuit(rng, 3 + seed % 4, 12)
+    @pytest.mark.parametrize("case", [*range(12), *_COPY_CASES])
+    def test_sparse_wires_match_dense_oracle(self, case):
+        rng, gates = _lazy_case(case, 0)
+        c = _sparse_circuit(rng, 6 if gates else 3 + case % 4, 12, gates)
         want = dense_circuit_matrix(c)[:, 0]
         assert np.max(np.abs(run(c).amplitudes - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_sparse_wires_from_initial_state_match_dense_oracle(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = 3 + seed % 4
-        c = _sparse_circuit(rng, n, 12)
+    @pytest.mark.parametrize("case", [*range(12), *_COPY_CASES])
+    def test_sparse_wires_from_initial_state_match_dense_oracle(self, case):
+        rng, gates = _lazy_case(case, 100)
+        n = 6 if gates else 3 + case % 4
+        c = _sparse_circuit(rng, n, 12, gates)
         start = rand_state(rng, n)
         want = dense_circuit_matrix(c) @ start
         assert np.max(np.abs(run(c, Statevector(n, start)).amplitudes - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_lazy_run_is_byte_identical_to_explicit_zero_start(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        n = 2 + seed % 7
-        if seed % 2:
-            c = _sparse_circuit(rng, n, int(rng.integers(1, 30)))
+    @pytest.mark.parametrize("case", [*range(40), *_COPY_CASES])
+    def test_lazy_run_is_byte_identical_to_explicit_zero_start(self, case):
+        rng, gates = _lazy_case(case, 200)
+        n = 7 if gates else 2 + case % 7
+        if gates or case % 2:
+            c = _sparse_circuit(rng, n, int(rng.integers(1, 30)), gates)
         else:
             c = random_circuit(rng, n, int(rng.integers(1, 30)), include_opaque=True,
-                               random_perm=seed % 4 == 0)
+                               random_perm=case % 4 == 0)
         assert np.array_equal(run(c).amplitudes, run(c, Statevector.zero(n)).amplitudes)
 
     def test_fsl_loader_runs_on_m_plus_1_wires(self, monkeypatch):
         n, m = 16, 4
         spec = prepare_spec(funcs.sample(funcs.builtin("sinc"), n), m)
         c, _ = compile_spec(spec, FSLPlan(n=n, m=m))
-        sizes = _loader_call_sizes(monkeypatch, c, range(n - m - 1, n))
+        sizes = _loader_call_sizes(monkeypatch, c, range(n - m - 1, n), n - m - 1)
         assert max(sizes) <= 2 ** (m + 1)
 
     def test_frqi_loader_runs_on_its_2m_plus_3_wires(self, monkeypatch):
         n, m = 6, 2
-        img = GrayImage(2**n, np.random.default_rng(3).random((2**n, 2**n)))
-        c, _ = compile_frqi(img, m)
+        c = _fsl_load("frqi-n6")
         loader = [0, *range(n - m, n + 1), *range(2 * n - m, 2 * n + 1)]
-        sizes = _loader_call_sizes(monkeypatch, c, loader)
+        sizes = _loader_call_sizes(monkeypatch, c, loader, 2 * (n - m - 1))
         assert max(sizes) <= 2 ** (2 * (m + 1) + 1)
 
+    @pytest.mark.parametrize("name, dims, n, total", [("piecewise-n16-m4", 1, 16, 393472),
+                                                      ("sinc2d-n8", 2, 8, 339456),
+                                                      ("frqi-n6", 2, 6, 34560)])
+    def test_fused_steps_receive_a_pinned_amplitude_total(self, name, dims, n, total,
+                                                          monkeypatch):
+        """The iQFT stages on fan-out copies run on growing prefixes, so the fused steps
+        see at most half of D (n - 1) 2^N, every fused step at full width."""
+        c = _fsl_load(name)
+        calls = _kernel_calls(monkeypatch, c)
+        got = sum(size for fused, size, qs, _ in calls if fused and len(qs) > 1)
+        assert got == total
+        assert 2 * got <= dims * (n - 1) * 2**c.num_qubits
 
-def _planted_run_circuit(rng, n, num_runs):
+
+def _planted_run_circuit(rng, n, num_runs, fanout=False):
     """Random gates, opaque ones included, with ``num_runs`` planted "H(w) then
     CPHASE gates that touch w" runs: partners on either side of w, either gate
     order, sometimes repeated, and the circuit's wires activating in random order
-    so that some partners are not yet active when their run starts."""
+    so that some partners are not yet active when their run starts.  A ``fanout``
+    first copies one wire, put in superposition, onto all others with CNOTs, each
+    from a random wire that already holds it, so that partners may be copies."""
     gates = []
+    if fanout:
+        gates = [ry(float(rng.uniform(0.3, 2.8)), 0)]
+        gates += [cnot(int(rng.integers(t)), t) for t in range(1, n)]
     for _ in range(num_runs):
         gates += random_circuit(rng, n, int(rng.integers(0, 4)), include_opaque=True).gates
         w = int(rng.integers(n))
@@ -272,42 +331,45 @@ class TestFusedHPhase:
         got = run(compose(prefix, iqft)).amplitudes
         assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(21))
+    @pytest.mark.parametrize("seed", range(28))  # 21 and up plant a fan-out
     def test_planted_runs_match_dense_oracle(self, seed):
         rng = np.random.default_rng(500 + seed)
         n = 2 + seed % 7
-        c = _planted_run_circuit(rng, n, 4)
+        c = _planted_run_circuit(rng, n, 4, fanout=seed >= 21)
         want = dense_circuit_matrix(c)[:, 0]
         assert np.max(np.abs(run(c).amplitudes - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(21))
+    @pytest.mark.parametrize("seed", range(28))  # 21 and up plant a fan-out
     def test_planted_runs_from_initial_state_match_dense_oracle(self, seed):
         rng = np.random.default_rng(600 + seed)
         n = 2 + seed % 7
-        c = _planted_run_circuit(rng, n, 4)
+        c = _planted_run_circuit(rng, n, 4, fanout=seed >= 21)
         start = rand_state(rng, n)
         want = dense_circuit_matrix(c) @ start
         assert np.max(np.abs(run(c, Statevector(n, start)).amplitudes - want)) < 1e-12
 
-    @pytest.mark.parametrize("seed", range(48))
+    @pytest.mark.parametrize("seed", range(64))  # 48 and up plant a fan-out
     def test_planted_runs_lazy_is_byte_identical_to_explicit_zero_start(self, seed):
         rng = np.random.default_rng(700 + seed)
         n = 2 + seed % 12
-        c = _planted_run_circuit(rng, n, int(rng.integers(1, 6)))
+        c = _planted_run_circuit(rng, n, int(rng.integers(1, 6)), fanout=seed >= 48)
         assert np.array_equal(run(c).amplitudes, run(c, Statevector.zero(n)).amplitudes)
 
 
 @functools.cache
 def _fsl_load(name: str) -> Circuit:
     """A periodic, mirror, 2-D or FRQI load wide enough that ``run`` rotates its bits."""
-    if name == "piecewise-n16":
-        spec = prepare_spec(funcs.sample(funcs.builtin("piecewise"), 16), 5)
-        return compile_spec(spec, FSLPlan(n=16, m=5))[0]
+    if name.startswith("piecewise-n16"):
+        m = 4 if name.endswith("-m4") else 5
+        spec = prepare_spec(funcs.sample(funcs.builtin("piecewise"), 16), m)
+        return compile_spec(spec, FSLPlan(n=16, m=m))[0]
     if name == "tanh-mirror-n15":
         return compile_nonperiodic(funcs.sample(funcs.builtin("tanh"), 15), 4, "disentangle")[0]
     if name == "sinc2d-n8":
         spec = prepare_spec(funcs.sample(funcs.builtin("sinc2d"), 8), 3)
         return compile_spec(spec, FSLPlan(n=8, m=3, dims=2))[0]
+    if name == "frqi-n6":
+        return compile_frqi(GrayImage(64, np.random.default_rng(3).random((64, 64))), 2)[0]
     pixels = ((np.arange(1024) * 37 + 11) % 256).reshape(32, 32) / 255
     return compile_frqi(GrayImage(32, pixels), 2)[0]
 
@@ -326,17 +388,15 @@ def _state_digest(name: str) -> str:
     return hashlib.sha256(run(_fsl_load(name)).amplitudes.tobytes()).hexdigest()
 
 
+# (lead wires, registers, register width, m) of each load in STATE_DIGESTS
+_LOAD_SHAPES = {"piecewise-n16": (0, 1, 16, 5), "tanh-mirror-n15": (0, 1, 16, 4),
+                "sinc2d-n8": (0, 2, 8, 3), "frqi-n5": (1, 2, 5, 2)}
+
+
 def _h_steps(c: Circuit, monkeypatch) -> list[tuple[int, int, bool]]:
-    """(target bit, active bits, has CPHASE partners) of each H step ``run(c)`` takes."""
-    steps, h_phase = [], simulator._h_phase
-
-    def spy(psi, qs, angles, k):
-        steps.append((k - 1 - qs[0], k, len(qs) > 1))
-        h_phase(psi, qs, angles, k)
-
-    monkeypatch.setattr(simulator, "_h_phase", spy)
-    run(c)
-    return steps
+    """(target bit, prefix bits, has CPHASE partners) of each H step ``run(c)`` takes."""
+    return [(k - 1 - qs[0], k, len(qs) > 1)
+            for fused, _, qs, k in _kernel_calls(monkeypatch, c) if fused]
 
 
 class TestRotatedBits:
@@ -345,9 +405,17 @@ class TestRotatedBits:
 
     @pytest.mark.parametrize("name", sorted(STATE_DIGESTS))
     def test_every_fused_step_targets_a_high_bit(self, name, monkeypatch):
-        c = _fsl_load(name)
+        c, (lead, dims, n, m) = _fsl_load(name), _LOAD_SHAPES[name]
         steps = [(bit, k) for bit, k, fused in _h_steps(c, monkeypatch) if fused]
-        assert steps and all(k == c.num_qubits for _, k in steps)  # every wire is active
+        active = lead + dims * (m + 1)  # the loader's wires
+        for d in range(dims):  # each register's n - 1 fused steps: its n - m - 1 copies first
+            ks = [k for _, k in steps[d * (n - 1):(d + 1) * (n - 1)]]
+            # a copy stage joins its copy, so each runs one bit wider than the one before,
+            # above the floor of two bits over its m + 2 axes (the copy, the sign, m data)
+            assert ks[:n - m - 1] == [max(active + j + 1, m + 4) for j in range(n - m - 1)]
+            active += n - m - 1
+            assert ks[n - m - 1:] == [active] * m  # the data stages: every wire joined so far
+        assert len(steps) == dims * (n - 1) and active == c.num_qubits
         assert all(bit >= k // 2 for bit, k in steps)
 
     def test_a_lone_h_on_a_low_bit_is_not_rotated(self, monkeypatch):
@@ -387,6 +455,11 @@ class TestStatevectorValidation:
     def test_amplitudes_of_another_shape_rejected(self, shape):
         with pytest.raises(DimensionMismatch, match="expected 8 amplitudes"):
             Statevector(3, np.full(shape, 1 / math.sqrt(np.prod(shape))))
+
+    @pytest.mark.parametrize("fill", UNNORMED_FILLS)
+    def test_infinite_or_overflowing_amplitudes_fail_the_norm_check(self, fill):
+        with pytest.raises(ValueError, match="not normalized"):
+            Statevector(2, np.full(4, fill))
 
 
 class TestFidelity:
