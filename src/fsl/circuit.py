@@ -19,11 +19,11 @@ A ``Circuit`` holds its gate list as columns, one row per gate:
 * ``angles``: float64, NaN where the kind takes no angle;
 * ``side``: gate index -> ``Gate``, a side table for the gates the columns
   cannot hold in full: opaque unitaries (matrix, label and every wire; their
-  row holds the first two wires) and any gate given a label or a matrix.
+  row holds the first two wires).
 
 The compile path, the writers and the simulator read and write the columns;
-a ``Circuit`` checks them once, with whole-array tests.  ``Circuit.gates`` is a
-view: the tuple of ``Gate`` objects, materialised on first use and cached.
+a ``Circuit`` checks them once, with whole-array tests.  ``Circuit.gates`` is the
+tuple of ``Gate`` objects, built from the columns on first use and cached.
 """
 from __future__ import annotations
 
@@ -70,9 +70,11 @@ _ARITY_OF[:len(KINDS)] = [kind.arity for kind in KINDS]
 _ANGLED_OF = np.array([kind.angled for kind in KINDS] + [False] * (256 - len(KINDS)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
-    """A single gate: kind, qubit tuple (controls first), optional angle/matrix."""
+    """A single gate: kind, qubit tuple (controls first), optional angle; an
+    opaque unitary alone holds a matrix and a label.  Gates compare and hash
+    by (kind, qubits, angle, label, matrix bytes)."""
 
     kind: GateKind
     qubits: tuple[int, ...]
@@ -88,6 +90,8 @@ class Gate:
         if self.kind is GateKind.OPAQUE_UNITARY:
             if self.matrix is None:
                 raise ValueError("OPAQUE_UNITARY requires a matrix")
+            if not self.qubits:
+                raise ValueError("OPAQUE_UNITARY requires at least one qubit")
             dim = 2 ** len(self.qubits)
             mat = np.asarray(self.matrix, dtype=complex)
             if mat.shape != (dim, dim):
@@ -97,15 +101,26 @@ class Gate:
             mat = np.ascontiguousarray(mat)
             mat.setflags(write=False)
             object.__setattr__(self, "matrix", mat)
-        else:
-            if len(self.qubits) != self.kind.arity:
-                raise ValueError(f"{self.kind} expects {self.kind.arity} qubits, got {self.qubits}")
-            if self.kind.angled:
-                if self.angle is None or not math.isfinite(self.angle):
-                    raise ValueError(f"{self.kind} requires a finite angle, got {self.angle}")
-                object.__setattr__(self, "angle", float(self.angle))
-            elif self.angle is not None:
-                raise ValueError(f"{self.kind} takes no angle")
+        elif self.matrix is not None or self.label:
+            raise ValueError(f"{self.kind} takes no matrix or label")
+        elif len(self.qubits) != self.kind.arity:
+            raise ValueError(f"{self.kind} expects {self.kind.arity} qubits, got {self.qubits}")
+        if self.kind.angled:
+            if self.angle is None or not math.isfinite(self.angle):
+                raise ValueError(f"{self.kind} requires a finite angle, got {self.angle}")
+            object.__setattr__(self, "angle", float(self.angle))
+        elif self.angle is not None:
+            raise ValueError(f"{self.kind} takes no angle")
+
+    def _key(self) -> tuple:
+        return self.kind, self.qubits, self.angle, self.label, \
+            None if self.matrix is None else self.matrix.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Gate) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def inverse(self) -> Gate:
         if self.kind.angled:
@@ -116,14 +131,6 @@ class Gate:
 
     def remap(self, mapping) -> Gate:
         return Gate(self.kind, tuple(mapping[q] for q in self.qubits), self.angle, self.matrix, self.label)
-
-
-def _view(kind: GateKind, a: int, b: int, angle: float) -> Gate:
-    """The ``Gate`` of an already checked plain row, built without checking it again."""
-    g = object.__new__(Gate)
-    g.__dict__.update(kind=kind, qubits=(a,) if b < 0 else (a, b),
-                      angle=None if angle != angle else angle, matrix=None, label="")
-    return g
 
 
 # Short constructors; these keep circuit builders readable.
@@ -195,7 +202,7 @@ class Circuit:
             raise ValueError(f"gate {g.kind} on {g.qubits} outside {num_qubits} qubits")
         rows = ([CODES[g.kind] for g in gates], [(g.qubits + (-1, -1))[:2] for g in gates],
                 [math.nan if g.angle is None else g.angle for g in gates])
-        side = {i: g for i, g in enumerate(gates) if g.matrix is not None or g.label}
+        side = {i: g for i, g in enumerate(gates) if g.matrix is not None}
         self._fill(num_qubits, rows, side, output_permutation)
         self.__dict__["gates"] = gates
 
@@ -253,7 +260,8 @@ class Circuit:
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
         """The gate list as ``Gate`` objects, materialised from the columns once."""
-        return tuple(self.side[i] if i in self.side else _view(KINDS[k], a, b, angle)
+        return tuple(self.side.get(i) or Gate(KINDS[k], (a,) if b < 0 else (a, b),
+                                              None if angle != angle else angle)
                      for i, k, a, b, angle in zip(count(), self.kinds.tolist(),
                                                   *self.wires.T.tolist(), self.angles.tolist()))
 
@@ -297,8 +305,8 @@ class Circuit:
 
 def _wide(c: Circuit) -> dict:
     """Gate index -> wires of the gates whose wires do not fit a row (opaque
-    gates on no wire or more than two)."""
-    return {i: g.qubits for i, g in c.side.items() if not 1 <= len(g.qubits) <= 2}
+    gates on more than two wires)."""
+    return {i: g.qubits for i, g in c.side.items() if len(g.qubits) > 2}
 
 
 @dataclass(frozen=True)
@@ -342,13 +350,6 @@ def gate_counts(c: Circuit) -> GateCounts:
                       sum(n for n, a in zip(counts, arity) if a == 2), counts[_OPAQUE], by_kind)
 
 
-def _inverse_permutation(perm) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
 def invert(c: Circuit) -> Circuit:
     """Exact inverse circuit: reversed gate list with inverted gates.
 
@@ -356,7 +357,7 @@ def invert(c: Circuit) -> Circuit:
     carries the inverse permutation and its gates are conjugated onto the
     permuted wires.
     """
-    iperm = _inverse_permutation(c.output_permutation)
+    iperm = tuple(np.argsort(c.output_permutation).tolist())
     gates = tuple(g.inverse().remap(iperm) for g in reversed(c.gates))
     return Circuit(c.num_qubits, gates, iperm)
 
@@ -365,10 +366,7 @@ def compose(a: Circuit, b: Circuit) -> Circuit:
     """Circuit equal to running ``a`` then ``b`` (b's qubits are logical wrt a's output)."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("qubit count mismatch in compose")
-    if a.is_identity_permutation:
-        gates = a.gates + b.gates
-    else:
-        gates = a.gates + tuple(g.remap(a.output_permutation) for g in b.gates)
+    gates = a.gates + tuple(g.remap(a.output_permutation) for g in b.gates)
     perm = tuple(a.output_permutation[b.output_permutation[j]] for j in range(a.num_qubits))
     return Circuit(a.num_qubits, gates, perm)
 
@@ -482,9 +480,7 @@ def export_qasm(c: Circuit) -> str:
     """
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
     lines += _gate_texts(c, _qasm_parts, "export")
-    if not c.is_identity_permutation:
-        for a, b in permutation_to_swaps(c.output_permutation):
-            lines.append(f"swap q[{a}],q[{b}];")
+    lines += [f"swap q[{a}],q[{b}];" for a, b in permutation_to_swaps(c.output_permutation)]
     return "\n".join(lines) + "\n"
 
 

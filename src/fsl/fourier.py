@@ -32,6 +32,7 @@ from .errors import (DegenerateWindow, DimensionMismatch, EmptyWindow,
                      InsufficientPoints, NonUnitNorm)
 
 GRID_NORM_TOL = 1e-9
+_RESIDUE = np.finfo(float).eps  # a window norm below this is only rounding residue
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ def truncate(coeffs_full: np.ndarray, m: int, filter_a: float | None = None) -> 
     then apply the Lanczos filter of exponent ``filter_a`` if one is given."""
     win = _centred_window(coeffs_full, m)
     norm_const = float(np.sum(np.abs(win) ** 2))
-    if norm_const < 1e-300:
+    if math.sqrt(norm_const) < _RESIDUE:
         raise EmptyWindow(f"window |k|<={2**m - 1} captures no spectral mass")
     spec = FourierSpec(coeffs_full.ndim, m, win / math.sqrt(norm_const), norm_const)
     return spec if filter_a is None else lanczos_filter(spec, filter_a)
@@ -213,7 +214,7 @@ def lanczos_filter(spec: FourierSpec, a: float) -> FourierSpec:
         shape[axis] = len(factor)
         coeffs = coeffs * factor.reshape(shape)
     norm = np.linalg.norm(coeffs)
-    if norm < 1e-300:
+    if norm < _RESIDUE:
         raise EmptyWindow("filter removed all spectral mass")
     return replace(spec, coeffs=coeffs / norm)
 

@@ -45,7 +45,13 @@ MAX_OPAQUE_QUBITS = 12
 _NORM_TOL = 1e-10
 _SQRT_HALF = 1 / math.sqrt(2)
 _H, _CNOT, _CPHASE = CODES[GateKind.H], CODES[GateKind.CNOT], CODES[GateKind.CPHASE]
-_DIAGONAL = {CODES[GateKind.RZ], CODES[GateKind.PHASE], _CPHASE}
+# Kind -> the two bit patterns of its wires whose amplitudes it exchanges.
+_SWAPS = {GateKind.X: ((0,), (1,)), GateKind.CNOT: ((1, 0), (1, 1)),
+          GateKind.SWAP: ((0, 1), (1, 0))}
+# Kind -> (bit pattern, f): the amplitudes where its wires read the pattern gain e^(i f angle).
+_PHASES = {GateKind.RZ: (((0,), -0.5), ((1,), 0.5)), GateKind.PHASE: (((1,), 1.0),),
+           GateKind.CPHASE: (((1, 1), 1.0),)}
+_DIAGONAL = {CODES[kind] for kind in _PHASES}
 
 
 @dataclass(frozen=True)
@@ -133,11 +139,6 @@ def _swap(a: np.ndarray, b: np.ndarray) -> None:
         sb[...] = tmp
 
 
-def _scale(a: np.ndarray, z: complex) -> None:
-    if z != 1.0:
-        a *= z
-
-
 def _mix(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     new0 = u[0, 0] * a + u[0, 1] * b
     new1 = u[1, 0] * a + u[1, 1] * b
@@ -164,31 +165,25 @@ def _h_phase(psi: np.ndarray, qs: tuple[int, ...], angles, k: int) -> None:
 def _apply_gate(psi: np.ndarray, op: tuple, qs: tuple[int, ...], k: int) -> None:
     """Apply the gate ``op`` = (kind, angle, opaque matrix), any kind but H, in
     place to the ``k``-axis ``psi``, its wires sitting at axes ``qs``: built-in
-    kinds swap, scale or mix slices of ``psi``."""
+    kinds swap (``_SWAPS``), scale (``_PHASES``) or mix (RY) slices of ``psi``."""
     kind, angle, matrix = op
-    if kind is GateKind.OPAQUE_UNITARY:
+    if kind in _SWAPS:
+        _swap(*(_at(psi, qs, bits) for bits in _SWAPS[kind]))
+    elif kind in _PHASES:
+        for bits, f in _PHASES[kind]:
+            z = cmath.exp(1j * (f * angle))
+            if z != 1:
+                view = _at(psi, qs, bits)
+                view *= z
+    elif kind is GateKind.RY:
+        c, s = math.cos(angle / 2), math.sin(angle / 2)
+        _mix(np.array([[c, -s], [s, c]]), _at(psi, qs, (0,)), _at(psi, qs, (1,)))
+    else:
         w = len(qs)
         if w > MAX_OPAQUE_QUBITS:
             raise CapacityExceeded(f"opaque gate on {w} qubits exceeds cap {MAX_OPAQUE_QUBITS}")
         moved = np.moveaxis(psi.reshape([2] * k), qs, range(w))
         moved[...] = (matrix @ moved.reshape(2**w, -1)).reshape(moved.shape)
-    elif kind is GateKind.RY:
-        c, s = math.cos(angle / 2), math.sin(angle / 2)
-        _mix(np.array([[c, -s], [s, c]]), _at(psi, qs, (0,)), _at(psi, qs, (1,)))
-    elif kind is GateKind.X:
-        _swap(_at(psi, qs, (0,)), _at(psi, qs, (1,)))
-    elif kind is GateKind.CNOT:
-        _swap(_at(psi, qs, (1, 0)), _at(psi, qs, (1, 1)))
-    elif kind is GateKind.SWAP:
-        _swap(_at(psi, qs, (0, 1)), _at(psi, qs, (1, 0)))
-    elif kind is GateKind.RZ:
-        ph = cmath.exp(0.5j * angle)
-        _scale(_at(psi, qs, (0,)), ph.conjugate())
-        _scale(_at(psi, qs, (1,)), ph)
-    elif kind is GateKind.PHASE:
-        _scale(_at(psi, qs, (1,)), cmath.exp(1j * angle))
-    elif kind is GateKind.CPHASE:
-        _scale(_at(psi, qs, (1, 1)), cmath.exp(1j * angle))
 
 
 def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None = None) -> Statevector:
@@ -295,10 +290,8 @@ def sample(s: Statevector, shots: int, seed: int) -> ShotHistogram:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     probs = np.abs(s.amplitudes) ** 2
-    probs = probs / probs.sum()
-    outcomes = rng.choice(len(probs), size=shots, p=probs)
-    values, counts = np.unique(outcomes, return_counts=True)
-    return ShotHistogram({int(v): int(c) for v, c in zip(values, counts)}, shots)
+    counts = rng.multinomial(shots, probs / probs.sum())
+    return ShotHistogram({int(v): int(counts[v]) for v in np.flatnonzero(counts)}, shots)
 
 
 def reduced_population(s: Statevector, qubit: int, value: int) -> float:

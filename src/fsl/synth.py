@@ -115,7 +115,8 @@ def mottonen_angles(target) -> UCRAngles:
     return UCRAngles(tuple(alpha_y), tuple(alpha_z), 2.0 * (phi if real else float(phase[0])))
 
 
-def gray_code(k: int) -> int:
+def gray_code(k):
+    """The binary-reflected Gray code of ``k``, an int or an integer array."""
     return k ^ (k >> 1)
 
 
@@ -142,15 +143,14 @@ def gray_transform(alpha) -> np.ndarray:
     if 2**j != size:
         raise NonPowerOfTwoLength(f"length {size} is not a power of two")
     ht = _walsh_hadamard(alpha) / size
-    k = np.arange(size)
-    return ht[k ^ (k >> 1)]
+    return ht[gray_code(np.arange(size))]
 
 
 def gray_transform_matrix(j: int) -> np.ndarray:
     """Dense M with M[k, l] = 2^-j * (-1)^(b_l . g_k) (reference form)."""
     size = 2**j
     ks = np.arange(size)
-    gs = np.fromiter((gray_code(int(k)) for k in ks), dtype=np.int64, count=size)
+    gs = gray_code(ks)
     dots = np.zeros((size, size), dtype=np.int64)
     for bit in range(max(j, 1)):
         dots += np.outer((gs >> bit) & 1, (ks >> bit) & 1)
@@ -168,7 +168,7 @@ def _gray_control_positions(j: int) -> np.ndarray:
     one whose Gray-code bit flips between k-1 and k (control 0 for the most
     significant bit), and control 0 for the 2^j-th, which closes the cycle."""
     k = np.arange(1, 2**j)
-    flips = (k ^ (k >> 1)) ^ ((k - 1) ^ ((k - 1) >> 1))  # one bit, 2^(its index)
+    flips = gray_code(k) ^ gray_code(k - 1)  # one bit, 2^(its index)
     positions = np.append(j - 1 - np.log2(flips).astype(int), 0)
     positions.setflags(write=False)
     return positions

@@ -63,6 +63,41 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="takes no angle"):
             Gate("CNOT", (0, 1), 0.5)
 
+    def test_opaque_gate_needs_a_qubit(self):
+        with pytest.raises(ValueError, match="requires at least one qubit"):
+            unitary(np.eye(1) * 1j, ())
+
+    def test_opaque_gate_takes_no_angle(self):
+        with pytest.raises(ValueError, match="GateKind.OPAQUE_UNITARY takes no angle"):
+            Gate(GateKind.OPAQUE_UNITARY, (0,), 0.5, matrix=np.eye(2))
+
+    @pytest.mark.parametrize("extra", [{"matrix": np.eye(4)}, {"label": "U"}])
+    def test_plain_kind_takes_no_matrix_or_label(self, extra):
+        # the columns, the simulator and the writers would drop either
+        with pytest.raises(ValueError, match="GateKind.CNOT takes no matrix or label"):
+            Gate(GateKind.CNOT, (0, 1), **extra)
+
+
+class TestGateIdentity:
+    """Gates compare and hash by kind, wires, angle, label and matrix bytes."""
+
+    def test_circuits_with_equal_opaque_gates_are_equal(self):
+        a = Circuit(1, (unitary(np.eye(2), (0,)),))
+        b = Circuit(1, (unitary(np.eye(2), (0,)),))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Circuit(1, (unitary(np.eye(2), (0,), label="V"),))}) == 2
+
+    def test_gates_differ_by_matrix_and_angle(self):
+        x_gate = unitary(np.array([[0, 1], [1, 0]]), (0,))
+        assert unitary(np.eye(2), (0,)) != x_gate
+        assert Circuit(1, (x_gate,)) != Circuit(1, (unitary(np.eye(2), (0,)),))
+        assert ry(0.5, 0) != ry(0.25, 0) and ry(0.5, 0) != rz(0.5, 0)
+        assert hash(ry(0.0, 0)) == hash(ry(-0.0, 0)) and ry(0.0, 0) == ry(-0.0, 0)
+
+    def test_gate_and_circuit_do_not_equal_other_types(self):
+        assert ry(0.5, 0) != (GateKind.RY, (0,), 0.5)
+        assert Circuit(1) != 5 and not Circuit(1) == 5
+
 
 class TestDepth:
     def test_empty_circuit(self):

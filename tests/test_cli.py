@@ -666,6 +666,27 @@ class TestConfigAndErrors:
         assert json.loads(err) == {"error": "ConfigError",
                                    "message": "unknown emit target(s) ['csv']"}
 
+    @pytest.mark.parametrize("expr, constant", [("x + 1j", "1j"), ("x + 'a'", "'a'")])
+    def test_non_real_constant_exits_2(self, expr, constant, capsys):
+        result = run_cli(capsys, "compile", "--expr", expr, "--n", "5", "--m", "2",
+                         "--emit", "none")
+        assert_one_json_error(result, 2)
+        assert json.loads(result[2]) == {"error": "ConfigError",
+                                         "message": f"constant {constant} not allowed"}
+
+    @pytest.mark.parametrize("argv, message", [
+        # the lanczos filter zeroes |k| = 1 and leaves k = 0's rounding residue
+        (["--expr", "cos(2*pi*x)", "--n", "6", "--m", "1", "--filter-a", "100"],
+         "filter removed all spectral mass"),
+        # every mode of the function lies outside |k| <= 3
+        (["--expr", "cos(2*pi*16*x)", "--n", "8", "--m", "2"],
+         "window |k|<=3 captures no spectral mass"),
+    ])
+    def test_window_of_rounding_residue_exits_3(self, argv, message, capsys):
+        result = run_cli(capsys, "compile", *argv, "--emit", "none")
+        assert_one_json_error(result, 3)
+        assert json.loads(result[2]) == {"error": "EmptyWindow", "message": message}
+
     def test_arithmetic_overflow_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--expr", "x + 10**400",
                                "--n", "5", "--m", "2", "--emit", "none")

@@ -111,15 +111,15 @@ DIGESTS = {
     },
     "simulate-shots": {
         "exit": 0,
-        "stdout": "14da317f1e29825d7034014ea01b200d27d1d85c4e3416b57dc7016a70cd2c35",
+        "stdout": "75b44fed3d87d299cdb90630739b8b0e2b99ba52a8d0c1c278c2a5135b5e8b6c",
     },
     "simulate-tanh-measure-filtered-shots": {
         "exit": 0,
-        "stdout": "b1995816211ed2325086e1caeeaa90dd1fe11154c7cc4db31f616e737bb2e795",
+        "stdout": "6ad8fb3febf7fb841ccbb504b36b91c4d7d3efd26b609d99b561314550819b7b",
     },
     "simulate-tanh-mirror-shots": {
         "exit": 0,
-        "stdout": "a9e7a32779cd95e6510c23c2d332885a2c51b07d7c7fca31316815a50561573a",
+        "stdout": "3562b12357a5b4cb39971382463f59155431ee92b4138eb5d52a7113cc26dc4f",
     },
     "sinc2d": {
         "circuit.json": "7581cf028d8a92ecb93d61513ae3037303dd7e6adaee0b951a52cf8aeabf740d",

@@ -559,6 +559,32 @@ class TestSample:
         with pytest.raises(ValueError):
             ShotHistogram({0: 3}, shots=4)
 
+    def test_memory_does_not_grow_with_the_shot_count(self, rng):
+        # the counts are drawn directly, so 10^12 shots need no per-shot buffer
+        s = Statevector(16, rand_state(rng, 16))
+        tracemalloc.start()
+        try:
+            hist = sample(s, 10**12, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.shots == 10**12 and sum(hist.counts.values()) == 10**12
+        assert peak < 64 * 2**16 * 8
+        p = np.abs(s.amplitudes) ** 2
+        assert 0.5 * np.sum(np.abs(hist.probabilities(2**16) - p)) < 1e-4
+
+
+class TestActionTable:
+    def test_every_kind_has_exactly_one_action(self):
+        # swapped, phased, or one of the three kinds ``_apply_gate`` and the
+        # fused iQFT step handle on their own
+        actions = [*simulator._SWAPS, *simulator._PHASES,
+                   GateKind.H, GateKind.RY, GateKind.OPAQUE_UNITARY]
+        assert sorted(actions) == sorted(GateKind)
+
+    def test_diagonal_roles_are_the_phased_kinds(self):
+        assert simulator._DIAGONAL == {CODES[kind] for kind in simulator._PHASES}
+
 
 class TestReducedStates:
     def test_population_of_product_state(self):

@@ -145,6 +145,7 @@ class TestGrayTransform:
 
     def test_gray_code_sequence(self):
         assert [gray_code(k) for k in range(8)] == [0, 1, 3, 2, 6, 7, 5, 4]
+        assert gray_code(np.arange(8)).tolist() == [0, 1, 3, 2, 6, 7, 5, 4]
 
 
 class TestBuildUcr:
