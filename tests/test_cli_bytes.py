@@ -58,6 +58,12 @@ CASES = {
     "mirror-measure-filtered": ["compile", "--function", "tanh", "--n", "10", "--m", "4",
                                 "--nonperiodic", "measure", "--filter-a", "0.5", *EMIT],
     "sinc2d": ["compile", "--function", "sinc2d", "--n", "6", "--m", "3", *EMIT],
+    "gaussian2d": ["compile", "--function", "gaussian2d", "--n", "6", "--m", "3", *EMIT],
+    "expr-2d-x-only": ["compile", "--expr", "exp(-x) + 0.3*sin(2*pi*x)", "--dims", "2",
+                       "--n", "5", "--m", "2", *EMIT],
+    "simulate-expr-2d-x-only": ["simulate", "--expr", "exp(-x) + 0.3*sin(2*pi*x)", "--dims",
+                                "2", "--n", "6", "--m", "3"],
+    "simulate-sinc2d": ["simulate", "--function", "sinc2d", "--n", "8", "--m", "3"],
     "expr": ["compile", "--expr", "sin(2*pi*x) + 0.5*x^2 + exp(-x)", "--n", "10", "--m", "5",
              *EMIT],
     "image": ["image", "--pgm", "{pgm}", "--m", "2", *EMIT],
@@ -84,6 +90,20 @@ DIGESTS = {
         "report.json": "2197ebb5b50abd22fca06e45d5027a4faa7e1d3a4798a28a15c2e2c3a8965692",
         "stdout": "2197ebb5b50abd22fca06e45d5027a4faa7e1d3a4798a28a15c2e2c3a8965692",
     },
+    "expr-2d-x-only": {
+        "circuit.json": "f7d2752f0b292cdb773276ae563982cd7c8111d9f4a7f58740aaf0994e1aad60",
+        "circuit.qasm": "17e513367eba9052b37a61277efe2c0e8bcafc6477fb46a42a953ad932e22dae",
+        "exit": 0,
+        "report.json": "024c08f6053fa05b5edbcb420dda16a5abd5f84aef8b60965d0241556a7f4fd1",
+        "stdout": "024c08f6053fa05b5edbcb420dda16a5abd5f84aef8b60965d0241556a7f4fd1",
+    },
+    "gaussian2d": {
+        "circuit.json": "acea57ba89cd4c681e6fd851302d4dd3f8d8618645aa9e60f4382d2c59da6170",
+        "circuit.qasm": "e6ac7506626900dfb48c45cf66676dd0e825fb5fc0c5c7a9c86f962b4df810b7",
+        "exit": 0,
+        "report.json": "2f618129c1ba323b15116fd1042a6a14185752ecacb581e14af0013b210bc95e",
+        "stdout": "2f618129c1ba323b15116fd1042a6a14185752ecacb581e14af0013b210bc95e",
+    },
     "image": {
         "circuit.json": "2421f914c16e0644dc46f39d1bca15077ac9da8e26d99259e31817e1932a3084",
         "circuit.qasm": "7154660acdec624e39ff46ca834d34d182ecd6d2c0eec557fa39f085d03b35a2",
@@ -105,6 +125,10 @@ DIGESTS = {
         "report.json": "d6f5a1c45851bf4365dbc625bc216e06ab9a4f8d7f4be0926d45cadc5da59970",
         "stdout": "d6f5a1c45851bf4365dbc625bc216e06ab9a4f8d7f4be0926d45cadc5da59970",
     },
+    "simulate-expr-2d-x-only": {
+        "exit": 0,
+        "stdout": "5036d8b20d221c3df1c5971d063e663f0cf8116cb8e65726641a8b03fc50e9aa",
+    },
     "simulate-piecewise-n14": {
         "exit": 0,
         "stdout": "2fc9797bd955ebe69d7d163bf566efce0532867c1594c7861504f5a7c58a61e9",
@@ -112,6 +136,10 @@ DIGESTS = {
     "simulate-shots": {
         "exit": 0,
         "stdout": "75b44fed3d87d299cdb90630739b8b0e2b99ba52a8d0c1c278c2a5135b5e8b6c",
+    },
+    "simulate-sinc2d": {
+        "exit": 0,
+        "stdout": "720512ec0c7e5f5664b6631e5692e4dc99b5bcc74cfe6418b739ecc346056ab1",
     },
     "simulate-tanh-measure-filtered-shots": {
         "exit": 0,
