@@ -481,7 +481,8 @@ def export_qasm(c: Circuit) -> str:
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
     lines += _gate_texts(c, _qasm_parts, "export")
     lines += [f"swap q[{a}],q[{b}];" for a, b in permutation_to_swaps(c.output_permutation)]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, inside the one join
+    return "\n".join(lines)
 
 
 # What ``json.dumps(..., indent=2)`` writes before each gate's first qubit.
@@ -502,12 +503,16 @@ def to_json(c: Circuit) -> str:
     ``output_permutation``), laid out as ``dumps(..., indent=2)`` would, floats
     to 17 significant digits (exact round trip).  Opaque gates are not
     representable."""
-    entries = _gate_texts(c, _json_parts, "serialize")
-    gates = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
     perm = ",\n    ".join(map(str, c.output_permutation))
     perm = f"[\n    {perm}\n  ]" if perm else "[]"
-    return (f'{{\n  "num_qubits": {c.num_qubits},\n  "gates": {gates},\n'
-            f'  "output_permutation": {perm}\n}}')
+    head = f'{{\n  "num_qubits": {c.num_qubits},\n  "gates": '
+    tail = f',\n  "output_permutation": {perm}\n}}'
+    entries = _gate_texts(c, _json_parts, "serialize")
+    if not entries:
+        return f"{head}[]{tail}"
+    entries[0] = f"{head}[\n{entries[0]}"  # one join makes the only full-size string
+    entries[-1] += f"\n  ]{tail}"
+    return ",\n".join(entries)
 
 
 def to_json_dict(c: Circuit) -> dict:

@@ -176,7 +176,8 @@ def _loads(cfg: dict, ms):
     variant, the plan at the largest m and an iterator of one (spec, circuit,
     report) per m of the source: the grid or, with a variant, its mirror
     extension.  The grid is sampled once its D*n wires (n+1 with a variant)
-    fit at the largest m, and the source's spectrum is taken once for every m.
+    fit at the largest m, and the source's spectrum is taken once for every m
+    (a real source's ``rfftn`` half, whose windows are read off it directly).
     Each load is compiled as it is read, so a sweep does not keep every m's
     circuit, and the spectrum is freed with the iterator."""
     fdef = _function_def(cfg)
@@ -185,7 +186,7 @@ def _loads(cfg: dict, ms):
     compiler.check_capacity(plan, lead=int(variant is not None))
     grid = funcs.sample(fdef, plan.n)
     source = grid if variant is None else fourier.mirror_extend(grid)
-    spectrum = fourier.dft_coefficients(source)
+    spectrum = fourier.spectrum(source)
 
     def load(m: int):
         spec = fourier.truncate(spectrum, m, cfg["filter_a"])
@@ -194,9 +195,18 @@ def _loads(cfg: dict, ms):
     return grid, variant, plan, map(load, ms)
 
 
-def _write(path: Path, text: str):
+_WRITE_CHUNK = 1 << 20  # characters encoded per write
+
+
+def _write(path: Path, *texts: str):
+    """Write ``texts`` one after another to ``path`` in slices of ``_WRITE_CHUNK``
+    characters, so a large text needs neither a concatenated nor an encoded
+    full-size copy."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    with open(path, "w") as fh:
+        for text in texts:
+            for start in range(0, len(text), _WRITE_CHUNK):
+                fh.write(text[start:start + _WRITE_CHUNK])
 
 
 def _emit_targets(cfg: dict) -> set:
@@ -217,7 +227,7 @@ def _emit(cfg: dict, targets: set, circ: cir.Circuit, report: compiler.CompileRe
     prefix = cfg["prefix"]
     report_dict = {**report.to_dict(include_timing=bool(cfg["timing"])), **extra}
     if "json" in targets:
-        _write(out / f"{prefix}circuit.json", cir.to_json(circ) + "\n")
+        _write(out / f"{prefix}circuit.json", cir.to_json(circ), "\n")
         _write(out / f"{prefix}report.json", dumps(report_dict, indent=2, sort_keys=True) + "\n")
     if "qasm" in targets:
         _write(out / f"{prefix}circuit.qasm", cir.export_qasm(circ))
@@ -238,17 +248,17 @@ def cmd_simulate(cfg: dict) -> int:
     state = simulator.run(circ, max_qubits=plan.max_qubits)
 
     result = {"report": report.to_dict(include_timing=bool(cfg["timing"]))}
+    # Each reference state is built for its one fidelity and freed right after it.
     if variant is not None:
         block0 = state.amplitudes.reshape(2, -1)[0]
-        cond = block0 / np.linalg.norm(block0)
         result["ancilla_zero_population"] = simulator.reduced_population(state, 0, 0)
         result["data_register_fidelity_vs_exact"] = float(
-            abs(np.vdot(grid.samples, cond)) ** 2)
+            abs(np.vdot(grid.samples, block0 / np.linalg.norm(block0))) ** 2)
     else:
-        target = compiler.target_state(spec, grid.n)
-        result["fidelity_vs_truncated"] = simulator.fidelity(state, target)
-        exact = simulator.Statevector(grid.dims * grid.n, grid.samples.reshape(-1))
-        result["fidelity_vs_exact"] = simulator.fidelity(state, exact)
+        result["fidelity_vs_truncated"] = simulator.fidelity(
+            state, compiler.target_state(spec, grid.n))
+        result["fidelity_vs_exact"] = simulator.fidelity(
+            state, simulator.Statevector(grid.dims * grid.n, grid.samples.reshape(-1)))
 
     compare = cfg["compare_state"]
     if compare:
@@ -359,8 +369,18 @@ def _add_emit_flags(p: argparse.ArgumentParser):
                    help="include wall-clock timing in reports")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (an unknown subcommand, a flag value of the wrong
+    type) keep the error contract: one JSON ``ConfigError`` object on stderr and
+    exit code 2, raised as ``SystemExit`` as argparse does.  Subcommand parsers
+    take this class too."""
+
+    def error(self, message):
+        self.exit(2, _error_line(ConfigError(message)))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fsl",
         description="Compile Fourier-series approximations into linear-depth "
                     "state-preparation circuits, and verify them by simulation.")
@@ -419,8 +439,12 @@ def main(argv=None) -> int:
         return 3
 
 
+def _error_line(exc: Exception) -> str:
+    return dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
+
+
 def _report_error(exc: Exception):
-    sys.stderr.write(dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+    sys.stderr.write(_error_line(exc))
 
 
 if __name__ == "__main__":

@@ -216,8 +216,8 @@ def compile_spec(spec: FourierSpec, plan: FSLPlan, source: GridFunction | None =
 
 
 def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> FourierSpec:
-    """Analysis pipeline: full DFT, truncation window, optional Lanczos filter."""
-    return fourier.truncate(fourier.dft_coefficients(g), m, filter_a)
+    """Analysis pipeline: one transform, its truncation window, optional Lanczos filter."""
+    return fourier.truncate(fourier.spectrum(g), m, filter_a)
 
 
 def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,

@@ -11,10 +11,14 @@ Spectral conventions (D dimensions, 2^n points per axis):
 * a truncation window keeps k in [-(2^m - 1), 2^m - 1] per axis and
   renormalizes, recording the captured mass N.
 
-A real grid keeps float64 samples, and ``dft_coefficients`` conjugates its
-``rfftn`` (the last axis's k >= 0 half) and fills k < 0 by c_(-k) = conj(c_k),
-so the spectrum and every window of it are exactly Hermitian.  A complex grid
-takes a complex ``ifftn``.
+``spectrum`` is the one transform.  A real grid keeps float64 samples, and its
+``Spectrum`` keeps only the conjugated, scaled ``rfftn``: the last axis's
+k = 0 .. 2^(n-1) half, with the k < 0 half implied by c_(-k) = conj(c_k).  A
+complex grid's keeps its full ``ifftn`` array.  ``Spectrum.window`` reads a
+window straight off the kept array, so a load never builds the full 2^(Dn)
+spectrum; ``Spectrum.full`` builds it (``dft_coefficients``) for whoever wants
+the fft layout, and the two agree bit for bit on every window.  Every window of
+a real grid's spectrum is exactly Hermitian.
 
 One index rule places a window in fft layout: ``_window_positions`` gives
 frequency k's index k mod side, and both ``FourierSpec.embed`` (window into a
@@ -139,21 +143,60 @@ class SpectralTail:
     one_norm_delta: float
 
 
-def dft_coefficients(g: GridFunction) -> np.ndarray:
-    """Full coefficient tensor of ``g`` in fft layout (unitary, positive kernel)."""
+@dataclass(frozen=True)
+class Spectrum:
+    """The coefficients of a grid as ``spectrum`` keeps them: with ``half``, the
+    last axis's k = 0 .. 2^(n-1) of a real grid (the ``rfftn`` layout), else the
+    full fft-layout array."""
+
+    dims: int
+    n: int
+    coeffs: np.ndarray
+    half: bool
+
+    def window(self, m: int) -> np.ndarray:
+        """The |k| <= 2^m - 1 block in centred order, equal to the same block of
+        ``full()`` bit for bit: the last axis's k = 0 plane is averaged with the
+        conjugate of its negation, and k < 0 is conj(c_(-k))."""
+        if not self.half:
+            return _centred_window(self.coeffs, m)
+        pos, M = _window_positions(m, 2**self.n), 2**m - 1
+        w = self.coeffs[np.ix_(*[pos] * (self.dims - 1), pos[M:])]
+        flip = (slice(None, None, -1),) * (self.dims - 1)
+        zero = w[..., :1]
+        zero[...] = (zero + np.conjugate(zero[flip])) / 2
+        return np.concatenate([np.conjugate(w[flip + (slice(M, 0, -1),)]), w], axis=-1)
+
+    def full(self) -> np.ndarray:
+        """The full fft-layout spectrum; a real grid's k < 0 half is filled by
+        c_(-k) = conj(c_k)."""
+        if not self.half:
+            return self.coeffs
+        h, axes = 2 ** (self.n - 1), range(self.dims - 1)
+        c = np.empty((2**self.n,) * self.dims, dtype=complex)
+        c[..., :h + 1] = self.coeffs
+        for k in (0, h):  # self-conjugate planes, Hermitian only to rounding when D > 1
+            c[..., k] = (c[..., k] + np.conjugate(_negated(c[..., k], axes))) / 2
+        np.conjugate(_negated(c[..., h - 1:0:-1], axes), out=c[..., h + 1:])
+        return c
+
+
+def spectrum(g: GridFunction) -> Spectrum:
+    """The coefficients of ``g`` (unitary, positive kernel): a real grid's
+    conjugated, scaled ``rfftn`` half, or a complex grid's ``ifftn``."""
     if not abs(np.vdot(g.samples, g.samples).real - 1.0) <= GRID_NORM_TOL:
         raise NonUnitNorm("grid function is not unit-norm")
     scale = 2.0 ** (g.dims * g.n / 2)
     if np.iscomplexobj(g.samples):
-        return np.fft.ifftn(g.samples) * scale
-    h, axes = 2 ** (g.n - 1), range(g.dims - 1)
-    c = np.empty(g.samples.shape, dtype=complex)
+        return Spectrum(g.dims, g.n, np.fft.ifftn(g.samples) * scale, half=False)
     half = np.fft.rfftn(g.samples, norm="forward")
-    np.multiply(np.conjugate(half, out=half), scale, out=c[..., :h + 1])
-    for k in (0, h):  # self-conjugate planes, Hermitian only to rounding when D > 1
-        c[..., k] = (c[..., k] + np.conjugate(_negated(c[..., k], axes))) / 2
-    np.conjugate(_negated(c[..., h - 1:0:-1], axes), out=c[..., h + 1:])
-    return c
+    np.multiply(np.conjugate(half, out=half), scale, out=half)
+    return Spectrum(g.dims, g.n, half, half=True)
+
+
+def dft_coefficients(g: GridFunction) -> np.ndarray:
+    """Full coefficient tensor of ``g`` in fft layout (unitary, positive kernel)."""
+    return spectrum(g).full()
 
 
 def _negated(a: np.ndarray, axes) -> np.ndarray:
@@ -175,19 +218,25 @@ def _centred_window(coeffs_full: np.ndarray, m: int) -> np.ndarray:
     return coeffs_full[np.ix_(*[_window_positions(m, coeffs_full.shape[0])] * coeffs_full.ndim)]
 
 
-def window_mass(coeffs_full: np.ndarray, m: int) -> float:
+def _window(coeffs: Spectrum | np.ndarray, m: int) -> np.ndarray:
+    """The centred |k| <= 2^m - 1 block of a ``Spectrum`` or a full fft-layout array."""
+    return coeffs.window(m) if isinstance(coeffs, Spectrum) else _centred_window(coeffs, m)
+
+
+def window_mass(coeffs: Spectrum | np.ndarray, m: int) -> float:
     """Spectral mass inside the symmetric window |k| <= 2^m - 1 (every axis)."""
-    return float(np.sum(np.abs(_centred_window(coeffs_full, m)) ** 2))
+    return float(np.sum(np.abs(_window(coeffs, m)) ** 2))
 
 
-def truncate(coeffs_full: np.ndarray, m: int, filter_a: float | None = None) -> FourierSpec:
-    """Window the full spectrum to |k| <= 2^m - 1 per axis and renormalize,
-    then apply the Lanczos filter of exponent ``filter_a`` if one is given."""
-    win = _centred_window(coeffs_full, m)
+def truncate(coeffs: Spectrum | np.ndarray, m: int, filter_a: float | None = None) -> FourierSpec:
+    """Window a ``Spectrum`` or a full fft-layout spectrum to |k| <= 2^m - 1 per
+    axis and renormalize, then apply the Lanczos filter of exponent ``filter_a``
+    if one is given."""
+    win = _window(coeffs, m)
     norm_const = float(np.sum(np.abs(win) ** 2))
     if math.sqrt(norm_const) < _RESIDUE:
         raise EmptyWindow(f"window |k|<={2**m - 1} captures no spectral mass")
-    spec = FourierSpec(coeffs_full.ndim, m, win / math.sqrt(norm_const), norm_const)
+    spec = FourierSpec(win.ndim, m, win / math.sqrt(norm_const), norm_const)
     return spec if filter_a is None else lanczos_filter(spec, filter_a)
 
 
@@ -228,9 +277,9 @@ def mirror_extend(g: GridFunction) -> GridFunction:
     return GridFunction(1, g.n + 1, ext)
 
 
-def exact_infidelity(coeffs_full: np.ndarray, m: int) -> float:
+def exact_infidelity(coeffs: Spectrum | np.ndarray, m: int) -> float:
     """Truncation infidelity: spectral mass outside the window, 1 - N."""
-    return max(0.0, 1.0 - window_mass(coeffs_full, m))
+    return max(0.0, 1.0 - window_mass(coeffs, m))
 
 
 def _forward_difference(samples: np.ndarray, order: int) -> np.ndarray:
@@ -272,9 +321,8 @@ def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
 
 
 def spectral_tail(g: GridFunction, m: int, p: int = 0) -> SpectralTail:
-    coeffs = dft_coefficients(g)
     return SpectralTail(
-        exact_infidelity=exact_infidelity(coeffs, m),
+        exact_infidelity=exact_infidelity(spectrum(g), m),
         analytic_bound=infidelity_bound(g, m, p),
         one_norm_delta=_difference_norm(g, p + 1),
     )
@@ -283,7 +331,7 @@ def spectral_tail(g: GridFunction, m: int, p: int = 0) -> SpectralTail:
 def decay_slope(g: GridFunction, m_range) -> float:
     """Least-squares slope of -log2(infidelity) against m; saturated points
     (infidelity <= 1e-14) are excluded from the fit."""
-    coeffs = dft_coefficients(g)
+    coeffs = spectrum(g)
     pts = []
     for m in m_range:
         eps = exact_infidelity(coeffs, m)

@@ -3,7 +3,8 @@
 Catalog entries with canonical parameter values keep them fixed; the remaining
 knobs (sinc width, put strike, oscillator width, tanh slope, the piecewise
 segment table) are documented defaults chosen so the truncation-error targets
-in the acceptance suite hold.  All evaluators are vectorized over numpy grids.
+in the acceptance suite hold.  All evaluators are elementwise numpy
+expressions, so they take broadcast axes as well as full grids.
 """
 from __future__ import annotations
 
@@ -174,13 +175,18 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
     """Evaluate on the (2^n)^D grid at coordinates k/2^n and normalize; real
     values stay real (float64 samples).
 
-    In sqrt mode the signed amplitude is used when the function provides one;
-    otherwise values below -1e-12 raise and tiny negatives clamp to zero.
+    Evaluators must be elementwise: each coordinate comes as a broadcast axis
+    (shape 2^n along its own dimension and 1 along the others), so a separable
+    function evaluates each factor on 2^n points, and one that ignores a
+    coordinate returns fewer values than the grid has.  The finiteness and
+    sqrt-mode checks run on the values as returned, before they are broadcast
+    to the grid.  In sqrt mode the signed amplitude is used when the function
+    provides one; otherwise values below -1e-12 raise and tiny negatives clamp
+    to zero.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    axis = np.arange(2**n) / 2**n
-    coords = np.meshgrid(*([axis] * fdef.dims), indexing="ij") if fdef.dims > 1 else [axis]
+    coords = np.meshgrid(*([np.arange(2**n) / 2**n] * fdef.dims), indexing="ij", sparse=True)
     with np.errstate(all="ignore"):  # a non-finite value fails the isfinite check below
         if not fdef.sqrt_mode:
             values = fdef.evaluate(*coords)
@@ -194,10 +200,11 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
                 raise NegativeUnderSqrt(
                     f"f reaches {np.min(values):.3g} < -1e-12; cannot take a square root")
             values = np.sqrt(np.clip(values, 0.0, None))
-    values = np.broadcast_to(np.asarray(values), (2**n,) * fdef.dims)
+    values = np.asarray(values)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{fdef.name} is not finite on the grid")
-    return GridFunction.from_samples(values)
+    return GridFunction.from_samples(
+        np.ascontiguousarray(np.broadcast_to(values, (2**n,) * fdef.dims)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ read the given bits, which built-in gates swap (X, CNOT, SWAP), scale (RZ, PHASE
 mix with a 2x2 matrix (RY); opaque unitaries apply their dense block to the axes moved to
 the front.  An H and the CPHASE gates right after it that touch its wire (an inverse-QFT
 stage) fuse into an in-place butterfly and one broadcast multiply of the half where that
-wire reads 1 by the partners' [1, e^{i theta}] vectors and the H's 1/sqrt(2).
+wire reads 1 by the partners' [1, e^{i theta}] vectors and the H's 1/sqrt(2).  A run of
+CNOTs from one active control onto distinct active targets (a mirror load's disentangling
+tail) is one exchange: the control's 1-half, reflected over every target axis at once.
 
 Such a step is slow on a wire whose bit p sits in the low half of the a active bits: its
 halves are runs of 2^p contiguous amplitudes.  So before a step with CPHASE partners (a lone
@@ -139,6 +141,15 @@ def _swap(a: np.ndarray, b: np.ndarray) -> None:
         sb[...] = tmp
 
 
+def _flip(psi: np.ndarray, qs: tuple[int, ...], k: int) -> None:
+    """X on every axis ``qs[1:]`` of the ``k``-axis ``psi`` where axis ``qs[0]`` reads 1, in
+    place: a run of CNOTs that share one control, as one exchange of two quarters."""
+    ones = psi.reshape([2] * k)[(slice(None),) * qs[0] + (1,)]
+    first, *rest = (q - (q > qs[0]) for q in qs[1:])
+    a, b = (ones[(slice(None),) * first + (bit,)] for bit in (0, 1))
+    _swap(np.flip(a, [q - (q > first) for q in rest]), b)
+
+
 def _mix(u: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     new0 = u[0, 0] * a + u[0, 1] * b
     new1 = u[1, 0] * a + u[1, 1] * b
@@ -211,13 +222,18 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         order[w] = a
 
     kinds, angles, rows, j = c.kinds.tolist(), c.angles.tolist(), c.wires.tolist(), 0
-    while j < len(kinds):  # gates i..j-1 run as one step: a gate, or an H and its CPHASE run
-        i, j = j, j + 1
+    while j < len(kinds):  # gates i..j-1 run as one step: a gate, an H and its CPHASE run,
+        i, j = j, j + 1    # or a CNOT run from one active control onto distinct active targets
         kind = kinds[i]
         wires = c.side[i].qubits if i in c.side else tuple(q for q in rows[i] if q != -1)
         while (kind == _H and j < len(kinds) and kinds[j] == _CPHASE
                and wires[0] in rows[j]):  # a CPHASE right after the H, on its wire
             wires += tuple(q for q in rows[j] if q != wires[0])
+            j += 1
+        while (kind == _CNOT and j < len(kinds) and kinds[j] == _CNOT
+               and rows[j][0] == wires[0] and rows[j][1] not in wires
+               and all(q in order for q in wires + (rows[j][1],))):
+            wires += (rows[j][1],)
             j += 1
         if kind == _CNOT and wires[1] not in order and wires[1] not in copies:
             source = copies.get(wires[0], wires[0])  # a CNOT onto a fresh wire: a copy
@@ -235,7 +251,7 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         for q in wires:
             order.setdefault(q, len(order))
         active, r = len(order), len(order) // 2
-        if j > i + 1 and order[wires[0]] < r:  # an H with partners: rotate the low bits up
+        if kind == _H and j > i + 1 and order[wires[0]] < r:  # an H with partners: rotate up
             psi[:2**active] = psi[:2**active].reshape(2**r, -1).T.reshape(-1)
             order = {w: (p + r) % active for w, p in order.items()}
         # A gate on a axes sees at least 2^(a+2) amplitudes (the extra axes read 0):
@@ -244,6 +260,8 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         qs = tuple(k - 1 - order[q] for q in wires)
         if kind == _H:
             _h_phase(psi[:2**k], qs, angles[i + 1:j], k)
+        elif kind == _CNOT and j > i + 1:
+            _flip(psi[:2**k], qs, k)
         elif len(set(qs)) < len(qs):  # a CPHASE within one copy family is a PHASE
             _apply_gate(psi[:2**k], (GateKind.PHASE, angles[i], None), qs[:1], k)
         else:

@@ -331,8 +331,8 @@ class TestSweepCommand:
         ("piecewise", 8, None), ("piecewise", 8, 0.5), ("gaussian2d", 4, None)])
     def test_rows_equal_one_compile_per_m(self, capsys, monkeypatch, function, n, filter_a):
         dfts = []
-        dft = fourier.dft_coefficients
-        monkeypatch.setattr(fourier, "dft_coefficients", lambda g: dfts.append(g) or dft(g))
+        dft = fourier.spectrum
+        monkeypatch.setattr(fourier, "spectrum", lambda g: dfts.append(g) or dft(g))
         flags = [] if filter_a is None else ["--filter-a", str(filter_a)]
         code, out, _ = run_cli(capsys, "sweep", "--function", function, "--n", str(n),
                                "--m-range", "1:3", *flags)
@@ -357,12 +357,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize("filter_a", [None, 0.5])
     def test_mirror_rows_take_one_extension_and_one_dft(self, capsys, monkeypatch, filter_a):
         calls = {"dft": 0, "mirror": 0}
-        dft, mirror = fourier.dft_coefficients, fourier.mirror_extend
+        dft, mirror = fourier.spectrum, fourier.mirror_extend
 
         def count(name, f):
             return lambda g: calls.__setitem__(name, calls[name] + 1) or f(g)
 
-        monkeypatch.setattr(fourier, "dft_coefficients", count("dft", dft))
+        monkeypatch.setattr(fourier, "spectrum", count("dft", dft))
         monkeypatch.setattr(fourier, "mirror_extend", count("mirror", mirror))
         flags = [] if filter_a is None else ["--filter-a", str(filter_a)]
         code, out, _ = run_cli(capsys, "sweep", "--function", "tanh", "--n", "8",
@@ -414,7 +414,7 @@ class TestOneLoadPath:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"sample": 0, "dft": 0, "mirror": 0}
-        for module, name, key in ((funcs, "sample", "sample"), (fourier, "dft_coefficients", "dft"),
+        for module, name, key in ((funcs, "sample", "sample"), (fourier, "spectrum", "dft"),
                                   (fourier, "mirror_extend", "mirror")):
             def counted(*a, f=getattr(module, name), key=key, **k):
                 calls[key] += 1
@@ -444,6 +444,31 @@ class TestOneLoadPath:
         assert calls == {"sample": 0, "dft": 0, "mirror": 0}
 
 
+    @pytest.mark.parametrize("argv", [
+        ["compile", "--function", "piecewise", "--n", "8", "--m", "3", "--emit", "json"],
+        ["compile", "--function", "gaussian2d", "--n", "5", "--m", "2", "--emit", "none"],
+        ["simulate", "--function", "sinc2d", "--n", "5", "--m", "2", "--shots", "50"],
+        ["simulate", "--function", "tanh", "--n", "6", "--m", "3"],
+        ["simulate", "--function", "complex_cosines", "--n", "6", "--m", "2"],
+        ["sweep", "--function", "piecewise", "--n", "7", "--m-range", "1:4"],
+        ["sweep", "--function", "tanh", "--n", "6", "--m-range", "1:3", "--filter-a", "0.5"],
+        ["image", "--pgm", "{pgm}", "--m", "1", "--simulate", "--emit", "none"],
+    ])
+    def test_no_command_builds_the_full_spectrum(self, argv, tmp_path, capsys, monkeypatch):
+        frqi.write_pgm(frqi.GrayImage(8, np.random.default_rng(2).random((8, 8))),
+                       tmp_path / "img.pgm")
+
+        def full(*_):
+            raise AssertionError("the full spectrum was built")
+
+        monkeypatch.setattr(fourier, "dft_coefficients", full)
+        monkeypatch.setattr(fourier.Spectrum, "full", full)
+        argv = [a.format(pgm=tmp_path / "img.pgm") for a in argv]
+        code, _, err = run_cli(capsys, *argv, *(["--out-dir", str(tmp_path)] * (
+            argv[0] in ("compile", "image"))))
+        assert (code, err) == (0, "")
+
+
 class TestImageCommand:
     def test_compile_and_simulate_small_image(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -462,8 +487,8 @@ class TestImageCommand:
         frqi.write_pgm(frqi.GrayImage(8, np.random.default_rng(1).random((8, 8))),
                        tmp_path / "img.pgm")
         dfts = []
-        dft = fourier.dft_coefficients
-        monkeypatch.setattr(fourier, "dft_coefficients", lambda g: dfts.append(g) or dft(g))
+        dft = fourier.spectrum
+        monkeypatch.setattr(fourier, "spectrum", lambda g: dfts.append(g) or dft(g))
         code, _, _ = run_cli(capsys, "image", "--pgm", str(tmp_path / "img.pgm"), "--m", "1",
                              "--simulate", "--emit", "none")
         assert code == 0
@@ -823,6 +848,26 @@ class TestConfigAndErrors:
                                             "--emit", "none")
         assert_one_json_error(result, 3)
         assert "RZ" not in json.loads(result[2])["message"]  # blames the input, not a gate
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"], [], ["simulate", "--n", "abc"], ["compile", "--bogus"],
+        ["simulate", "--function", "sinc", "--n", "6", "--m", "2", "--shots", "1.5"],
+        ["sweep", "--function", "sinc", "--n", "6", "--m-range"],
+        ["compile", "--function", "sinc", "--n", "6", "--m", "2", "--loader", "dense"],
+    ])
+    def test_argparse_errors_print_one_json_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert_one_json_error((exc.value.code, captured.out, captured.err), 2)
+        assert json.loads(captured.err)["error"] == "ConfigError"
+
+    def test_argparse_error_is_one_json_line_in_a_fresh_process(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "fsl.cli", "simulate", "--n", "abc"],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert_one_json_error((proc.returncode, proc.stdout, proc.stderr), 2)
+        assert "--n" in json.loads(proc.stderr)["message"]
 
     def test_numpy_warnings_stay_off_stderr_in_a_fresh_process(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -103,6 +103,59 @@ class TestRealGrids:
         assert np.array_equal(dft_coefficients(g), np.fft.ifftn(g.samples) * 2.0**4)
 
 
+def _assert_same_window(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+class TestSpectrumWindow:
+    """``spectrum`` keeps one transform, a real grid's ``rfftn`` half, and its
+    ``window`` reader gives every centred window of the full spectrum bit for bit."""
+
+    @pytest.mark.parametrize("dims, n", [(1, 1), (1, 2), (1, 9), (2, 1), (2, 2), (2, 5),
+                                         (3, 1), (3, 3)])
+    def test_real_grid_windows_equal_the_full_spectrum_windows(self, rng, dims, n):
+        g = GridFunction.from_samples(rng.standard_normal((2**n,) * dims))
+        spec = fourier.spectrum(g)
+        assert spec.half and spec.coeffs.shape == (2**n,) * (dims - 1) + (2 ** (n - 1) + 1,)
+        full = dft_coefficients(g)
+        for m in range(n):
+            _assert_same_window(spec.window(m), fourier._centred_window(full, m))
+
+    @pytest.mark.parametrize("dims, n", [(1, 6), (2, 4), (3, 2)])
+    def test_complex_grid_keeps_the_full_spectrum(self, rng, dims, n):
+        g = grid_from(rng, n, dims=dims)
+        spec = fourier.spectrum(g)
+        assert not spec.half and spec.full() is spec.coeffs
+        full = dft_coefficients(g)
+        for m in range(n):
+            _assert_same_window(spec.window(m), fourier._centred_window(full, m))
+
+    @pytest.mark.parametrize("name, n", [("tanh", 8), ("lognormal", 7), ("complex_cosines", 6)])
+    def test_mirror_extension_windows_equal_the_full_spectrum_windows(self, name, n):
+        ext = mirror_extend(funcs.sample(funcs.builtin(name), n))
+        spec, full = fourier.spectrum(ext), dft_coefficients(ext)
+        for m in range(ext.n):
+            _assert_same_window(spec.window(m), fourier._centred_window(full, m))
+
+    @pytest.mark.parametrize("dims, n", [(1, 7), (2, 4)])
+    @pytest.mark.parametrize("filter_a", [None, 0.5, 2.0])
+    def test_filtered_truncation_equals_the_full_spectrum_one(self, rng, dims, n, filter_a):
+        g = GridFunction.from_samples(rng.standard_normal((2**n,) * dims))
+        spec, full = fourier.spectrum(g), dft_coefficients(g)
+        for m in range(n):
+            got, want = truncate(spec, m, filter_a), truncate(full, m, filter_a)
+            _assert_same_window(got.coeffs, want.coeffs)
+            assert got.norm_constant == want.norm_constant
+            assert exact_infidelity(spec, m) == exact_infidelity(full, m)
+
+    def test_window_still_needs_m_below_n(self, rng):
+        spec = fourier.spectrum(GridFunction.from_samples(rng.standard_normal(8)))
+        with pytest.raises(ValueError, match="need m < n"):
+            spec.window(3)
+
+
 class TestTruncate:
     def test_band_limited_input_is_unchanged(self, rng):
         full = np.zeros(32, dtype=complex)

@@ -138,6 +138,30 @@ class TestSampling:
     def test_real_function_samples_float64(self, fd):
         assert funcs.sample(fd, 4 if fd.dims == 1 else 3).samples.dtype == np.float64
 
+    def test_2d_evaluators_see_broadcast_axes(self):
+        shapes = []
+        fd = funcs.FunctionDef("spy", 2, lambda x, y: shapes.append((x.shape, y.shape)) or x * y)
+        funcs.sample(fd, 3)
+        assert shapes == [((8, 1), (1, 8))]
+
+    @pytest.mark.parametrize("expr", ["x", "exp(-y) + 1", "2", "sin(x)*cos(y) + 2"])
+    def test_2d_samples_equal_a_dense_evaluation(self, expr):
+        fd = funcs.expression(expr, dims=2)
+        dense = np.meshgrid(np.arange(16) / 16, np.arange(16) / 16, indexing="ij")
+        raw = np.broadcast_to(fd.evaluate(*dense), (16, 16))
+        got = funcs.sample(fd, 4).samples
+        assert got.flags.c_contiguous and got.shape == (16, 16)
+        assert np.array_equal(got, raw / np.linalg.norm(raw))
+
+    def test_2d_checks_run_before_broadcasting(self, monkeypatch):
+        seen = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda v: seen.append(np.shape(v)) or isfinite(v))
+        funcs.sample(funcs.expression("exp(-x)", dims=2), 5)
+        assert seen == [(32, 1)]
+        with pytest.raises(NegativeUnderSqrt, match="-1"):
+            funcs.sample(funcs.expression("y - 1", dims=2, sqrt_mode=True), 5)
+
     def test_complex_function_samples_complex128(self):
         g = funcs.sample(funcs.builtin("complex_cosines"), 4)
         assert g.samples.dtype == np.complex128

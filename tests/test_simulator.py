@@ -450,6 +450,72 @@ class TestRotatedBits:
         assert peak <= 2.25 * 16 * 2**c.num_qubits
 
 
+def _cnot_run_circuit(rng, n, control, targets):
+    """Random gates on every wire, then CNOTs from ``control`` onto ``targets`` in
+    order, then random gates again."""
+    head, tail = (random_circuit(rng, n, 12).gates for _ in range(2))
+    return Circuit(n, head + tuple(cnot(control, t) for t in targets) + tail)
+
+
+def _flip_calls(monkeypatch, c, initial=None) -> list[tuple[int, ...]]:
+    """The axes of each ``_flip`` call ``run(c, initial)`` makes."""
+    calls, flip = [], simulator._flip
+    monkeypatch.setattr(simulator, "_flip",
+                        lambda psi, qs, k: calls.append(qs) or flip(psi, qs, k))
+    run(c, initial)
+    return calls
+
+
+class TestFusedCnotRuns:
+    """A run of CNOTs from one active control onto distinct active targets is one
+    flip of the control's 1-half over the target axes, and moves every amplitude
+    where the CNOTs one by one move it."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_run_matches_dense_oracle_and_one_cnot_at_a_time(self, seed, monkeypatch):
+        rng = np.random.default_rng(900 + seed)
+        n = 3 + seed % 6
+        control, *targets = (int(v) for v in rng.permutation(n)[:int(rng.integers(3, n + 1))])
+        c = _cnot_run_circuit(rng, n, control, targets)
+        start = rand_state(rng, n)
+        got = run(c, Statevector(n, start)).amplitudes
+        assert np.max(np.abs(got - dense_circuit_matrix(c) @ start)) < 1e-12
+        state = Statevector(n, start)  # each CNOT alone: no run to fuse
+        for g in c.gates:
+            state = run(Circuit(n, (g,)), state)
+        assert got.tobytes() == state.amplitudes.tobytes()
+        flips = _flip_calls(monkeypatch, c, Statevector(n, start))  # random gates may add runs
+        assert len(targets) + 1 in map(len, flips)
+
+    def test_mirror_tail_is_one_flip_over_every_data_wire(self, monkeypatch):
+        c = _fsl_load("tanh-mirror-n15")
+        tail = [g for g in c.gates[-c.num_qubits:] if g.kind is GateKind.CNOT]
+        assert len(tail) == c.num_qubits - 1
+        [qs] = _flip_calls(monkeypatch, c)
+        assert len(qs) == c.num_qubits
+
+    @pytest.mark.parametrize("gates, widths", [
+        ((cnot(0, 1), cnot(0, 2), cnot(0, 3)), [4]),
+        ((cnot(0, 1), cnot(0, 1), cnot(0, 2)), [3]),  # a repeated target ends a run
+        ((cnot(0, 1), cnot(2, 3), cnot(0, 2)), []),  # another control ends a run
+        ((cnot(0, 1), cnot(0, 4), cnot(0, 2)), []),  # a fresh target is a copy
+        ((cnot(0, 4), cnot(0, 1), cnot(0, 2)), [3]),
+        ((cnot(0, 1), cnot(0, 2), cnot(1, 3), cnot(1, 2)), [3, 3]),
+    ])
+    def test_runs_split_where_a_gate_leaves_them(self, gates, widths, monkeypatch):
+        prep = (h(0), h(1), h(2), h(3))  # wire 4 stays fresh
+        c = Circuit(5, prep + gates)
+        assert [len(qs) for qs in _flip_calls(monkeypatch, c)] == widths
+        assert np.max(np.abs(run(c).amplitudes - dense_circuit_matrix(c)[:, 0])) < 1e-12
+
+    def test_target_with_pending_copies_materialises_them_first(self):
+        gates = (ry(0.7, 0), h(1), ry(0.4, 2), cnot(2, 3), cnot(0, 1), cnot(0, 2), h(3),
+                 cphase(0.3, 3, 1))
+        c = Circuit(4, gates)
+        assert np.max(np.abs(run(c).amplitudes - dense_circuit_matrix(c)[:, 0])) < 1e-12
+        assert np.array_equal(run(c).amplitudes, run(c, Statevector.zero(4)).amplitudes)
+
+
 class TestStatevectorValidation:
     @pytest.mark.parametrize("shape", [(4,), (16,), (2, 4)])
     def test_amplitudes_of_another_shape_rejected(self, shape):
