@@ -3,11 +3,11 @@ state-preparation circuits, verify them with a built-in statevector simulator,
 and account for truncation error exactly."""
 
 from .circuit import (Circuit, Gate, GateCounts, GateKind, compose, depth, export_qasm,
-                      from_json, gate_counts, invert, peephole_cancel_cnots, to_json)
+                      from_json, gate_counts, peephole_cancel_cnots, to_json)
 from .compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant,
                        compile_nonperiodic, compile_spec, prepare_spec, target_state)
 from .errors import FSLError
-from .fourier import (FourierSpec, GridFunction, SpectralTail, Spectrum, decay_slope,
+from .fourier import (FourierSpec, GridFunction, Spectrum, decay_slope,
                       dft_coefficients, exact_infidelity, infidelity_bound,
                       lanczos_filter, mirror_extend, spectrum, truncate)
 from .frqi import GrayImage, compile_frqi, frqi_target, phase_spectra, read_pgm

@@ -122,13 +122,6 @@ class Gate:
     def __hash__(self):
         return hash(self._key())
 
-    def inverse(self) -> Gate:
-        if self.kind.angled:
-            return Gate(self.kind, self.qubits, -self.angle)
-        if self.kind is GateKind.OPAQUE_UNITARY:
-            return Gate(self.kind, self.qubits, matrix=self.matrix.conj().T, label=self.label + "+")
-        return self  # H, X, CNOT, SWAP are self-inverse
-
     def remap(self, mapping) -> Gate:
         return Gate(self.kind, tuple(mapping[q] for q in self.qubits), self.angle, self.matrix, self.label)
 
@@ -295,10 +288,6 @@ class Circuit:
         return (f"Circuit(num_qubits={self.num_qubits!r}, gates={self.gates!r}, "
                 f"output_permutation={self.output_permutation!r})")
 
-    @property
-    def is_identity_permutation(self) -> bool:
-        return self.output_permutation == tuple(range(self.num_qubits))
-
     def has_opaque(self) -> bool:
         return bool(np.any(self.kinds == _OPAQUE))
 
@@ -315,10 +304,6 @@ class GateCounts:
     two_qubit: int
     opaque: int
     by_kind: dict = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return self.single_qubit + self.two_qubit + self.opaque
 
 
 def depth(c: Circuit) -> int:
@@ -348,18 +333,6 @@ def gate_counts(c: Circuit) -> GateCounts:
     arity = _ARITY_OF[:len(KINDS)].tolist()
     return GateCounts(sum(n for n, a in zip(counts, arity) if a == 1),
                       sum(n for n, a in zip(counts, arity) if a == 2), counts[_OPAQUE], by_kind)
-
-
-def invert(c: Circuit) -> Circuit:
-    """Exact inverse circuit: reversed gate list with inverted gates.
-
-    A circuit means P_perm composed after its gate product, so the inverse
-    carries the inverse permutation and its gates are conjugated onto the
-    permuted wires.
-    """
-    iperm = tuple(np.argsort(c.output_permutation).tolist())
-    gates = tuple(g.inverse().remap(iperm) for g in reversed(c.gates))
-    return Circuit(c.num_qubits, gates, iperm)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:

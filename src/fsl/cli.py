@@ -262,11 +262,12 @@ def cmd_simulate(cfg: dict) -> int:
 
     compare = cfg["compare_state"]
     if compare:
-        other = simulator.load_statevector(compare)
+        other = simulator.load_statevector(compare, state.num_qubits)
         result["fidelity_vs_file"] = simulator.fidelity(state, other)
 
     state_out = cfg["state_out"]
     if state_out:
+        Path(state_out).parent.mkdir(parents=True, exist_ok=True)
         simulator.dump_statevector(state, state_out)
 
     if cfg["shots"] is not None:
@@ -422,9 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """Join ``--flag -value`` into ``--flag=-value``, which argparse reads as a value,
+    where the flag takes one and ``-value`` is neither ``--`` nor a subcommand flag."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = getattr(sub.choices.get(argv[0] if argv else ""), "_option_string_actions", {})
+    out = []
+    for arg in argv:
+        if out and out[-1] in flags and flags[out[-1]].nargs is None \
+                and arg.startswith("-") and arg not in (*flags, "--"):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(parser, sys.argv[1:] if argv is None else argv))
     try:
         cfg = _merge_config(args)
         return args.func(cfg)

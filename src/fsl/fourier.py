@@ -112,11 +112,6 @@ class FourierSpec:
     def max_frequency(self) -> int:
         return 2**self.m - 1
 
-    def coefficient(self, *k: int) -> complex:
-        """Coefficient at signed frequency vector k."""
-        M = self.max_frequency
-        return self.coeffs[tuple(ki + M for ki in k)]
-
     def embed(self, side: int, half: bool = False) -> np.ndarray:
         """The window on a (side,)^D grid in fft layout: frequency k at index k mod side.
         ``half`` keeps only the last axis's k >= 0, on its first 2^m indices:
@@ -134,13 +129,6 @@ class FourierSpec:
         """Loader layout: per axis, k >= 0 at index k, k < 0 at 2^(m+1) + k,
         index 2^m unused; flattened row-major across axes."""
         return self.embed(2 ** (self.m + 1)).reshape(-1)
-
-
-@dataclass(frozen=True)
-class SpectralTail:
-    exact_infidelity: float
-    analytic_bound: float
-    one_norm_delta: float
 
 
 @dataclass(frozen=True)
@@ -318,14 +306,6 @@ def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
     cot = 1.0 / math.tan(math.pi * 2**m / 2**g.n)
     integral = sum(math.comb(p, j) * cot ** (2 * j + 1) / (2 * j + 1) for j in range(p + 1))
     return l1**2 * integral / (2 ** (2 * p + 1) * math.pi)
-
-
-def spectral_tail(g: GridFunction, m: int, p: int = 0) -> SpectralTail:
-    return SpectralTail(
-        exact_infidelity=exact_infidelity(spectrum(g), m),
-        analytic_bound=infidelity_bound(g, m, p),
-        one_norm_delta=_difference_norm(g, p + 1),
-    )
 
 
 def decay_slope(g: GridFunction, m_range) -> float:

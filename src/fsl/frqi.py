@@ -156,10 +156,3 @@ def read_pgm(path) -> GrayImage:
     """Binary 8-bit PGM; square power-of-two images only, brightness = pixel/255."""
     with open(path, "rb") as fh:
         return decode_pgm(pgm_pixels(fh.read()))
-
-
-def write_pgm(img: GrayImage, path) -> None:
-    pixels = np.round(img.brightness * 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.side} {img.side}\n255\n".encode())
-        fh.write(pixels.tobytes())

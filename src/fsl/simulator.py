@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,6 @@ class Statevector:
         amps = np.ascontiguousarray(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> Statevector:
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
 
     @classmethod
     def from_amplitudes(cls, amps) -> Statevector:
@@ -319,16 +314,6 @@ def reduced_population(s: Statevector, qubit: int, value: int) -> float:
     return float(tensor.sum(axis=axes)[value])
 
 
-def reduced_density_matrix(s: Statevector, qubits: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix of the listed qubits (kept in the given order)."""
-    n = s.num_qubits
-    keep = list(qubits)
-    rest = [q for q in range(n) if q not in keep]
-    tensor = s.amplitudes.reshape([2] * n)
-    moved = np.transpose(tensor, keep + rest).reshape(2 ** len(keep), -1)
-    return moved @ moved.conj().T
-
-
 # ---------------------------------------------------------------------------
 # On-disk formats
 
@@ -344,11 +329,10 @@ def dump_statevector(s: Statevector, path) -> None:
     s.amplitudes.astype("<c16").tofile(path)
 
 
-def load_statevector(path) -> Statevector:
-    """Read ``dump_statevector``'s format; a file that is empty or ends inside an
-    amplitude is a ``DimensionMismatch``."""
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size == 0 or raw.size % 16:
-        raise DimensionMismatch(f"state file holds {raw.size} bytes, not a whole number "
-                                "of 16-byte amplitudes")
-    return Statevector.from_amplitudes(raw.view("<c16"))
+def load_statevector(path, num_qubits: int) -> Statevector:
+    """Read ``dump_statevector``'s format for ``num_qubits`` qubits; a file of any
+    other size is a ``DimensionMismatch``, found before any amplitude is read."""
+    size = os.path.getsize(path)
+    if size != 16 << num_qubits:
+        raise DimensionMismatch(f"state file holds {size} bytes, not the {16 << num_qubits} bytes")
+    return Statevector.from_amplitudes(np.fromfile(path, dtype="<c16"))

@@ -1,4 +1,5 @@
-"""Shared test helpers: random inputs and an independent dense-matrix oracle.
+"""Shared test helpers: random inputs, states and images, and an independent
+dense-matrix oracle.
 
 The dense oracle builds every gate as an explicit 2^n x 2^n matrix from index
 arithmetic over basis states, deliberately sharing no code with the stride
@@ -7,12 +8,14 @@ simulator it checks.
 import cmath
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsl.circuit import Circuit, Gate, GateCounts, GateKind, cnot, compose, ry, rz
 from fsl.compiler import FSLPlan, Loader
+from fsl.simulator import Statevector
 from fsl.synth import (ANGLE_EPS, build_inverse_qft, build_schmidt_circuit, build_ucr_circuit,
                        gray_code, gray_transform, mottonen_angles)
 
@@ -26,6 +29,27 @@ def rand_unitary(rng, dim):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def zero_state(n) -> Statevector:
+    """|0...0> on ``n`` qubits."""
+    return Statevector(n, np.eye(1, 2**n, dtype=complex)[0])
+
+
+def reduced_density_matrix(s: Statevector, qubits: tuple[int, ...]) -> np.ndarray:
+    """Reduced density matrix of the listed qubits (kept in the given order)."""
+    n = s.num_qubits
+    keep = list(qubits)
+    rest = [q for q in range(n) if q not in keep]
+    moved = np.transpose(s.amplitudes.reshape([2] * n), keep + rest).reshape(2 ** len(keep), -1)
+    return moved @ moved.conj().T
+
+
+def write_pgm(path, brightness) -> None:
+    """A binary 8-bit PGM of a square brightness array in [0, 1]: pixel =
+    round(255 * brightness)."""
+    pixels = np.round(np.asarray(brightness) * 255).astype(np.uint8)
+    Path(path).write_bytes(b"P5\n%d %d\n255\n" % pixels.shape + pixels.tobytes())
 
 
 def random_circuit(rng, n, num_gates, include_opaque=False, random_perm=False):
@@ -257,7 +281,7 @@ def dense_circuit_matrix(c: Circuit) -> np.ndarray:
     u = np.eye(dim, dtype=complex)
     for g in c.gates:
         u = dense_gate_matrix(g, c.num_qubits) @ u
-    if not c.is_identity_permutation:
+    if c.output_permutation != tuple(range(c.num_qubits)):
         perm_mat = np.zeros((dim, dim))
         n = c.num_qubits
         for col in range(dim):

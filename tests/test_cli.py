@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_pgm
 from fsl import circuit as cir
 from fsl import cli, compiler, fourier, frqi, funcs, simulator
 from fsl.cli import SWEEP_COLUMNS, dumps, main
@@ -78,6 +79,24 @@ class TestSubcommandSurface:
         with pytest.raises(SystemExit) as exc:
             main(["bench"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["compile", "--function", "sinc", "--n", "5", "--m", "2", "--out-dir", "{new}"],
+         "fsl_circuit.json"),
+        (["image", "--pgm", "{pgm}", "--m", "1", "--out-dir", "{new}"], "fsl_circuit.json"),
+        (["sweep", "--function", "sinc", "--n", "5", "--m-range", "1:2", "--out", "{new}/m.csv"],
+         "m.csv"),
+        (["simulate", "--function", "sinc", "--n", "5", "--m", "2", "--shots", "10",
+          "--hist-out", "{new}/h.csv"], "h.csv"),
+        (["simulate", "--function", "sinc", "--n", "5", "--m", "2", "--state-out", "{new}/s.c16"],
+         "s.c16"),
+    ], ids=["out-dir", "image-out-dir", "out", "hist-out", "state-out"])
+    def test_output_paths_create_their_directory(self, argv, name, tmp_path, capsys):
+        write_pgm(tmp_path / "img.pgm", np.zeros((4, 4)))
+        new = tmp_path / "new" / "dir"
+        argv = [a.format(new=new, pgm=tmp_path / "img.pgm") for a in argv]
+        assert run_cli(capsys, *argv)[::2] == (0, "")
+        assert (new / name).is_file()
 
 
 class TestCompileCommand:
@@ -164,6 +183,22 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, *base, "--compare-state", state_file)
         assert code == 0
         assert json.loads(out)["fidelity_vs_file"] == pytest.approx(1.0)
+
+    def test_oversized_compare_state_exits_3_unread(self, tmp_path, capsys, monkeypatch):
+        state_file = tmp_path / "state.c16"
+        with open(state_file, "wb") as fh:
+            fh.truncate(16 * 2**20)  # sparse: no amplitude is written
+
+        def fromfile(*_, **__):
+            raise AssertionError("the state file was read")
+
+        monkeypatch.setattr(np, "fromfile", fromfile)
+        result = run_cli(capsys, "simulate", "--function", "lorentzian", "--n", "5", "--m", "2",
+                         "--compare-state", str(state_file))
+        assert_one_json_error(result, 3)
+        err = json.loads(result[2])
+        assert err["error"] == "DimensionMismatch"
+        assert f"{16 * 2**20} bytes" in err["message"] and f"{16 * 2**5} bytes" in err["message"]
 
     @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["all-zero", "all-nan"])
     def test_unnormalizable_compare_state_exits_3(self, fill, tmp_path, capsys):
@@ -455,8 +490,7 @@ class TestOneLoadPath:
         ["image", "--pgm", "{pgm}", "--m", "1", "--simulate", "--emit", "none"],
     ])
     def test_no_command_builds_the_full_spectrum(self, argv, tmp_path, capsys, monkeypatch):
-        frqi.write_pgm(frqi.GrayImage(8, np.random.default_rng(2).random((8, 8))),
-                       tmp_path / "img.pgm")
+        write_pgm(tmp_path / "img.pgm", np.random.default_rng(2).random((8, 8)))
 
         def full(*_):
             raise AssertionError("the full spectrum was built")
@@ -472,9 +506,8 @@ class TestOneLoadPath:
 class TestImageCommand:
     def test_compile_and_simulate_small_image(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
-        img = frqi.GrayImage(8, rng.random((8, 8)))
         pgm = tmp_path / "img.pgm"
-        frqi.write_pgm(img, pgm)
+        write_pgm(pgm, rng.random((8, 8)))
         code, out, _ = run_cli(capsys, "image", "--pgm", str(pgm), "--m", "1",
                                "--simulate", "--out-dir", str(tmp_path))
         assert code == 0
@@ -484,8 +517,7 @@ class TestImageCommand:
         assert (tmp_path / "fsl_circuit.json").exists()
 
     def test_simulate_takes_one_phase_dft(self, tmp_path, capsys, monkeypatch):
-        frqi.write_pgm(frqi.GrayImage(8, np.random.default_rng(1).random((8, 8))),
-                       tmp_path / "img.pgm")
+        write_pgm(tmp_path / "img.pgm", np.random.default_rng(1).random((8, 8)))
         dfts = []
         dft = fourier.spectrum
         monkeypatch.setattr(fourier, "spectrum", lambda g: dfts.append(g) or dft(g))
@@ -577,7 +609,7 @@ class TestSchmidtLoadThroughCli:
 
     def test_image_simulate_reports_the_compiled_counts(self, tmp_path, capsys):
         pgm = tmp_path / "img.pgm"
-        frqi.write_pgm(frqi.GrayImage(8, np.random.default_rng(2).random((8, 8))), pgm)
+        write_pgm(pgm, np.random.default_rng(2).random((8, 8)))
         argv = ["image", "--pgm", str(pgm), "--m", "1", "--loader", "schmidt", "--emit", "none"]
         code, out, _ = run_cli(capsys, *argv, "--simulate")
         assert code == 0
@@ -778,7 +810,7 @@ class TestConfigAndErrors:
     def test_config_value_outside_its_choices_exits_2(self, command, key, value, tmp_path,
                                                       capsys):
         pgm = tmp_path / "img.pgm"
-        frqi.write_pgm(frqi.GrayImage(4, np.zeros((4, 4))), pgm)
+        write_pgm(pgm, np.zeros((4, 4)))
         job = {"function": "constant", "n": 4, "m": 1, "m_range": "1:2", "pgm": str(pgm),
                "emit": "none", "out_dir": str(tmp_path)}  # a valid job for every subcommand
         (tmp_path / "ok.json").write_text(json.dumps(job))
@@ -868,6 +900,28 @@ class TestConfigAndErrors:
                               env=env, capture_output=True, text=True, timeout=30)
         assert_one_json_error((proc.returncode, proc.stdout, proc.stderr), 2)
         assert "--n" in json.loads(proc.stderr)["message"]
+
+    def test_flag_value_with_a_leading_dash_reads_like_equals(self, tmp_path, capsys):
+        got = []
+        for i, expr in enumerate([["--expr", "-x"], ["--expr=-x"]]):
+            out = tmp_path / str(i)
+            result = run_cli(capsys, "compile", *expr, "--n", "4", "--m", "1",
+                             "--emit", "json,qasm", "--out-dir", str(out))
+            got.append((result, [(p.name, p.read_bytes()) for p in sorted(out.iterdir())]))
+        assert got[0][0][0] == 0 and len(got[0][1]) == 3
+        assert got[0] == got[1]
+
+    def test_flag_is_not_taken_as_a_missing_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "--expr", "--n", "4", "--m", "1"])
+        captured = capsys.readouterr()
+        assert_one_json_error((exc.value.code, captured.out, captured.err), 2)
+        assert json.loads(captured.err)["message"] == "argument --expr: expected one argument"
+
+    def test_dash_range_reaches_the_range_check(self, capsys):
+        result = run_cli(capsys, "sweep", "--function", "sinc", "--n", "5", "--m-range", "-1:3")
+        assert_one_json_error(result, 2)
+        assert json.loads(result[2])["message"] == "expected LO:HI range, got '-1:3'"
 
     def test_numpy_warnings_stay_off_stderr_in_a_fresh_process(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_pgm
 from fsl import funcs
 from fsl.circuit import from_json, gate_counts
 from fsl.cli import main
@@ -192,19 +193,14 @@ DIGESTS = {
 }
 
 
-def _write_pgm(path: Path) -> None:
-    """A fixed 16x16 8-bit image with every pixel value different from its neighbours'."""
-    pixels = (np.arange(256) * 37 + 11) % 256
-    path.write_bytes(b"P5\n16 16\n255\n" + pixels.astype(np.uint8).tobytes())
-
-
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_case(argv: list, work: Path) -> dict:
     """Exit code, stdout and the text of each emitted file of ``argv``, run in ``work``."""
-    _write_pgm(work / "image.pgm")
+    # a fixed 16x16 image with every pixel value different from its neighbours'
+    write_pgm(work / "image.pgm", ((np.arange(256) * 37 + 11) % 256).reshape(16, 16) / 255)
     argv = [a.format(pgm=work / "image.pgm") for a in argv]
     if "--emit" in argv:
         argv += ["--out-dir", str(work / "out"), "--prefix", "c_"]

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import reduced_density_matrix, write_pgm
 from fsl import fourier, frqi
 from fsl.compiler import FSLPlan, Loader
 from fsl.errors import CapacityExceeded, InvalidImage
 from fsl.frqi import (GrayImage, compile_frqi, frqi_target, frqi_truncated_target,
-                      phase_spectra, read_pgm, window_capture, write_pgm)
-from fsl.simulator import fidelity, reduced_density_matrix, run
+                      phase_spectra, read_pgm, window_capture)
+from fsl.simulator import fidelity, run
 
 
 def random_image(rng, n):
@@ -206,7 +207,7 @@ class TestPgm:
     def test_round_trip(self, rng, tmp_path):
         img = random_image(rng, 3)
         path = tmp_path / "img.pgm"
-        write_pgm(img, path)
+        write_pgm(path, img.brightness)
         back = read_pgm(path)
         assert back.side == img.side
         assert np.max(np.abs(back.brightness - img.brightness)) <= 0.5 / 255
