@@ -16,10 +16,7 @@ A ``Circuit`` holds its gate list as columns, one row per gate:
   kind's ``GateKind`` row holds its wire count, angle flag and QASM name;
 * ``wires``: int32, gates x 2, controls first; a one-wire gate's second
   entry is -1;
-* ``angles``: float64, NaN where the kind takes no angle;
-* ``side``: gate index -> ``Gate``, a side table for the gates the columns
-  cannot hold in full: opaque unitaries (matrix, label and every wire; their
-  row holds the first two wires).
+* ``angles``: float64, NaN where the kind takes no angle.
 
 The compile path, the writers and the simulator read and write the columns;
 a ``Circuit`` checks them once, with whole-array tests.  ``Circuit.gates`` is the
@@ -37,14 +34,12 @@ from itertools import count
 
 import numpy as np
 
-from .errors import NotUnitary, OpaqueGatePresent
-
 
 class GateKind(str, Enum):
-    """One row per gate kind: name, wire count (0 for an opaque unitary, whose
-    matrix sets its wires), whether it takes an angle, and OpenQASM name."""
+    """One row per gate kind: name, wire count, whether it takes an angle, and
+    OpenQASM name."""
 
-    def __new__(cls, value: str, arity: int, angled: bool, qasm: str | None):
+    def __new__(cls, value: str, arity: int, angled: bool, qasm: str):
         kind = str.__new__(cls, value)
         kind._value_, kind.arity, kind.angled, kind.qasm = value, arity, angled, qasm
         return kind
@@ -57,53 +52,33 @@ class GateKind(str, Enum):
     CNOT = "CNOT", 2, False, "cx"
     CPHASE = "CPHASE", 2, True, "cp"
     SWAP = "SWAP", 2, False, "swap"
-    OPAQUE_UNITARY = "OPAQUE_UNITARY", 0, False, None
 
-
-UNITARITY_TOL = 1e-10
 
 KINDS = tuple(GateKind)
 CODES = {kind: code for code, kind in enumerate(KINDS)}
-_CNOT, _OPAQUE = CODES[GateKind.CNOT], CODES[GateKind.OPAQUE_UNITARY]
-_ARITY_OF = np.full(256, -1)  # by code: 1 or 2 wires, 0 for opaque, -1 for no kind
+_CNOT = CODES[GateKind.CNOT]
+_ARITY_OF = np.full(256, -1)  # by code: 1 or 2 wires, -1 for no kind
 _ARITY_OF[:len(KINDS)] = [kind.arity for kind in KINDS]
 _ANGLED_OF = np.array([kind.angled for kind in KINDS] + [False] * (256 - len(KINDS)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Gate:
-    """A single gate: kind, qubit tuple (controls first), optional angle; an
-    opaque unitary alone holds a matrix and a label.  Gates compare and hash
-    by (kind, qubits, angle, label, matrix bytes)."""
+    """A single gate: kind, qubit tuple (controls first), optional angle.
+    Gates compare and hash by (kind, qubits, angle)."""
 
     kind: GateKind
     qubits: tuple[int, ...]
     angle: float | None = None
-    matrix: np.ndarray | None = None
-    label: str = ""
+    matrix = None  # read by perfbench/replay.py's _gate_key
+    label = ""  # read by perfbench/replay.py's _gate_key
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in gate {self.kind}: {self.qubits}")
         object.__setattr__(self, "kind", KINDS[CODES[self.kind]])  # KeyError for an unknown kind
-        if self.kind is GateKind.OPAQUE_UNITARY:
-            if self.matrix is None:
-                raise ValueError("OPAQUE_UNITARY requires a matrix")
-            if not self.qubits:
-                raise ValueError("OPAQUE_UNITARY requires at least one qubit")
-            dim = 2 ** len(self.qubits)
-            mat = np.asarray(self.matrix, dtype=complex)
-            if mat.shape != (dim, dim):
-                raise ValueError(f"matrix shape {mat.shape} does not match {len(self.qubits)} qubits")
-            if np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) >= UNITARITY_TOL:
-                raise NotUnitary(f"opaque gate '{self.label}' is not unitary")
-            mat = np.ascontiguousarray(mat)
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
-        elif self.matrix is not None or self.label:
-            raise ValueError(f"{self.kind} takes no matrix or label")
-        elif len(self.qubits) != self.kind.arity:
+        if len(self.qubits) != self.kind.arity:
             raise ValueError(f"{self.kind} expects {self.kind.arity} qubits, got {self.qubits}")
         if self.kind.angled:
             if self.angle is None or not math.isfinite(self.angle):
@@ -112,18 +87,8 @@ class Gate:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
-    def _key(self) -> tuple:
-        return self.kind, self.qubits, self.angle, self.label, \
-            None if self.matrix is None else self.matrix.tobytes()
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, Gate) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
     def remap(self, mapping) -> Gate:
-        return Gate(self.kind, tuple(mapping[q] for q in self.qubits), self.angle, self.matrix, self.label)
+        return Gate(self.kind, tuple(mapping[q] for q in self.qubits), self.angle)
 
 
 # Short constructors; these keep circuit builders readable.
@@ -159,10 +124,6 @@ def swap(a: int, b: int) -> Gate:
     return Gate(GateKind.SWAP, (a, b))
 
 
-def unitary(matrix: np.ndarray, qubits, label: str = "U") -> Gate:
-    return Gate(GateKind.OPAQUE_UNITARY, tuple(qubits), matrix=np.asarray(matrix, dtype=complex), label=label)
-
-
 def cnot_rows(pairs) -> tuple:
     """A (kinds, wires, angles) row block of CNOTs, one per (control, target) pair."""
     wires = np.array(pairs, dtype=np.int32).reshape(-1, 2)
@@ -181,7 +142,7 @@ def _permutation(num_qubits: int, perm) -> tuple[int, ...]:
 
 class Circuit:
     """Ordered gate list over ``num_qubits`` wires plus an output permutation,
-    held as kind, wire and angle columns with a side table (module docstring).
+    held as kind, wire and angle columns (module docstring).
 
     ``Circuit(num_qubits, gates, output_permutation)`` takes ``Gate`` objects;
     ``Circuit.join`` builds one from row blocks and other circuits."""
@@ -195,8 +156,7 @@ class Circuit:
             raise ValueError(f"gate {g.kind} on {g.qubits} outside {num_qubits} qubits")
         rows = ([CODES[g.kind] for g in gates], [(g.qubits + (-1, -1))[:2] for g in gates],
                 [math.nan if g.angle is None else g.angle for g in gates])
-        side = {i: g for i, g in enumerate(gates) if g.matrix is not None}
-        self._fill(num_qubits, rows, side, output_permutation)
+        self._fill(num_qubits, rows, output_permutation)
         self.__dict__["gates"] = gates
 
     @classmethod
@@ -204,19 +164,17 @@ class Circuit:
         """The circuit that runs ``parts`` in order.  A part is a Circuit (its
         gates; its output permutation is not used) or a (kinds, wires, angles)
         row block of kind codes, wire pairs padded with -1 and angles."""
-        columns, side, offset = [[np.empty(0, t).reshape(s)] for t, s in _COLUMN_TYPES], {}, 0
+        columns = [[np.empty(0, t).reshape(s)] for t, s in _COLUMN_TYPES]
         for part in parts:
             if isinstance(part, Circuit):
-                side.update((offset + i, g) for i, g in part.side.items())
                 part = part.kinds, part.wires, part.angles
             for column, values, (dtype, shape) in zip(columns, part, _COLUMN_TYPES):
                 column.append(np.asarray(values, dtype).reshape(shape))
-            offset += len(columns[0][-1])
         c = cls.__new__(cls)
-        c._fill(num_qubits, [np.concatenate(column) for column in columns], side, output_permutation)
+        c._fill(num_qubits, [np.concatenate(column) for column in columns], output_permutation)
         return c
 
-    def _fill(self, num_qubits: int, rows, side: dict, output_permutation) -> None:
+    def _fill(self, num_qubits: int, rows, output_permutation) -> None:
         """Set the fields from columns and check them as whole arrays, in the
         order of the per-gate checks: the first faulty gate raises the error its
         ``Gate`` would, then the permutation and the wire range are checked."""
@@ -224,15 +182,11 @@ class Circuit:
                                 for values, (dtype, shape) in zip(rows, _COLUMN_TYPES))
         for column in (kinds, wires, angles):
             column.setflags(write=False)
-        self.num_qubits, self.kinds, self.wires, self.angles, self.side = \
-            num_qubits, kinds, wires, angles, side
+        self.num_qubits, self.kinds, self.wires, self.angles = num_qubits, kinds, wires, angles
 
         arity, (a, b) = _ARITY_OF[kinds], wires.T
-        plain_ok = (a >= 0) & np.where(arity == 1, b == -1, (b >= 0) & (b != a)) \
+        ok = (arity > 0) & (a >= 0) & np.where(arity == 1, b == -1, (b >= 0) & (b != a)) \
             & (np.isfinite(angles) == _ANGLED_OF[kinds])
-        in_side = np.zeros(len(kinds), bool)
-        in_side[list(side)] = True
-        ok = np.where(arity == 0, in_side, plain_ok & (arity > 0))
         if not ok.all():
             i = int(np.argmin(ok))
             k, angle = int(kinds[i]), float(angles[i])
@@ -240,23 +194,19 @@ class Circuit:
                 Gate(KINDS[k], self._qubits(i), None if math.isnan(angle) else angle)
             raise ValueError(f"gate row {i} (kind code {k}, wires {wires[i].tolist()}) is malformed")
         self.output_permutation = _permutation(num_qubits, output_permutation)
-        side_wires = [q for g in side.values() for q in g.qubits]
-        if max(wires.max(initial=-1), *side_wires, -1) >= num_qubits or min(side_wires, default=0) < 0:
-            i = next(i for i in range(len(kinds))
-                     if not all(0 <= q < num_qubits for q in self._qubits(i)))
+        if wires.max(initial=-1) >= num_qubits:
+            i = int(np.argmax(wires.max(axis=1) >= num_qubits))
             raise ValueError(f"gate {KINDS[kinds[i]]} on {self._qubits(i)} outside {num_qubits} qubits")
 
     def _qubits(self, i: int) -> tuple[int, ...]:
-        g = self.side.get(i)
-        return g.qubits if g is not None else tuple(q for q in self.wires[i].tolist() if q != -1)
+        return tuple(q for q in self.wires[i].tolist() if q != -1)
 
     @cached_property
     def gates(self) -> tuple[Gate, ...]:
         """The gate list as ``Gate`` objects, materialised from the columns once."""
-        return tuple(self.side.get(i) or Gate(KINDS[k], (a,) if b < 0 else (a, b),
-                                              None if angle != angle else angle)
-                     for i, k, a, b, angle in zip(count(), self.kinds.tolist(),
-                                                  *self.wires.T.tolist(), self.angles.tolist()))
+        return tuple(Gate(KINDS[k], (a,) if b < 0 else (a, b), None if angle != angle else angle)
+                     for k, a, b, angle in zip(self.kinds.tolist(), *self.wires.T.tolist(),
+                                               self.angles.tolist()))
 
     @cached_property
     def angle_texts(self) -> list[str]:
@@ -267,12 +217,9 @@ class Circuit:
     def take(self, keep) -> Circuit:
         """The gates that ``keep`` (a slice or boolean mask) selects, in order,
         with this circuit's output permutation."""
-        mask = np.zeros(len(self.kinds), bool)
-        mask[keep] = True
-        rank = np.cumsum(mask) - 1
         c = Circuit.__new__(Circuit)
-        c._fill(self.num_qubits, (self.kinds[mask], self.wires[mask], self.angles[mask]),
-                {int(rank[i]): g for i, g in self.side.items() if mask[i]}, self.output_permutation)
+        c._fill(self.num_qubits, (self.kinds[keep], self.wires[keep], self.angles[keep]),
+                self.output_permutation)
         return c
 
     def __eq__(self, other):
@@ -288,41 +235,28 @@ class Circuit:
         return (f"Circuit(num_qubits={self.num_qubits!r}, gates={self.gates!r}, "
                 f"output_permutation={self.output_permutation!r})")
 
-    def has_opaque(self) -> bool:
-        return bool(np.any(self.kinds == _OPAQUE))
-
-
-def _wide(c: Circuit) -> dict:
-    """Gate index -> wires of the gates whose wires do not fit a row (opaque
-    gates on more than two wires)."""
-    return {i: g.qubits for i, g in c.side.items() if len(g.qubits) > 2}
+    def has_opaque(self) -> bool:  # called by perfbench/replay.py's _materialize_and_export
+        return False
 
 
 @dataclass(frozen=True)
 class GateCounts:
     single_qubit: int
     two_qubit: int
-    opaque: int
     by_kind: dict = field(default_factory=dict)
+    opaque: int = 0  # read by perfbench/workloads.py (_check_emitted, _report_counts)
 
 
 def depth(c: Circuit) -> int:
     """ASAP-layered depth: each gate enters the earliest layer after every
-    earlier gate sharing one of its qubits.  Opaque gates count as depth 1."""
+    earlier gate sharing one of its qubits."""
     busy_until = [0] * c.num_qubits  # never decreases, so its max is the depth
-    wide, (first, second), start = _wide(c), c.wires.T.tolist(), 0
-    for stop in [*sorted(wide), len(first)]:  # the rows between two wide gates, then one
-        for a, b in zip(first[start:stop], second[start:stop]):
-            if b < 0:
-                busy_until[a] += 1
-            else:
-                la, lb = busy_until[a], busy_until[b]
-                busy_until[a] = busy_until[b] = (la if la > lb else lb) + 1
-        if stop in wide:
-            layer = 1 + max(busy_until[q] for q in wide[stop])
-            for q in wide[stop]:
-                busy_until[q] = layer
-        start = stop + 1
+    for a, b in zip(*c.wires.T.tolist()):
+        if b < 0:
+            busy_until[a] += 1
+        else:
+            la, lb = busy_until[a], busy_until[b]
+            busy_until[a] = busy_until[b] = (la if la > lb else lb) + 1
     return max(busy_until, default=0)
 
 
@@ -332,7 +266,7 @@ def gate_counts(c: Circuit) -> GateCounts:
     by_kind = {KINDS[k].value: counts[k] for k in present[np.argsort(first)].tolist()}
     arity = _ARITY_OF[:len(KINDS)].tolist()
     return GateCounts(sum(n for n, a in zip(counts, arity) if a == 1),
-                      sum(n for n, a in zip(counts, arity) if a == 2), counts[_OPAQUE], by_kind)
+                      sum(n for n, a in zip(counts, arity) if a == 2), by_kind)
 
 
 def compose(a: Circuit, b: Circuit) -> Circuit:
@@ -353,7 +287,7 @@ def peephole_cancel_cnots(c: Circuit) -> Circuit:
     input, pairing runs of equal CNOTs from the left, and sweeps repeat until
     one drops nothing."""
     while True:
-        kinds, (controls, targets), wide = c.kinds.tolist(), c.wires.T.tolist(), _wide(c)
+        kinds, (controls, targets) = c.kinds.tolist(), c.wires.T.tolist()
         keep = np.ones(len(kinds), bool)
         last = [-1] * (c.num_qubits + 1)  # wire -> last kept gate on it; the extra slot is wire -1
         for i, kind, a, b in zip(count(), kinds, controls, targets):
@@ -361,9 +295,6 @@ def peephole_cancel_cnots(c: Circuit) -> Circuit:
             if kind == _CNOT and j >= 0 and j == last[b] and kinds[j] == _CNOT and controls[j] == a:
                 keep[j] = keep[i] = False
                 last[a] = last[b] = -1
-            elif i in wide:
-                for q in wide[i]:
-                    last[q] = i
             else:
                 last[a] = last[b] = i
         if keep.all():
@@ -414,19 +345,10 @@ def permutation_to_swaps(perm) -> list[tuple[int, int]]:
     return swaps
 
 
-def _reject_opaque(c: Circuit, verb: str) -> None:
-    opaque = np.flatnonzero(c.kinds == _OPAQUE)
-    if opaque.size:
-        label = c.side[int(opaque[0])].label
-        raise OpaqueGatePresent(f"cannot {verb} opaque gate '{label}'; decompose first")
-
-
-def _gate_texts(c: Circuit, parts, verb: str) -> list[str]:
+def _gate_texts(c: Circuit, parts) -> list[str]:
     """One text per gate: its angle text (``angle_texts``) between the two
     texts ``parts(kind, qubits)`` gives, which depend only on the gate's row of
-    kind and wires, so they are built once per distinct row.  An opaque gate
-    raises, as it cannot be written."""
-    _reject_opaque(c, verb)
+    kind and wires, so they are built once per distinct row."""
     base = c.num_qubits + 1
     key = (c.kinds.astype(np.int64) * base + c.wires[:, 0]) * base + c.wires[:, 1] + 1
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
@@ -446,13 +368,12 @@ def _qasm_parts(kind: GateKind, qubits) -> tuple[str, str]:
 def export_qasm(c: Circuit) -> str:
     """Deterministic OpenQASM 2.0 text.
 
-    Requires a fully decomposed circuit (no opaque gates).  A non-identity
-    output permutation is materialized with explicit terminal SWAPs so the
+    A non-identity output permutation is materialized with explicit terminal SWAPs so the
     program needs no external bookkeeping.  ``cp`` follows the modern qelib1
     naming; ``u1`` is the plain phase gate.
     """
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    lines += _gate_texts(c, _qasm_parts, "export")
+    lines += _gate_texts(c, _qasm_parts)
     lines += [f"swap q[{a}],q[{b}];" for a, b in permutation_to_swaps(c.output_permutation)]
     lines.append("")  # the final newline, inside the one join
     return "\n".join(lines)
@@ -474,13 +395,12 @@ def to_json(c: Circuit) -> str:
     """The circuit as the documented JSON schema (``num_qubits``; ``gates``, each
     with ``kind``, ``qubits`` and, if the kind takes one, ``angle``;
     ``output_permutation``), laid out as ``dumps(..., indent=2)`` would, floats
-    to 17 significant digits (exact round trip).  Opaque gates are not
-    representable."""
+    to 17 significant digits (exact round trip)."""
     perm = ",\n    ".join(map(str, c.output_permutation))
     perm = f"[\n    {perm}\n  ]" if perm else "[]"
     head = f'{{\n  "num_qubits": {c.num_qubits},\n  "gates": '
     tail = f',\n  "output_permutation": {perm}\n}}'
-    entries = _gate_texts(c, _json_parts, "serialize")
+    entries = _gate_texts(c, _json_parts)
     if not entries:
         return f"{head}[]{tail}"
     entries[0] = f"{head}[\n{entries[0]}"  # one join makes the only full-size string

@@ -425,13 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _join_dash_values(parser: argparse.ArgumentParser, argv: list) -> list:
     """Join ``--flag -value`` into ``--flag=-value``, which argparse reads as a value,
-    where the flag takes one and ``-value`` is neither ``--`` nor a subcommand flag."""
+    where the flag takes one and ``-value`` is neither ``--`` nor a subcommand flag.
+    A flag may be a unique prefix of a long one, as argparse reads it; an ambiguous
+    prefix is left for argparse to report."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = getattr(sub.choices.get(argv[0] if argv else ""), "_option_string_actions", {})
+
+    def named(arg):  # the flags ``arg`` may name: itself, or the long flags it begins
+        return [arg] if arg in flags else \
+            [f for f in flags if arg.startswith("--") and f.startswith(arg)]
+
     out = []
     for arg in argv:
-        if out and out[-1] in flags and flags[out[-1]].nargs is None \
-                and arg.startswith("-") and arg not in (*flags, "--"):
+        flag = named(out[-1]) if out else []
+        if len(flag) == 1 and flags[flag[0]].nargs is None \
+                and arg.startswith("-") and arg != "--" and not named(arg):
             arg = out.pop() + "=" + arg
         out.append(arg)
     return out

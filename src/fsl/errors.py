@@ -29,10 +29,6 @@ class InsufficientPoints(FSLError):
     """Too few usable points for a least-squares fit."""
 
 
-class OpaqueGatePresent(FSLError):
-    """Operation requires a fully decomposed circuit."""
-
-
 class DimensionMismatch(FSLError):
     """Operands have incompatible dimensions."""
 

@@ -13,11 +13,10 @@ copy runs on a prefix one bit wider than the stage before.  With an ``initial`` 
 wire is active and no copy is recorded.  One last transpose maps the wires' bit positions and
 the output permutation to wire order.
 Gates see axes: ``_at`` is the strided view (no copy) of the amplitudes whose listed axes
-read the given bits, which built-in gates swap (X, CNOT, SWAP), scale (RZ, PHASE, CPHASE) or
-mix with a 2x2 matrix (RY); opaque unitaries apply their dense block to the axes moved to
-the front.  An H and the CPHASE gates right after it that touch its wire (an inverse-QFT
-stage) fuse into an in-place butterfly and one broadcast multiply of the half where that
-wire reads 1 by the partners' [1, e^{i theta}] vectors and the H's 1/sqrt(2).  A run of
+read the given bits, which gates swap (X, CNOT, SWAP), scale (RZ, PHASE, CPHASE) or mix
+with a 2x2 matrix (RY).  An H and the CPHASE gates right after it that touch its wire (an
+inverse-QFT stage) fuse into an in-place butterfly and one broadcast multiply of the half
+where that wire reads 1 by the partners' [1, e^{i theta}] vectors and the H's 1/sqrt(2).  A run of
 CNOTs from one active control onto distinct active targets (a mirror load's disentangling
 tail) is one exchange: the control's 1-half, reflected over every target axis at once.
 
@@ -25,10 +24,9 @@ Such a step is slow on a wire whose bit p sits in the low half of the a active b
 halves are runs of 2^p contiguous amplitudes.  So before a step with CPHASE partners (a lone
 H costs less than the rotation) ``run`` rotates the active bits by r = floor(a/2), bit p to
 bit (p + r) mod a, with one transient transpose copy of the active prefix, and records each
-wire's new bit.  The result is bit-identical: each kernel above is elementwise, and the
-opaque matmul gets the same columns in another order, so every amplitude meets the same
-operations in the same order, only elsewhere in memory; the final transpose reads any layout
-back to wire order.
+wire's new bit.  The result is bit-identical: each kernel above is elementwise, so every
+amplitude meets the same operations in the same order, only elsewhere in memory; the final
+transpose reads any layout back to wire order.
 """
 from __future__ import annotations
 
@@ -43,7 +41,6 @@ from .circuit import CODES, KINDS, Circuit, GateKind
 from .errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
 
 DEFAULT_MAX_QUBITS = 24
-MAX_OPAQUE_QUBITS = 12
 
 _NORM_TOL = 1e-10
 _SQRT_HALF = 1 / math.sqrt(2)
@@ -169,10 +166,10 @@ def _h_phase(psi: np.ndarray, qs: tuple[int, ...], angles, k: int) -> None:
 
 
 def _apply_gate(psi: np.ndarray, op: tuple, qs: tuple[int, ...], k: int) -> None:
-    """Apply the gate ``op`` = (kind, angle, opaque matrix), any kind but H, in
-    place to the ``k``-axis ``psi``, its wires sitting at axes ``qs``: built-in
-    kinds swap (``_SWAPS``), scale (``_PHASES``) or mix (RY) slices of ``psi``."""
-    kind, angle, matrix = op
+    """Apply the gate ``op`` = (kind, angle), any kind but H, in place to the
+    ``k``-axis ``psi``, its wires sitting at axes ``qs``: swap (``_SWAPS``),
+    scale (``_PHASES``) or mix (RY) slices of ``psi``."""
+    kind, angle = op
     if kind in _SWAPS:
         _swap(*(_at(psi, qs, bits) for bits in _SWAPS[kind]))
     elif kind in _PHASES:
@@ -181,15 +178,9 @@ def _apply_gate(psi: np.ndarray, op: tuple, qs: tuple[int, ...], k: int) -> None
             if z != 1:
                 view = _at(psi, qs, bits)
                 view *= z
-    elif kind is GateKind.RY:
+    else:  # RY
         c, s = math.cos(angle / 2), math.sin(angle / 2)
         _mix(np.array([[c, -s], [s, c]]), _at(psi, qs, (0,)), _at(psi, qs, (1,)))
-    else:
-        w = len(qs)
-        if w > MAX_OPAQUE_QUBITS:
-            raise CapacityExceeded(f"opaque gate on {w} qubits exceeds cap {MAX_OPAQUE_QUBITS}")
-        moved = np.moveaxis(psi.reshape([2] * k), qs, range(w))
-        moved[...] = (matrix @ moved.reshape(2**w, -1)).reshape(moved.shape)
 
 
 def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None = None) -> Statevector:
@@ -220,7 +211,7 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
     while j < len(kinds):  # gates i..j-1 run as one step: a gate, an H and its CPHASE run,
         i, j = j, j + 1    # or a CNOT run from one active control onto distinct active targets
         kind = kinds[i]
-        wires = c.side[i].qubits if i in c.side else tuple(q for q in rows[i] if q != -1)
+        wires = tuple(q for q in rows[i] if q != -1)
         while (kind == _H and j < len(kinds) and kinds[j] == _CPHASE
                and wires[0] in rows[j]):  # a CPHASE right after the H, on its wire
             wires += tuple(q for q in rows[j] if q != wires[0])
@@ -258,10 +249,9 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         elif kind == _CNOT and j > i + 1:
             _flip(psi[:2**k], qs, k)
         elif len(set(qs)) < len(qs):  # a CPHASE within one copy family is a PHASE
-            _apply_gate(psi[:2**k], (GateKind.PHASE, angles[i], None), qs[:1], k)
+            _apply_gate(psi[:2**k], (GateKind.PHASE, angles[i]), qs[:1], k)
         else:
-            matrix = c.side[i].matrix if i in c.side else None
-            _apply_gate(psi[:2**k], (KINDS[kind], angles[i], matrix), qs, k)
+            _apply_gate(psi[:2**k], (KINDS[kind], angles[i]), qs, k)
     for w in list(copies):
         materialise(w)
     for w in reversed(range(n)):  # untouched wires fill the leading axes

@@ -52,19 +52,12 @@ def write_pgm(path, brightness) -> None:
     Path(path).write_bytes(b"P5\n%d %d\n255\n" % pixels.shape + pixels.tobytes())
 
 
-def random_circuit(rng, n, num_gates, include_opaque=False, random_perm=False):
+def random_circuit(rng, n, num_gates, random_perm=False):
     kinds = [GateKind.H, GateKind.X, GateKind.RY, GateKind.RZ, GateKind.PHASE,
              GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP]
-    if include_opaque:
-        kinds.append(GateKind.OPAQUE_UNITARY)
     gates = []
     for _ in range(num_gates):
         kind = kinds[rng.integers(len(kinds))]
-        if kind is GateKind.OPAQUE_UNITARY:
-            k = int(rng.integers(1, min(3, n) + 1))
-            qubits = tuple(int(v) for v in rng.choice(n, size=k, replace=False))
-            gates.append(Gate(kind, qubits, matrix=rand_unitary(rng, 2**k)))
-            continue
         arity = 2 if kind in (GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP) else 1
         qubits = tuple(int(v) for v in rng.choice(n, size=arity, replace=False))
         angle = None
@@ -78,8 +71,8 @@ def random_circuit(rng, n, num_gates, include_opaque=False, random_perm=False):
 
 
 def gate_key(g: Gate):
-    """Everything that makes two gates the same gate; opaque matrices by their bytes."""
-    return g.kind, g.qubits, g.angle, g.label, None if g.matrix is None else g.matrix.tobytes()
+    """Everything that makes two gates the same gate."""
+    return g.kind, g.qubits, g.angle
 
 
 def reference_depth(c: Circuit) -> int:
@@ -95,13 +88,12 @@ def reference_depth(c: Circuit) -> int:
 
 def reference_gate_counts(c: Circuit) -> GateCounts:
     """The per-``Gate`` count ``gate_counts`` replaced: a ``Counter`` over the
-    kinds, in first-seen order, split by the plain kinds' arity."""
+    kinds, in first-seen order, split by the kinds' arity."""
     kinds = Counter(g.kind for g in c.gates)
-    arity = {k: 2 if k in (GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP) else 1
-             for k in GateKind if k is not GateKind.OPAQUE_UNITARY}
-    return GateCounts(sum(k for kind, k in kinds.items() if arity.get(kind) == 1),
-                      sum(k for kind, k in kinds.items() if arity.get(kind) == 2),
-                      kinds[GateKind.OPAQUE_UNITARY], {kind.value: k for kind, k in kinds.items()})
+    arity = {k: 2 if k in (GateKind.CNOT, GateKind.CPHASE, GateKind.SWAP) else 1 for k in GateKind}
+    return GateCounts(sum(k for kind, k in kinds.items() if arity[kind] == 1),
+                      sum(k for kind, k in kinds.items() if arity[kind] == 2),
+                      {kind.value: k for kind, k in kinds.items()})
 
 
 def reference_peephole(c: Circuit) -> Circuit:
@@ -260,16 +252,6 @@ def dense_gate_matrix(g: Gate, n: int) -> np.ndarray:
             if _bit(col, a, n) != _bit(col, b, n):
                 row = _flip(_flip(col, a, n), b, n)
             mat[row, col] = 1.0
-        elif g.kind is GateKind.OPAQUE_UNITARY:
-            bits = [_bit(col, q, n) for q in g.qubits]
-            sub_col = int("".join(map(str, bits)), 2)
-            for sub_row in range(2 ** len(g.qubits)):
-                row = col
-                for pos, q in enumerate(g.qubits):
-                    want = (sub_row >> (len(g.qubits) - 1 - pos)) & 1
-                    if _bit(row, q, n) != want:
-                        row = _flip(row, q, n)
-                mat[row, col] = g.matrix[sub_row, sub_col]
         else:
             raise AssertionError(f"oracle has no rule for {g.kind}")
     return mat

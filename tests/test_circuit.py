@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_circuit_matrix, gate_key, rand_state, rand_unitary, random_circuit,
+from conftest import (dense_circuit_matrix, gate_key, rand_state, random_circuit,
                       reference_depth, reference_gate_counts, reference_peephole,
                       reference_ucr_cascade)
 from fsl import circuit as cir
@@ -16,8 +16,7 @@ from fsl import simulator
 from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, depth,
                          export_qasm, from_json, gate_counts, h,
                          peephole_cancel_cnots, permutation_to_swaps, phase, ry, rz,
-                         swap, to_json, unitary)
-from fsl.errors import NotUnitary, OpaqueGatePresent
+                         swap, to_json, x)
 from fsl.synth import ANGLE_EPS, build_ucr_circuit, mottonen_angles
 
 
@@ -33,14 +32,6 @@ class TestGateValidation:
     def test_angles_stored_unreduced(self):
         g = ry(7 * math.pi, 0)
         assert g.angle == 7 * math.pi
-
-    def test_opaque_must_be_unitary(self):
-        with pytest.raises(NotUnitary):
-            unitary(np.array([[1, 1], [0, 1]]), (0,))
-
-    def test_opaque_dimension_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            unitary(np.eye(2), (0, 1))
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     @pytest.mark.parametrize("wire", [-1, 3])
@@ -62,34 +53,25 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="takes no angle"):
             Gate("CNOT", (0, 1), 0.5)
 
-    def test_opaque_gate_needs_a_qubit(self):
-        with pytest.raises(ValueError, match="requires at least one qubit"):
-            unitary(np.eye(1) * 1j, ())
-
-    def test_opaque_gate_takes_no_angle(self):
-        with pytest.raises(ValueError, match="GateKind.OPAQUE_UNITARY takes no angle"):
-            Gate(GateKind.OPAQUE_UNITARY, (0,), 0.5, matrix=np.eye(2))
-
     @pytest.mark.parametrize("extra", [{"matrix": np.eye(4)}, {"label": "U"}])
     def test_plain_kind_takes_no_matrix_or_label(self, extra):
         # the columns, the simulator and the writers would drop either
-        with pytest.raises(ValueError, match="GateKind.CNOT takes no matrix or label"):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             Gate(GateKind.CNOT, (0, 1), **extra)
 
 
 class TestGateIdentity:
-    """Gates compare and hash by kind, wires, angle, label and matrix bytes."""
+    """Gates compare and hash by kind, wires and angle."""
 
-    def test_circuits_with_equal_opaque_gates_are_equal(self):
-        a = Circuit(1, (unitary(np.eye(2), (0,)),))
-        b = Circuit(1, (unitary(np.eye(2), (0,)),))
+    def test_circuits_with_equal_gates_are_equal(self):
+        a = Circuit(2, (ry(0.5, 0), cnot(0, 1)))
+        b = Circuit(2, (Gate("RY", [0], 0.5), Gate("CNOT", (0, 1))))
         assert a == b and hash(a) == hash(b)
-        assert len({a, b, Circuit(1, (unitary(np.eye(2), (0,), label="V"),))}) == 2
+        assert len({a, b, Circuit(2, (ry(0.5, 0), cnot(1, 0)))}) == 2
 
-    def test_gates_differ_by_matrix_and_angle(self):
-        x_gate = unitary(np.array([[0, 1], [1, 0]]), (0,))
-        assert unitary(np.eye(2), (0,)) != x_gate
-        assert Circuit(1, (x_gate,)) != Circuit(1, (unitary(np.eye(2), (0,)),))
+    def test_gates_differ_by_kind_wires_and_angle(self):
+        assert cnot(0, 1) != cnot(1, 0) and h(0) != x(0)
+        assert Circuit(1, (h(0),)) != Circuit(1, (x(0),))
         assert ry(0.5, 0) != ry(0.25, 0) and ry(0.5, 0) != rz(0.5, 0)
         assert hash(ry(0.0, 0)) == hash(ry(-0.0, 0)) and ry(0.0, 0) == ry(-0.0, 0)
 
@@ -120,8 +102,7 @@ class TestDepth:
     @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(0, 60))
     @settings(max_examples=60, deadline=None)
     def test_equals_generic_reference(self, seed, n, num_gates):
-        # opaque gates here act on one to three wires, so every branch is taken
-        c = random_circuit(np.random.default_rng(seed), n, num_gates, include_opaque=True)
+        c = random_circuit(np.random.default_rng(seed), n, num_gates)
         busy_until = [0] * n
         want = 0
         for g in c.gates:
@@ -130,10 +111,6 @@ class TestDepth:
                 busy_until[q] = layer
             want = max(want, layer)
         assert depth(c) == want
-
-    def test_three_wire_opaque_gate_is_one_layer(self):
-        c = Circuit(4, (h(0), cnot(1, 2), unitary(np.eye(8), (0, 2, 3)), h(3), cnot(1, 3)))
-        assert depth(c) == 4
 
 
 class TestGateCounts:
@@ -148,16 +125,14 @@ class TestGateCounts:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_partition_sums_to_total(self, seed):
-        c = random_circuit(np.random.default_rng(seed), 4, 60, include_opaque=True)
+        c = random_circuit(np.random.default_rng(seed), 4, 60)
         counts = gate_counts(c)
-        assert counts.single_qubit + counts.two_qubit + counts.opaque == len(c.gates)
-        plain = [g for g in c.gates if g.kind is not GateKind.OPAQUE_UNITARY]
+        assert counts.single_qubit + counts.two_qubit == len(c.gates) and counts.opaque == 0
         by_kind = {}
         for g in c.gates:
             by_kind[g.kind.value] = by_kind.get(g.kind.value, 0) + 1
-        assert counts.opaque == len(c.gates) - len(plain) > 0
-        assert counts.single_qubit == sum(len(g.qubits) == 1 for g in plain)
-        assert counts.two_qubit == sum(len(g.qubits) == 2 for g in plain)
+        assert counts.single_qubit == sum(len(g.qubits) == 1 for g in c.gates)
+        assert counts.two_qubit == sum(len(g.qubits) == 2 for g in c.gates)
         assert list(counts.by_kind.items()) == list(by_kind.items())  # first-seen order
 
 
@@ -177,8 +152,8 @@ class TestCompose:
 def cnot_dense_circuits(draw):
     """Circuits of 2-5 wires made mostly of CNOTs drawn from a pool of at most
     four (control, target) pairs, often in runs of 2-4 identical ones, with
-    single-qubit gates, CPHASEs and an occasional opaque gate on shared or
-    other wires in between, and any output permutation."""
+    single-qubit gates, CPHASEs and SWAPs on shared or other wires in between,
+    and any output permutation."""
     n = draw(st.integers(2, 5))
     wire = st.integers(0, n - 1)
     pairs = st.tuples(wire, wire).filter(lambda p: p[0] != p[1])
@@ -195,8 +170,7 @@ def cnot_dense_circuits(draw):
         elif pick == 10:
             gates.append(cphase(0.5, *draw(pairs)))
         else:
-            qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
-            gates.append(unitary(np.eye(2 ** len(qubits)), qubits))
+            gates.append(swap(*draw(pairs)))
     return Circuit(n, tuple(gates), tuple(draw(st.permutations(range(n)))))
 
 
@@ -282,11 +256,10 @@ ANGLED = {GateKind.RY, GateKind.RZ, GateKind.PHASE, GateKind.CPHASE}
 
 @st.composite
 def json_circuits(draw):
-    """Circuits of 0-4 qubits with any non-opaque gates, edge-case angles and
-    any output permutation."""
+    """Circuits of 0-4 qubits with any gates, edge-case angles and any output
+    permutation."""
     n = draw(st.integers(0, 4))
-    kinds = [k for k in GateKind if k is not GateKind.OPAQUE_UNITARY
-             and (n >= 2 or k not in TWO_QUBIT)]
+    kinds = [k for k in GateKind if n >= 2 or k not in TWO_QUBIT]
     gates = []
     for _ in range(draw(st.integers(0, 8)) if n else 0):
         kind = draw(st.sampled_from(kinds))
@@ -300,8 +273,6 @@ def reference_export_qasm(c: Circuit) -> str:
     angle formatted afresh."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
     for g in c.gates:
-        if g.kind is GateKind.OPAQUE_UNITARY:
-            raise OpaqueGatePresent(f"cannot export opaque gate '{g.label}'; decompose first")
         name = QASM_NAME[g.kind]
         args = ",".join(f"q[{q}]" for q in g.qubits)
         if g.kind in ANGLED:
@@ -322,11 +293,6 @@ class TestQasmExport:
         text = export_qasm(Circuit(1, (h(0),)))
         assert text.count("\nh q[0];") == 1
 
-    def test_opaque_gate_rejected(self):
-        c = Circuit(1, (unitary(np.eye(2), (0,)),))
-        with pytest.raises(OpaqueGatePresent):
-            export_qasm(c)
-
     @given(json_circuits())
     @example(Circuit(0))
     @example(Circuit(3, (cnot(0, 1), cnot(0, 1), cphase(0.5, 0, 1), cphase(-0.0, 0, 1),
@@ -341,13 +307,6 @@ class TestQasmExport:
         g = GridFunction.from_samples(rand_state(rng, 7))
         c, _ = compile_spec(prepare_spec(g, 4), FSLPlan(n=7, m=4))
         assert export_qasm(c) == reference_export_qasm(c)
-
-    @pytest.mark.parametrize("writer", [export_qasm, to_json])
-    def test_opaque_gate_rejected_after_plain_gates_on_its_wires(self, writer):
-        # the per-(kind, qubits) text cache must not let an opaque gate through
-        c = Circuit(2, (cnot(0, 1), h(0), unitary(np.eye(4), (0, 1), label="W"), cnot(0, 1)))
-        with pytest.raises(OpaqueGatePresent, match="'W'"):
-            writer(c)
 
     def test_byte_identical_across_runs(self, rng):
         c = random_circuit(rng, 4, 40)
@@ -408,8 +367,6 @@ def reference_json_dict(c: Circuit) -> dict:
     """The per-``Gate`` dict ``to_json_dict`` replaced."""
     gates = []
     for g in c.gates:
-        if g.kind is GateKind.OPAQUE_UNITARY:
-            raise OpaqueGatePresent(f"cannot serialize opaque gate '{g.label}'; decompose first")
         entry = {"kind": g.kind.value, "qubits": list(g.qubits)}
         if g.angle is not None:
             entry["angle"] = g.angle
@@ -457,12 +414,6 @@ class TestJson:
         assert set(d) == {"num_qubits", "gates", "output_permutation"}
         assert d["gates"][0] == {"kind": "CPHASE", "qubits": [0, 1], "angle": 0.25}
 
-    def test_opaque_not_representable(self):
-        c = Circuit(1, (unitary(np.eye(2), (0,)),))
-        for write in (to_json, cir.to_json_dict):
-            with pytest.raises(OpaqueGatePresent, match="cannot serialize opaque gate 'U'"):
-                write(c)
-
 
 # ---------------------------------------------------------------------------
 # Columns
@@ -470,19 +421,12 @@ class TestJson:
 @st.composite
 def gate_lists(draw):
     """(n, gates, permutation) on 1-5 wires: every kind, edge-case angles
-    (signed zeros, subnormals, huge), opaque gates on 1-3 wires, and a random
-    output permutation."""
+    (signed zeros, subnormals, huge), and a random output permutation."""
     n = draw(st.integers(1, 5))
     kinds = [k for k in GateKind if n >= 2 or k not in TWO_QUBIT]
     gates = []
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(kinds))
-        if kind is GateKind.OPAQUE_UNITARY:
-            qubits = draw(st.permutations(range(n)))[: draw(st.integers(1, min(3, n)))]
-            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-            gates.append(unitary(rand_unitary(rng, 2 ** len(qubits)), qubits,
-                                 label=draw(st.sampled_from(["U", "V", ""]))))
-            continue
         qubits = draw(st.permutations(range(n)))[: 2 if kind in TWO_QUBIT else 1]
         gates.append(Gate(kind, tuple(qubits), draw(ANGLES) if kind in ANGLED else None))
     return n, gates, tuple(draw(st.permutations(range(n))))
@@ -499,7 +443,7 @@ class TestColumns:
 
     @given(gate_lists())
     @example((3, [ry(-0.0, 0), rz(5e-324, 1), cphase(-2.5e-310, 0, 2), phase(0.0, 2)], (2, 0, 1)))
-    @example((3, [cnot(0, 1), unitary(np.eye(8), (2, 0, 1), label="W"), cnot(0, 1)], (0, 1, 2)))
+    @example((3, [cnot(0, 1), swap(2, 0), cnot(0, 1)], (0, 1, 2)))
     @settings(max_examples=150, deadline=None)
     def test_consumers_equal_per_gate_references(self, case):
         n, gates, perm = case
@@ -514,26 +458,16 @@ class TestColumns:
         assert counts == want and list(counts.by_kind.items()) == list(want.by_kind.items())
         assert [gate_key(g) for g in peephole_cancel_cnots(fresh).gates] == \
             [gate_key(g) for g in reference_peephole(c).gates]
-        for writer, reference in ((to_json, reference_to_json),
-                                  (export_qasm, reference_export_qasm)):
-            try:
-                want = reference(c)
-            except OpaqueGatePresent as exc:
-                with pytest.raises(OpaqueGatePresent) as err:
-                    writer(fresh)
-                assert str(err.value) == str(exc)
-            else:
-                assert writer(fresh) == want
+        assert to_json(fresh) == reference_to_json(c)
+        assert export_qasm(fresh) == reference_export_qasm(c)
         state = simulator.run(fresh).amplitudes
         assert np.max(np.abs(state - dense_circuit_matrix(c)[:, 0])) < 1e-10
 
-    def test_columns_hold_padding_nan_and_side_table(self):
-        u = unitary(np.eye(8), (3, 0, 1), label="W")
-        c = Circuit(4, (h(2), cnot(0, 3), u, ry(0.25, 1)))
+    def test_columns_hold_padding_and_nan(self):
+        c = Circuit(4, (h(2), cnot(0, 3), swap(3, 0), ry(0.25, 1)))
         assert c.kinds.tolist() == [CODES[g.kind] for g in c.gates]
         assert c.wires.tolist() == [[2, -1], [0, 3], [3, 0], [1, -1]]
         assert np.isnan(c.angles[:3]).all() and c.angles[3] == 0.25
-        assert c.side == {2: u}
         with pytest.raises(ValueError):
             c.kinds[0] = 0  # the columns are read-only
 
@@ -639,14 +573,6 @@ class TestMalformedGates:
             from_json(self.json_around(_entry("TOFFOLI", [0, 1, 2])))
         assert str(err.value) == "'TOFFOLI' is not a valid GateKind"
 
-    def test_opaque_gate(self):
-        with pytest.raises(NotUnitary) as err:
-            Circuit(3, self.gates_around(unitary(np.array([[1, 1], [0, 1]]), (0,), label="W")))
-        assert str(err.value) == "opaque gate 'W' is not unitary"
-        with pytest.raises(ValueError) as err:  # JSON cannot carry a matrix
-            from_json(self.json_around(_entry("OPAQUE_UNITARY", [0])))
-        assert str(err.value) == "OPAQUE_UNITARY requires a matrix"
-
     @pytest.mark.parametrize("perm, gates, message", [
         ([0, 0, 1], [_entry("CNOT", [0, 5]), _entry("RZ", [1]), _entry("CNOT", [2, 2])],
          "GateKind.RZ requires a finite angle, got None"),
@@ -658,6 +584,8 @@ class TestMalformedGates:
          "duplicate qubit in gate GateKind.CNOT: (2, 2)"),
         ([0, 1, 2], [_entry("FOO", [1]), {"kind": "H"}],  # a later entry lacks its qubits
          "'FOO' is not a valid GateKind"),
+        ([0, 1, 2], [_entry("RZ", [1], 1.5), _entry("OPAQUE_UNITARY", [0])],  # a retired kind
+         "'OPAQUE_UNITARY' is not a valid GateKind"),
     ])
     def test_faults_are_found_in_the_per_gate_order(self, perm, gates, message):
         # gate faults first, in gate order, then the permutation, then the wire
@@ -672,8 +600,8 @@ class TestMalformedGates:
         (([CODES[GateKind.H]], [(0, 2)], [math.nan]), "GateKind.H expects 1 qubits, got (0, 2)"),
         (([CODES[GateKind.SWAP]], [(1, 1)], [math.nan]), "duplicate qubit in gate GateKind.SWAP: (1, 1)"),
         (([CODES[GateKind.X]], [(4, -1)], [math.nan]), "gate GateKind.X on (4,) outside 3 qubits"),
-        (([CODES[GateKind.OPAQUE_UNITARY]], [(0, -1)], [math.nan]),
-         "gate row 1 (kind code 8, wires [0, -1]) is malformed"),  # no side-table entry
+        (([8], [(0, -1)], [math.nan]),  # the retired opaque kind's code
+         "gate row 1 (kind code 8, wires [0, -1]) is malformed"),
         (([200], [(0, -1)], [math.nan]), "gate row 1 (kind code 200, wires [0, -1]) is malformed"),
     ])
     def test_row_blocks_are_checked(self, rows, message):

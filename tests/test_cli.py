@@ -295,8 +295,8 @@ class TestFullScaleThroughCli:
 
     def test_ucr_compile_and_export_builds_no_gate_objects(self, tmp_path, capsys, monkeypatch):
         # the m=14 loader's 131k gates go from synthesis to both files as
-        # columns; a Gate object may stand only for a caller's tail or an
-        # opaque gate, and this load has neither
+        # columns; a Gate object may stand only for a caller's tail, and this
+        # load has none
         made = []
         post_init, view = cir.Gate.__post_init__, getattr(cir, "_view", None)
         monkeypatch.setattr(cir.Gate, "__post_init__", lambda g: made.append(g) or post_init(g))
@@ -903,23 +903,30 @@ class TestConfigAndErrors:
 
     def test_flag_value_with_a_leading_dash_reads_like_equals(self, tmp_path, capsys):
         got = []
-        for i, expr in enumerate([["--expr", "-x"], ["--expr=-x"]]):
+        for i, expr in enumerate([["--expr", "-x"], ["--expr=-x"], ["--ex", "-x"]]):
             out = tmp_path / str(i)
             result = run_cli(capsys, "compile", *expr, "--n", "4", "--m", "1",
                              "--emit", "json,qasm", "--out-dir", str(out))
             got.append((result, [(p.name, p.read_bytes()) for p in sorted(out.iterdir())]))
         assert got[0][0][0] == 0 and len(got[0][1]) == 3
-        assert got[0] == got[1]
+        assert got[0] == got[1] == got[2]
 
-    def test_flag_is_not_taken_as_a_missing_value(self, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["compile", "--expr", "--n", "4", "--m", "1"], "argument --expr: expected one argument"),
+        # sweep has no --m, so --m begins two long flags and is left for argparse to report
+        (["sweep", "--function", "sinc", "--n", "5", "--m", "-1:3"],
+         "ambiguous option: --m could match --max-qubits, --m-range"),
+    ], ids=["value-is-a-flag", "ambiguous-prefix"])
+    def test_flag_is_not_taken_as_a_missing_value(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["compile", "--expr", "--n", "4", "--m", "1"])
+            main(argv)
         captured = capsys.readouterr()
         assert_one_json_error((exc.value.code, captured.out, captured.err), 2)
-        assert json.loads(captured.err)["message"] == "argument --expr: expected one argument"
+        assert json.loads(captured.err)["message"] == message
 
-    def test_dash_range_reaches_the_range_check(self, capsys):
-        result = run_cli(capsys, "sweep", "--function", "sinc", "--n", "5", "--m-range", "-1:3")
+    @pytest.mark.parametrize("flag", ["--m-range", "--m-r"])
+    def test_dash_range_reaches_the_range_check(self, flag, capsys):
+        result = run_cli(capsys, "sweep", "--function", "sinc", "--n", "5", flag, "-1:3")
         assert_one_json_error(result, 2)
         assert json.loads(result[2])["message"] == "expected LO:HI range, got '-1:3'"
 

@@ -8,11 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (dense_circuit_matrix, dense_gate_matrix, rand_state, rand_unitary,
-                      random_circuit, zero_state)
+from conftest import dense_circuit_matrix, dense_gate_matrix, rand_state, random_circuit, zero_state
 from fsl import funcs, simulator
 from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, h,
-                         phase, ry, rz, swap, unitary, x)
+                         phase, ry, rz, swap, x)
 from fsl.compiler import FSLPlan, compile_nonperiodic, compile_spec, prepare_spec
 from fsl.errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
 from fsl.frqi import GrayImage, compile_frqi
@@ -25,13 +24,12 @@ from test_fourier import UNNORMED_FILLS
 
 
 # id -> (seed, the circuit drawn first from that seed's generator): 10 random
-# gates, 25 or 30 random gates with opaque gates and a permutation, and an
-# inverse QFT
+# gates, 25 or 30 random gates and a permutation, and an inverse QFT
 _ORACLE_CASES = {
     **{str(seed): (seed, lambda rng, perm=seed % 2 == 0: random_circuit(
-        rng, 4, 10, include_opaque=True, random_perm=perm)) for seed in range(6)},
+        rng, 4, 10, random_perm=perm)) for seed in range(6)},
     **{f"{num_gates}-gates-{seed}": (seed, lambda rng, k=num_gates: random_circuit(
-        rng, 4, k, include_opaque=True, random_perm=True))
+        rng, 4, k, random_perm=True))
        for num_gates, seeds in [(25, range(3)), (30, range(5))] for seed in seeds},
     "inverse-qft-5": (0, lambda rng: build_inverse_qft(5)),
 }
@@ -45,12 +43,6 @@ class TestRun:
     def test_hadamard_on_zero(self):
         out = run(Circuit(1, (h(0),)))
         assert np.allclose(out.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-
-    def test_opaque_gate_wider_than_the_cap_rejected(self, monkeypatch):
-        monkeypatch.setattr(simulator, "MAX_OPAQUE_QUBITS", 1)
-        run(Circuit(2, (unitary(np.eye(2), (1,)),)))
-        with pytest.raises(CapacityExceeded, match="opaque gate on 2 qubits exceeds cap 1"):
-            run(Circuit(2, (unitary(np.eye(4), (0, 1)),)))
 
     def test_big_endian_convention(self):
         # qubit 0 is the most significant index bit: CNOT(0, 1) maps |10> to |11>
@@ -87,10 +79,11 @@ class TestRun:
             got = run(Circuit(4, (g,)), Statevector(4, start)).amplitudes
             assert np.max(np.abs(got - dense_gate_matrix(g, 4) @ start)) < 1e-14
 
-    def test_norm_drift_raises_value_error(self, rng):
-        grow = unitary((1 + 4e-11) * np.eye(2), (1,))
+    def test_norm_drift_raises_value_error(self, rng, monkeypatch):
+        # each H step scales by a 1/sqrt(2) grown by 4e-11: run's result must fail the norm check
+        monkeypatch.setattr(simulator, "_SQRT_HALF", (1 + 4e-11) / math.sqrt(2))
         with pytest.raises(ValueError, match="not normalized"):
-            run(Circuit(3, (grow,) * 10), Statevector(3, rand_state(rng, 3)))
+            run(Circuit(3, (h(1),) * 10), Statevector(3, rand_state(rng, 3)))
 
     def test_norm_preserved(self, rng):
         c = random_circuit(rng, 5, 200)
@@ -115,13 +108,13 @@ class TestRun:
 
 
 def _sparse_circuit(rng, n, num_gates, gates=()):
-    """A random circuit, opaque gates included, or ``gates`` (on wires 0, 1, ...),
+    """A random circuit, or ``gates`` (on wires 0, 1, ...),
     on a random subset of at least two of the ``n`` wires, with a random output
     permutation other than the identity."""
     least = max([2] + [q + 1 for g in gates for q in g.qubits])
     wires = tuple(int(w) for w in rng.choice(n, size=int(rng.integers(least, n + 1)),
                                              replace=False))
-    gates = gates or random_circuit(rng, len(wires), num_gates, include_opaque=True).gates
+    gates = gates or random_circuit(rng, len(wires), num_gates).gates
     perm = tuple(int(v) for v in rng.permutation(n))
     if perm == tuple(range(n)):
         perm = perm[::-1]
@@ -141,8 +134,6 @@ _COPY_CASES = {name: (ry(0.7, 0),) + gates for name, gates in {
     "ry-on-source": (cnot(0, 1), cnot(0, 2), ry(1.2, 0), cphase(0.2, 1, 2)),
     "x-on-source": (cnot(0, 1), cnot(1, 2), x(0), h(2)),
     "swap-on-source": (cnot(0, 1), cnot(0, 2), swap(0, 3), h(1), cnot(3, 2)),
-    "opaque-on-source": (cnot(0, 1), cnot(0, 2),
-                         unitary(rand_unitary(np.random.default_rng(7), 4), (3, 0)), h(2)),
     "copies-pending-at-end": (cnot(0, 1), cnot(1, 2), cnot(0, 3), rz(0.5, 2)),
 }.items()}
 
@@ -247,8 +238,7 @@ class TestLazyWires:
         if gates or case % 2:
             c = _sparse_circuit(rng, n, int(rng.integers(1, 30)), gates)
         else:
-            c = random_circuit(rng, n, int(rng.integers(1, 30)), include_opaque=True,
-                               random_perm=case % 4 == 0)
+            c = random_circuit(rng, n, int(rng.integers(1, 30)), random_perm=case % 4 == 0)
         assert np.array_equal(run(c).amplitudes, run(c, zero_state(n)).amplitudes)
 
     def test_fsl_loader_runs_on_m_plus_1_wires(self, monkeypatch):
@@ -280,7 +270,7 @@ class TestLazyWires:
 
 
 def _planted_run_circuit(rng, n, num_runs, fanout=False):
-    """Random gates, opaque ones included, with ``num_runs`` planted "H(w) then
+    """Random gates with ``num_runs`` planted "H(w) then
     CPHASE gates that touch w" runs: partners on either side of w, either gate
     order, sometimes repeated, and the circuit's wires activating in random order
     so that some partners are not yet active when their run starts.  A ``fanout``
@@ -291,7 +281,7 @@ def _planted_run_circuit(rng, n, num_runs, fanout=False):
         gates = [ry(float(rng.uniform(0.3, 2.8)), 0)]
         gates += [cnot(int(rng.integers(t)), t) for t in range(1, n)]
     for _ in range(num_runs):
-        gates += random_circuit(rng, n, int(rng.integers(0, 4)), include_opaque=True).gates
+        gates += random_circuit(rng, n, int(rng.integers(0, 4))).gates
         w = int(rng.integers(n))
         gates.append(h(w))
         for _ in range(int(rng.integers(0, 2 * n))):
@@ -330,7 +320,7 @@ class TestFusedHPhase:
         n = q + 3
         qubits = [int(v) for v in rng.permutation(n)[:q]]
         touched = tuple(int(v) for v in rng.permutation(n)[:3])  # the rest start inactive
-        sub = random_circuit(rng, 3, 20, include_opaque=True)
+        sub = random_circuit(rng, 3, 20)
         prefix = Circuit(n, tuple(g.remap(touched) for g in sub.gates))
         iqft = build_inverse_qft(q, num_qubits=n, qubits=qubits)
         want = _fft_on_register(run(prefix).amplitudes, n, qubits)
@@ -648,10 +638,9 @@ class TestSample:
 
 class TestActionTable:
     def test_every_kind_has_exactly_one_action(self):
-        # swapped, phased, or one of the three kinds ``_apply_gate`` and the
+        # swapped, phased, or one of the two kinds ``_apply_gate`` and the
         # fused iQFT step handle on their own
-        actions = [*simulator._SWAPS, *simulator._PHASES,
-                   GateKind.H, GateKind.RY, GateKind.OPAQUE_UNITARY]
+        actions = [*simulator._SWAPS, *simulator._PHASES, GateKind.H, GateKind.RY]
         assert sorted(actions) == sorted(GateKind)
 
     def test_diagonal_roles_are_the_phased_kinds(self):
