@@ -1,4 +1,5 @@
 """Circuit IR: metrics, composition, peephole, and serialization."""
+import dataclasses
 import json
 import math
 import re
@@ -60,6 +61,14 @@ class TestGateValidation:
             Gate(GateKind.CNOT, (0, 1), **extra)
 
 
+    def test_fields_are_kind_wires_and_angle(self):
+        # the stand-in matrix and label are class attributes, alike on every gate
+        assert [f.name for f in dataclasses.fields(Gate)] == ["kind", "qubits", "angle"]
+        for g in (h(0), x(1), ry(0.5, 0), rz(0.5, 0), phase(0.5, 0), cnot(0, 1),
+                  cphase(0.5, 0, 1), swap(0, 1)):
+            assert g.matrix is None and g.label == "" and "matrix" not in vars(g)
+
+
 class TestGateIdentity:
     """Gates compare and hash by kind, wires and angle."""
 
@@ -89,6 +98,11 @@ class TestDepth:
 
     def test_chained_gates_stack(self):
         assert depth(Circuit(2, (h(0), cnot(0, 1), h(1)))) == 3
+
+    def test_swap_occupies_both_its_wires(self):
+        # the SWAP waits for H(0) and CNOT(1, 2); H(3) and CNOT(1, 3) do not wait for it
+        c = Circuit(4, (h(0), cnot(1, 2), swap(0, 2), h(3), cnot(1, 3), h(2)))
+        assert depth(c) == 3
 
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -186,6 +200,11 @@ class TestPeephole:
     def test_intervening_gate_blocks_cancellation(self):
         c = Circuit(2, (cnot(0, 1), rz(0.1, 1), cnot(0, 1)))
         assert len(peephole_cancel_cnots(c).gates) == 3
+
+    def test_swap_on_the_pair_blocks_cancellation(self):
+        c = Circuit(3, (cnot(0, 1), swap(1, 0), cnot(0, 1), swap(2, 0), cnot(2, 1), cnot(2, 1)))
+        assert [gate_key(g) for g in peephole_cancel_cnots(c).gates] == \
+            [gate_key(g) for g in c.gates[:4]]
 
     def test_spectator_gate_does_not_block(self):
         c = Circuit(3, (cnot(0, 1), h(2), cnot(0, 1)))

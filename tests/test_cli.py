@@ -913,10 +913,16 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["compile", "--expr", "--n", "4", "--m", "1"], "argument --expr: expected one argument"),
+        # a prefix of a flag is a flag too, on either side
+        (["compile", "--ex", "--em", "json", "--n", "4", "--m", "1"],
+         "argument --expr: expected one argument"),
+        # --timing takes no value, so the dash word after its prefix stays a word
+        (["compile", "--function", "sinc", "--n", "4", "--m", "1", "--tim", "-x"],
+         "unrecognized arguments: -x"),
         # sweep has no --m, so --m begins two long flags and is left for argparse to report
         (["sweep", "--function", "sinc", "--n", "5", "--m", "-1:3"],
          "ambiguous option: --m could match --max-qubits, --m-range"),
-    ], ids=["value-is-a-flag", "ambiguous-prefix"])
+    ], ids=["value-is-a-flag", "value-is-a-flag-prefix", "prefix-of-a-switch", "ambiguous-prefix"])
     def test_flag_is_not_taken_as_a_missing_value(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_matrix, dense_gate_matrix, rand_state, random_circuit, zero_state
+from conftest import (dense_circuit_matrix, dense_gate_matrix, rand_state, rand_unitary,
+                      random_circuit, zero_state)
 from fsl import funcs, simulator
 from fsl.circuit import (CODES, Circuit, Gate, GateKind, cnot, compose, cphase, h,
                          phase, ry, rz, swap, x)
@@ -18,7 +19,7 @@ from fsl.frqi import GrayImage, compile_frqi
 from fsl.simulator import (ShotHistogram, Statevector, classical_fidelity,
                            dump_statevector, fidelity, histogram_to_csv,
                            load_statevector, reduced_population, run, sample)
-from fsl.synth import build_inverse_qft
+from fsl.synth import build_inverse_qft, synth_unitary
 from test_cli_bytes import RECORDED_NUMPY, print_literal
 from test_fourier import UNNORMED_FILLS
 
@@ -79,6 +80,18 @@ class TestRun:
             got = run(Circuit(4, (g,)), Statevector(4, start)).amplitudes
             assert np.max(np.abs(got - dense_gate_matrix(g, 4) @ start)) < 1e-14
 
+    @pytest.mark.parametrize("wires", [(3,), (4, 1), (2, 0, 4), (1, 4, 0, 3)])
+    def test_synthesised_unitary_matches_its_matrix(self, wires, rng):
+        # a dense unitary on non-adjacent, unordered wires, as its QSD gates,
+        # acts on a random start like the matrix applied to those axes
+        n, q = 5, len(wires)
+        u = rand_unitary(rng, 2**q)
+        start = rand_state(rng, n)
+        psi = np.moveaxis(start.reshape((2,) * n), wires, range(q)).reshape(2**q, -1)
+        want = np.moveaxis((u @ psi).reshape((2,) * n), range(q), wires).reshape(-1)
+        got = run(synth_unitary(u, wires, num_qubits=n), Statevector(n, start)).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-10
+
     def test_norm_drift_raises_value_error(self, rng, monkeypatch):
         # each H step scales by a 1/sqrt(2) grown by 4e-11: run's result must fail the norm check
         monkeypatch.setattr(simulator, "_SQRT_HALF", (1 + 4e-11) / math.sqrt(2))
@@ -134,6 +147,8 @@ _COPY_CASES = {name: (ry(0.7, 0),) + gates for name, gates in {
     "ry-on-source": (cnot(0, 1), cnot(0, 2), ry(1.2, 0), cphase(0.2, 1, 2)),
     "x-on-source": (cnot(0, 1), cnot(1, 2), x(0), h(2)),
     "swap-on-source": (cnot(0, 1), cnot(0, 2), swap(0, 3), h(1), cnot(3, 2)),
+    "unitary-on-source": (cnot(0, 1), cnot(0, 2), *synth_unitary(
+        rand_unitary(np.random.default_rng(7), 4), (3, 0), num_qubits=4).gates, h(2)),
     "copies-pending-at-end": (cnot(0, 1), cnot(1, 2), cnot(0, 3), rz(0.5, 2)),
 }.items()}
 
