@@ -24,6 +24,7 @@ tuple of ``Gate`` objects, built from the columns on first use and cached.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -208,12 +209,6 @@ class Circuit:
                      for k, a, b, angle in zip(self.kinds.tolist(), *self.wires.T.tolist(),
                                                self.angles.tolist()))
 
-    @cached_property
-    def angle_texts(self) -> list[str]:
-        """Each gate's angle to 17 significant digits ('' where the kind takes
-        none), formatted once and shared by ``to_json`` and ``export_qasm``."""
-        return ["" if a != a else format(a, ".17g") for a in self.angles.tolist()]
-
     def take(self, keep) -> Circuit:
         """The gates that ``keep`` (a slice or boolean mask) selects, in order,
         with this circuit's output permutation."""
@@ -345,38 +340,11 @@ def permutation_to_swaps(perm) -> list[tuple[int, int]]:
     return swaps
 
 
-def _gate_texts(c: Circuit, parts) -> list[str]:
-    """One text per gate: its angle text (``angle_texts``) between the two
-    texts ``parts(kind, qubits)`` gives, which depend only on the gate's row of
-    kind and wires, so they are built once per distinct row."""
-    base = c.num_qubits + 1
-    key = (c.kinds.astype(np.int64) * base + c.wires[:, 0]) * base + c.wires[:, 1] + 1
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    around = [parts(KINDS[k], (a,) if b < 0 else (a, b))
-              for k, (a, b) in zip(c.kinds[first].tolist(), c.wires[first].tolist())]
-    return [head + angle + end
-            for (head, end), angle in zip(map(around.__getitem__, inverse.tolist()), c.angle_texts)]
-
-
 def _qasm_parts(kind: GateKind, qubits) -> tuple[str, str]:
     args = ",".join(f"q[{q}]" for q in qubits)
     if kind.angled:
         return f"{kind.qasm}(", f") {args};"
     return f"{kind.qasm} {args};", ""
-
-
-def export_qasm(c: Circuit) -> str:
-    """Deterministic OpenQASM 2.0 text.
-
-    A non-identity output permutation is materialized with explicit terminal SWAPs so the
-    program needs no external bookkeeping.  ``cp`` follows the modern qelib1
-    naming; ``u1`` is the plain phase gate.
-    """
-    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    lines += _gate_texts(c, _qasm_parts)
-    lines += [f"swap q[{a}],q[{b}];" for a, b in permutation_to_swaps(c.output_permutation)]
-    lines.append("")  # the final newline, inside the one join
-    return "\n".join(lines)
 
 
 # What ``json.dumps(..., indent=2)`` writes before each gate's first qubit.
@@ -391,21 +359,70 @@ def _json_parts(kind: GateKind, qubits) -> tuple[str, str]:
     return text + "\n    }", ""
 
 
+_BLOCK = 4096  # gates formatted and written per step of ``write_circuit``
+
+
+def write_circuit(c: Circuit, json_out=None, qasm_out=None) -> None:
+    """Write ``to_json(c)`` to the text stream ``json_out`` and ``export_qasm(c)``
+    to ``qasm_out``; either may be None.
+
+    The gate columns are walked ``_BLOCK`` gates at a time: each block's angles
+    are formatted once, for both texts, and each gate's text is its angle
+    between two texts that depend only on its row of kind and wires, built once
+    per distinct row in the block.  So no text of the whole circuit is held."""
+    outs = []  # (stream, parts, text between gates)
+    if json_out is not None:
+        json_out.write(f'{{\n  "num_qubits": {c.num_qubits},\n  "gates": [')
+        outs.append((json_out, _json_parts, ",\n"))
+    if qasm_out is not None:
+        qasm_out.write(f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{c.num_qubits}];')
+        outs.append((qasm_out, _qasm_parts, "\n"))
+    if not outs:
+        return
+    base = c.num_qubits + 1
+    for lo in range(0, len(c.kinds), _BLOCK):
+        kinds, wires = c.kinds[lo:lo + _BLOCK], c.wires[lo:lo + _BLOCK]
+        key = (kinds.astype(np.int64) * base + wires[:, 0]) * base + wires[:, 1] + 1
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        rows = [(KINDS[k], (a,) if b < 0 else (a, b))
+                for k, (a, b) in zip(kinds[first].tolist(), wires[first].tolist())]
+        angles = ["" if a != a else format(a, ".17g") for a in c.angles[lo:lo + _BLOCK].tolist()]
+        inverse = inverse.tolist()
+        for out, parts, sep in outs:
+            around = [parts(*row) for row in rows]
+            out.write(sep if lo else "\n")
+            out.write(sep.join([head + angle + end for (head, end), angle
+                                in zip(map(around.__getitem__, inverse), angles)]))
+    if json_out is not None:
+        perm = ",\n    ".join(map(str, c.output_permutation))
+        perm = f"[\n    {perm}\n  ]" if perm else "[]"
+        close = "\n  ]" if len(c.kinds) else "]"
+        json_out.write(f'{close},\n  "output_permutation": {perm}\n}}')
+    if qasm_out is not None:
+        qasm_out.write("".join(f"\nswap q[{a}],q[{b}];"
+                               for a, b in permutation_to_swaps(c.output_permutation)) + "\n")
+
+
+def export_qasm(c: Circuit) -> str:
+    """Deterministic OpenQASM 2.0 text (``write_circuit``).
+
+    A non-identity output permutation is materialized with explicit terminal SWAPs so the
+    program needs no external bookkeeping.  ``cp`` follows the modern qelib1
+    naming; ``u1`` is the plain phase gate.
+    """
+    out = io.StringIO()
+    write_circuit(c, qasm_out=out)
+    return out.getvalue()
+
+
 def to_json(c: Circuit) -> str:
     """The circuit as the documented JSON schema (``num_qubits``; ``gates``, each
     with ``kind``, ``qubits`` and, if the kind takes one, ``angle``;
     ``output_permutation``), laid out as ``dumps(..., indent=2)`` would, floats
-    to 17 significant digits (exact round trip)."""
-    perm = ",\n    ".join(map(str, c.output_permutation))
-    perm = f"[\n    {perm}\n  ]" if perm else "[]"
-    head = f'{{\n  "num_qubits": {c.num_qubits},\n  "gates": '
-    tail = f',\n  "output_permutation": {perm}\n}}'
-    entries = _gate_texts(c, _json_parts)
-    if not entries:
-        return f"{head}[]{tail}"
-    entries[0] = f"{head}[\n{entries[0]}"  # one join makes the only full-size string
-    entries[-1] += f"\n  ]{tail}"
-    return ",\n".join(entries)
+    to 17 significant digits (exact round trip); written by ``write_circuit``."""
+    out = io.StringIO()
+    write_circuit(c, json_out=out)
+    return out.getvalue()
 
 
 def to_json_dict(c: Circuit) -> dict:

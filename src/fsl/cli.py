@@ -16,6 +16,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -198,15 +199,18 @@ def _loads(cfg: dict, ms):
 _WRITE_CHUNK = 1 << 20  # characters encoded per write
 
 
-def _write(path: Path, *texts: str):
-    """Write ``texts`` one after another to ``path`` in slices of ``_WRITE_CHUNK``
-    characters, so a large text needs neither a concatenated nor an encoded
-    full-size copy."""
+def _open(path: Path):
+    """``path`` opened for writing text, its directory created first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for text in texts:
-            for start in range(0, len(text), _WRITE_CHUNK):
-                fh.write(text[start:start + _WRITE_CHUNK])
+    return open(path, "w")
+
+
+def _write(path: Path, text: str):
+    """Write ``text`` to ``path`` in slices of ``_WRITE_CHUNK`` characters, so
+    a large text needs no encoded full-size copy."""
+    with _open(path) as fh:
+        for start in range(0, len(text), _WRITE_CHUNK):
+            fh.write(text[start:start + _WRITE_CHUNK])
 
 
 def _emit_targets(cfg: dict) -> set:
@@ -226,11 +230,14 @@ def _emit(cfg: dict, targets: set, circ: cir.Circuit, report: compiler.CompileRe
     out = Path(cfg["out_dir"])
     prefix = cfg["prefix"]
     report_dict = {**report.to_dict(include_timing=bool(cfg["timing"])), **extra}
+    with contextlib.ExitStack() as stack:
+        files = {t: stack.enter_context(_open(out / f"{prefix}circuit.{t}"))
+                 for t in ("json", "qasm") if t in targets}
+        cir.write_circuit(circ, files.get("json"), files.get("qasm"))
+        if "json" in files:
+            files["json"].write("\n")
     if "json" in targets:
-        _write(out / f"{prefix}circuit.json", cir.to_json(circ), "\n")
         _write(out / f"{prefix}report.json", dumps(report_dict, indent=2, sort_keys=True) + "\n")
-    if "qasm" in targets:
-        _write(out / f"{prefix}circuit.qasm", cir.export_qasm(circ))
     print(dumps(report_dict, indent=2, sort_keys=True))
     return 0
 

@@ -52,9 +52,9 @@ class GridFunction:
         s = _real_or_complex(self.samples)
         if s.shape != (2**self.n,) * self.dims:
             raise DimensionMismatch(f"expected shape {(2**self.n,) * self.dims}, got {s.shape}")
-        if not abs(np.vdot(s, s).real - 1.0) <= 1e-12:
-            raise NonUnitNorm("grid samples are not unit-norm")
         s = np.ascontiguousarray(s)
+        if not abs(_sum_of_squares(s) - 1.0) <= 1e-12:
+            raise NonUnitNorm("grid samples are not unit-norm")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -69,6 +69,23 @@ class GridFunction:
         if norm == math.inf:
             raise NonUnitNorm("the samples' norm overflows a float")
         return cls(s.ndim, n, s / norm)
+
+
+_SUM_CHUNK = 1 << 16  # values summed per numpy call in ``_sum_of_squares``
+
+
+def _sum_of_squares(s: np.ndarray) -> float:
+    """Sum of |s|^2 over a contiguous array, accurate whatever its size: numpy
+    sums each chunk pairwise and ``math.fsum`` adds the chunk sums exactly, so
+    the residue does not grow with the grid as ``np.vdot``'s does, and no
+    grid-sized temporary is made."""
+    flat = s.reshape(-1).view(float)  # a complex grid's real and imaginary parts, interleaved
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which fails any check
+        sums = [np.sum(np.square(flat[i:i + _SUM_CHUNK])) for i in range(0, flat.size, _SUM_CHUNK)]
+    try:
+        return math.fsum(sums)
+    except OverflowError:  # finite chunk sums whose total overflows
+        return math.inf
 
 
 def _real_or_complex(values) -> np.ndarray:

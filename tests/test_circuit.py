@@ -1,8 +1,11 @@
 """Circuit IR: metrics, composition, peephole, and serialization."""
 import dataclasses
 import json
+import io
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,6 +290,34 @@ def json_circuits(draw):
     return Circuit(n, tuple(gates), tuple(draw(st.permutations(range(n)))))
 
 
+def block_edge_circuit(num_gates: int, angled_at=(), perm=None) -> Circuit:
+    """``num_gates`` alternating CNOT and H gates on 3 wires, with an RY of a
+    17-digit angle at each index in ``angled_at``."""
+    def gate(i):
+        if i in angled_at:
+            return ry(i / 3, i % 3)
+        return h(i % 3) if i % 2 else cnot(i % 3, (i + 1) % 3)
+    return Circuit(3, [gate(i) for i in range(num_gates)], perm)
+
+
+BLOCK = cir._BLOCK
+BLOCK_EDGES = {
+    "no-gates": block_edge_circuit(0),
+    "one-block": block_edge_circuit(BLOCK),
+    "one-block-plus-one": block_edge_circuit(BLOCK + 1),
+    "angled-first-and-last-of-blocks": block_edge_circuit(
+        2 * BLOCK, angled_at={0, BLOCK - 1, BLOCK, 2 * BLOCK - 1}),
+    "permuted": block_edge_circuit(BLOCK + 1, angled_at={BLOCK}, perm=(2, 0, 1)),
+}
+
+
+def block_edge_examples(test):
+    """``test`` with each ``BLOCK_EDGES`` circuit as an explicit example."""
+    for c in BLOCK_EDGES.values():
+        test = example(c)(test)
+    return test
+
+
 def reference_export_qasm(c: Circuit) -> str:
     """The generic writer ``export_qasm`` replaced: every gate's name, wires and
     angle formatted afresh."""
@@ -316,6 +347,7 @@ class TestQasmExport:
     @example(Circuit(0))
     @example(Circuit(3, (cnot(0, 1), cnot(0, 1), cphase(0.5, 0, 1), cphase(-0.0, 0, 1),
                          cnot(1, 0), swap(0, 2), ry(1e300, 2), ry(5e-324, 2)), (2, 0, 1)))
+    @block_edge_examples
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_reference_writer(self, c):
         assert export_qasm(c) == reference_export_qasm(c)
@@ -406,6 +438,7 @@ class TestJson:
     @example(Circuit(0))
     @example(Circuit(3, (), (2, 0, 1)))
     @example(Circuit(2, (phase(-0.0, 0), ry(5e-324, 1), rz(1e300, 0), cphase(0.0, 1, 0)), (1, 0)))
+    @block_edge_examples
     @settings(max_examples=200, deadline=None)
     def test_bytes_equal_reference_writer(self, c):
         text = to_json(c)
@@ -432,6 +465,44 @@ class TestJson:
         d = json.loads(to_json(Circuit(2, (cphase(0.25, 0, 1), phase(0.5, 1)))))
         assert set(d) == {"num_qubits", "gates", "output_permutation"}
         assert d["gates"][0] == {"kind": "CPHASE", "qubits": [0, 1], "angle": 0.25}
+
+
+class Discard:
+    """A text stream that drops what it is given."""
+
+    def write(self, text: str) -> None:
+        pass
+
+
+class TestBlockWriter:
+    """``write_circuit`` is the one writer of both texts, block by block."""
+
+    @given(json_circuits(), st.integers(1, 4))
+    @example(BLOCK_EDGES["angled-first-and-last-of-blocks"], BLOCK)
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_writes_both_texts_at_any_block_size(self, c, block):
+        json_out, qasm_out = io.StringIO(), io.StringIO()
+        with mock.patch.object(cir, "_BLOCK", block):
+            cir.write_circuit(c, json_out, qasm_out)
+        assert json_out.getvalue() == reference_to_json(c)
+        assert qasm_out.getvalue() == reference_export_qasm(c)
+
+    def test_large_circuit_is_written_in_bounded_memory(self):
+        # 131072 gates; a whole-text writer peaks near 30 MB here
+        num_gates, ry_code, cnot_code = 1 << 17, CODES[GateKind.RY], CODES[GateKind.CNOT]
+        wire = np.arange(num_gates) % 8
+        is_ry = np.arange(num_gates) % 2 == 0
+        rows = (np.where(is_ry, ry_code, cnot_code),
+                np.stack([wire, np.where(is_ry, -1, (wire + 1) % 8)], axis=1),
+                np.where(is_ry, np.random.default_rng(0).uniform(-7, 7, num_gates), math.nan))
+        c = Circuit.join(8, [rows], (1, 0, 2, 3, 4, 5, 6, 7))
+        tracemalloc.start()
+        try:
+            cir.write_circuit(c, Discard(), Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

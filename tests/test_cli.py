@@ -139,6 +139,25 @@ class TestCompileCommand:
         text = (tmp_path / "fsl_circuit.json").read_text()
         assert cir.to_json(cir.from_json(text)) + "\n" == text
 
+    @pytest.mark.parametrize("emit", ["json", "qasm", "json,qasm"])
+    def test_files_hold_the_library_writers_text(self, emit, tmp_path, capsys, monkeypatch):
+        # one write_circuit call writes every circuit file, into a directory
+        # it creates, and each file holds what to_json and export_qasm return
+        seen, write = [], cir.write_circuit
+        monkeypatch.setattr(cir, "write_circuit",
+                            lambda c, *a, **k: seen.append(c) or write(c, *a, **k))
+        out = tmp_path / "new" / "dir"
+        code, _, _ = run_cli(capsys, "compile", "--function", "tanh", "--n", "7", "--m", "3",
+                             "--emit", emit, "--out-dir", str(out), "--prefix", "p_")
+        assert code == 0 and len(seen) == 1
+        files = {t: out / f"p_circuit.{t}" for t in ("json", "qasm")}
+        assert {t for t, path in files.items() if path.exists()} == set(emit.split(","))
+        if "json" in emit:
+            assert files["json"].read_text() == cir.to_json(seen[0]) + "\n"
+            assert cir.from_json(files["json"].read_text()) == seen[0]
+        if "qasm" in emit:
+            assert files["qasm"].read_text() == cir.export_qasm(seen[0])
+
     def test_expression_mode(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "compile", "--expr", "1 + 0.2*cos(2*pi*x)",
                              "--n", "5", "--m", "2", "--out-dir", str(tmp_path))
@@ -307,6 +326,15 @@ class TestFullScaleThroughCli:
         assert json.loads(out)["gate_counts"]["single_qubit"] > 65000
         assert (tmp_path / "fsl_circuit.qasm").stat().st_size > 2_000_000
         assert len(made) < 100
+
+
+class TestCapacityEdge:
+    def test_piecewise_grid_passes_its_unit_norm_check(self, capsys):
+        # np.vdot's residue on this grid, 1.0e-12, exceeded the 1e-12 bound
+        code, out, err = run_cli(capsys, "compile", "--function", "piecewise", "--n", "22",
+                                 "--m", "4", "--emit", "none")
+        assert (code, err) == (0, "")
+        assert 0 <= json.loads(out)["exact_infidelity"] < 1
 
 
 class TestSweepCommand:

@@ -13,7 +13,13 @@ else; ``tests/test_compiler.py`` and ``tests/test_simulator.py`` print their
 ``UNCHANGED`` and ``STATE_DIGESTS`` the same way, through ``print_literal``.
 
 Digests depend on numpy's floating-point kernels, so the test only runs under
-the numpy version they were recorded with.
+the numpy version they were recorded with.  They also depend on the BLAS
+thread count: they were recorded with OpenBLAS on two or more threads, and
+with ``OPENBLAS_NUM_THREADS=1`` the stdout digests of
+``simulate-piecewise-n14`` and ``simulate-sinc2d`` differ, because one thread
+sums ``np.vdot`` and ``np.linalg.norm`` in another order (the norm of a
+2^20-point vector moves in its last digit).  Run the pins with the default
+thread count.
 
 A Schmidt compile also goes through LAPACK (the SVD and the Shannon
 decomposition of U and V), whose last bits move with the BLAS kernels the CPU

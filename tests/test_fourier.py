@@ -474,6 +474,26 @@ class TestGridFunctionValidation:
             with pytest.raises(NonUnitNorm, match=why):
                 GridFunction.from_samples(np.full(4, fill))
 
+    def test_a_sum_that_overflows_only_across_chunks_fails_the_norm_check(self):
+        # each chunk of squares sums to about 1e308; their total overflows
+        value = math.sqrt(1e308 / fourier._SUM_CHUNK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUnitNorm, match="grid samples are not unit-norm"):
+                GridFunction(1, 17, np.full(2**17, value))
+
+    @given(st.integers(0, 2**31 - 1), st.integers(0, 14), st.sampled_from([1, 2]),
+           st.booleans(), st.floats(-150, 150))
+    @settings(max_examples=60, deadline=None)
+    def test_from_samples_passes_its_own_constructor(self, seed, bits, dims, complex_, scale):
+        rng = np.random.default_rng(seed)
+        n = bits // dims
+        s = rng.standard_normal((2**n,) * dims)
+        if complex_:
+            s = s + 1j * rng.standard_normal(s.shape)
+        g = GridFunction.from_samples(s * 10.0**scale)  # runs the constructor's check
+        assert g.samples.shape == s.shape and g.samples.dtype == s.dtype
+
 
 class TestFourierSpecValidation:
     def test_unit_norm_enforced(self):
