@@ -63,10 +63,15 @@ _ARITY_OF[:len(KINDS)] = [kind.arity for kind in KINDS]
 _ANGLED_OF = np.array([kind.angled for kind in KINDS] + [False] * (256 - len(KINDS)))
 
 
+def _is_index(value) -> bool:  # a wire or a wire count: an integer >= 0, numpy's too, no bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class Gate:
-    """A single gate: kind, qubit tuple (controls first), optional angle.
-    Gates compare and hash by (kind, qubits, angle)."""
+    """A single gate: kind, qubit tuple (controls first), optional angle.  Wires
+    are integers >= 0 (``Circuit`` bounds them above), angles finite ints or
+    floats, numpy's too, never bools.  Gates compare and hash by (kind, qubits, angle)."""
 
     kind: GateKind
     qubits: tuple[int, ...]
@@ -75,16 +80,21 @@ class Gate:
     label = ""  # read by perfbench/replay.py's _gate_key
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(map(int, self.qubits)))
+        qubits = tuple(self.qubits)
+        if not all(map(_is_index, qubits)):
+            raise ValueError(f"gate {self.kind} on {qubits}: a wire must be a non-negative integer")
+        object.__setattr__(self, "qubits", tuple(map(int, qubits)))
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"duplicate qubit in gate {self.kind}: {self.qubits}")
         object.__setattr__(self, "kind", KINDS[CODES[self.kind]])  # KeyError for an unknown kind
         if len(self.qubits) != self.kind.arity:
             raise ValueError(f"{self.kind} expects {self.kind.arity} qubits, got {self.qubits}")
         if self.kind.angled:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} requires a finite angle, got {self.angle}")
-            object.__setattr__(self, "angle", float(self.angle))
+            a = self.angle
+            if not (isinstance(a, (int, float, np.integer, np.floating))
+                    and not isinstance(a, bool) and math.isfinite(a)):
+                raise ValueError(f"{self.kind} requires a finite angle, got {a!r}")
+            object.__setattr__(self, "angle", float(a))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -134,13 +144,6 @@ def cnot_rows(pairs) -> tuple:
 _COLUMN_TYPES = ((np.uint8, (-1,)), (np.int32, (-1, 2)), (np.float64, (-1,)))
 
 
-def _permutation(num_qubits: int, perm) -> tuple[int, ...]:
-    perm = tuple(range(num_qubits)) if perm is None else tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(num_qubits)):
-        raise ValueError(f"invalid output permutation {perm}")
-    return perm
-
-
 class Circuit:
     """Ordered gate list over ``num_qubits`` wires plus an output permutation,
     held as kind, wire and angle columns (module docstring).
@@ -150,11 +153,6 @@ class Circuit:
 
     def __init__(self, num_qubits: int, gates=(), output_permutation=None):
         gates = tuple(gates)
-        _permutation(num_qubits, output_permutation)
-        wires = [q for g in gates for q in g.qubits]
-        if wires and (min(wires) < 0 or max(wires) >= num_qubits):
-            g = next(g for g in gates if not all(0 <= q < num_qubits for q in g.qubits))
-            raise ValueError(f"gate {g.kind} on {g.qubits} outside {num_qubits} qubits")
         rows = ([CODES[g.kind] for g in gates], [(g.qubits + (-1, -1))[:2] for g in gates],
                 [math.nan if g.angle is None else g.angle for g in gates])
         self._fill(num_qubits, rows, output_permutation)
@@ -176,9 +174,10 @@ class Circuit:
         return c
 
     def _fill(self, num_qubits: int, rows, output_permutation) -> None:
-        """Set the fields from columns and check them as whole arrays, in the
-        order of the per-gate checks: the first faulty gate raises the error its
-        ``Gate`` would, then the permutation and the wire range are checked."""
+        """Set the fields from columns and check them as whole arrays: the first
+        faulty gate raises the error its ``Gate`` would, then the qubit count and
+        permutation, then the wire range.  Every constructor ends here, so this is
+        the only permutation and range check."""
         kinds, wires, angles = (np.asarray(values, dtype).reshape(shape)
                                 for values, (dtype, shape) in zip(rows, _COLUMN_TYPES))
         for column in (kinds, wires, angles):
@@ -194,7 +193,12 @@ class Circuit:
             if arity[i] > 0:  # the Gate constructor names the fault as for a gate object
                 Gate(KINDS[k], self._qubits(i), None if math.isnan(angle) else angle)
             raise ValueError(f"gate row {i} (kind code {k}, wires {wires[i].tolist()}) is malformed")
-        self.output_permutation = _permutation(num_qubits, output_permutation)
+        if not _is_index(num_qubits):
+            raise ValueError(f"num_qubits must be a non-negative integer, got {num_qubits!r}")
+        perm = tuple(range(num_qubits) if output_permutation is None else output_permutation)
+        if not all(map(_is_index, perm)) or sorted(perm) != list(range(num_qubits)):
+            raise ValueError(f"invalid output permutation {perm}")
+        self.output_permutation = tuple(map(int, perm))
         if wires.max(initial=-1) >= num_qubits:
             i = int(np.argmax(wires.max(axis=1) >= num_qubits))
             raise ValueError(f"gate {KINDS[kinds[i]]} on {self._qubits(i)} outside {num_qubits} qubits")
@@ -434,4 +438,4 @@ def to_json_dict(c: Circuit) -> dict:
 def from_json(text: str) -> Circuit:
     d = json.loads(text)
     gates = tuple(Gate(GateKind(e["kind"]), tuple(e["qubits"]), e.get("angle")) for e in d["gates"])
-    return Circuit(int(d["num_qubits"]), gates, tuple(d["output_permutation"]))
+    return Circuit(d["num_qubits"], gates, tuple(d["output_permutation"]))

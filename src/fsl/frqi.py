@@ -67,16 +67,13 @@ def _phase_spec(img: GrayImage, m: int) -> FourierSpec:
     return specs[m]
 
 
-def _joint_vector(spec: FourierSpec) -> np.ndarray:
+def phase_spectra(img: GrayImage, m: int) -> np.ndarray:
+    """Normalized joint coefficient state |0>|c+> + |1>|c-> on 2(m+1)+1 qubits:
+    the loader vector.  The captured window mass is `window_capture`."""
+    spec = _phase_spec(img, m)
     # c-_k = conj(c+_{-k}); in the centred layout k -> -k reverses both axes.
     minus = replace(spec, coeffs=np.conj(spec.coeffs[::-1, ::-1]))
     return np.concatenate([spec.wrapped_vector(), minus.wrapped_vector()]) / math.sqrt(2)
-
-
-def phase_spectra(img: GrayImage, m: int):
-    """Normalized joint coefficient state |0>|c+> + |1>|c-> on 2(m+1)+1 qubits:
-    the loader vector.  The captured window mass is `window_capture`."""
-    return _joint_vector(_phase_spec(img, m))
 
 
 def window_capture(img: GrayImage, m: int) -> float:
@@ -104,8 +101,7 @@ def compile_frqi(img: GrayImage, m: int,
     """
     plan = replace(plan or FSLPlan(n=img.n, m=m), n=img.n, m=m, dims=2)
     check_capacity(plan, lead=1)
-    spec = _phase_spec(img, m)
-    return assemble(_joint_vector(spec), plan, spec.norm_constant, lead=1,
+    return assemble(phase_spectra(img, m), plan, window_capture(img, m), lead=1,
                     tail=(h(0), phase(math.pi / 2, 0)))
 
 

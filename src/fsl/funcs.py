@@ -63,8 +63,7 @@ def _lorentzian(p):
 
 
 def _spiky(p):
-    lam = p["lam"]
-    return lambda x: (np.cos(4 * np.pi * x) + lam * np.cos(20 * np.pi * x)) ** 2
+    return lambda x: _spiky_amplitude(p)(x) ** 2
 
 
 def _spiky_amplitude(p):

@@ -40,12 +40,21 @@ class TestGateValidation:
     @pytest.mark.parametrize("position", [0, 2, 4])
     @pytest.mark.parametrize("wire", [-1, 3])
     def test_gate_indices_inside_register(self, wire, position):
-        gates = [h(0), cnot(0, 1), ry(0.5, 2), swap(1, 2), h(2)]
-        gates[position] = cnot(1, wire)
-        gates.append(h(wire))  # a later offender must not be the one named
+        # a negative wire is the gate's own fault, a wire above the register the circuit's
         with pytest.raises(ValueError) as err:
+            gates = [h(0), cnot(0, 1), ry(0.5, 2), swap(1, 2), h(2)]
+            gates[position] = cnot(1, wire)
+            gates.append(h(wire))  # a later offender must not be the one named
             Circuit(3, tuple(gates))
-        assert str(err.value) == f"gate GateKind.CNOT on (1, {wire}) outside 3 qubits"
+        fault = ": a wire must be a non-negative integer" if wire < 0 else " outside 3 qubits"
+        assert str(err.value) == f"gate GateKind.CNOT on (1, {wire}){fault}"
+
+    def test_numpy_integers_and_reals_are_read_as_python_numbers(self):
+        g = Gate(GateKind.CPHASE, (np.int64(0), np.int32(2)), np.float32(0.5))
+        assert g == cphase(0.5, 0, 2) and all(type(q) is int for q in g.qubits)
+        c = Circuit(np.int64(3), (g,), (np.int8(2), np.uint16(0), np.int64(1)))
+        assert c.output_permutation == (2, 0, 1)
+        assert all(type(p) is int for p in c.output_permutation)
 
     def test_invalid_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
@@ -628,8 +637,20 @@ MALFORMED = {
                       ValueError, "GateKind.SWAP takes no angle"),
     "wire above range": (lambda: Gate(GateKind.CNOT, (1, 3)), _entry("CNOT", [1, 3]),
                          ValueError, "gate GateKind.CNOT on (1, 3) outside 3 qubits"),
-    "negative wire": (lambda: Gate(GateKind.H, (-1,)), _entry("H", [-1]),
-                      ValueError, "gate GateKind.H on (-1,) outside 3 qubits"),
+    "negative wire": (lambda: Gate(GateKind.H, (-1,)), _entry("H", [-1]), ValueError,
+                      "gate GateKind.H on (-1,): a wire must be a non-negative integer"),
+    "fractional wire": (lambda: Gate(GateKind.H, (1.5,)), _entry("H", [1.5]), ValueError,
+                        "gate GateKind.H on (1.5,): a wire must be a non-negative integer"),
+    "integral float wire": (lambda: Gate(GateKind.X, (1.0,)), _entry("X", [1.0]), ValueError,
+                            "gate GateKind.X on (1.0,): a wire must be a non-negative integer"),
+    "bool wire": (lambda: Gate(GateKind.CNOT, (0, True)), _entry("CNOT", [0, True]), ValueError,
+                  "gate GateKind.CNOT on (0, True): a wire must be a non-negative integer"),
+    "string wire": (lambda: Gate(GateKind.H, ("1",)), _entry("H", ["1"]), ValueError,
+                    "gate GateKind.H on ('1',): a wire must be a non-negative integer"),
+    "string angle": (lambda: Gate(GateKind.RY, (0,), "0.5"), _entry("RY", [0], "0.5"),
+                     ValueError, "GateKind.RY requires a finite angle, got '0.5'"),
+    "bool angle": (lambda: Gate(GateKind.RZ, (1,), True), _entry("RZ", [1], True),
+                   ValueError, "GateKind.RZ requires a finite angle, got True"),
 }
 
 
@@ -676,6 +697,13 @@ class TestMalformedGates:
          "'FOO' is not a valid GateKind"),
         ([0, 1, 2], [_entry("RZ", [1], 1.5), _entry("OPAQUE_UNITARY", [0])],  # a retired kind
          "'OPAQUE_UNITARY' is not a valid GateKind"),
+        ([0.2, 1.9, 2], [_entry("CNOT", [0, 5]), _entry("H", [True]), _entry("H", [-1])],
+         "gate GateKind.H on (True,): a wire must be a non-negative integer"),
+        ([0.2, 1.9, 2], [_entry("RY", [0], "0.5"), _entry("H", [1.7])],
+         "GateKind.RY requires a finite angle, got '0.5'"),
+        ([0.2, 1.9, 2], [_entry("RZ", [1], 1.5), _entry("CNOT", [0, 5])],
+         "invalid output permutation (0.2, 1.9, 2)"),
+        ([0, True, 2], [_entry("CNOT", [0, 5])], "invalid output permutation (0, True, 2)"),
     ])
     def test_faults_are_found_in_the_per_gate_order(self, perm, gates, message):
         # gate faults first, in gate order, then the permutation, then the wire
@@ -685,6 +713,28 @@ class TestMalformedGates:
             from_json(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("num_qubits, perm, gates, message", [
+        (2.9, [0.2, 1.9], [_entry("CNOT", [0, 5]), _entry("H", [1.5])],
+         "gate GateKind.H on (1.5,): a wire must be a non-negative integer"),
+        (2.9, [0.2, 1.9], [_entry("H", [4])], "num_qubits must be a non-negative integer, got 2.9"),
+        (2.0, [0, 1], [], "num_qubits must be a non-negative integer, got 2.0"),
+        (True, [0], [], "num_qubits must be a non-negative integer, got True"),
+        ("2", [0, 1], [], "num_qubits must be a non-negative integer, got '2'"),
+        (-1, [], [], "num_qubits must be a non-negative integer, got -1"),
+        (2, [0.2, 1.9], [_entry("H", [4])], "invalid output permutation (0.2, 1.9)"),
+    ])
+    def test_qubit_count_is_checked_after_the_gates_before_the_permutation(
+            self, num_qubits, perm, gates, message):
+        text = json.dumps({"num_qubits": num_qubits, "output_permutation": perm, "gates": gates})
+        with pytest.raises(ValueError) as err:
+            from_json(text)
+        assert str(err.value) == message
+        if not gates:  # the same check for gate objects and row blocks
+            for build in (Circuit, Circuit.join):
+                with pytest.raises(ValueError) as err:
+                    build(num_qubits, (), perm)
+                assert str(err.value) == message
+
     @pytest.mark.parametrize("rows, message", [
         (([CODES[GateKind.RY]], [(0, -1)], [math.nan]), "GateKind.RY requires a finite angle, got None"),
         (([CODES[GateKind.H]], [(0, 2)], [math.nan]), "GateKind.H expects 1 qubits, got (0, 2)"),
@@ -693,6 +743,8 @@ class TestMalformedGates:
         (([8], [(0, -1)], [math.nan]),  # the retired opaque kind's code
          "gate row 1 (kind code 8, wires [0, -1]) is malformed"),
         (([200], [(0, -1)], [math.nan]), "gate row 1 (kind code 200, wires [0, -1]) is malformed"),
+        (([CODES[GateKind.CNOT]], [(0, -3)], [math.nan]),
+         "gate GateKind.CNOT on (0, -3): a wire must be a non-negative integer"),
     ])
     def test_row_blocks_are_checked(self, rows, message):
         with pytest.raises(ValueError) as err:

@@ -1,5 +1,6 @@
 """Spectral analysis: DFT conventions, truncation, filtering, mirror extension,
 and the exact/bounded truncation-error accounting."""
+import dataclasses
 import math
 import warnings
 
@@ -53,18 +54,6 @@ class TestDftCoefficients:
     def test_matches_brute_force_oracle(self, rng):
         g = grid_from(rng, 3)
         assert np.max(np.abs(dft_coefficients(g) - brute_force_dft(g.samples))) < 1e-12
-
-    def test_rejects_unnormalized(self):
-        g = GridFunction.from_samples(np.ones(4))
-        object.__setattr__(g, "samples", g.samples * 2)
-        with pytest.raises(NonUnitNorm):
-            dft_coefficients(g)
-
-    def test_rejects_nan_samples(self):
-        g = GridFunction.from_samples(np.ones(4))
-        object.__setattr__(g, "samples", g.samples * np.nan)
-        with pytest.raises(NonUnitNorm):
-            dft_coefficients(g)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -462,10 +451,15 @@ class TestGridFunctionValidation:
     def test_infinite_or_overflowing_samples_fail_the_norm_check(self, fill):
         with pytest.raises(NonUnitNorm, match="grid samples are not unit-norm"):
             GridFunction(1, 2, np.full(4, fill))
+
+    def test_every_grid_passes_the_constructor_check(self):
+        # ``spectrum`` relies on this check: ``replace`` runs it, and the samples are read-only
         g = GridFunction.from_samples(np.ones(4))
-        object.__setattr__(g, "samples", np.full(4, fill))
-        with pytest.raises(NonUnitNorm, match="grid function is not unit-norm"):
-            dft_coefficients(g)
+        for samples in (g.samples * 2, g.samples * np.nan):
+            with pytest.raises(NonUnitNorm, match="grid samples are not unit-norm"):
+                dataclasses.replace(g, samples=samples)
+        with pytest.raises(ValueError, match="read-only"):
+            g.samples[0] = 1.0
 
     @pytest.mark.parametrize("fill, why", [(0.0, "all-zero"), (1e300, "overflows")])
     def test_from_samples_rejects_a_norm_it_cannot_divide_by(self, fill, why):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fsl import funcs
 from fsl.errors import ExpressionError, NegativeUnderSqrt, NonUnitNorm, UnknownFunction
+from fsl.fourier import GridFunction
 
 
 class TestCatalogParameters:
@@ -120,6 +121,15 @@ class TestSampling:
         probs = np.abs(g.samples) ** 2
         f = funcs.builtin("spiky").evaluate(np.arange(32) / 32)
         assert np.max(np.abs(probs - f / f.sum())) < 1e-14
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_spiky_grid_is_its_amplitude_squared_bit_for_bit(self, n):
+        # spiky squares its signed amplitude; the grid is the one its own formula gave
+        x = np.arange(2**n) / 2**n
+        values = (np.cos(4 * np.pi * x) + 2.5 * np.cos(20 * np.pi * x)) ** 2
+        assert np.array_equal(funcs.builtin("spiky").evaluate(x), values)
+        got = funcs.sample(funcs.builtin("spiky"), n).samples
+        assert got.tobytes() == GridFunction.from_samples(values).samples.tobytes()
 
     def test_2d_sampling_orientation(self):
         fd = funcs.expression("x + 10*y", dims=2)

@@ -13,7 +13,7 @@ from fsl import fourier, funcs
 from fsl.circuit import CODES, Circuit, GateKind, cnot, gate_counts, h
 from fsl.compiler import prepare_spec
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
-from fsl.frqi import GrayImage, _joint_vector, _phase_spec
+from fsl.frqi import GrayImage, phase_spectra
 from fsl.simulator import Statevector, fidelity, run
 from fsl.synth import (REAL_TOL, SCHMIDT_RANK_TOL, SchmidtForm, UCRAngles, _real_eigvecs,
                        _split_diagonal, _synth_rec, _ucr_block, build_inverse_qft,
@@ -465,7 +465,7 @@ class TestSchmidt:
         # a last-bit change the SVD alone may flip a Schmidt pair's sign or
         # complete the null space anew, moving U and V entries by up to 2.
         img = GrayImage(16, np.random.default_rng(0).random((16, 16)))
-        vec = _joint_vector(_phase_spec(img, 2))
+        vec = phase_spectra(img, 2)
         vec /= np.linalg.norm(vec)
         form = schmidt_decompose(vec)
         assert np.count_nonzero(form.schmidt_coeffs) < len(form.schmidt_coeffs)
