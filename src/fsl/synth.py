@@ -19,8 +19,9 @@ Three loaders live here:
 
 ``synth_unitary`` performs the optimised quantum Shannon decomposition of
 Shende, Bullock & Markov (quant-ph/0406176), exact including global phase:
-cosine-sine steps and demultiplexors recurse down to two-qubit leaves, each
-leaf a canonical-form circuit of at most 3 CNOTs (Vatan & Williams,
+cosine-sine steps (``np.linalg.svd`` and ``np.linalg.qr``) and demultiplexors
+(``np.linalg.eigh``) recurse down to two-qubit leaves, each leaf a
+canonical-form circuit of at most 3 CNOTs (Vatan & Williams,
 quant-ph/0308006), every leaf but the last taken only up to a diagonal
 (2 CNOTs), and each cosine-sine step's last CZ folded into the next block.
 A one-qubit unitary is a ZYZ rotation; inside a larger one, every one-qubit
@@ -380,18 +381,14 @@ def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     """(alpha, beta, gamma, delta) with u = e^{i alpha} Rz(beta) Ry(gamma) Rz(delta)."""
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     alpha = 0.5 * math.atan2(det.imag, det.real)
-    v = u * np.exp(-1j * alpha)
+    v = u * cmath.exp(-1j * alpha)
     gamma = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
     if abs(v[1, 0]) < 1e-12:
-        beta = 2.0 * np.angle(v[1, 1])
-        delta = 0.0
-    elif abs(v[0, 0]) < 1e-12:
-        beta = 2.0 * np.angle(v[1, 0])
-        delta = 0.0
-    else:
-        beta = np.angle(v[1, 1]) + np.angle(v[1, 0])
-        delta = np.angle(v[1, 1]) - np.angle(v[1, 0])
-    return alpha, float(beta), gamma, float(delta)
+        return alpha, 2.0 * cmath.phase(v[1, 1]), gamma, 0.0
+    if abs(v[0, 0]) < 1e-12:
+        return alpha, 2.0 * cmath.phase(v[1, 0]), gamma, 0.0
+    p11, p10 = cmath.phase(v[1, 1]), cmath.phase(v[1, 0])
+    return alpha, p11 + p10, gamma, p11 - p10
 
 
 def _emit_1q(u: np.ndarray, qubit: int, phases: list | None = None) -> list:
@@ -425,25 +422,34 @@ _PAIR_TOL = 1e-12
 _EIG_TOL = 1e-9
 
 
-def _real_eigvecs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, d): real orthogonal p and d with m = p diag(d) p^T, for a symmetric
-    unitary m.
+def _eigvecs(m: np.ndarray, herm: np.ndarray, anti: np.ndarray, what: str):
+    """(p, d): unitary p and d with m = p diag(d) p^H, for a normal m whose
+    Hermitian and anti-Hermitian parts are ``herm`` and i ``anti``.
 
-    Re m and Im m are commuting real symmetric matrices, so a generic real mix
-    of the two has their common eigenvectors.  A fixed list of mixes is tried
-    until one reproduces m (a mix can merge two of m's eigenvalues); failing
-    that, the best one is kept if it reproduces m to ``_EIG_TOL``."""
+    herm and anti are commuting Hermitian matrices, so ``np.linalg.eigh`` of a
+    generic real mix of the two gives their common eigenvectors, real when
+    both are real.  A fixed list of mixes is tried until one reproduces m (a
+    mix can merge two of m's eigenvalues); failing that, the best one is kept
+    if it reproduces m to ``_EIG_TOL``, and ``NotUnitary`` names ``what``
+    otherwise."""
     best = (math.inf, None, None)
     for x, y in _MIXES:
-        p = np.linalg.eigh(x * m.real + y * m.imag)[1]
-        d = np.einsum("ij,ik,kj->j", p, m, p)
-        best = min(best, (np.max(np.abs((p * d) @ p.T - m)), p, d), key=lambda t: t[0])
-        if best[0] < 1e-13:
+        p = np.linalg.eigh(x * herm + y * anti)[1]
+        d = np.sum(p.conj() * (m @ p), axis=0)
+        err = np.max(np.abs((p * d) @ p.conj().T - m))
+        if err < best[0]:
+            best = (err, p, d)
+        if err < 1e-13:
             break
     if best[0] > _EIG_TOL:
-        raise NotUnitary(f"no real eigenbasis reproduces a two-qubit leaf to {_EIG_TOL} "
-                         f"(best {best[0]:.1e})")
+        raise NotUnitary(f"no {what} to {_EIG_TOL} (best {best[0]:.1e})")
     return best[1], best[2]
+
+
+def _real_eigvecs(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, d): real orthogonal p and d with m = p diag(d) p^T, for a symmetric
+    unitary m, whose Hermitian and anti-Hermitian parts are Re m and i Im m."""
+    return _eigvecs(m, m.real, m.imag, "real eigenbasis reproduces a two-qubit leaf")
 
 
 def _local_factors(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,7 +468,7 @@ def _canonical(u: np.ndarray):
     the canonical phases are square roots of D.  When u takes two CNOTs, D's
     phases pair up as +-2 theta; the eigenvectors are then ordered so that b
     is exactly 0."""
-    phase = float(np.angle(np.linalg.det(u))) / 4
+    phase = cmath.phase(np.linalg.det(u)) / 4
     up = _MAGIC.conj().T @ u @ _MAGIC * cmath.exp(-1j * phase)
     p, d = _real_eigvecs(up.T @ up)
     theta = np.angle(d) / 2
@@ -521,12 +527,40 @@ def _split_diagonal(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # The quantum Shannon decomposition
 
-def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int], parts: list) -> None:
-    """Append the parts of |0><0| (x) a + |1><1| (x) b, ``select`` the select qubit."""
-    from scipy.linalg import schur  # deferred: importing fsl must not load scipy.linalg
+def _cossin(u: np.ndarray):
+    """(u1, u2, theta, v1h, v2h) with u = (u1 (+) u2) [[C, -S], [S, C]] (v1h (+)
+    v2h), C = diag(cos theta), S = diag(sin theta) and theta in [0, pi/2]: the
+    cosine-sine decomposition of u's half blocks [[u11, u12], [u21, u22]].
 
-    evals, l_mat = schur(a @ b.conj().T, output="complex")
-    lam = np.diag(evals)
+    ``np.linalg.svd`` of u11 gives u1, cos theta and v1h.  The columns of
+    u21 v1h^H = u2 S are orthogonal with norms sin theta; ``np.linalg.qr`` of
+    them in descending-norm order (the SVD's order reversed, rows too, so
+    that u21 = 0 gives u2 = I) gives u2, each column turned by the phase of
+    R's diagonal entry, whose size is sin theta.  Row i of v2h is row i of
+    u2^H u22 over cos theta_i where cos theta_i >= sin theta_i, and of
+    -u1^H u12 over sin theta_i elsewhere."""
+    (u11, u12), (u21, u22) = (np.split(rows, 2, axis=1) for rows in np.split(u, 2))
+    u1, c, v1h = np.linalg.svd(u11)
+    q, r = np.linalg.qr((u21 @ v1h.conj().T)[::-1, ::-1])
+    r = np.diag(r)[::-1]
+    s = np.abs(r)
+    u2 = q[::-1, ::-1] * np.exp(1j * np.angle(r))
+    top = c >= s
+    v2h = np.empty(u12.shape, dtype=complex)
+    v2h[top] = (u2[:, top].conj().T @ u22) / c[top, None]
+    v2h[~top] = -(u1[:, ~top].conj().T @ u12) / s[~top, None]
+    return u1, u2, np.arctan2(s, c), v1h, v2h
+
+
+def _demultiplex(a: np.ndarray, b: np.ndarray, select: int, rest: list[int], parts: list) -> None:
+    """Append the parts of |0><0| (x) a + |1><1| (x) b, ``select`` the select qubit.
+
+    With a b^H = l diag(lam) l^H (``_eigvecs``: ``np.linalg.eigh`` of a mix of
+    its Hermitian and anti-Hermitian parts) and d = lam^(1/2), a = l d r and
+    b = l d^* r for r = d^* l^H a: r, a multiplexed RZ of d's phases, then l."""
+    m = a @ b.conj().T
+    l_mat, lam = _eigvecs(m, (m + m.conj().T) / 2, (m - m.conj().T) / 2j,
+                          "eigenbasis reproduces a demultiplexor's a b^H")
     d = np.exp(0.5j * np.angle(lam))
     r_mat = (d[:, None].conj() * l_mat.conj().T) @ a
     _qsd(r_mat, rest, parts)
@@ -538,9 +572,11 @@ def _qsd(u: np.ndarray, qubits: list[int], parts: list, zeros: int = 0) -> None:
     """Append the parts of ``u`` on two or more ``qubits`` in time order: row
     blocks for the multiplexors and a 4x4 matrix for each two-qubit leaf.
 
-    The cosine-sine step's multiplexed RY uses CZs (CPHASE(pi)), as Z Ry Z = X
-    Ry X; its last CZ, on the first of the other wires, is left out and taken
-    into the next demultiplexor's second block, u2 -> u2 Z.
+    Each step is a cosine-sine decomposition (``_cossin``: ``np.linalg.svd``
+    and ``np.linalg.qr``) into two demultiplexors around a multiplexed RY.
+    That RY uses CZs (CPHASE(pi)), as Z Ry Z = X Ry X; its last CZ, on the
+    first of the other wires, is left out and taken into the next
+    demultiplexor's second block, u2 -> u2 Z.
 
     With the first ``zeros`` qubits known to be |0>, only u's first
     2^(q - zeros) columns need be right, and a select qubit among them
@@ -548,16 +584,14 @@ def _qsd(u: np.ndarray, qubits: list[int], parts: list, zeros: int = 0) -> None:
     if len(qubits) == 2:
         parts.append(u)
         return
-    from scipy.linalg import cossin  # deferred: importing fsl must not load scipy.linalg
-
     half = len(u) // 2
-    (u1, u2), theta, (v1h, v2h) = cossin(u, p=half, q=half, separate=True)
+    u1, u2, theta, v1h, v2h = _cossin(u)
     select, rest = qubits[0], qubits[1:]
     if zeros:
         _qsd(v1h, rest, parts, zeros - 1)
     else:
         _demultiplex(v1h, v2h, select, rest, parts)
-    kinds, wires, angles = _ucr_block(GateKind.RY, 2.0 * np.asarray(theta), rest, select)
+    kinds, wires, angles = _ucr_block(GateKind.RY, 2.0 * theta, rest, select)
     if len(kinds):
         cz = kinds == _CNOT
         parts.append((np.where(cz, _CPHASE, kinds)[:-1], wires[:-1],

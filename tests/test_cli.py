@@ -792,6 +792,21 @@ class TestConfigAndErrors:
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.stdout.strip() == "False"
 
+    def test_schmidt_compile_and_synth_unitary_load_no_scipy(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        code = ("import sys, numpy as np, fsl.cli, fsl.synth; "
+                "fsl.cli.main(['compile', '--function', 'piecewise', '--n', '8', '--m', '4', "
+                "'--loader', 'schmidt', '--emit', 'none']); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "fsl.synth.synth_unitary(np.linalg.qr(np.arange(64.0).reshape(8, 8) ** 0.5)[0]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *report, after_compile, after_synth = proc.stdout.splitlines()
+        assert json.loads("".join(report))["gate_counts"]["two_qubit"] > 0
+        assert after_compile == after_synth == "[]"
+
     def test_tower_of_powers_fails_fast_with_exit_3(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--expr",

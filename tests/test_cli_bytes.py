@@ -297,8 +297,8 @@ LOW_RANK = {
     "complex_cosines": (["compile", "--function", "complex_cosines", "--n", "10", "--m", "6"], {
         "depth": 193,
         "gate_counts": {"by_kind": {"CNOT": 66, "CPHASE": 64, "H": 10, "PHASE": 2, "RY": 96,
-                                    "RZ": 157},
-                        "opaque": 0, "single_qubit": 265, "two_qubit": 130}}),
+                                    "RZ": 155},
+                        "opaque": 0, "single_qubit": 263, "two_qubit": 130}}),
 }
 
 

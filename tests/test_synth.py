@@ -15,8 +15,9 @@ from fsl.compiler import prepare_spec
 from fsl.errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
 from fsl.frqi import GrayImage, phase_spectra
 from fsl.simulator import Statevector, fidelity, run
-from fsl.synth import (REAL_TOL, SCHMIDT_RANK_TOL, SchmidtForm, UCRAngles, _real_eigvecs,
-                       _split_diagonal, _synth_rec, _ucr_block, build_inverse_qft,
+from fsl.synth import (REAL_TOL, SCHMIDT_RANK_TOL, SchmidtForm, UCRAngles, _cossin,
+                       _demultiplex, _eigvecs, _real_eigvecs, _split_diagonal, _synth_rec,
+                       _ucr_block, build_inverse_qft,
                        build_schmidt_circuit, build_ucr_circuit, decompose_opaque,
                        gray_code, gray_transform, gray_transform_matrix,
                        mottonen_angles, schmidt_decompose, synth_unitary)
@@ -706,6 +707,109 @@ class TestOptimalShannonDecomposition:
         # u's first qubit is wire 2 and its second wire 0; wire 1 is idle
         want = np.einsum("cadb,ef->aecbfd", u.reshape(2, 2, 2, 2), np.eye(2)).reshape(8, 8)
         assert np.max(np.abs(dense_circuit_matrix(c) - want)) < 1e-12
+
+
+def _cs_block(theta: np.ndarray, rng) -> np.ndarray:
+    """(A (+) B) [[C, -S], [S, C]] (D (+) E) for random unitaries A, B, D, E."""
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    half = len(theta)
+    outer, inner = ([rand_unitary(rng, half) for _ in range(2)] for _ in range(2))
+    zero = np.zeros((half, half))
+    return (np.block([[outer[0], zero], [zero, outer[1]]]) @ np.block([[c, -s], [s, c]])
+            @ np.block([[inner[0], zero], [zero, inner[1]]]))
+
+
+def _cs_input(name: str, dim: int, rng) -> np.ndarray:
+    """A dim x dim unitary: random, a degenerate ``_structured`` kind, or a
+    cosine-sine block whose angles are all pi/2, repeat, or lie 1e-9 apart."""
+    half = dim // 2
+    if name == "random":
+        return rand_unitary(rng, dim)
+    if name == "half_pi":
+        return _cs_block(np.full(half, np.pi / 2), rng)
+    if name == "repeated":
+        return _cs_block(np.repeat([0.0, 0.7], half // 2), rng)
+    if name == "close":
+        return _cs_block(0.7 + 1e-9 * np.arange(half) - 0.7 * (np.arange(half) == 0), rng)
+    return _structured(name, dim.bit_length() - 1, rng)
+
+
+def _unitary_error(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))))
+
+
+def _parts_matrix(parts: list, q: int) -> np.ndarray:
+    """The operator of ``_qsd``'s parts on wires 0..q-1, a leaf on the last two."""
+    out = np.eye(2**q, dtype=complex)
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            step = np.kron(np.eye(2 ** (q - 2)), part)
+        else:
+            step = dense_circuit_matrix(Circuit.join(q, [part]))
+        out = step @ out
+    return out
+
+
+def _with_eigenphases(phases: np.ndarray, rng) -> np.ndarray:
+    v = rand_unitary(rng, len(phases))
+    return (v * np.exp(1j * phases)) @ v.conj().T
+
+
+_EIGENPHASES = {  # name -> eigenphases of a b^H for a demultiplexor of size n
+    "random": lambda n, rng: rng.uniform(-np.pi, np.pi, n),
+    "repeated": lambda n, rng: np.repeat([0.4, -2.0], n // 2),
+    "one": lambda n, rng: np.zeros(n),
+    "close": lambda n, rng: 0.4 + 1e-9 * np.arange(n),
+    "close_and_opposite": lambda n, rng: np.tile([0.4, 0.4 + 1e-9, -np.pi, np.pi - 1e-9], n // 4),
+    # mirrored about the first mix's angle (1 rad): that mix merges them
+    "mirrored": lambda n, rng: 1.0 + np.tile([0.5, -0.5], n // 2) * np.repeat([1, 2], n // 2),
+}
+
+
+class TestCosineSineAndDemultiplexor:
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("name", ["random", "identity", "half_pi", "cnot", "swap", "iswap",
+                                      "schmidt", "repeated", "close"])
+    def test_cosine_sine_factors_rebuild_the_input(self, name, dim, rng):
+        u = _cs_input(name, dim, rng)
+        u1, u2, theta, v1h, v2h = _cossin(u)
+        assert np.all((theta >= 0) & (theta <= np.pi / 2))
+        for factor in (u1, u2, v1h, v2h):
+            assert _unitary_error(factor) <= 1e-13
+        c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+        rebuilt = np.block([[u1 @ c @ v1h, -u1 @ s @ v2h], [u2 @ s @ v1h, u2 @ c @ v2h]])
+        assert np.max(np.abs(rebuilt - u)) <= 1e-13
+
+    def test_identity_splits_into_identities(self):
+        u1, u2, theta, v1h, v2h = _cossin(np.eye(16, dtype=complex))
+        assert not np.any(theta)
+        for factor in (u1, u2, v1h, v2h):
+            assert np.array_equal(factor, np.eye(8))
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32])
+    @pytest.mark.parametrize("name", sorted(_EIGENPHASES))
+    def test_demultiplexor_eigenbasis_rebuilds_a_b_h(self, name, dim, rng):
+        m = _with_eigenphases(_EIGENPHASES[name](dim, rng), rng)
+        p, d = _eigvecs(m, (m + m.conj().T) / 2, (m - m.conj().T) / 2j, "basis")
+        assert _unitary_error(p) <= 1e-13
+        assert np.max(np.abs((p * d) @ p.conj().T - m)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    @pytest.mark.parametrize("name", sorted(_EIGENPHASES))
+    def test_demultiplexor_parts_rebuild_both_blocks(self, name, dim, rng):
+        q = dim.bit_length()
+        a = rand_unitary(rng, dim)
+        b = _with_eigenphases(_EIGENPHASES[name](dim, rng), rng).conj().T @ a
+        parts = []
+        _demultiplex(a, b, 0, list(range(1, q)), parts)
+        want = np.block([[a, np.zeros_like(a)], [np.zeros_like(a), b]])
+        assert np.max(np.abs(_parts_matrix(parts, q) - want)) <= 1e-13
+
+    def test_non_unitary_demultiplexor_raises(self, rng):
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        with pytest.raises(NotUnitary, match=r"no eigenbasis reproduces a demultiplexor's "
+                                             r"a b\^H to 1e-09 \(best .*\)"):
+            _demultiplex(a, rand_unitary(rng, 8), 0, [1, 2, 3], [])
 
 
 class TestInverseQft:
