@@ -41,56 +41,77 @@ _RESIDUE = np.finfo(float).eps  # a window norm below this is only rounding resi
 @dataclass(frozen=True)
 class GridFunction:
     """Unit-norm samples on the uniform (2^n)^D grid, f(k/2^n): float64 when
-    the values are real, complex128 otherwise.  The constructor proves the unit
-    norm and freezes the array in place, without a copy (a view taken before
-    can still write it), and ``spectrum`` relies on that proof unchecked."""
+    the values are real, complex128 otherwise.  The constructor copies the
+    array it is given, proves the unit norm and freezes the copy, so no view a
+    caller holds can write it; ``spectrum`` relies on that proof unchecked."""
 
     dims: int
     n: int
     samples: np.ndarray
 
     def __post_init__(self):
-        s = _real_or_complex(self.samples)
+        self._seal(np.array(self.samples, dtype=_dtype(self.samples), order="C"))
+
+    def _seal(self, s: np.ndarray) -> None:
+        """Check ``s`` against the grid's shape and the unit norm, then freeze it
+        as the samples."""
         if s.shape != (2**self.n,) * self.dims:
             raise DimensionMismatch(f"expected shape {(2**self.n,) * self.dims}, got {s.shape}")
-        s = np.ascontiguousarray(s)
         if not abs(_sum_of_squares(s) - 1.0) <= 1e-12:
             raise NonUnitNorm("grid samples are not unit-norm")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
     @classmethod
+    def _adopt(cls, s: np.ndarray) -> GridFunction:
+        """The grid on ``s`` itself, without the constructor's copy: for a fresh
+        float64 or complex128 buffer that its builder hands over and holds no
+        view of."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "dims", s.ndim)
+        object.__setattr__(g, "n", int(round(math.log2(s.shape[0]))))
+        g._seal(np.ascontiguousarray(s))
+        return g
+
+    @classmethod
     def from_samples(cls, samples) -> GridFunction:
-        s = _real_or_complex(samples)
-        n = int(round(math.log2(s.shape[0])))
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norm = np.linalg.norm(s)
-        if norm == 0:
-            raise NonUnitNorm("cannot normalize all-zero samples")
-        if norm == math.inf:
-            raise NonUnitNorm("the samples' norm overflows a float")
-        return cls(s.ndim, n, s / norm)
+        return _normalised(np.array(samples, dtype=_dtype(samples)))
 
 
-_SUM_CHUNK = 1 << 16  # values summed per numpy call in ``_sum_of_squares``
+def _normalised(s: np.ndarray) -> GridFunction:
+    """The grid on the fresh buffer ``s``, divided by its norm in place."""
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = np.linalg.norm(s)
+    if norm == 0:
+        raise NonUnitNorm("cannot normalize all-zero samples")
+    if norm == math.inf:
+        raise NonUnitNorm("the samples' norm overflows a float")
+    s /= norm
+    return GridFunction._adopt(s)
+
+
+# Values per dot product in ``_sum_of_squares``: below 10000, OpenBLAS runs a dot on
+# one thread, so a neighbour busy on the other core cannot stall it.
+_SUM_CHUNK = 1 << 13
 
 
 def _sum_of_squares(s: np.ndarray) -> float:
-    """Sum of |s|^2 over a contiguous array, accurate whatever its size: numpy
-    sums each chunk pairwise and ``math.fsum`` adds the chunk sums exactly, so
-    the residue does not grow with the grid as ``np.vdot``'s does, and no
-    grid-sized temporary is made."""
+    """Sum of |s|^2 over a contiguous array, accurate whatever its size: each
+    chunk's sum is one dot product of the chunk with itself, and ``math.fsum``
+    adds the chunk sums exactly, so the residue does not grow with the grid as
+    ``np.vdot``'s does, and no temporary is made."""
     flat = s.reshape(-1).view(float)  # a complex grid's real and imaginary parts, interleaved
+    chunks = (flat[i:i + _SUM_CHUNK] for i in range(0, flat.size, _SUM_CHUNK))
     with np.errstate(over="ignore"):  # an overflowing sum is inf, which fails any check
-        sums = [np.sum(np.square(flat[i:i + _SUM_CHUNK])) for i in range(0, flat.size, _SUM_CHUNK)]
+        sums = [np.dot(c, c) for c in chunks]
     try:
         return math.fsum(sums)
     except OverflowError:  # finite chunk sums whose total overflows
         return math.inf
 
 
-def _real_or_complex(values) -> np.ndarray:
-    return np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
+def _dtype(values) -> type:
+    return complex if np.iscomplexobj(values) else float
 
 
 def _window_positions(m: int, side: int) -> np.ndarray:
@@ -278,8 +299,9 @@ def mirror_extend(g: GridFunction) -> GridFunction:
     for k < 2^n and F_k = f_(2^(n+1)-1-k) / sqrt(2) above."""
     if g.dims != 1:
         raise DimensionMismatch("mirror extension is one-dimensional")
-    ext = np.concatenate([g.samples, g.samples[::-1]]) / math.sqrt(2)
-    return GridFunction(1, g.n + 1, ext)
+    ext = np.concatenate([g.samples, g.samples[::-1]])
+    ext /= math.sqrt(2)
+    return GridFunction._adopt(ext)
 
 
 def exact_infidelity(coeffs: Spectrum | np.ndarray, m: int) -> float:
@@ -288,18 +310,27 @@ def exact_infidelity(coeffs: Spectrum | np.ndarray, m: int) -> float:
 
 
 def _forward_difference(samples: np.ndarray, order: int) -> np.ndarray:
-    d = samples
+    """The order-th (>= 1) periodic forward difference d_i = d_(i+1 mod N) - d_i,
+    in one new array: the first order writes d[1:] - d[:-1] and the wrap term
+    into it, and each later one rewrites it in place."""
+    d, src = np.empty_like(samples), samples
     for _ in range(order):
-        d = np.roll(d, -1) - d
+        wrap = src[0] - src[-1]
+        np.subtract(src[1:], src[:-1], out=d[:-1])
+        d[-1] = wrap
+        src = d
     return d
 
 
 def _difference_norm(g: GridFunction, order: int) -> float:
     """1-norm of the order-th periodic forward difference of ``g``'s samples,
-    kept on ``g`` (its samples are read-only): a sweep asks for it at every m."""
+    kept on ``g`` (its samples are read-only): a sweep asks for it at every m.
+    A real difference takes its absolute value in place; a complex one's goes
+    to a new real array, whose sum rounds as a real sum."""
     norms = g.__dict__.setdefault("_difference_norms", {})
     if order not in norms:
-        norms[order] = float(np.sum(np.abs(_forward_difference(g.samples, order))))
+        d = _forward_difference(g.samples, order)
+        norms[order] = float(np.sum(np.abs(d, out=None if np.iscomplexobj(d) else d)))
     return norms[order]
 
 

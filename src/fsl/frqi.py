@@ -62,8 +62,9 @@ def _phase_spec(img: GrayImage, m: int) -> FourierSpec:
     brightness is read-only): compile, target and capture each ask for it."""
     specs = img.__dict__.setdefault("_phase_specs", {})
     if m not in specs:
-        g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
-        specs[m] = prepare_spec(GridFunction(2, img.n, g_plus), m)
+        g_plus = np.exp(-0.5j * np.pi * img.brightness)
+        g_plus /= img.side
+        specs[m] = prepare_spec(GridFunction._adopt(g_plus), m)
     return specs[m]
 
 

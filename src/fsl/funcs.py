@@ -4,7 +4,9 @@ Catalog entries with canonical parameter values keep them fixed; the remaining
 knobs (sinc width, put strike, oscillator width, tanh slope, the piecewise
 segment table) are documented defaults chosen so the truncation-error targets
 in the acceptance suite hold.  All evaluators are elementwise numpy
-expressions, so they take broadcast axes as well as full grids.
+expressions, so they take broadcast axes as well as full grids; ``sample``
+relies on that to evaluate a grid a chunk at a time, and a chunk's samples are
+then the bits the whole grid's evaluation would give.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExpressionError, NegativeUnderSqrt, UnknownFunction
-from .fourier import GridFunction
+from .fourier import GridFunction, _normalised
 
 
 @dataclass(frozen=True)
@@ -170,40 +172,59 @@ def builtin(name: str, overrides: dict | None = None, sqrt_mode: bool = False) -
     )
 
 
+_CHUNK = 1 << 13  # grid points per evaluator call in ``sample``
+
+
 def sample(fdef: FunctionDef, n: int) -> GridFunction:
     """Evaluate on the (2^n)^D grid at coordinates k/2^n and normalize; real
     values stay real (float64 samples).
 
-    Evaluators must be elementwise: each coordinate comes as a broadcast axis
-    (shape 2^n along its own dimension and 1 along the others), so a separable
-    function evaluates each factor on 2^n points, and one that ignores a
-    coordinate returns fewer values than the grid has.  The finiteness and
-    sqrt-mode checks run on the values as returned, before they are broadcast
-    to the grid.  In sqrt mode the signed amplitude is used when the function
-    provides one; otherwise values below -1e-12 raise and tiny negatives clamp
-    to zero.
+    The grid is evaluated a chunk of ``_CHUNK`` points at a time, a run of
+    indices along the first axis, into one output buffer that is then
+    normalized in place; so evaluators must be elementwise, and then every
+    sample is the same bit for bit as one evaluation of the whole grid would
+    give.  Each coordinate comes as a broadcast axis (the chunk's run along the
+    first dimension, 2^n along its own otherwise, and 1 along the others), so
+    a separable function evaluates each factor on few points, and one that
+    ignores a coordinate returns fewer values than the chunk has.  A chunk
+    decides the buffer's dtype: complex once any chunk is.  The finiteness
+    check runs on each chunk's values as returned, before they are broadcast,
+    and fails after the sqrt-mode minimum check, so -inf is named there.
+    In sqrt mode the signed amplitude is used when the function provides one;
+    otherwise values below -1e-12 anywhere on the grid raise and tiny
+    negatives clamp to zero.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    coords = np.meshgrid(*([np.arange(2**n) / 2**n] * fdef.dims), indexing="ij", sparse=True)
-    with np.errstate(all="ignore"):  # a non-finite value fails the isfinite check below
-        if not fdef.sqrt_mode:
-            values = fdef.evaluate(*coords)
-        elif fdef.sqrt_evaluator is not None:
-            values = fdef.sqrt_evaluator(*coords)
-        else:
-            values = np.asarray(fdef.evaluate(*coords))
-            if np.iscomplexobj(values):
+    side = 2**n
+    rest = [np.arange(side) / side for _ in range(fdef.dims - 1)]  # the other axes, whole
+    rows = max(1, _CHUNK // side ** (fdef.dims - 1))
+    root = fdef.sqrt_mode and fdef.sqrt_evaluator is None  # the square root is taken here
+    evaluate = fdef.sqrt_evaluator if fdef.sqrt_mode and not root else fdef.evaluate
+    out, finite = None, True
+    for lo in range(0, side, rows):
+        coords = np.meshgrid(np.arange(lo, min(lo + rows, side)) / side, *rest,
+                             indexing="ij", sparse=True)
+        with np.errstate(all="ignore"):  # a non-finite value fails the isfinite check below
+            values = np.asarray(evaluate(*coords))
+        if np.iscomplexobj(values):
+            if root:
                 raise NegativeUnderSqrt("sqrt mode needs a real-valued function")
-            if np.min(values) < -1e-12:
-                raise NegativeUnderSqrt(
-                    f"f reaches {np.min(values):.3g} < -1e-12; cannot take a square root")
-            values = np.sqrt(np.clip(values, 0.0, None))
-    values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
+            if out is not None and not np.iscomplexobj(out):
+                out = out.astype(complex)
+        finite = finite and bool(np.all(np.isfinite(values)))
+        if out is None:
+            out = np.empty((side,) * fdef.dims, dtype=complex if np.iscomplexobj(values) else float)
+        out[lo:lo + rows] = values
+    if root:
+        low = np.min(out)
+        if low < -1e-12:
+            raise NegativeUnderSqrt(f"f reaches {low:.3g} < -1e-12; cannot take a square root")
+        with np.errstate(all="ignore"):  # a NaN stays one and fails the check below
+            np.sqrt(np.clip(out, 0.0, None, out=out), out=out)
+    if not finite:
         raise ValueError(f"{fdef.name} is not finite on the grid")
-    return GridFunction.from_samples(
-        np.ascontiguousarray(np.broadcast_to(values, (2**n,) * fdef.dims)))
+    return _normalised(out)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,15 @@ tail) is one exchange: the control's 1-half, reflected over every target axis at
 Such a step is slow on a wire whose bit p sits in the low half of the a active bits: its
 halves are runs of 2^p contiguous amplitudes.  So before a step with CPHASE partners (a lone
 H costs less than the rotation) ``run`` rotates the active bits by r = floor(a/2), bit p to
-bit (p + r) mod a, with one transient transpose copy of the active prefix, and records each
-wire's new bit.  The result is bit-identical: each kernel above is elementwise, so every
-amplitude meets the same operations in the same order, only elsewhere in memory; the final
-transpose reads any layout back to wire order.
+bit (p + r) mod a, and records each wire's new bit.  The rotation writes the transposed
+active prefix into a spare 2^n buffer, allocated zeroed at the first rotation, and the two
+buffers swap; past the active prefix both read 0, as the prefix only grows and each
+rotation rewrites all of it.  The final transpose to wire order writes into the spare too,
+so a run holds at most two state buffers, and each step's scratch is bounded apart from
+them: a swap's slab of ``_SLAB`` amplitudes and numpy's operand buffers of ``_BUFSIZE``.
+The result is bit-identical: each kernel above is elementwise, so every amplitude meets the
+same operations in the same order, only elsewhere in memory; the final transpose reads any
+layout back to wire order.
 """
 from __future__ import annotations
 
@@ -39,10 +44,15 @@ import numpy as np
 
 from .circuit import CODES, KINDS, Circuit, GateKind
 from .errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
+from .fourier import _sum_of_squares
 
 DEFAULT_MAX_QUBITS = 24
 
 _NORM_TOL = 1e-10
+# Elements per operand buffer of a numpy step while ``run`` steps.  numpy buffers a
+# strided step whose contiguous runs are short; at its default of 8192 elements the
+# buffers of one H step take 3/8 of a 16-qubit state, on top of the two state buffers.
+_BUFSIZE = 1 << 10
 _SQRT_HALF = 1 / math.sqrt(2)
 _H, _CNOT, _CPHASE = CODES[GateKind.H], CODES[GateKind.CNOT], CODES[GateKind.CPHASE]
 # Kind -> the two bit patterns of its wires whose amplitudes it exchanges.
@@ -64,10 +74,10 @@ class Statevector:
         if amps.shape != (2**self.num_qubits,):
             raise DimensionMismatch(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}")
-        norm = np.vdot(amps, amps).real
+        amps = np.ascontiguousarray(amps)
+        norm = _sum_of_squares(amps)
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"statevector is not normalized (squared norm {norm!r})")
-        amps = np.ascontiguousarray(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -107,7 +117,7 @@ def _at(psi: np.ndarray, qubits, bits) -> np.ndarray:
     return psi.reshape(2**qa, 2, 2 ** (qb - qa - 1), 2, -1)[:, ba, :, bb, :]
 
 
-_SLAB = 1 << 14  # amplitudes per step of a large swap
+_SLAB = 1 << 12  # amplitudes per step of a large swap
 
 
 def _slabs(v: np.ndarray):
@@ -189,15 +199,27 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
     cap = DEFAULT_MAX_QUBITS if max_qubits is None else max_qubits
     if n > cap:
         raise CapacityExceeded(f"{n} qubits exceeds simulator capacity {cap}")
+    if initial is not None and initial.num_qubits != n:
+        raise DimensionMismatch(f"initial state has {initial.num_qubits} qubits, circuit {n}")
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        psi = _evolve(c, initial)
+    finally:
+        np.setbufsize(bufsize)
+    return Statevector(n, psi)
+
+
+def _evolve(c: Circuit, initial: Statevector | None) -> np.ndarray:
+    """The amplitudes ``run`` returns, in wire order."""
+    n = c.num_qubits
     if initial is None:
         psi = np.zeros(2**n, dtype=complex)
         psi[0] = 1.0
         order = {}  # wire w -> bit position: axis k - 1 - order[w] of psi[:2**k]
-    elif initial.num_qubits != n:
-        raise DimensionMismatch(f"initial state has {initial.num_qubits} qubits, circuit {n}")
     else:
         psi = initial.amplitudes.copy()
         order = {w: n - 1 - w for w in range(n)}
+    spare = None  # the rotations' target, swapped with psi: past the active prefix both read 0
     copies = {}  # copy wire -> the active wire it copies
 
     def materialise(w):  # the copy w becomes the new top axis: its source's 1-half moves up
@@ -238,7 +260,10 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
             order.setdefault(q, len(order))
         active, r = len(order), len(order) // 2
         if kind == _H and j > i + 1 and order[wires[0]] < r:  # an H with partners: rotate up
-            psi[:2**active] = psi[:2**active].reshape(2**r, -1).T.reshape(-1)
+            if spare is None:
+                spare = np.zeros(2**n, dtype=complex)
+            spare[:2**active].reshape(-1, 2**r)[...] = psi[:2**active].reshape(2**r, -1).T
+            psi, spare = spare, psi
             order = {w: (p + r) % active for w, p in order.items()}
         # A gate on a axes sees at least 2^(a+2) amplitudes (the extra axes read 0):
         # numpy and BLAS round 1-element and 1-3-column operands unlike a full-width run.
@@ -258,8 +283,10 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         order.setdefault(w, len(order))
     axes = [n - 1 - order[w] for w in c.output_permutation]
     if axes != list(range(n)):
-        psi = np.transpose(psi.reshape([2] * n), axes).reshape(-1)
-    return Statevector(n, psi)
+        out = np.empty_like(psi) if spare is None else spare
+        out.reshape([2] * n)[...] = np.transpose(psi.reshape([2] * n), axes)
+        psi = out
+    return psi
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

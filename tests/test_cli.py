@@ -336,6 +336,15 @@ class TestCapacityEdge:
         assert (code, err) == (0, "")
         assert 0 <= json.loads(out)["exact_infidelity"] < 1
 
+    def test_piecewise_compiles_at_n24(self):
+        # in a subprocess, so the 2^24-point grid's memory is returned when it exits
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--function",
+                               "piecewise", "--n", "24", "--m", "4", "--emit", "none"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert 0 <= json.loads(proc.stdout)["exact_infidelity"] < 1
+
 
 class TestSweepCommand:
     def test_schema_and_values(self, capsys):

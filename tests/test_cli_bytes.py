@@ -19,7 +19,8 @@ with ``OPENBLAS_NUM_THREADS=1`` the stdout digests of
 ``simulate-piecewise-n14`` and ``simulate-sinc2d`` differ, because one thread
 sums ``np.vdot`` and ``np.linalg.norm`` in another order (the norm of a
 2^20-point vector moves in its last digit).  Run the pins with the default
-thread count.
+thread count: ``print_literal`` exits non-zero, printing nothing, when
+``OPENBLAS_NUM_THREADS=1``.
 
 A Schmidt compile also goes through LAPACK (the SVD and the Shannon
 decomposition of U and V), whose last bits move with the BLAS kernels the CPU
@@ -36,7 +37,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -330,7 +333,12 @@ def test_low_rank_schmidt_compile_matches_recorded_counts(name, tmp_path):
 
 def print_literal(name: str, entries: dict) -> None:
     """Print ``entries`` as a ``name = {...}`` literal in this file's layout, keys
-    sorted and a dict value one level deep, to paste over the recorded one."""
+    sorted and a dict value one level deep, to paste over the recorded one.
+    Under ``OPENBLAS_NUM_THREADS=1`` it prints nothing and exits non-zero: one
+    BLAS thread moves digests that were recorded on two or more."""
+    if os.environ.get("OPENBLAS_NUM_THREADS", "").strip() == "1":
+        sys.exit(f"not printing {name}: digests are pinned with OpenBLAS on two or more "
+                 "threads, and OPENBLAS_NUM_THREADS=1 moves some of them")
     print(f"{name} = {{")
     for key, value in sorted(entries.items()):
         if isinstance(value, dict):
@@ -341,6 +349,17 @@ def print_literal(name: str, entries: dict) -> None:
         else:
             print(f"    {json.dumps(key)}: {json.dumps(value)},")
     print("}")
+
+
+def test_print_literal_refuses_a_single_blas_thread(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    with pytest.raises(SystemExit) as exc:
+        print_literal("DIGESTS", {"case": "digest"})
+    assert exc.value.code not in (0, None)
+    assert capsys.readouterr().out == ""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    print_literal("DIGESTS", {"case": "digest"})
+    assert capsys.readouterr().out == 'DIGESTS = {\n    "case": "digest",\n}\n'
 
 
 def _current_digests() -> dict:

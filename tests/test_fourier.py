@@ -2,6 +2,7 @@
 and the exact/bounded truncation-error accounting."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -391,6 +392,27 @@ class TestInfidelityBound:
         assert [infidelity_bound(g, m, p) for m in range(1, 11)] == want
         assert calls == [p + 1]
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["piecewise", "complex_cosines"])
+    def test_difference_keeps_the_bits_of_the_rolled_formula(self, name, order):
+        g = funcs.sample(funcs.builtin(name), 10)
+        d = g.samples
+        for _ in range(order):
+            d = np.roll(d, -1) - d
+        assert _forward_difference(g.samples, order).tobytes() == d.tobytes()
+        assert fourier._difference_norm(g, order) == float(np.sum(np.abs(d)))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_difference_norm_peaks_near_one_extra_grid_buffer(self, order):
+        g = funcs.sample(funcs.builtin("piecewise"), 18)
+        tracemalloc.start()
+        try:
+            fourier._difference_norm(g, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.samples.nbytes
+
     def test_degenerate_window_raises(self):
         g = GridFunction.from_samples(np.ones(16))
         with pytest.raises(DegenerateWindow):
@@ -460,6 +482,30 @@ class TestGridFunctionValidation:
                 dataclasses.replace(g, samples=samples)
         with pytest.raises(ValueError, match="read-only"):
             g.samples[0] = 1.0
+
+    def test_constructor_copies_the_array_it_is_given(self):
+        a = np.full(4, 0.5)
+        v = a[:]
+        g = GridFunction(1, 2, a)
+        v[:] = 5.0
+        assert np.array_equal(g.samples, np.full(4, 0.5))
+        assert a.flags.writeable and not g.samples.flags.writeable
+
+    def test_builders_hand_over_their_own_buffer(self):
+        s = np.full(4, 0.5)
+        g = GridFunction._adopt(s)
+        assert g.samples is s and not s.flags.writeable
+        assert (g.dims, g.n) == (1, 2)
+
+    def test_mirror_extension_makes_no_extra_grid_copy(self):
+        g = funcs.sample(funcs.builtin("tanh"), 16)
+        tracemalloc.start()
+        try:
+            ext = mirror_extend(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ext.samples.nbytes
 
     @pytest.mark.parametrize("fill, why", [(0.0, "all-zero"), (1e300, "overflows")])
     def test_from_samples_rejects_a_norm_it_cannot_divide_by(self, fill, why):

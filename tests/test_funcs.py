@@ -1,5 +1,11 @@
-"""Builtin catalog parameters, grid sampling, sqrt mode, and expression mode."""
+"""Builtin catalog parameters, grid sampling, sqrt mode, and expression mode.
+
+``python tests/test_funcs.py`` prints the current tree's ``SAMPLE_DIGESTS``
+through ``print_literal`` (see ``tests/test_cli_bytes.py``).
+"""
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +16,7 @@ from hypothesis import strategies as st
 from fsl import funcs
 from fsl.errors import ExpressionError, NegativeUnderSqrt, NonUnitNorm, UnknownFunction
 from fsl.fourier import GridFunction
+from test_cli_bytes import RECORDED_NUMPY, print_literal
 
 
 class TestCatalogParameters:
@@ -181,6 +188,140 @@ class TestSampling:
         assert np.all(vals.real > 0)
 
 
+# SHA-256 of ``sample``'s bytes: every catalog builtin (1-D at n=16, 2-D at
+# n=8) and sqrt mode with a computed square root and with a signed amplitude
+SAMPLE_DIGESTS = {
+    "bimodal_gaussian-n16": "8609967f51cb5b08dd21fac9e0c172f019b323e7d3e7ea925676ebe195ef758a",
+    "bimodal_gaussian-sqrt-n16": "7ea94e00d88273d68c9f6059b8888c12fd28aac09f2750d0b4e4e49a3bc9c764",
+    "complex_cosines-n16": "19dc78cf71e1ff14b010c2fd6f293496060218a5b61f1f99f5928a3c20cab9ec",
+    "constant-n16": "9d4ade33b4e77e27774a7dc23246a646ee2640a796a540ca14810e688581f668",
+    "gaussian2d-n8": "4506aeeaf8622db281e571f8b55c2003188a674d5fb0cfd43139fd8fcc7aa6fb",
+    "gaussian2d-sqrt-n8": "31149d20b0c36e152518e9b06a64e1b4638c1dae9caa7aac6a415b40f762c415",
+    "lognormal-n16": "f4eaea0f348abf8882884f84f87799d645caca80b0772c78011626566e501cea",
+    "lognormal-sqrt-n16": "7d5a6c6ee54ce57232f1d6741269847d763f691908c5dc7ced7855f5109a0241",
+    "lorentzian-n16": "d1460a7db47466c1dca177c49ffd224d813d490f5a15e1566df3c0a356a2958b",
+    "piecewise-n16": "25bf8aeeafc8dbdbfe50b1333b9039ddc181c08bb4c6d8a894671750a24ece9d",
+    "qho_excited-n16": "4489dea725484aec1cd6fba2b90124c26e32c812c7c3001920cf7514196b3f07",
+    "reflected_put-n16": "8a559914fcd8016e16920d7532b1b618de916f606d423ec6c987a6a9ac198a33",
+    "sinc-n16": "85d45ef8ffcb75b470884e769c514c256b7391510acae655cca1255bd72fa477",
+    "sinc2d-n8": "41b791d8f5cb5ca748ee53fa46dc80a57ee527c0040bfdadcd0e537efbbd14ab",
+    "spiky-n16": "7ae03870d49af31554e66d3606ce69cb7ebc52acdeadaf82029c8c635ef1e75b",
+    "spiky-sqrt-n16": "ea8787dce153cccbbf52175698928c4735feab79b32cdce78b848eda0aa5fd15",
+    "tanh-n16": "cbad7a8315ada1958e4d90147d2cd2949f832de9a41a7b0d2bb7b01aec4e9eb9",
+    "xpowx-n16": "18b88c904de44fb1314c3118434b15d2aa7ca3fe183f113bd4b33d6c8f64fd20",
+}
+
+
+def _sample_case(key: str) -> tuple[funcs.FunctionDef, int]:
+    """The function and n of a ``SAMPLE_DIGESTS`` key, ``name[-sqrt]-n<n>``."""
+    name, _, n = key.rpartition("-n")
+    sqrt = name.endswith("-sqrt")
+    return funcs.builtin(name.removesuffix("-sqrt"), sqrt_mode=sqrt), int(n)
+
+
+def _sample_digest(key: str) -> str:
+    return hashlib.sha256(funcs.sample(*_sample_case(key)).samples.tobytes()).hexdigest()
+
+
+def _one_shot(fd: funcs.FunctionDef, n: int) -> np.ndarray:
+    """The grid evaluated in one call over the whole (2^n)^D grid and normalized."""
+    coords = np.meshgrid(*([np.arange(2**n) / 2**n] * fd.dims), indexing="ij", sparse=True)
+    with np.errstate(all="ignore"):
+        if fd.sqrt_mode and fd.sqrt_evaluator is not None:
+            values = np.asarray(fd.sqrt_evaluator(*coords))
+        elif fd.sqrt_mode:
+            values = np.sqrt(np.clip(fd.evaluate(*coords), 0.0, None))
+        else:
+            values = np.asarray(fd.evaluate(*coords))
+    grid = np.ascontiguousarray(np.broadcast_to(values, (2**n,) * fd.dims))
+    return GridFunction.from_samples(grid).samples
+
+
+def _late(value, at: float = 0.9):
+    """An evaluator that is 1 below ``at`` and ``value`` from there: past the
+    first chunk on any grid of four chunks or more."""
+    return lambda x: np.where(x < at, 1.0, value)
+
+
+def _complex_from(at: float = 0.9):
+    """x + i [x >= at]: real values, as float64, on a chunk wholly below ``at``."""
+    return lambda x: x + 1j * (x >= at) if np.any(x >= at) else x
+
+
+_CHUNK_BITS = funcs._CHUNK.bit_length() - 1
+
+
+class TestChunkedSampling:
+    """``sample`` evaluates a chunk of the grid at a time into one buffer; every
+    sample keeps the bits of one evaluation over the whole grid."""
+
+    @pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                        reason=f"digests were recorded under numpy {RECORDED_NUMPY}")
+    @pytest.mark.parametrize("key", sorted(SAMPLE_DIGESTS))
+    def test_samples_match_recorded_digest(self, key):
+        assert _sample_digest(key) == SAMPLE_DIGESTS[key]
+
+    @pytest.mark.parametrize("fd", [
+        funcs.builtin("piecewise"), funcs.builtin("sinc"), funcs.builtin("complex_cosines"),
+        funcs.builtin("lognormal", sqrt_mode=True), funcs.builtin("spiky", sqrt_mode=True),
+        funcs.expression("sin(2*pi*x) + 0.5*x^2 + exp(-x)"),
+    ], ids=lambda fd: fd.name + (" sqrt" if fd.sqrt_mode else ""))
+    @pytest.mark.parametrize("extra", [-1, 0, 2], ids=["below", "one", "above"])
+    def test_one_dimensional_grid_equals_one_shot_evaluation(self, fd, extra):
+        n = _CHUNK_BITS + extra  # a grid smaller than, equal to and four times one chunk
+        assert funcs.sample(fd, n).samples.tobytes() == _one_shot(fd, n).tobytes()
+
+    @pytest.mark.parametrize("fd", [
+        funcs.builtin("sinc2d"), funcs.builtin("gaussian2d", sqrt_mode=True),
+        funcs.expression("exp(-y) + 1", dims=2), funcs.expression("2", dims=2),
+    ], ids=lambda fd: fd.name + (" sqrt" if fd.sqrt_mode else ""))
+    def test_two_dimensional_grid_of_several_rows_per_chunk_equals_one_shot(self, fd):
+        n = _CHUNK_BITS // 2 + 2  # a chunk holds 2^(n - 4) rows of 2^n points
+        assert 1 < funcs._CHUNK // 2**n < 2**n
+        assert funcs.sample(fd, n).samples.tobytes() == _one_shot(fd, n).tobytes()
+
+    def test_complex_values_in_a_late_chunk_make_the_grid_complex(self):
+        fd = funcs.FunctionDef("late-complex", 1, _complex_from())
+        n = _CHUNK_BITS + 2
+        assert fd.evaluate(np.arange(funcs._CHUNK) / 2**n).dtype == np.float64  # the first chunk
+        got = funcs.sample(fd, n).samples
+        assert got.dtype == np.complex128 and got.tobytes() == _one_shot(fd, n).tobytes()
+
+    def test_nan_in_the_last_chunk_fails_the_finiteness_check(self):
+        with pytest.raises(ValueError, match="late-nan is not finite on the grid"):
+            funcs.sample(funcs.FunctionDef("late-nan", 1, _late(np.nan)), _CHUNK_BITS + 2)
+
+    def test_complex_value_in_the_last_chunk_fails_sqrt_mode(self):
+        fd = funcs.FunctionDef("late-complex", 1, _complex_from(), sqrt_mode=True)
+        with pytest.raises(NegativeUnderSqrt, match="real-valued"):
+            funcs.sample(fd, _CHUNK_BITS + 2)
+
+    def test_sqrt_mode_names_the_minimum_of_the_whole_grid(self):
+        # -0.25 in the first chunk, -0.5 in the last: the message gives the global minimum
+        fd = funcs.FunctionDef("late-negative", 1, lambda x: np.where(
+            x < 0.1, -0.25, np.where(x < 0.9, 1.0, -0.5)), sqrt_mode=True)
+        with pytest.raises(NegativeUnderSqrt, match="f reaches -0.5 < -1e-12"):
+            funcs.sample(fd, _CHUNK_BITS + 2)
+
+    def test_negative_infinity_fails_sqrt_mode_before_the_finiteness_check(self):
+        fd = funcs.FunctionDef("late-minus-inf", 1, _late(-np.inf), sqrt_mode=True)
+        with pytest.raises(NegativeUnderSqrt, match="f reaches -inf"):
+            funcs.sample(fd, _CHUNK_BITS + 2)
+
+    @pytest.mark.parametrize("name", funcs.CATALOG_NAMES)
+    def test_peak_memory_stays_near_one_grid_buffer(self, name):
+        fd = funcs.builtin(name)
+        n = 18 if fd.dims == 1 else 9  # 2^18 points either way
+        funcs.sample(fd, n)
+        tracemalloc.start()
+        try:
+            g = funcs.sample(fd, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.samples.nbytes
+
+
 class TestExpressionMode:
     def test_caret_is_tight_binding_power(self):
         fd = funcs.expression("x^2 * exp(-x)")
@@ -253,3 +394,7 @@ def test_expression_fuzz_returns_function_or_expression_error(text, dims):
     except ExpressionError:
         return
     assert isinstance(fd, funcs.FunctionDef)
+
+
+if __name__ == "__main__":
+    print_literal("SAMPLE_DIGESTS", {key: _sample_digest(key) for key in SAMPLE_DIGESTS})

@@ -460,6 +460,12 @@ class TestRotatedBits:
             tracemalloc.stop()
         assert peak <= 2.25 * 16 * 2**c.num_qubits
 
+    def test_run_restores_numpy_buffer_size(self):
+        # run caps numpy's operand buffers while it steps, and only then
+        before = np.getbufsize()
+        run(_fsl_load("sinc2d-n8"))
+        assert np.getbufsize() == before
+
 
 def _cnot_run_circuit(rng, n, control, targets):
     """Random gates on every wire, then CNOTs from ``control`` onto ``targets`` in
@@ -537,6 +543,19 @@ class TestStatevectorValidation:
     def test_infinite_or_overflowing_amplitudes_fail_the_norm_check(self, fill):
         with pytest.raises(ValueError, match="not normalized"):
             Statevector(2, np.full(4, fill))
+
+    @pytest.mark.parametrize("off, ok", [(2e-10, False), (-2e-10, False), (5e-11, True)])
+    def test_squared_norm_is_checked_to_one_in_1e10(self, off, ok):
+        amps = np.full(2**10, 2**-5 * math.sqrt(1 + off), dtype=complex)
+        if ok:
+            Statevector(10, amps)
+        else:
+            with pytest.raises(ValueError, match="not normalized"):
+                Statevector(10, amps)
+
+    def test_a_capacity_edge_state_passes_the_norm_check(self):
+        g = funcs.sample(funcs.builtin("piecewise"), 22)
+        assert Statevector(22, g.samples).amplitudes.dtype == np.complex128
 
 
 class TestFidelity:
