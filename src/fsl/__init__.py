@@ -7,9 +7,9 @@ from .circuit import (Circuit, Gate, GateCounts, GateKind, compose, depth, expor
 from .compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant,
                        compile_nonperiodic, compile_spec, prepare_spec, target_state)
 from .errors import FSLError
-from .fourier import (FourierSpec, GridFunction, Spectrum, decay_slope,
-                      dft_coefficients, exact_infidelity, infidelity_bound,
-                      lanczos_filter, mirror_extend, spectrum, truncate)
+from .fourier import (FourierSpec, GridFunction, decay_slope, dft_coefficients,
+                      exact_infidelity, infidelity_bound, lanczos_filter, mirror_extend,
+                      spectrum, truncate)
 from .frqi import GrayImage, compile_frqi, frqi_target, phase_spectra, read_pgm
 from .funcs import FunctionDef, builtin, expression, sample as sample_function
 from .simulator import (ShotHistogram, Statevector, classical_fidelity, fidelity, run,

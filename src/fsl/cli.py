@@ -177,8 +177,8 @@ def _loads(cfg: dict, ms):
     variant, the plan at the largest m and an iterator of one (spec, circuit,
     report) per m of the source: the grid or, with a variant, its mirror
     extension.  The grid is sampled once its D*n wires (n+1 with a variant)
-    fit at the largest m, and the source's spectrum is taken once for every m
-    (a real source's ``rfftn`` half, whose windows are read off it directly).
+    fit at the largest m, and the source's spectrum is taken once, up to the
+    largest m, with the bits of a transform up to each m (a row is one compile).
     Each load is compiled as it is read, so a sweep does not keep every m's
     circuit, and the spectrum is freed with the iterator."""
     fdef = _function_def(cfg)
@@ -187,7 +187,7 @@ def _loads(cfg: dict, ms):
     compiler.check_capacity(plan, lead=int(variant is not None))
     grid = funcs.sample(fdef, plan.n)
     source = grid if variant is None else fourier.mirror_extend(grid)
-    spectrum = fourier.spectrum(source)
+    spectrum = fourier.spectrum(source, max(ms))
 
     def load(m: int):
         spec = fourier.truncate(spectrum, m, cfg["filter_a"])
@@ -259,8 +259,8 @@ def cmd_simulate(cfg: dict) -> int:
     if variant is not None:
         block0 = state.amplitudes.reshape(2, -1)[0]
         result["ancilla_zero_population"] = simulator.reduced_population(state, 0, 0)
-        result["data_register_fidelity_vs_exact"] = float(
-            abs(np.vdot(grid.samples, block0 / np.linalg.norm(block0))) ** 2)
+        result["data_register_fidelity_vs_exact"] = abs(fourier._overlap(
+            grid.samples, block0 / np.sqrt(fourier._sum_of_squares(block0)))) ** 2
     else:
         result["fidelity_vs_truncated"] = simulator.fidelity(
             state, compiler.target_state(spec, grid.n))

@@ -124,7 +124,7 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
                                 norm="forward").reshape(-1)
     else:
         samples = fourier.reconstruct(spec.embed(side)).reshape(-1)
-    samples /= np.linalg.norm(samples)
+    samples /= np.sqrt(fourier._sum_of_squares(samples))
     return Statevector(spec.dims * n, samples)
 
 
@@ -210,8 +210,8 @@ def compile_spec(spec: FourierSpec, plan: FSLPlan, source: GridFunction | None =
 
 
 def prepare_spec(g: GridFunction, m: int, filter_a: float | None = None) -> FourierSpec:
-    """Analysis pipeline: one transform, its truncation window, optional Lanczos filter."""
-    return fourier.truncate(fourier.spectrum(g), m, filter_a)
+    """Analysis pipeline: one transform up to m, its truncation window, optional Lanczos filter."""
+    return fourier.truncate(fourier.spectrum(g, m), m, filter_a)
 
 
 def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,

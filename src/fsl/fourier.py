@@ -11,14 +11,19 @@ Spectral conventions (D dimensions, 2^n points per axis):
 * a truncation window keeps k in [-(2^m - 1), 2^m - 1] per axis and
   renormalizes, recording the captured mass N.
 
-``spectrum`` is the one transform.  A real grid keeps float64 samples, and its
-``Spectrum`` keeps only the conjugated, scaled ``rfftn``: the last axis's
-k = 0 .. 2^(n-1) half, with the k < 0 half implied by c_(-k) = conj(c_k).  A
-complex grid's keeps its full ``ifftn`` array.  ``Spectrum.window`` reads a
-window straight off the kept array, so a load never builds the full 2^(Dn)
-spectrum; ``Spectrum.full`` builds it (``dft_coefficients``) for whoever wants
-the fft layout, and the two agree bit for bit on every window.  Every window of
-a real grid's spectrum is exactly Hermitian.
+``spectrum(g, top)``, the transform every load takes, is pruned (Sorensen &
+Burrus's transform decomposition) to |k| <= 2^top - 1, with no grid-sized array.
+Per axis x = a + P b, P = 2^min(6 // D, n - 1), K = 2^n / P, and X_k = sum_a
+w^(k.a) H_a(k mod K), H_a the K^D-point transform of block f[a::P] (a real
+grid's ``rfftn``, read past K/2 as the conjugate of the negated entry).  The
+twiddles come from two small tables per column, k.a reduced mod 2^n in
+integers, and the columns are added one at a time in a fixed order: as the
+split ignores ``top``, no bit does, and one pass at the largest m serves a
+sweep whose rows equal single compiles.  A real grid scales as ``rfftn`` did,
+conj(X / 2^(Dn)) 2^(Dn/2), so a constant loads as exactly one coefficient; its
+last axis's k < 0 are conj(c_(-k)) and its k = 0 plane is averaged with the
+conjugate of its negation, so every window is exactly Hermitian.
+``dft_coefficients`` is a full transform, which no command takes.
 
 One index rule places a window in fft layout: ``_window_positions`` gives
 frequency k's index k mod side, and both ``FourierSpec.embed`` (window into a
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -80,8 +86,7 @@ class GridFunction:
 
 def _normalised(s: np.ndarray) -> GridFunction:
     """The grid on the fresh buffer ``s``, divided by its norm in place."""
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        norm = np.linalg.norm(s)
+    norm = math.sqrt(_sum_of_squares(s))
     if norm == 0:
         raise NonUnitNorm("cannot normalize all-zero samples")
     if norm == math.inf:
@@ -90,24 +95,28 @@ def _normalised(s: np.ndarray) -> GridFunction:
     return GridFunction._adopt(s)
 
 
-# Values per dot product in ``_sum_of_squares``: below 10000, OpenBLAS runs a dot on
+# Values per dot product in ``_overlap``: below 10000, OpenBLAS runs a dot on
 # one thread, so a neighbour busy on the other core cannot stall it.
 _SUM_CHUNK = 1 << 13
 
 
-def _sum_of_squares(s: np.ndarray) -> float:
-    """Sum of |s|^2 over a contiguous array, accurate whatever its size: each
-    chunk's sum is one dot product of the chunk with itself, and ``math.fsum``
-    adds the chunk sums exactly, so the residue does not grow with the grid as
-    ``np.vdot``'s does, and no temporary is made."""
-    flat = s.reshape(-1).view(float)  # a complex grid's real and imaginary parts, interleaved
-    chunks = (flat[i:i + _SUM_CHUNK] for i in range(0, flat.size, _SUM_CHUNK))
+def _overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> of flat arrays, accurate at any size and on any BLAS thread count: one
+    ``np.vdot`` per chunk (OpenBLAS's one-thread size), the chunk sums added exactly by
+    ``math.fsum``, so the residue does not grow with the grid; past the float range, inf."""
     with np.errstate(over="ignore"):  # an overflowing sum is inf, which fails any check
-        sums = [np.dot(c, c) for c in chunks]
+        sums = [np.vdot(a[i:i + _SUM_CHUNK], b[i:i + _SUM_CHUNK]) for i in range(0, len(a), _SUM_CHUNK)]
     try:
-        return math.fsum(sums)
+        return complex(math.fsum(s.real for s in sums), math.fsum(s.imag for s in sums))
     except OverflowError:  # finite chunk sums whose total overflows
-        return math.inf
+        return complex(math.inf)
+
+
+def _sum_of_squares(s: np.ndarray) -> float:
+    """Sum of |s|^2 over a contiguous array, by ``_overlap`` of its real and
+    imaginary parts (interleaved when complex) with themselves: no temporary."""
+    flat = s.reshape(-1).view(float)
+    return _overlap(flat, flat).real
 
 
 def _dtype(values) -> type:
@@ -137,13 +146,12 @@ class FourierSpec:
     norm_constant: float
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.ascontiguousarray(self.coeffs, dtype=complex)
         w = 2 ** (self.m + 1) - 1
         if c.shape != (w,) * self.dims:
             raise DimensionMismatch(f"expected window shape {(w,) * self.dims}, got {c.shape}")
-        if not abs(np.vdot(c, c).real - 1.0) <= 1e-12:
+        if not abs(_sum_of_squares(c) - 1.0) <= 1e-12:
             raise NonUnitNorm("windowed coefficients are not unit-norm")
-        c = np.ascontiguousarray(c)
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 
@@ -170,67 +178,71 @@ class FourierSpec:
         return self.embed(2 ** (self.m + 1)).reshape(-1)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """The coefficients of a grid as ``spectrum`` keeps them: with ``half``, the
-    last axis's k = 0 .. 2^(n-1) of a real grid (the ``rfftn`` layout), else the
-    full fft-layout array."""
-
-    dims: int
-    n: int
-    coeffs: np.ndarray
-    half: bool
-
-    def window(self, m: int) -> np.ndarray:
-        """The |k| <= 2^m - 1 block in centred order, equal to the same block of
-        ``full()`` bit for bit: the last axis's k = 0 plane is averaged with the
-        conjugate of its negation, and k < 0 is conj(c_(-k))."""
-        if not self.half:
-            return _centred_window(self.coeffs, m)
-        pos, M = _window_positions(m, 2**self.n), 2**m - 1
-        w = self.coeffs[np.ix_(*[pos] * (self.dims - 1), pos[M:])]
-        flip = (slice(None, None, -1),) * (self.dims - 1)
-        zero = w[..., :1]
-        zero[...] = (zero + np.conjugate(zero[flip])) / 2
-        return np.concatenate([np.conjugate(w[flip + (slice(M, 0, -1),)]), w], axis=-1)
-
-    def full(self) -> np.ndarray:
-        """The full fft-layout spectrum; a real grid's k < 0 half is filled by
-        c_(-k) = conj(c_k)."""
-        if not self.half:
-            return self.coeffs
-        h, axes = 2 ** (self.n - 1), range(self.dims - 1)
-        c = np.empty((2**self.n,) * self.dims, dtype=complex)
-        c[..., :h + 1] = self.coeffs
-        for k in (0, h):  # self-conjugate planes, Hermitian only to rounding when D > 1
-            c[..., k] = (c[..., k] + np.conjugate(_negated(c[..., k], axes))) / 2
-        np.conjugate(_negated(c[..., h - 1:0:-1], axes), out=c[..., h + 1:])
-        return c
+_SPLIT_BITS = 6  # ``spectrum`` cuts each axis into 2^(_SPLIT_BITS // D) strided columns
+_BATCH = 1 << 14  # entries of the arrays a batch of columns makes (two columns at least)
 
 
-def spectrum(g: GridFunction) -> Spectrum:
-    """The coefficients of ``g`` (unitary, positive kernel): a real grid's
-    conjugated, scaled ``rfftn`` half, or a complex grid's ``ifftn``.  The
+def _turns(start: int, count: int, a: np.ndarray, turn: complex, side: int) -> np.ndarray:
+    """exp(turn e) at e = k a mod side, per column a (rows), k = start .. start+count-1:
+    with k = 128 hi + lo, 0 <= lo < 128, its values at e = 128 hi a and e = lo a, each
+    reduced in integers to [-side/2, side/2), multiplied; so k and a alone fix each."""
+    hi = np.arange(start >> 7, ((start + count - 1) >> 7) + 1)
+    e = lambda k: np.exp(turn * ((k * a[:, None] + side // 2) % side - side // 2))  # noqa: E731
+    t, start = e(128 * hi)[:, :, None] * e(np.arange(128))[:, None], start - 128 * hi[0]
+    return t.reshape(len(a), -1)[:, start:start + count]
+
+
+def spectrum(g: GridFunction, top: int) -> np.ndarray:
+    """The coefficients |k| <= 2^top - 1 of ``g`` (unitary, positive kernel) in fft
+    layout on a side of 2^(top+1), by the module docstring's pruned transform.  The
     unit norm is ``GridFunction``'s own check, made once when ``g`` was built."""
-    scale = 2.0 ** (g.dims * g.n / 2)
-    if np.iscomplexobj(g.samples):
-        return Spectrum(g.dims, g.n, np.fft.ifftn(g.samples) * scale, half=False)
-    half = np.fft.rfftn(g.samples, norm="forward")
-    np.multiply(np.conjugate(half, out=half), scale, out=half)
-    return Spectrum(g.dims, g.n, half, half=True)
+    D, side, T = g.dims, 2**g.n, 2**top
+    _window_positions(top, side)  # the check m < n
+    P = 2 ** min(_SPLIT_BITS // D, g.n - 1)
+    K, real = side // P, not np.iscomplexobj(g.samples)
+    starts = [1 - T] * (D - 1) + [0 if real else 1 - T]  # axis d's window: starts[d] .. T-1
+    pos = [np.arange(k0, T) % K for k0 in starts]  # each k's index into a block's transform
+    neg = [-j % K for j in pos]  # a real block's last axis keeps j <= K/2: H_j = conj(H_-j)
+    flip = (pos[-1] > K // 2) & real
+    pos[-1] = neg[-1] = np.where(flip, neg[-1], pos[-1])
+    pos, neg, flips = (slice(None),) + np.ix_(*pos), (slice(None),) + np.ix_(*neg), flip.any()
+    # X_k = sum_a w^(k.a) H_a(k mod K), H_a the transform of block cols[a][b] = f[a + P b]:
+    # w = omega^-1 and c = conj(X / N) 2^(Dn/2) with rfftn, w = omega and no conj with ifftn
+    fft = np.fft.rfftn if real else partial(np.fft.ifftn, norm="forward")
+    turn = (-2j if real else 2j) * np.pi / side
+    cols = g.samples.reshape((K, P) * D).transpose([*range(1, 2 * D, 2), *range(0, 2 * D, 2)])
+    acc = np.zeros([T - k0 for k0 in starts], dtype=complex)
+    batch, step = min(P, max(2, _BATCH // K**D)), max(1, _BATCH // acc.size)
+    for lead in np.ndindex((P,) * (D - 1)):
+        for a0 in range(0, P, batch):
+            G = fft(cols[lead + (slice(a0, a0 + batch),)], axes=tuple(range(1, D + 1)))
+            for i in range(0, len(G), step):
+                got = G[i:i + step][pos]
+                if flips:
+                    np.conjugate(G[i:i + step][neg] if D > 1 else got, out=got, where=flip)
+                for d, a in enumerate(lead + (np.arange(a0 + i, a0 + i + len(got)),)):
+                    got *= _turns(starts[d], T - starts[d], np.atleast_1d(a), turn, side).reshape(
+                        (-1,) + (1,) * d + (T - starts[d],) + (1,) * (D - 1 - d))
+                for column in got:  # one column at a time, in a fixed order
+                    acc += column
+    del G, got, pos, neg  # the last batch and its indices, freed before the window is built
+    acc /= float(side) ** D
+    np.multiply(np.conjugate(acc, out=acc) if real else acc, 2.0 ** (D * g.n / 2), out=acc)
+    if real:  # the k = 0 plane made Hermitian, and k < 0 filled by c_(-k) = conj(c_k)
+        rev = (slice(None, None, -1),) * (D - 1)
+        acc[..., 0] = (acc[..., 0] + np.conjugate(acc[rev + (0,)])) / 2
+        acc = np.concatenate([np.conjugate(acc[rev + (slice(T - 1, 0, -1),)]), acc], axis=-1)
+    return np.roll(np.pad(acc, [(0, 1)] * D), 1 - T, axis=tuple(range(D)))  # k at k mod 2T
 
 
 def dft_coefficients(g: GridFunction) -> np.ndarray:
-    """Full coefficient tensor of ``g`` in fft layout (unitary, positive kernel)."""
-    return spectrum(g).full()
-
-
-def _negated(a: np.ndarray, axes) -> np.ndarray:
-    """``a`` at frequency -k mod side on each of ``axes``: index 0 stays and
-    the rest reverse, by slices (``a`` itself when there is no axis)."""
-    for axis in axes:
-        a = np.roll(np.flip(a, axis), 1, axis)
-    return a
+    """Full coefficient tensor of ``g`` in fft layout (unitary, positive kernel):
+    the scaled ``ifftn``, which a real grid makes exactly Hermitian by averaging
+    c_k with conj(c_(-k))."""
+    c = np.fft.ifftn(g.samples) * 2.0 ** (g.dims * g.n / 2)
+    if np.iscomplexobj(g.samples):
+        return c
+    return (c + np.conjugate(np.roll(np.flip(c), 1, axis=tuple(range(g.dims))))) / 2
 
 
 def reconstruct(coeffs_full: np.ndarray) -> np.ndarray:
@@ -239,26 +251,21 @@ def reconstruct(coeffs_full: np.ndarray) -> np.ndarray:
     return np.fft.fftn(coeffs_full) / scale
 
 
-def _centred_window(coeffs_full: np.ndarray, m: int) -> np.ndarray:
-    """The |k| <= 2^m - 1 block of a full fft-layout spectrum, in centred order."""
-    return coeffs_full[np.ix_(*[_window_positions(m, coeffs_full.shape[0])] * coeffs_full.ndim)]
+def _centred_window(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The |k| <= 2^m - 1 block of a spectrum in fft layout, in centred order."""
+    return coeffs[np.ix_(*[_window_positions(m, coeffs.shape[0])] * coeffs.ndim)]
 
 
-def _window(coeffs: Spectrum | np.ndarray, m: int) -> np.ndarray:
-    """The centred |k| <= 2^m - 1 block of a ``Spectrum`` or a full fft-layout array."""
-    return coeffs.window(m) if isinstance(coeffs, Spectrum) else _centred_window(coeffs, m)
-
-
-def window_mass(coeffs: Spectrum | np.ndarray, m: int) -> float:
+def window_mass(coeffs: np.ndarray, m: int) -> float:
     """Spectral mass inside the symmetric window |k| <= 2^m - 1 (every axis)."""
-    return float(np.sum(np.abs(_window(coeffs, m)) ** 2))
+    return float(np.sum(np.abs(_centred_window(coeffs, m)) ** 2))
 
 
-def truncate(coeffs: Spectrum | np.ndarray, m: int, filter_a: float | None = None) -> FourierSpec:
-    """Window a ``Spectrum`` or a full fft-layout spectrum to |k| <= 2^m - 1 per
-    axis and renormalize, then apply the Lanczos filter of exponent ``filter_a``
-    if one is given."""
-    win = _window(coeffs, m)
+def truncate(coeffs: np.ndarray, m: int, filter_a: float | None = None) -> FourierSpec:
+    """Window a spectrum in fft layout (``spectrum``'s or a full one) to
+    |k| <= 2^m - 1 per axis and renormalize, then apply the Lanczos filter of
+    exponent ``filter_a`` if one is given."""
+    win = _centred_window(coeffs, m)
     norm_const = float(np.sum(np.abs(win) ** 2))
     if math.sqrt(norm_const) < _RESIDUE:
         raise EmptyWindow(f"window |k|<={2**m - 1} captures no spectral mass")
@@ -288,7 +295,7 @@ def lanczos_filter(spec: FourierSpec, a: float) -> FourierSpec:
         shape = [1] * spec.dims
         shape[axis] = len(factor)
         coeffs = coeffs * factor.reshape(shape)
-    norm = np.linalg.norm(coeffs)
+    norm = math.sqrt(_sum_of_squares(coeffs))
     if norm < _RESIDUE:
         raise EmptyWindow("filter removed all spectral mass")
     return replace(spec, coeffs=coeffs / norm)
@@ -304,33 +311,35 @@ def mirror_extend(g: GridFunction) -> GridFunction:
     return GridFunction._adopt(ext)
 
 
-def exact_infidelity(coeffs: Spectrum | np.ndarray, m: int) -> float:
+def exact_infidelity(coeffs: np.ndarray, m: int) -> float:
     """Truncation infidelity: spectral mass outside the window, 1 - N."""
     return max(0.0, 1.0 - window_mass(coeffs, m))
 
 
-def _forward_difference(samples: np.ndarray, order: int) -> np.ndarray:
-    """The order-th (>= 1) periodic forward difference d_i = d_(i+1 mod N) - d_i,
-    in one new array: the first order writes d[1:] - d[:-1] and the wrap term
-    into it, and each later one rewrites it in place."""
-    d, src = np.empty_like(samples), samples
+def _forward_difference(samples: np.ndarray, order: int, lo: int = 0,
+                        size: int | None = None) -> np.ndarray:
+    """Entries lo .. lo+size-1 (all by default) of the order-th (>= 1) periodic
+    forward difference d_i = d_(i+1 mod N) - d_i, from ``order`` more samples
+    (wrapping to the head): the bits of the whole difference."""
+    end = lo + (len(samples) if size is None else size) + order
+    d = samples[lo:end] if end <= len(samples) else np.take(samples, range(lo, end), mode="wrap")
     for _ in range(order):
-        wrap = src[0] - src[-1]
-        np.subtract(src[1:], src[:-1], out=d[:-1])
-        d[-1] = wrap
-        src = d
+        d = d[1:] - d[:-1]
     return d
 
 
 def _difference_norm(g: GridFunction, order: int) -> float:
     """1-norm of the order-th periodic forward difference of ``g``'s samples,
     kept on ``g`` (its samples are read-only): a sweep asks for it at every m.
-    A real difference takes its absolute value in place; a complex one's goes
-    to a new real array, whose sum rounds as a real sum."""
-    norms = g.__dict__.setdefault("_difference_norms", {})
+    ``np.sum`` sums each chunk of ``_SUM_CHUNK`` entries, and the chunk sums
+    are added pairwise, as numpy's pairwise sum splits a power-of-two length."""
+    norms, s = g.__dict__.setdefault("_difference_norms", {}), g.samples
     if order not in norms:
-        d = _forward_difference(g.samples, order)
-        norms[order] = float(np.sum(np.abs(d, out=None if np.iscomplexobj(d) else d)))
+        sums = [np.sum(np.abs(_forward_difference(s, order, lo, min(_SUM_CHUNK, len(s)))))
+                for lo in range(0, len(s), _SUM_CHUNK)]
+        while len(sums) > 1:
+            sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+        norms[order] = float(sums[0])
     return norms[order]
 
 
@@ -359,7 +368,8 @@ def infidelity_bound(g: GridFunction, m: int, p: int = 0) -> float:
 def decay_slope(g: GridFunction, m_range) -> float:
     """Least-squares slope of -log2(infidelity) against m; saturated points
     (infidelity <= 1e-14) are excluded from the fit."""
-    coeffs = spectrum(g)
+    m_range = list(m_range)
+    coeffs = spectrum(g, max(m_range, default=0))
     pts = []
     for m in m_range:
         eps = exact_infidelity(coeffs, m)

@@ -20,7 +20,7 @@ from .circuit import Circuit, h, phase
 from .compiler import (CompileReport, FSLPlan, assemble, check_capacity, prepare_spec,
                        target_state)
 from .errors import InvalidImage
-from .fourier import FourierSpec, GridFunction
+from .fourier import FourierSpec, GridFunction, _sum_of_squares
 from .simulator import Statevector
 
 
@@ -87,7 +87,7 @@ def frqi_truncated_target(img: GrayImage, m: int) -> Statevector:
     With t the truncated g+, the truncated g- is conj(t): color blocks Re t, -Im t."""
     t = target_state(_phase_spec(img, m), img.n).amplitudes
     amps = np.concatenate([t.real, -t.imag])
-    return Statevector(2 * img.n + 1, amps / np.linalg.norm(amps))
+    return Statevector(2 * img.n + 1, amps / math.sqrt(_sum_of_squares(amps)))
 
 
 def compile_frqi(img: GrayImage, m: int,

@@ -83,8 +83,10 @@ def _sinc(p):
 
 
 def _sinc2d(p):
-    a = p["a"]
-    return lambda x, y: np.sinc(a * (x - 0.5)) * np.sinc(a * (y - 0.5))
+    sinc = _sinc(p)
+    f = lambda x, y: sinc(x) * sinc(y)  # noqa: E731
+    f.factors = (sinc, sinc)  # ``sample`` evaluates each once, on its whole axis
+    return f
 
 
 def _reflected_put(p):
@@ -186,7 +188,8 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
     give.  Each coordinate comes as a broadcast axis (the chunk's run along the
     first dimension, 2^n along its own otherwise, and 1 along the others), so
     a separable function evaluates each factor on few points, and one that
-    ignores a coordinate returns fewer values than the chunk has.  A chunk
+    ignores a coordinate returns fewer values than the chunk has; one with
+    ``factors`` (one-axis functions whose product it is) skips the chunks.  A chunk
     decides the buffer's dtype: complex once any chunk is.  The finiteness
     check runs on each chunk's values as returned, before they are broadcast,
     and fails after the sqrt-mode minimum check, so -inf is named there.
@@ -200,9 +203,15 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
     rest = [np.arange(side) / side for _ in range(fdef.dims - 1)]  # the other axes, whole
     rows = max(1, _CHUNK // side ** (fdef.dims - 1))
     root = fdef.sqrt_mode and fdef.sqrt_evaluator is None  # the square root is taken here
-    evaluate = fdef.sqrt_evaluator if fdef.sqrt_mode and not root else fdef.evaluate
+    evaluate = fdef.sqrt_evaluator if fdef.sqrt_mode and not root else fdef.evaluator
     out, finite = None, True
-    for lo in range(0, side, rows):
+    factors = () if root else getattr(evaluate, "factors", ())
+    if factors:  # each evaluated once on its whole axis, into their outer product
+        with np.errstate(all="ignore"):
+            values = [np.asarray(f(np.arange(side) / side)) for f in factors]
+            out = np.multiply.outer(*values)
+        finite = all(np.all(np.isfinite(v)) for v in values)
+    for lo in () if factors else range(0, side, rows):
         coords = np.meshgrid(np.arange(lo, min(lo + rows, side)) / side, *rest,
                              indexing="ij", sparse=True)
         with np.errstate(all="ignore"):  # a non-finite value fails the isfinite check below

@@ -44,7 +44,7 @@ import numpy as np
 
 from .circuit import CODES, KINDS, Circuit, GateKind
 from .errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
-from .fourier import _sum_of_squares
+from .fourier import _overlap, _sum_of_squares
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -293,7 +293,7 @@ def fidelity(a: Statevector, b: Statevector) -> float:
     """|<a|b>|^2, insensitive to global phase."""
     if a.num_qubits != b.num_qubits:
         raise DimensionMismatch("statevector dimensions differ")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return abs(_overlap(a.amplitudes, b.amplitudes)) ** 2
 
 
 def classical_fidelity(p, q) -> float:

@@ -337,13 +337,19 @@ class TestCapacityEdge:
         assert 0 <= json.loads(out)["exact_infidelity"] < 1
 
     def test_piecewise_compiles_at_n24(self):
-        # in a subprocess, so the 2^24-point grid's memory is returned when it exits
+        # in a subprocess, so the 2^24-point grid's memory is returned when it exits; the
+        # process writes its own peak resident set (kB) to stderr once the command returns:
+        # VmHWM, as ru_maxrss would count the forked copy of this process before its exec
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        proc = subprocess.run([sys.executable, "-m", "fsl.cli", "compile", "--function",
-                               "piecewise", "--n", "24", "--m", "4", "--emit", "none"],
+        code = ("import sys; from fsl.cli import main; code = main(sys.argv[1:]); "
+                "sys.stderr.write(next(line.split()[1] for line in open('/proc/self/status') "
+                "if line.startswith('VmHWM:'))); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", code, "compile", "--function", "piecewise",
+                               "--n", "24", "--m", "4", "--emit", "none"],
                               env=env, capture_output=True, text=True, timeout=300)
-        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.returncode == 0 and proc.stderr.isdigit(), proc.stderr
         assert 0 <= json.loads(proc.stdout)["exact_infidelity"] < 1
+        assert int(proc.stderr) <= 256 * 1024  # one 128 MB grid, no grid-sized spectrum
 
 
 class TestSweepCommand:
@@ -404,7 +410,7 @@ class TestSweepCommand:
     def test_rows_equal_one_compile_per_m(self, capsys, monkeypatch, function, n, filter_a):
         dfts = []
         dft = fourier.spectrum
-        monkeypatch.setattr(fourier, "spectrum", lambda g: dfts.append(g) or dft(g))
+        monkeypatch.setattr(fourier, "spectrum", lambda g, top: dfts.append(g) or dft(g, top))
         flags = [] if filter_a is None else ["--filter-a", str(filter_a)]
         code, out, _ = run_cli(capsys, "sweep", "--function", function, "--n", str(n),
                                "--m-range", "1:3", *flags)
@@ -432,7 +438,7 @@ class TestSweepCommand:
         dft, mirror = fourier.spectrum, fourier.mirror_extend
 
         def count(name, f):
-            return lambda g: calls.__setitem__(name, calls[name] + 1) or f(g)
+            return lambda g, *top: calls.__setitem__(name, calls[name] + 1) or f(g, *top)
 
         monkeypatch.setattr(fourier, "spectrum", count("dft", dft))
         monkeypatch.setattr(fourier, "mirror_extend", count("mirror", mirror))
@@ -472,11 +478,12 @@ class TestSweepCommand:
         calls = []
         diff = fourier._forward_difference
         monkeypatch.setattr(fourier, "_forward_difference",
-                            lambda s, order: calls.append(order) or diff(s, order))
+                            lambda s, order, *chunk: calls.append((order, *chunk)) or
+                            diff(s, order, *chunk))
         code, _, _ = run_cli(capsys, "sweep", "--function", "piecewise", "--n", "9",
                              "--m-range", "1:6")
         assert code == 0
-        assert calls == [1]  # only the cot(pi 2^m / 2^n) factor is per row
+        assert calls == [(1, 0, 2**9)]  # only the cot(pi 2^m / 2^n) factor is per row
 
 
 class TestOneLoadPath:
@@ -533,7 +540,6 @@ class TestOneLoadPath:
             raise AssertionError("the full spectrum was built")
 
         monkeypatch.setattr(fourier, "dft_coefficients", full)
-        monkeypatch.setattr(fourier.Spectrum, "full", full)
         argv = [a.format(pgm=tmp_path / "img.pgm") for a in argv]
         code, _, err = run_cli(capsys, *argv, *(["--out-dir", str(tmp_path)] * (
             argv[0] in ("compile", "image"))))
@@ -557,7 +563,7 @@ class TestImageCommand:
         write_pgm(tmp_path / "img.pgm", np.random.default_rng(1).random((8, 8)))
         dfts = []
         dft = fourier.spectrum
-        monkeypatch.setattr(fourier, "spectrum", lambda g: dfts.append(g) or dft(g))
+        monkeypatch.setattr(fourier, "spectrum", lambda g, top: dfts.append(g) or dft(g, top))
         code, _, _ = run_cli(capsys, "image", "--pgm", str(tmp_path / "img.pgm"), "--m", "1",
                              "--simulate", "--emit", "none")
         assert code == 0

@@ -13,14 +13,11 @@ else; ``tests/test_compiler.py`` and ``tests/test_simulator.py`` print their
 ``UNCHANGED`` and ``STATE_DIGESTS`` the same way, through ``print_literal``.
 
 Digests depend on numpy's floating-point kernels, so the test only runs under
-the numpy version they were recorded with.  They also depend on the BLAS
-thread count: they were recorded with OpenBLAS on two or more threads, and
-with ``OPENBLAS_NUM_THREADS=1`` the stdout digests of
-``simulate-piecewise-n14`` and ``simulate-sinc2d`` differ, because one thread
-sums ``np.vdot`` and ``np.linalg.norm`` in another order (the norm of a
-2^20-point vector moves in its last digit).  Run the pins with the default
-thread count: ``print_literal`` exits non-zero, printing nothing, when
-``OPENBLAS_NUM_THREADS=1``.
+the numpy version they were recorded with.  They do not depend on the BLAS
+thread count: every norm and overlap the outputs print is summed in chunks a
+single OpenBLAS thread takes, the chunk sums added by ``math.fsum``, so one
+thread and several give the same bytes, which a fresh process with
+``OPENBLAS_NUM_THREADS=1`` checks.
 
 A Schmidt compile also goes through LAPACK (the SVD and the Shannon
 decomposition of U and V), whose last bits move with the BLAS kernels the CPU
@@ -39,6 +36,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -94,110 +92,110 @@ CASES = {
 
 DIGESTS = {
     "expr": {
-        "circuit.json": "59ec19e13e904864faded82ca49aa4aad3a6a590800ca18f76293418cc145813",
-        "circuit.qasm": "82df6b77b5b79c7c9f0233492c56231911c5bc33bf3fbd935070019255332371",
+        "circuit.json": "9a72e908fc1882dd16bfa8227692fd8f5ee77cee565e7a23a08cdb3605f5bfb8",
+        "circuit.qasm": "be1e40182a9b6504cf0a24e0f6a5a092eb2b4db295a5d43e1111633acd2ac64e",
         "exit": 0,
-        "report.json": "2197ebb5b50abd22fca06e45d5027a4faa7e1d3a4798a28a15c2e2c3a8965692",
-        "stdout": "2197ebb5b50abd22fca06e45d5027a4faa7e1d3a4798a28a15c2e2c3a8965692",
+        "report.json": "b151385b798f070880ce4e13310a4e34f96fa94354c7940a58b650f4b03abe0d",
+        "stdout": "b151385b798f070880ce4e13310a4e34f96fa94354c7940a58b650f4b03abe0d",
     },
     "expr-2d-x-only": {
-        "circuit.json": "f7d2752f0b292cdb773276ae563982cd7c8111d9f4a7f58740aaf0994e1aad60",
-        "circuit.qasm": "17e513367eba9052b37a61277efe2c0e8bcafc6477fb46a42a953ad932e22dae",
+        "circuit.json": "417ad360b7ec45ece019ed7f27c3accb78999680089f78518cc3ef80b53e7c9d",
+        "circuit.qasm": "82fa6775d0650d451f6763876c1f37e9e6f0b4862f774b1061d25b7b1c1eb40b",
         "exit": 0,
-        "report.json": "024c08f6053fa05b5edbcb420dda16a5abd5f84aef8b60965d0241556a7f4fd1",
-        "stdout": "024c08f6053fa05b5edbcb420dda16a5abd5f84aef8b60965d0241556a7f4fd1",
+        "report.json": "6d822440318e616a8df724e94c59351b3df0bebbfb251ee6301259f5e97f469c",
+        "stdout": "6d822440318e616a8df724e94c59351b3df0bebbfb251ee6301259f5e97f469c",
     },
     "gaussian2d": {
-        "circuit.json": "acea57ba89cd4c681e6fd851302d4dd3f8d8618645aa9e60f4382d2c59da6170",
-        "circuit.qasm": "e6ac7506626900dfb48c45cf66676dd0e825fb5fc0c5c7a9c86f962b4df810b7",
+        "circuit.json": "dfd1e10e667e55e1998238f40b2d0d1464989597f7d7f896f5825a9985c6408e",
+        "circuit.qasm": "304ed3cdeea6db53d2a8b16ecd8b1ade2e4d352f8279923948be93fd72be1394",
         "exit": 0,
-        "report.json": "2f618129c1ba323b15116fd1042a6a14185752ecacb581e14af0013b210bc95e",
-        "stdout": "2f618129c1ba323b15116fd1042a6a14185752ecacb581e14af0013b210bc95e",
+        "report.json": "d49732dd57f5818c673fb253a7abd664f4850d1e5616a5660dcc82d03a97187c",
+        "stdout": "d49732dd57f5818c673fb253a7abd664f4850d1e5616a5660dcc82d03a97187c",
     },
     "image": {
-        "circuit.json": "2421f914c16e0644dc46f39d1bca15077ac9da8e26d99259e31817e1932a3084",
-        "circuit.qasm": "7154660acdec624e39ff46ca834d34d182ecd6d2c0eec557fa39f085d03b35a2",
+        "circuit.json": "2bf27a48fae0160df42d26f71d7efc4dc49c7a9d8e981f4ff3e9323903788d58",
+        "circuit.qasm": "2bbc3a2291179a383f8aeda8af0ac6cf26800f041256883bb14fe9a4666ad885",
         "exit": 0,
-        "report.json": "6573103dd60b3a94ff162ff4060eaf558640c650be1c195de1b3787c2a2dd580",
-        "stdout": "6573103dd60b3a94ff162ff4060eaf558640c650be1c195de1b3787c2a2dd580",
+        "report.json": "0b17d6eee314c88d72ff627bd59aa1ee827185fa8963a65d55b8eee0e43fdb02",
+        "stdout": "0b17d6eee314c88d72ff627bd59aa1ee827185fa8963a65d55b8eee0e43fdb02",
     },
     "mirror-disentangle-filtered": {
-        "circuit.json": "fe534a958c5063f4be6f327b8345cd795b6ab4e6416f8ee027ad3bf86a6356b2",
-        "circuit.qasm": "f5f71085f0462aa3c06c485c2ef8ead1bc789523b283415a17aa53ef13e3023b",
+        "circuit.json": "f788fdac82a3d84dc0f692679590fa206d70c5fefaa7bd202a333b80865f8b32",
+        "circuit.qasm": "a3e234049364ef3f6320c83006d85175f6cb3e7c5b1b156a7a4d4d025505d14b",
         "exit": 0,
-        "report.json": "6b2e1b2fb174177ac907adfdba92bebcdceb25a53cac12e400f8e2fbc8908f12",
-        "stdout": "6b2e1b2fb174177ac907adfdba92bebcdceb25a53cac12e400f8e2fbc8908f12",
+        "report.json": "09f45a233b9716e86b314e6623c67689c4a1d8ce9fdc37902536567b78c356d5",
+        "stdout": "09f45a233b9716e86b314e6623c67689c4a1d8ce9fdc37902536567b78c356d5",
     },
     "mirror-measure-filtered": {
-        "circuit.json": "d86b9756adf7c7f8d0690967a5854561bea5f0a75290bd937ee03141372ffd9b",
-        "circuit.qasm": "48049e8114b9eaf6ad4b155691e9a8de658a264e91aa5c5a154d54602b714a1b",
+        "circuit.json": "45fab30225e2007272c26bc521f8a32d1165f46621054441da37b26c3b8942b8",
+        "circuit.qasm": "08573013ee3d976930753400f85e80a542d4da6a501c3420ecbacb74e810ca23",
         "exit": 0,
-        "report.json": "d6f5a1c45851bf4365dbc625bc216e06ab9a4f8d7f4be0926d45cadc5da59970",
-        "stdout": "d6f5a1c45851bf4365dbc625bc216e06ab9a4f8d7f4be0926d45cadc5da59970",
+        "report.json": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
+        "stdout": "cbb11f6be6aab099205398cc00861ba59cb6ac1b02b0c95f94c7dded9a33eef6",
     },
     "simulate-expr-2d-x-only": {
         "exit": 0,
-        "stdout": "5036d8b20d221c3df1c5971d063e663f0cf8116cb8e65726641a8b03fc50e9aa",
+        "stdout": "0a3df1dde83b455a39b6b1259e92cb4deb56cc76067c4eaacff4e82773d14fd0",
     },
     "simulate-piecewise-n14": {
         "exit": 0,
-        "stdout": "2fc9797bd955ebe69d7d163bf566efce0532867c1594c7861504f5a7c58a61e9",
+        "stdout": "503c1a171f5f75b929754effb76bc71a0a8cbd58834a8ebe4efec548725ade45",
     },
     "simulate-shots": {
         "exit": 0,
-        "stdout": "75b44fed3d87d299cdb90630739b8b0e2b99ba52a8d0c1c278c2a5135b5e8b6c",
+        "stdout": "d6c2ef5a835798c813730dbd611673bc1d595e197bde852c565c9466b88ca5ec",
     },
     "simulate-sinc2d": {
         "exit": 0,
-        "stdout": "720512ec0c7e5f5664b6631e5692e4dc99b5bcc74cfe6418b739ecc346056ab1",
+        "stdout": "bcac479dd96f584c77692c3ddb163b458fc9c1126c5df31acd81778c4318b14f",
     },
     "simulate-tanh-measure-filtered-shots": {
         "exit": 0,
-        "stdout": "6ad8fb3febf7fb841ccbb504b36b91c4d7d3efd26b609d99b561314550819b7b",
+        "stdout": "aa57085146022dfd3b5868a3ae3cf3dfdf8cce07544be21284358913811b2b31",
     },
     "simulate-tanh-mirror-shots": {
         "exit": 0,
-        "stdout": "3562b12357a5b4cb39971382463f59155431ee92b4138eb5d52a7113cc26dc4f",
+        "stdout": "a312c5861de2e42226628937d6df5ce97b5e255a271a9321ace95ea64060d06c",
     },
     "sinc2d": {
-        "circuit.json": "7581cf028d8a92ecb93d61513ae3037303dd7e6adaee0b951a52cf8aeabf740d",
-        "circuit.qasm": "b7f58b7da4c73fe717e1601cfedc8f9da94a1f61c38cd64e497d55e17243147e",
+        "circuit.json": "e2bb96c1120be2fee66aeaab10a0edf271b6045f505f1e70b3cc2c630fddca7e",
+        "circuit.qasm": "f275ca9990317ed9607c9dfcde8e4bf392ab43f41ad3513e32a5543a530c2192",
         "exit": 0,
-        "report.json": "c9eb616879ac4564bb15907b8e2477296f60e9ca5cb9ce7ba21bee12969f540e",
-        "stdout": "c9eb616879ac4564bb15907b8e2477296f60e9ca5cb9ce7ba21bee12969f540e",
+        "report.json": "411315e03a06f5d707dd0f33ad7137de2ae401780115705a5f7a7aec9002d86e",
+        "stdout": "411315e03a06f5d707dd0f33ad7137de2ae401780115705a5f7a7aec9002d86e",
     },
     "sweep-mirror-filtered": {
         "exit": 0,
-        "stdout": "dae3a6c84e555a3b15867fd77bf6e055dbe9d25d88adc2a7d11ab3a34b995930",
+        "stdout": "5a2e4226a83a367679b11488662f12ce2e6867fffc846ccea28cecc3759585e4",
     },
     "sweep-mirror-measure": {
         "exit": 0,
-        "stdout": "f7a0a40f6658bed61960d60bf75520481d84d825418b29e48c0a4c49c52abaf2",
+        "stdout": "acf5943ceb5660c052127aa8574b42c8134569c95faa7b42f1b566cb254df1b9",
     },
     "sweep-periodic": {
         "exit": 0,
-        "stdout": "763291dde28fff659d454b0e66357f2c867532dbaee8d4cd0e953a13926922dc",
+        "stdout": "44f50a4e6ba7a3ecc7c8066f1a9f6c0fd26ab2bbe44ab5007deaa2aa083520f2",
     },
     "ucr-bimodal-n13-m7": {
-        "circuit.json": "f5af40a5eafbc16dd6da36fa975fb45c9af41182722ac704b1d4ca3ebd0c8e75",
-        "circuit.qasm": "1bf297986d34738cfaf3eed2e32012015aee0c954073b6c5c2e5bd175e8008c5",
+        "circuit.json": "e8fea7e482a2acbe808f29b94511143fb3f1c1a5d7a171aa106757651c803d0c",
+        "circuit.qasm": "59e8d37b65a4a24efcc23ad04b627f92ed3bfc9cb28aebffdbd85e92a2347274",
         "exit": 0,
-        "report.json": "bf0fdf6970b58c675b84861aa924313d9dcf60784662e3bd6dca281fdcb1a75a",
-        "stdout": "bf0fdf6970b58c675b84861aa924313d9dcf60784662e3bd6dca281fdcb1a75a",
+        "report.json": "bc603c3cac9d6ef5d8efa70c6af4c63e5c1aedb4877aa51a615200fcd6061b70",
+        "stdout": "bc603c3cac9d6ef5d8efa70c6af4c63e5c1aedb4877aa51a615200fcd6061b70",
     },
     "ucr-piecewise-n12-m9": {
-        "circuit.json": "007d00d1e14cd0865801cb319f9b9e584026e480c0ed0752714f577dff541793",
-        "circuit.qasm": "f96fd06c6febfb873370bd72b9e533da8d1b5f0b35e48cafc371fdab88f9d794",
+        "circuit.json": "b00edb6d7f77410c4516d693984ac8e01dd3a6b0d904abf8e3d37448daac4812",
+        "circuit.qasm": "0ec6008ec7a2692471d873a17cf0c540f6e22ebc535b9592b6df00abcc456b14",
         "exit": 0,
         "report.json": "8846cb78a855ccc528d7bb8cd2f40948e77219fcb669a1f2178c9e85c8dfaf46",
         "stdout": "8846cb78a855ccc528d7bb8cd2f40948e77219fcb669a1f2178c9e85c8dfaf46",
     },
     "ucr-sinc-n14-m5": {
-        "circuit.json": "d3e1337eb194441a8f49e8e01519d7acd8a6b28f5f2645ba28607f08edb6a3c9",
-        "circuit.qasm": "a7763d4f332f0cf9c37fe1c7c3378d4ace44340b2d8a2bf8d1309bca71b5066b",
+        "circuit.json": "b32796a738089c36ef02ba4b7db1f5a65cf205de3241e41839e3c7f5d71d98f2",
+        "circuit.qasm": "468b817a66990b1e6669d9d911a566bfddd90a06b785946a5de7d6ad15a21b3f",
         "exit": 0,
-        "report.json": "60821f51a9a5daff7a18330073f019e5b470c233e9c8c66782472b1f96081626",
-        "stdout": "60821f51a9a5daff7a18330073f019e5b470c233e9c8c66782472b1f96081626",
+        "report.json": "01c466a8a98152f3ca28c095dcfe37c62078b98fa9c546975ea6a14862806bab",
+        "stdout": "01c466a8a98152f3ca28c095dcfe37c62078b98fa9c546975ea6a14862806bab",
     },
 }
 
@@ -298,10 +296,10 @@ LOW_RANK = {
         "gate_counts": {"by_kind": {"CNOT": 32, "CPHASE": 30, "H": 12, "RY": 30},
                         "opaque": 0, "single_qubit": 42, "two_qubit": 62}}),
     "complex_cosines": (["compile", "--function", "complex_cosines", "--n", "10", "--m", "6"], {
-        "depth": 193,
-        "gate_counts": {"by_kind": {"CNOT": 66, "CPHASE": 64, "H": 10, "PHASE": 2, "RY": 96,
-                                    "RZ": 155},
-                        "opaque": 0, "single_qubit": 263, "two_qubit": 130}}),
+        "depth": 192,
+        "gate_counts": {"by_kind": {"CNOT": 66, "CPHASE": 64, "H": 10, "PHASE": 2, "RY": 97,
+                                    "RZ": 157},
+                        "opaque": 0, "single_qubit": 266, "two_qubit": 130}}),
 }
 
 
@@ -333,12 +331,7 @@ def test_low_rank_schmidt_compile_matches_recorded_counts(name, tmp_path):
 
 def print_literal(name: str, entries: dict) -> None:
     """Print ``entries`` as a ``name = {...}`` literal in this file's layout, keys
-    sorted and a dict value one level deep, to paste over the recorded one.
-    Under ``OPENBLAS_NUM_THREADS=1`` it prints nothing and exits non-zero: one
-    BLAS thread moves digests that were recorded on two or more."""
-    if os.environ.get("OPENBLAS_NUM_THREADS", "").strip() == "1":
-        sys.exit(f"not printing {name}: digests are pinned with OpenBLAS on two or more "
-                 "threads, and OPENBLAS_NUM_THREADS=1 moves some of them")
+    sorted and a dict value one level deep, to paste over the recorded one."""
     print(f"{name} = {{")
     for key, value in sorted(entries.items()):
         if isinstance(value, dict):
@@ -351,15 +344,18 @@ def print_literal(name: str, entries: dict) -> None:
     print("}")
 
 
-def test_print_literal_refuses_a_single_blas_thread(monkeypatch, capsys):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    with pytest.raises(SystemExit) as exc:
-        print_literal("DIGESTS", {"case": "digest"})
-    assert exc.value.code not in (0, None)
-    assert capsys.readouterr().out == ""
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    print_literal("DIGESTS", {"case": "digest"})
-    assert capsys.readouterr().out == 'DIGESTS = {\n    "case": "digest",\n}\n'
+@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                    reason=f"digests were recorded under numpy {RECORDED_NUMPY}")
+def test_digests_hold_on_one_blas_thread():
+    # OpenBLAS takes its thread count when it loads, so the cases run in a fresh process
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    code = "import json, test_cli_bytes; print(json.dumps(test_cli_bytes._current_digests()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == DIGESTS
 
 
 def _current_digests() -> dict:

@@ -93,57 +93,141 @@ class TestRealGrids:
         assert np.array_equal(dft_coefficients(g), np.fft.ifftn(g.samples) * 2.0**4)
 
 
-def _assert_same_window(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()  # signed zeros too
+def long_double_coefficients(samples: np.ndarray, ks) -> np.ndarray:
+    """c_k of a (2^n)^D grid on the product of the frequency lists ``ks`` (one
+    per axis), summed in long double with k.x reduced mod 2^n in integers.  Each
+    axis is contracted in turn, one frequency and one run of 2^16 points at a
+    time, each run by numpy's pairwise sum: a long double dot sums in a row,
+    whose residue at k = 0 of a 2^20-point grid reached 8e-15."""
+    side = samples.shape[0]
+    two_pi = np.longdouble(2) * np.arccos(np.longdouble(-1))
+    c = samples.astype(np.clongdouble)
+    for axis, k in enumerate(ks):
+        c = np.moveaxis(c, axis, -1)  # the summed axis last, where np.sum is pairwise
+        rows = []
+        for kk in k:
+            row = np.zeros(c.shape[:-1], dtype=np.clongdouble)
+            for lo in range(0, side, 1 << 16):
+                e = (kk * np.arange(lo, min(lo + (1 << 16), side)) % side) * two_pi / side
+                row += np.sum(c[..., lo:lo + (1 << 16)] * (np.cos(e) + 1j * np.sin(e)), axis=-1)
+            rows.append(row)
+        c = np.moveaxis(np.stack(rows, axis=-1), -1, axis)
+    return c / np.sqrt(np.longdouble(samples.size))
 
 
-class TestSpectrumWindow:
-    """``spectrum`` keeps one transform, a real grid's ``rfftn`` half, and its
-    ``window`` reader gives every centred window of the full spectrum bit for bit."""
+def _frqi_phase_grid(side: int) -> GridFunction:
+    pixels = ((np.arange(side * side) * 37 + 11) % 256).reshape(side, side) / 255
+    return GridFunction._adopt(np.exp(-0.5j * np.pi * pixels) / side)
 
-    @pytest.mark.parametrize("dims, n", [(1, 1), (1, 2), (1, 9), (2, 1), (2, 2), (2, 5),
-                                         (3, 1), (3, 3)])
-    def test_real_grid_windows_equal_the_full_spectrum_windows(self, rng, dims, n):
-        g = GridFunction.from_samples(rng.standard_normal((2**n,) * dims))
-        spec = fourier.spectrum(g)
-        assert spec.half and spec.coeffs.shape == (2**n,) * (dims - 1) + (2 ** (n - 1) + 1,)
-        full = dft_coefficients(g)
-        for m in range(n):
-            _assert_same_window(spec.window(m), fourier._centred_window(full, m))
 
-    @pytest.mark.parametrize("dims, n", [(1, 6), (2, 4), (3, 2)])
-    def test_complex_grid_keeps_the_full_spectrum(self, rng, dims, n):
-        g = grid_from(rng, n, dims=dims)
-        spec = fourier.spectrum(g)
-        assert not spec.half and spec.full() is spec.coeffs
-        full = dft_coefficients(g)
-        for m in range(n):
-            _assert_same_window(spec.window(m), fourier._centred_window(full, m))
+# One grid of each kind the loads take: real 1-D, 2-D and 3-D, complex, mirror, FRQI's g+
+SPECTRUM_GRIDS = {
+    "real-1d": lambda: GridFunction.from_samples(np.random.default_rng(1).standard_normal(2**9)),
+    "real-2d": lambda: GridFunction.from_samples(np.random.default_rng(2).standard_normal((32, 32))),
+    "real-3d": lambda: GridFunction.from_samples(np.random.default_rng(3).standard_normal((8,) * 3)),
+    "complex-1d": lambda: grid_from(np.random.default_rng(4), 8),
+    "complex-2d": lambda: grid_from(np.random.default_rng(5), 4, dims=2),
+    "mirror": lambda: mirror_extend(funcs.sample(funcs.builtin("tanh"), 9)),
+    "mirror-complex": lambda: mirror_extend(funcs.sample(funcs.builtin("complex_cosines"), 7)),
+    "frqi": lambda: _frqi_phase_grid(32),
+    "tiny-real": lambda: GridFunction.from_samples(np.array([0.6, 0.8])),
+    "tiny-2d": lambda: GridFunction.from_samples(np.random.default_rng(6).standard_normal((2, 2))),
+}
 
-    @pytest.mark.parametrize("name, n", [("tanh", 8), ("lognormal", 7), ("complex_cosines", 6)])
-    def test_mirror_extension_windows_equal_the_full_spectrum_windows(self, name, n):
-        ext = mirror_extend(funcs.sample(funcs.builtin(name), n))
-        spec, full = fourier.spectrum(ext), dft_coefficients(ext)
-        for m in range(ext.n):
-            _assert_same_window(spec.window(m), fourier._centred_window(full, m))
 
-    @pytest.mark.parametrize("dims, n", [(1, 7), (2, 4)])
-    @pytest.mark.parametrize("filter_a", [None, 0.5, 2.0])
-    def test_filtered_truncation_equals_the_full_spectrum_one(self, rng, dims, n, filter_a):
-        g = GridFunction.from_samples(rng.standard_normal((2**n,) * dims))
-        spec, full = fourier.spectrum(g), dft_coefficients(g)
-        for m in range(n):
-            got, want = truncate(spec, m, filter_a), truncate(full, m, filter_a)
-            _assert_same_window(got.coeffs, want.coeffs)
-            assert got.norm_constant == want.norm_constant
-            assert exact_infidelity(spec, m) == exact_infidelity(full, m)
+def window(spec: np.ndarray, m: int) -> np.ndarray:
+    return fourier._centred_window(spec, m)
 
-    def test_window_still_needs_m_below_n(self, rng):
-        spec = fourier.spectrum(GridFunction.from_samples(rng.standard_normal(8)))
+
+class TestSpectrum:
+    """``spectrum(g, top)`` takes every window up to ``top`` in one pruned
+    transform whose bits do not depend on ``top``: a sweep's one pass gives each
+    m the window a compile at m takes."""
+
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_GRIDS))
+    def test_windows_do_not_depend_on_top(self, name):
+        g = SPECTRUM_GRIDS[name]()
+        top = fourier.spectrum(g, g.n - 1)
+        for m in range(g.n):
+            want = window(top, m)
+            for t in range(m, g.n):
+                assert window(fourier.spectrum(g, t), m).tobytes() == want.tobytes(), (m, t)
+
+    @pytest.mark.parametrize("top", [8, 13, 14])
+    def test_a_wide_grid_keeps_its_bits_across_top(self, top):
+        g = funcs.sample(funcs.builtin("piecewise"), 20)
+        want = window(fourier.spectrum(g, 14), top)
+        assert window(fourier.spectrum(g, top), top).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(n for n in SPECTRUM_GRIDS if "complex" not in n
+                                            and n != "frqi"))
+    def test_real_grid_windows_are_exactly_hermitian(self, name):
+        g = SPECTRUM_GRIDS[name]()
+        spec = fourier.spectrum(g, g.n - 1)
+        for m in range(g.n):
+            c = window(spec, m)
+            assert np.array_equal(c, np.conj(c[(slice(None, None, -1),) * g.dims])), m
+
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_GRIDS))
+    def test_truncation_agrees_with_the_full_spectrum(self, name):
+        g = SPECTRUM_GRIDS[name]()
+        spec, full = fourier.spectrum(g, g.n - 1), dft_coefficients(g)
+        for m in range(g.n):
+            assert np.max(np.abs(window(spec, m) - window(full, m))) <= 1e-15
+            for filter_a in (None, 0.5, 2.0):
+                if window_mass(full, m) < 1e-24:  # rounding residue alone: both refuse it
+                    for coeffs in (spec, full):
+                        with pytest.raises(EmptyWindow):
+                            truncate(coeffs, m, filter_a)
+                    continue
+                got, want = truncate(spec, m, filter_a), truncate(full, m, filter_a)
+                assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-15
+                assert abs(got.norm_constant - want.norm_constant) <= 1e-15
+            assert abs(exact_infidelity(spec, m) - exact_infidelity(full, m)) <= 1e-15
+
+    @pytest.mark.parametrize("name, n, ks", [
+        ("piecewise", 20, [0, 1, 5, 4097, 8193, 16383]),
+        ("sinc", 20, [0, 3, 127, 128, 8192, 12000]),
+        ("lorentzian", 16, [0, 1, 2, 1000, 8191]),
+        ("complex_cosines", 14, [-4095, -3, -1, 0, 1, 3, 200, 4095]),
+    ])
+    def test_one_dimensional_windows_agree_with_a_long_double_dft(self, name, n, ks):
+        g = funcs.sample(funcs.builtin(name), n)
+        want = long_double_coefficients(g.samples, [ks])
+        got = fourier.spectrum(g, max(abs(k) for k in ks).bit_length())[ks]
+        full = dft_coefficients(g)[ks]
+        errors = [float(np.max(np.abs(c - want))) for c in (got, full)]
+        assert errors[0] <= 1e-15, f"spectrum {errors[0]:.2g}, dft_coefficients {errors[1]:.2g}"
+        assert errors[1] <= 1e-15
+
+    @pytest.mark.parametrize("name", ["real-2d", "real-3d", "complex-2d", "frqi", "mirror"])
+    def test_windows_agree_with_a_long_double_dft(self, name):
+        g = SPECTRUM_GRIDS[name]()
+        m = g.n - 1
+        k = np.arange(1 - 2**m, 2**m)
+        want = long_double_coefficients(g.samples, [k] * g.dims)
+        errors = [float(np.max(np.abs(c - want))) for c in (
+            window(fourier.spectrum(g, m), m), window(dft_coefficients(g), m))]
+        assert errors[0] <= 1e-15, f"spectrum {errors[0]:.2g}, dft_coefficients {errors[1]:.2g}"
+        assert errors[1] <= 1e-15
+
+    def test_transform_and_bound_at_n20_m14_stay_below_two_megabytes(self):
+        g = funcs.sample(funcs.builtin("piecewise"), 20)
+        tracemalloc.start()
+        try:
+            fourier.spectrum(g, 14)
+            infidelity_bound(g, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_top_and_window_need_m_below_n_and_up_to_top(self, rng):
+        g = GridFunction.from_samples(rng.standard_normal(8))
         with pytest.raises(ValueError, match="need m < n"):
-            spec.window(3)
+            fourier.spectrum(g, 3)
+        with pytest.raises(ValueError, match="need m < n, got m=2, n=2"):  # beyond top
+            truncate(fourier.spectrum(g, 1), 2)
 
 
 class TestTruncate:
@@ -377,8 +461,9 @@ class TestInfidelityBound:
     @pytest.mark.parametrize("p", range(3))
     def test_difference_norm_taken_once_per_grid_and_order(self, p, monkeypatch):
         # a sweep asks for the bound at every m; the values keep every bit of
-        # the formula that takes the forward difference anew each time
-        g = funcs.sample(funcs.builtin("piecewise"), 12)
+        # the formula that takes the whole forward difference anew each time,
+        # and the one pass takes the difference a chunk at a time
+        g = funcs.sample(funcs.builtin("piecewise"), 15)
         want = []
         for m in range(1, 11):
             l1 = float(np.sum(np.abs(_forward_difference(g.samples, p + 1))))
@@ -388,9 +473,11 @@ class TestInfidelityBound:
             want.append(l1**2 * integral / (2 ** (2 * p + 1) * math.pi))
         calls = []
         monkeypatch.setattr(fourier, "_forward_difference",
-                            lambda s, order: calls.append(order) or _forward_difference(s, order))
+                            lambda s, order, *chunk: calls.append((order, *chunk)) or
+                            _forward_difference(s, order, *chunk))
         assert [infidelity_bound(g, m, p) for m in range(1, 11)] == want
-        assert calls == [p + 1]
+        chunk = fourier._SUM_CHUNK
+        assert calls == [(p + 1, lo, chunk) for lo in range(0, 2**g.n, chunk)]
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     @pytest.mark.parametrize("name", ["piecewise", "complex_cosines"])
@@ -401,6 +488,18 @@ class TestInfidelityBound:
             d = np.roll(d, -1) - d
         assert _forward_difference(g.samples, order).tobytes() == d.tobytes()
         assert fourier._difference_norm(g, order) == float(np.sum(np.abs(d)))
+
+    @pytest.mark.parametrize("n", [14, 20])
+    @pytest.mark.parametrize("name", ["piecewise", "sinc", "tanh", "lorentzian", "xpowx",
+                                      "complex_cosines"])
+    def test_chunked_norm_keeps_the_bits_of_one_sum(self, name, n):
+        # 2 and 128 chunks, added pairwise as np.sum adds halves of a power-of-two length
+        g = funcs.sample(funcs.builtin(name), n)
+        for order in (1, 2):
+            d = g.samples
+            for _ in range(order):
+                d = np.roll(d, -1) - d
+            assert fourier._difference_norm(g, order) == float(np.sum(np.abs(d)))
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_difference_norm_peaks_near_one_extra_grid_buffer(self, order):

@@ -11,6 +11,7 @@ from conftest import reduced_density_matrix, write_pgm
 from fsl import fourier, frqi
 from fsl.compiler import FSLPlan, Loader
 from fsl.errors import CapacityExceeded, InvalidImage
+from fsl.fourier import GridFunction
 from fsl.frqi import (GrayImage, compile_frqi, frqi_target, frqi_truncated_target,
                       phase_spectra, read_pgm, window_capture)
 from fsl.simulator import fidelity, run
@@ -132,18 +133,21 @@ def two_spectrum_target(img, m):
 
 class TestComplexPhaseGrid:
     def test_spectrum_and_target_take_the_complex_transforms(self):
-        """g+ is complex, so its spectrum is ifftn's and its target
-        ``reconstruct``'s, bit for bit."""
+        """g+ is complex, so its window is the complex grid's spectrum, which
+        agrees with ifftn's to rounding, and its target is ``reconstruct``'s,
+        bit for bit."""
         pixels = ((np.arange(1024) * 37 + 11) % 256).reshape(32, 32) / 255
         img, m = GrayImage(32, pixels), 2
         g_plus = np.exp(-0.5j * np.pi * img.brightness) / img.side
-        spec = fourier.truncate(np.fft.ifftn(g_plus) * img.side, m)  # 2^(Dn/2) = side
+        spec = fourier.truncate(fourier.spectrum(GridFunction._adopt(g_plus.copy()), m), m)
         assert np.array_equal(frqi._phase_spec(img, m).coeffs, spec.coeffs)
+        full = fourier.truncate(np.fft.ifftn(g_plus) * img.side, m)  # 2^(Dn/2) = side
+        assert np.max(np.abs(spec.coeffs - full.coeffs)) < 1e-15
         t = fourier.reconstruct(spec.embed(img.side)).reshape(-1)
-        t /= np.linalg.norm(t)
+        t /= math.sqrt(fourier._sum_of_squares(t))
         want = np.concatenate([t.real, -t.imag])
         assert np.array_equal(frqi_truncated_target(img, m).amplitudes,
-                              want / np.linalg.norm(want))
+                              want / math.sqrt(fourier._sum_of_squares(want)))
 
 
 class TestTruncatedTarget:

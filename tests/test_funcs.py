@@ -191,22 +191,22 @@ class TestSampling:
 # SHA-256 of ``sample``'s bytes: every catalog builtin (1-D at n=16, 2-D at
 # n=8) and sqrt mode with a computed square root and with a signed amplitude
 SAMPLE_DIGESTS = {
-    "bimodal_gaussian-n16": "8609967f51cb5b08dd21fac9e0c172f019b323e7d3e7ea925676ebe195ef758a",
+    "bimodal_gaussian-n16": "c4ae9eb050ba3da816dfa0d8549cca710cf83fbfc62fec7250ae7c71989ff9a1",
     "bimodal_gaussian-sqrt-n16": "7ea94e00d88273d68c9f6059b8888c12fd28aac09f2750d0b4e4e49a3bc9c764",
-    "complex_cosines-n16": "19dc78cf71e1ff14b010c2fd6f293496060218a5b61f1f99f5928a3c20cab9ec",
+    "complex_cosines-n16": "23653b1d79cc993ff9b357bbcca9992ec575bc14603b7e5caa6d4de2688f79cd",
     "constant-n16": "9d4ade33b4e77e27774a7dc23246a646ee2640a796a540ca14810e688581f668",
-    "gaussian2d-n8": "4506aeeaf8622db281e571f8b55c2003188a674d5fb0cfd43139fd8fcc7aa6fb",
-    "gaussian2d-sqrt-n8": "31149d20b0c36e152518e9b06a64e1b4638c1dae9caa7aac6a415b40f762c415",
-    "lognormal-n16": "f4eaea0f348abf8882884f84f87799d645caca80b0772c78011626566e501cea",
+    "gaussian2d-n8": "1817115a280dfbd4c5880a7ca6206a9d0a68da04ce5a832c6904cfd49f4d9003",
+    "gaussian2d-sqrt-n8": "2bb2ea4fe468c691610afc993fcc0da74dee03f9f92191c7ebbe15ccc9129d76",
+    "lognormal-n16": "3383fe2359734eb8dcdba3a0a4a86dcc159e25d2e7124c48a73d0346a59fe37b",
     "lognormal-sqrt-n16": "7d5a6c6ee54ce57232f1d6741269847d763f691908c5dc7ced7855f5109a0241",
     "lorentzian-n16": "d1460a7db47466c1dca177c49ffd224d813d490f5a15e1566df3c0a356a2958b",
-    "piecewise-n16": "25bf8aeeafc8dbdbfe50b1333b9039ddc181c08bb4c6d8a894671750a24ece9d",
-    "qho_excited-n16": "4489dea725484aec1cd6fba2b90124c26e32c812c7c3001920cf7514196b3f07",
-    "reflected_put-n16": "8a559914fcd8016e16920d7532b1b618de916f606d423ec6c987a6a9ac198a33",
+    "piecewise-n16": "8dcbc1c7dfb88473f2b883a208ebc93486d3df68791e6818402eb9704be00b31",
+    "qho_excited-n16": "2bcf804dbb05f44fe11c923316c6441ff54cf414f945dd2d355b6669cf33ae63",
+    "reflected_put-n16": "effb65f489faa2f97718565bf95917b242d691adadcb82706e743c24f95c04a1",
     "sinc-n16": "85d45ef8ffcb75b470884e769c514c256b7391510acae655cca1255bd72fa477",
     "sinc2d-n8": "41b791d8f5cb5ca748ee53fa46dc80a57ee527c0040bfdadcd0e537efbbd14ab",
     "spiky-n16": "7ae03870d49af31554e66d3606ce69cb7ebc52acdeadaf82029c8c635ef1e75b",
-    "spiky-sqrt-n16": "ea8787dce153cccbbf52175698928c4735feab79b32cdce78b848eda0aa5fd15",
+    "spiky-sqrt-n16": "18c1fd7f24ad294232c1ac2efc66b1fc38774c2531e7992a691a8b586e1f4cb5",
     "tanh-n16": "cbad7a8315ada1958e4d90147d2cd2949f832de9a41a7b0d2bb7b01aec4e9eb9",
     "xpowx-n16": "18b88c904de44fb1314c3118434b15d2aa7ca3fe183f113bd4b33d6c8f64fd20",
 }
@@ -279,6 +279,15 @@ class TestChunkedSampling:
         n = _CHUNK_BITS // 2 + 2  # a chunk holds 2^(n - 4) rows of 2^n points
         assert 1 < funcs._CHUNK // 2**n < 2**n
         assert funcs.sample(fd, n).samples.tobytes() == _one_shot(fd, n).tobytes()
+
+    def test_a_product_evaluates_each_factor_once_on_its_whole_axis(self):
+        fd = funcs.builtin("sinc2d")
+        seen = []
+        fd.evaluator.factors = tuple(lambda x, f=f: seen.append(x.shape) or f(x)
+                                     for f in fd.evaluator.factors)
+        n = _CHUNK_BITS // 2 + 2  # several chunks on the chunked path
+        assert funcs.sample(fd, n).samples.tobytes() == _one_shot(fd, n).tobytes()
+        assert seen == [(2**n,), (2**n,)]
 
     def test_complex_values_in_a_late_chunk_make_the_grid_complex(self):
         fd = funcs.FunctionDef("late-complex", 1, _complex_from())
