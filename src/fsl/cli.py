@@ -257,10 +257,9 @@ def cmd_simulate(cfg: dict) -> int:
     result = {"report": report.to_dict(include_timing=bool(cfg["timing"]))}
     # Each reference state is built for its one fidelity and freed right after it.
     if variant is not None:
-        block0 = state.amplitudes.reshape(2, -1)[0]
+        block0 = fourier._unit(state.amplitudes.reshape(2, -1)[0].copy())
         result["ancilla_zero_population"] = simulator.reduced_population(state, 0, 0)
-        result["data_register_fidelity_vs_exact"] = abs(fourier._overlap(
-            grid.samples, block0 / np.sqrt(fourier._sum_of_squares(block0)))) ** 2
+        result["data_register_fidelity_vs_exact"] = abs(fourier._overlap(grid.samples, block0)) ** 2
     else:
         result["fidelity_vs_truncated"] = simulator.fidelity(
             state, compiler.target_state(spec, grid.n))

@@ -124,8 +124,7 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
                                 norm="forward").reshape(-1)
     else:
         samples = fourier.reconstruct(spec.embed(side)).reshape(-1)
-    samples /= np.sqrt(fourier._sum_of_squares(samples))
-    return Statevector(spec.dims * n, samples)
+    return Statevector(spec.dims * n, fourier._unit(samples))
 
 
 def _fanout_pairs(wires: list[int]) -> list[tuple[int, int]]:

@@ -84,15 +84,20 @@ class GridFunction:
         return _normalised(np.array(samples, dtype=_dtype(samples)))
 
 
-def _normalised(s: np.ndarray) -> GridFunction:
-    """The grid on the fresh buffer ``s``, divided by its norm in place."""
+def _unit(s: np.ndarray) -> np.ndarray:
+    """The fresh buffer ``s`` divided in place by its norm, dtype kept: the one normaliser."""
     norm = math.sqrt(_sum_of_squares(s))
     if norm == 0:
         raise NonUnitNorm("cannot normalize all-zero samples")
-    if norm == math.inf:
-        raise NonUnitNorm("the samples' norm overflows a float")
+    if not norm < math.inf:
+        raise NonUnitNorm("cannot normalize samples whose norm overflows a float or is NaN")
     s /= norm
-    return GridFunction._adopt(s)
+    return s
+
+
+def _normalised(s: np.ndarray) -> GridFunction:
+    """The grid on the fresh buffer ``s``, divided by its norm in place."""
+    return GridFunction._adopt(_unit(s))
 
 
 # Values per dot product in ``_overlap``: below 10000, OpenBLAS runs a dot on

@@ -20,7 +20,7 @@ from .circuit import Circuit, h, phase
 from .compiler import (CompileReport, FSLPlan, assemble, check_capacity, prepare_spec,
                        target_state)
 from .errors import InvalidImage
-from .fourier import FourierSpec, GridFunction, _sum_of_squares
+from .fourier import FourierSpec, GridFunction, _unit
 from .simulator import Statevector
 
 
@@ -53,7 +53,7 @@ def frqi_target(img: GrayImage) -> Statevector:
     amps = np.concatenate([
         (np.cos(half) * scale).reshape(-1),
         (np.sin(half) * scale).reshape(-1),
-    ]).astype(complex)
+    ])
     return Statevector(2 * img.n + 1, amps)
 
 
@@ -86,8 +86,7 @@ def frqi_truncated_target(img: GrayImage, m: int) -> Statevector:
     """The m-truncated FRQI state the compiled circuit should match exactly.
     With t the truncated g+, the truncated g- is conj(t): color blocks Re t, -Im t."""
     t = target_state(_phase_spec(img, m), img.n).amplitudes
-    amps = np.concatenate([t.real, -t.imag])
-    return Statevector(2 * img.n + 1, amps / math.sqrt(_sum_of_squares(amps)))
+    return Statevector(2 * img.n + 1, _unit(np.concatenate([t.real, -t.imag])))
 
 
 def compile_frqi(img: GrayImage, m: int,

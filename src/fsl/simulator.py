@@ -43,15 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CODES, KINDS, Circuit, GateKind
-from .errors import CapacityExceeded, DimensionMismatch, NonUnitNorm, NotADistribution
-from .fourier import _overlap, _sum_of_squares
+from .errors import CapacityExceeded, DimensionMismatch, NotADistribution
+from .fourier import _dtype, _overlap, _sum_of_squares, _unit
 
 DEFAULT_MAX_QUBITS = 24
 
 _NORM_TOL = 1e-10
 # Elements per operand buffer of a numpy step while ``run`` steps.  numpy buffers a
 # strided step whose contiguous runs are short; at its default of 8192 elements the
-# buffers of one H step take 3/8 of a 16-qubit state, on top of the two state buffers.
+# verify jobs' ``run`` gave the same bits and peak memory but took longer.
 _BUFSIZE = 1 << 10
 _SQRT_HALF = 1 / math.sqrt(2)
 _H, _CNOT, _CPHASE = CODES[GateKind.H], CODES[GateKind.CNOT], CODES[GateKind.CPHASE]
@@ -66,11 +66,13 @@ _DIAGONAL = {CODES[kind] for kind in _PHASES}
 
 @dataclass(frozen=True)
 class Statevector:
+    """Unit-norm amplitudes: float64 when real, complex128 otherwise, as ``GridFunction``'s."""
+
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes, dtype=_dtype(self.amplitudes))
         if amps.shape != (2**self.num_qubits,):
             raise DimensionMismatch(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}")
@@ -80,17 +82,6 @@ class Statevector:
             raise ValueError(f"statevector is not normalized (squared norm {norm!r})")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_amplitudes(cls, amps) -> Statevector:
-        amps = np.asarray(amps, dtype=complex)
-        n = len(amps).bit_length() - 1
-        if 2**n != len(amps):
-            raise DimensionMismatch(f"amplitude count {len(amps)} is not a power of two")
-        norm = np.linalg.norm(amps)
-        if not 0 < norm < math.inf:
-            raise NonUnitNorm(f"cannot normalize amplitudes of norm {float(norm)}")
-        return cls(n, amps / norm)
 
 
 @dataclass(frozen=True)
@@ -217,7 +208,7 @@ def _evolve(c: Circuit, initial: Statevector | None) -> np.ndarray:
         psi[0] = 1.0
         order = {}  # wire w -> bit position: axis k - 1 - order[w] of psi[:2**k]
     else:
-        psi = initial.amplitudes.copy()
+        psi = initial.amplitudes.astype(complex)
         order = {w: n - 1 - w for w in range(n)}
     spare = None  # the rotations' target, swapped with psi: past the active prefix both read 0
     copies = {}  # copy wire -> the active wire it copies
@@ -352,4 +343,4 @@ def load_statevector(path, num_qubits: int) -> Statevector:
     size = os.path.getsize(path)
     if size != 16 << num_qubits:
         raise DimensionMismatch(f"state file holds {size} bytes, not the {16 << num_qubits} bytes")
-    return Statevector.from_amplitudes(np.fromfile(path, dtype="<c16"))
+    return Statevector(num_qubits, _unit(np.fromfile(path, dtype="<c16")))

@@ -17,7 +17,8 @@ the numpy version they were recorded with.  They do not depend on the BLAS
 thread count: every norm and overlap the outputs print is summed in chunks a
 single OpenBLAS thread takes, the chunk sums added by ``math.fsum``, so one
 thread and several give the same bytes, which a fresh process with
-``OPENBLAS_NUM_THREADS=1`` checks.
+``OPENBLAS_NUM_THREADS=1`` checks, and a ``--compare-state`` run at 1 and 2
+threads.
 
 A Schmidt compile also goes through LAPACK (the SVD and the Shannon
 decomposition of U and V), whose last bits move with the BLAS kernels the CPU
@@ -356,6 +357,26 @@ def test_digests_hold_on_one_blas_thread():
                           timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == DIGESTS
+
+
+def test_compare_state_output_holds_on_any_blas_thread_count(tmp_path):
+    # 2^18 amplitudes: above the 10000 values OpenBLAS sums on one thread, so a
+    # norm or overlap summed by one BLAS call would round by the thread count
+    state = tmp_path / "sinc.c16"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--function", "sinc", "--n", "18", "--m", "5",
+                     "--state-out", str(state)]) == 0
+    argv = ["simulate", "--function", "lorentzian", "--n", "18", "--m", "5",
+            "--compare-state", str(state)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "fsl.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _current_digests() -> dict:

@@ -1,6 +1,7 @@
 """End-to-end compilation against the direct-evaluation target oracle."""
 import hashlib
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -77,6 +78,18 @@ class TestTargetState:
         spec = truncate(dft_coefficients(random_grid(rng, n)), 3)
         want = fourier.reconstruct(spec.embed(2**n)).reshape(-1)
         assert np.array_equal(target_state(spec, n).amplitudes, want / np.linalg.norm(want))
+
+    def test_a_real_window_gives_a_real_target_with_no_complex_copy(self):
+        # sinc2d at n = 10: the 2^20 float64 amplitudes are 8 MB, a complex copy 16 MB more
+        spec = prepare_spec(funcs.sample(funcs.builtin("sinc2d"), 10), 3)
+        tracemalloc.start()
+        try:
+            t = target_state(spec, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+        assert t.amplitudes.dtype == np.float64
 
     @pytest.mark.parametrize("n", [2, 1])
     def test_grid_too_coarse_for_the_window_is_rejected(self, n):

@@ -54,6 +54,11 @@ class TestFrqiTarget:
                 assert t[pos] == pytest.approx(math.cos(angle) / 4)
                 assert t[16 + pos] == pytest.approx(math.sin(angle) / 4)
 
+    @pytest.mark.parametrize("target", [frqi_target, lambda img: frqi_truncated_target(img, 1)],
+                             ids=["exact", "truncated"])
+    def test_targets_hold_real_amplitudes(self, rng, target):
+        assert target(random_image(rng, 3)).amplitudes.dtype == np.float64
+
     def test_brightness_clamped(self):
         img = GrayImage(2, np.array([[2.0, -1.0], [0.5, 0.25]]))
         assert img.brightness[0, 0] == 1.0
