@@ -121,10 +121,11 @@ def target_state(spec: FourierSpec, n: int) -> Statevector:
     if np.array_equal(spec.coeffs, conj[(slice(None, None, -1),) * spec.dims]):
         half = replace(spec, coeffs=conj).embed(side, half=True)
         samples = np.fft.irfftn(half, s=(side,) * spec.dims, axes=range(spec.dims),
-                                norm="forward").reshape(-1)
+                                norm="forward")
     else:
-        samples = fourier.reconstruct(spec.embed(side)).reshape(-1)
-    return Statevector(spec.dims * n, fourier._unit(samples))
+        samples = fourier.reconstruct(spec.embed(side))
+    # normalised before the reshape: a view of a writable owner would be copied
+    return Statevector(spec.dims * n, fourier._unit(samples).reshape(-1))
 
 
 def _fanout_pairs(wires: list[int]) -> list[tuple[int, int]]:
@@ -219,8 +220,6 @@ def compile_nonperiodic(g: GridFunction, m: int, variant: NonperiodicVariant,
     """The mirror load of a 1D function: ``compile_spec`` with a ``variant`` on
     g's extension, whose window ``filter_a`` filters.  m is bounded by g's n
     wires, and the capacity is checked at n+1 before the grid is extended."""
-    if g.dims != 1:
-        raise DimensionMismatch("non-periodic loading is one-dimensional")
     plan = replace(plan or FSLPlan(n=g.n, m=m), n=g.n, m=m, dims=1)
     plan = replace(plan, n=g.n + 1)
     check_capacity(plan)

@@ -47,57 +47,63 @@ _RESIDUE = np.finfo(float).eps  # a window norm below this is only rounding resi
 @dataclass(frozen=True)
 class GridFunction:
     """Unit-norm samples on the uniform (2^n)^D grid, f(k/2^n): float64 when
-    the values are real, complex128 otherwise.  The constructor copies the
-    array it is given, proves the unit norm and freezes the copy, so no view a
-    caller holds can write it; ``spectrum`` relies on that proof unchecked."""
+    the values are real, complex128 otherwise; ``spectrum`` relies unchecked on
+    the unit norm ``_seal`` proves.  Input read-only down to its owner is kept,
+    the rest copied (``_kept``): only a view taken before that freeze can write it."""
 
     dims: int
     n: int
     samples: np.ndarray
 
     def __post_init__(self):
-        self._seal(np.array(self.samples, dtype=_dtype(self.samples), order="C"))
-
-    def _seal(self, s: np.ndarray) -> None:
-        """Check ``s`` against the grid's shape and the unit norm, then freeze it
-        as the samples."""
-        if s.shape != (2**self.n,) * self.dims:
-            raise DimensionMismatch(f"expected shape {(2**self.n,) * self.dims}, got {s.shape}")
-        if not abs(_sum_of_squares(s) - 1.0) <= 1e-12:
-            raise NonUnitNorm("grid samples are not unit-norm")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
+        _seal(self, "samples", self.samples, (2**self.n,) * self.dims, 1e-12,
+              NonUnitNorm("grid samples are not unit-norm"))
 
     @classmethod
     def _adopt(cls, s: np.ndarray) -> GridFunction:
-        """The grid on ``s`` itself, without the constructor's copy: for a fresh
-        float64 or complex128 buffer that its builder hands over and holds no
-        view of."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "dims", s.ndim)
-        object.__setattr__(g, "n", int(round(math.log2(s.shape[0]))))
-        g._seal(np.ascontiguousarray(s))
-        return g
+        """The grid on the buffer ``s`` its builder hands over, frozen here so ``_kept``
+        keeps it (a view of a writable array is copied): the builder holds no view of it."""
+        s.setflags(write=False)
+        return cls(s.ndim, int(round(math.log2(s.shape[0]))), s)
 
     @classmethod
     def from_samples(cls, samples) -> GridFunction:
-        return _normalised(np.array(samples, dtype=_dtype(samples)))
+        return cls._adopt(_unit(np.array(samples, dtype=_dtype(samples))))
+
+
+def _kept(values) -> np.ndarray:
+    """``values`` itself if it and every array it views, down to the owner, are read-only
+    (and it is C-contiguous in ``_dtype``), else a copy that is: the one ownership rule.
+    A writable view taken before the owner was frozen is beyond what numpy can see."""
+    dtype, a = _dtype(values), values
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return (np.asarray if a is None else np.array)(values, dtype=dtype, order="C")
+
+
+def _seal(owner, name: str, a, shape: tuple, tol: float, fault: Exception) -> None:
+    """Set ``owner.name`` to ``_kept(a)`` frozen, once it has ``shape`` and a squared
+    norm within ``tol`` of 1 (else ``fault``): the one check of each unit-array type."""
+    a = _kept(a)
+    if a.shape != shape:
+        raise DimensionMismatch(f"expected {math.prod(shape)} {name} {shape}, got {a.shape}")
+    if not abs(_sum_of_squares(a) - 1.0) <= tol:
+        raise fault
+    a.setflags(write=False)
+    object.__setattr__(owner, name, a)
 
 
 def _unit(s: np.ndarray) -> np.ndarray:
-    """The fresh buffer ``s`` divided in place by its norm, dtype kept: the one normaliser."""
+    """The fresh buffer ``s`` divided in place by its norm, dtype kept: the one normaliser.
+    Frozen, ``_kept`` keeps it; only a view taken before the freeze could write it."""
     norm = math.sqrt(_sum_of_squares(s))
     if norm == 0:
         raise NonUnitNorm("cannot normalize all-zero samples")
     if not norm < math.inf:
         raise NonUnitNorm("cannot normalize samples whose norm overflows a float or is NaN")
     s /= norm
+    s.setflags(write=False)
     return s
-
-
-def _normalised(s: np.ndarray) -> GridFunction:
-    """The grid on the fresh buffer ``s``, divided by its norm in place."""
-    return GridFunction._adopt(_unit(s))
 
 
 # Values per dot product in ``_overlap``: below 10000, OpenBLAS runs a dot on
@@ -142,7 +148,8 @@ class FourierSpec:
     ``coeffs`` is centered: axis index j holds frequency k = j - (2^m - 1),
     shape (2^(m+1) - 1,)^D.  ``norm_constant`` is the spectral mass the window
     captured before renormalization, so 1 - norm_constant is the exact
-    truncation infidelity.
+    truncation infidelity.  Input read-only down to its owner is kept, the rest
+    copied (``_kept``): only a view taken before that freeze can write it.
     """
 
     dims: int
@@ -151,14 +158,8 @@ class FourierSpec:
     norm_constant: float
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=complex)
-        w = 2 ** (self.m + 1) - 1
-        if c.shape != (w,) * self.dims:
-            raise DimensionMismatch(f"expected window shape {(w,) * self.dims}, got {c.shape}")
-        if not abs(_sum_of_squares(c) - 1.0) <= 1e-12:
-            raise NonUnitNorm("windowed coefficients are not unit-norm")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        _seal(self, "coeffs", self.coeffs, (2 ** (self.m + 1) - 1,) * self.dims, 1e-12,
+              NonUnitNorm("windowed coefficients are not unit-norm"))
 
     @property
     def max_frequency(self) -> int:
@@ -274,7 +275,9 @@ def truncate(coeffs: np.ndarray, m: int, filter_a: float | None = None) -> Fouri
     norm_const = float(np.sum(np.abs(win) ** 2))
     if math.sqrt(norm_const) < _RESIDUE:
         raise EmptyWindow(f"window |k|<={2**m - 1} captures no spectral mass")
-    spec = FourierSpec(win.ndim, m, win / math.sqrt(norm_const), norm_const)
+    win = win / math.sqrt(norm_const)
+    win.setflags(write=False)  # handed over to the spec, which keeps it
+    spec = FourierSpec(win.ndim, m, win, norm_const)
     return spec if filter_a is None else lanczos_filter(spec, filter_a)
 
 

@@ -48,12 +48,11 @@ class GrayImage:
 
 def frqi_target(img: GrayImage) -> Statevector:
     """Exact FRQI state: 2^-n sum_jk (cos(pi I/2)|0> + sin(pi I/2)|1>)|j>|k>."""
-    half = np.pi * img.brightness / 2
-    scale = 1.0 / img.side
-    amps = np.concatenate([
-        (np.cos(half) * scale).reshape(-1),
-        (np.sin(half) * scale).reshape(-1),
-    ])
+    half, amps = np.pi * img.brightness.reshape(-1) / 2, np.empty(2 * img.side**2)
+    np.cos(half, out=amps[:img.side**2])
+    np.sin(half, out=amps[img.side**2:])
+    amps /= img.side  # a power of two: exact
+    amps.setflags(write=False)
     return Statevector(2 * img.n + 1, amps)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExpressionError, NegativeUnderSqrt, UnknownFunction
-from .fourier import GridFunction, _normalised
+from .fourier import GridFunction, _unit
 
 
 @dataclass(frozen=True)
@@ -233,7 +233,7 @@ def sample(fdef: FunctionDef, n: int) -> GridFunction:
             np.sqrt(np.clip(out, 0.0, None, out=out), out=out)
     if not finite:
         raise ValueError(f"{fdef.name} is not finite on the grid")
-    return _normalised(out)
+    return GridFunction._adopt(_unit(out))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 
 from .circuit import CODES, KINDS, Circuit, GateKind
 from .errors import CapacityExceeded, DimensionMismatch, NotADistribution
-from .fourier import _dtype, _overlap, _sum_of_squares, _unit
+from .fourier import _overlap, _seal, _unit
 
 DEFAULT_MAX_QUBITS = 24
 
@@ -66,22 +66,16 @@ _DIAGONAL = {CODES[kind] for kind in _PHASES}
 
 @dataclass(frozen=True)
 class Statevector:
-    """Unit-norm amplitudes: float64 when real, complex128 otherwise, as ``GridFunction``'s."""
+    """Unit-norm amplitudes: float64 when real, complex128 otherwise, as ``GridFunction``'s.
+    Input read-only down to its owner is kept, the rest copied (``_kept``): only a view
+    taken before that freeze can write it."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=_dtype(self.amplitudes))
-        if amps.shape != (2**self.num_qubits,):
-            raise DimensionMismatch(
-                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}")
-        amps = np.ascontiguousarray(amps)
-        norm = _sum_of_squares(amps)
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise ValueError(f"statevector is not normalized (squared norm {norm!r})")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        _seal(self, "amplitudes", self.amplitudes, (2**self.num_qubits,), _NORM_TOL,
+              ValueError("statevector is not normalized"))
 
 
 @dataclass(frozen=True)
@@ -197,6 +191,7 @@ def run(c: Circuit, initial: Statevector | None = None, max_qubits: int | None =
         psi = _evolve(c, initial)
     finally:
         np.setbufsize(bufsize)
+    psi.setflags(write=False)
     return Statevector(n, psi)
 
 

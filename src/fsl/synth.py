@@ -38,6 +38,7 @@ import numpy as np
 
 from .circuit import CODES, Circuit, GateKind, cnot_rows
 from .errors import NonPowerOfTwoLength, NonUnitNorm, NotUnitary
+from .fourier import _sum_of_squares
 
 NORM_TOL = 1e-9
 ANGLE_EPS = 1e-14  # rotations below this are identity for all practical purposes
@@ -70,9 +71,10 @@ class UCRAngles:
 
 def _check_state(target) -> tuple[np.ndarray, int]:
     """``target`` as a complex unit vector and its qubit count."""
-    psi = np.asarray(target, dtype=complex).reshape(-1)
-    if not abs(np.sum(np.abs(psi) ** 2) - 1.0) <= NORM_TOL:
-        raise NonUnitNorm(f"vector norm^2 = {np.sum(np.abs(psi)**2):.12g}")
+    psi = np.ascontiguousarray(target, dtype=complex).reshape(-1)
+    norm = _sum_of_squares(psi)
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise NonUnitNorm(f"vector norm^2 = {norm:.12g}")
     q = int(round(math.log2(len(psi))))
     if 2**q != len(psi):
         raise NonPowerOfTwoLength(f"length {len(psi)} is not a power of two")
@@ -124,7 +126,7 @@ def gray_code(k):
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
     """In-place fast Walsh-Hadamard transform (natural ordering), on a copy."""
-    v = v.astype(float).copy()
+    v = np.array(v, dtype=float)
     size = len(v)
     step = 1
     while step < size:

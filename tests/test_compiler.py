@@ -15,8 +15,9 @@ from fsl.compiler import (CompileReport, FSLPlan, Loader, NonperiodicVariant, _f
 from fsl.errors import CapacityExceeded, DimensionMismatch
 from fsl.fourier import (GridFunction, dft_coefficients, exact_infidelity,
                          lanczos_filter, mirror_extend, truncate)
-from fsl.frqi import GrayImage, compile_frqi, phase_spectra
-from fsl.simulator import Statevector, fidelity, reduced_population, run
+from fsl.frqi import GrayImage, compile_frqi, frqi_target, phase_spectra
+from fsl.simulator import (Statevector, dump_statevector, fidelity, load_statevector,
+                           reduced_population, run)
 from test_cli_bytes import RECORDED_NUMPY, print_literal
 
 
@@ -90,6 +91,28 @@ class TestTargetState:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
         assert t.amplitudes.dtype == np.float64
+
+    def test_a_state_file_is_loaded_in_its_own_buffer(self, tmp_path):
+        path = tmp_path / "state.bin"
+        dump_statevector(Statevector(16, np.full(2**16, 2**-8, dtype=complex)), path)
+        tracemalloc.start()
+        try:
+            s = load_statevector(path, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * s.amplitudes.nbytes  # a copy would double it
+
+    def test_the_frqi_target_is_built_in_its_own_buffer(self):
+        img = GrayImage(256, np.random.default_rng(0).random((256, 256)))
+        tracemalloc.start()
+        try:
+            t = frqi_target(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the amplitudes and the half-size phases: a copy of the amplitudes would add one more
+        assert peak <= 1.75 * t.amplitudes.nbytes
 
     @pytest.mark.parametrize("n", [2, 1])
     def test_grid_too_coarse_for_the_window_is_rejected(self, n):

@@ -596,6 +596,12 @@ class TestGridFunctionValidation:
         assert g.samples is s and not s.flags.writeable
         assert (g.dims, g.n) == (1, 2)
 
+    def test_adopting_a_view_of_a_writable_array_copies_it(self):
+        a = np.full(4, 0.5)
+        g = GridFunction._adopt(a[:])
+        a[:] = 5.0
+        assert np.array_equal(g.samples, np.full(4, 0.5))
+
     def test_mirror_extension_makes_no_extra_grid_copy(self):
         g = funcs.sample(funcs.builtin("tanh"), 16)
         tracemalloc.start()
@@ -659,3 +665,55 @@ class TestFourierSpecValidation:
         for side in (4, 2):  # on 4 points k = 3 and k = -1 would share index 3
             with pytest.raises(ValueError, match="need m < n, got m=2"):
                 spec.embed(side)
+
+
+# Each unit-array type: a constructor from a unit vector of its length, that length, and
+# the field that keeps the vector.  A new value type joins the ownership tests with one entry.
+UNIT_TYPES = {
+    "GridFunction": (lambda a: GridFunction(1, 2, a), 4, "samples"),
+    "FourierSpec": (lambda a: FourierSpec(1, 1, a, 1.0), 3, "coeffs"),
+    "Statevector": (lambda a: Statevector(2, a), 4, "amplitudes"),
+}
+
+
+def _flat_unit(size: int) -> np.ndarray:
+    return np.full(size, 1 / math.sqrt(size), dtype=complex)
+
+
+@pytest.mark.parametrize("kind", sorted(UNIT_TYPES))
+class TestOwnershipRule:
+    """``fourier._kept``: input frozen down to its owner is kept, anything else copied."""
+
+    def test_a_view_taken_before_construction_cannot_write_the_value(self, kind):
+        make, size, field = UNIT_TYPES[kind]
+        a = _flat_unit(size)
+        v = a[:]
+        got = getattr(make(a), field)
+        v[:] = 5.0
+        assert np.array_equal(got, _flat_unit(size)) and not got.flags.writeable
+        assert a.flags.writeable  # the caller's array is not frozen for it
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self, kind):
+        make, size, field = UNIT_TYPES[kind]
+        a = _flat_unit(size)
+        v = a[:]
+        v.setflags(write=False)
+        got = getattr(make(v), field)
+        a[:] = 5.0
+        assert got is not v and np.array_equal(got, _flat_unit(size))
+
+    def test_an_array_frozen_down_to_its_owner_is_kept(self, kind):
+        make, size, field = UNIT_TYPES[kind]
+        a = _flat_unit(size)
+        a.setflags(write=False)
+        v = a[:]  # a view of a frozen owner is read-only too
+        assert getattr(make(v), field) is v
+
+    def test_frozen_input_of_another_layout_or_dtype_is_copied(self, kind):
+        make, size, field = UNIT_TYPES[kind]
+        spread, ints = np.repeat(_flat_unit(size), 2), np.eye(1, size, dtype=int)
+        for owner in (spread, ints):
+            owner.setflags(write=False)
+        strided = getattr(make(spread[::2]), field)
+        assert strided.flags.c_contiguous and np.array_equal(strided, _flat_unit(size))
+        assert getattr(make(ints[0]), field).dtype == np.float64

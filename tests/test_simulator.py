@@ -568,6 +568,15 @@ class TestStatevectorValidation:
         assert peak < 2**20
         assert s.amplitudes.dtype == np.float64
 
+    def test_run_hands_over_its_own_buffer(self):
+        tracemalloc.start()
+        try:
+            s = run(Circuit(16, ()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * s.amplitudes.nbytes  # a copy would double it
+
 
 class TestFidelity:
     def test_self_fidelity_is_one(self, rng):

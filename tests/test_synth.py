@@ -46,6 +46,12 @@ class TestMottonenAngles:
         with pytest.raises(NonUnitNorm):
             mottonen_angles(np.array([np.nan, np.nan]))
 
+    def test_accepts_a_strided_view(self):
+        x = np.zeros(8)
+        x[::2] = 0.5
+        strided, dense = mottonen_angles(x[::2]), mottonen_angles(np.full(4, 0.5))
+        assert [a.tolist() for a in strided.alpha_y] == [a.tolist() for a in dense.alpha_y]
+
     def test_circuit_from_angles_reproduces_state_exactly(self, rng):
         # exact equality, global phase included, not just fidelity
         target = rand_state(rng, 3)
